@@ -84,6 +84,61 @@ func TestSingleFrameAllocs(t *testing.T) {
 	}
 }
 
+// TestFragmentedRoundTripAllocs pins the fragmented path: a 16 KiB
+// message split into 1200-byte frames goes down as one burst and comes
+// back up through one single receive plus burst receives, and in steady
+// state neither direction allocates — the send burst, the receive
+// scratch and the reassembly buffer are all reused.
+func TestFragmentedRoundTripAllocs(t *testing.T) {
+	if testutil.RaceEnabled {
+		t.Skip("allocation counts are inflated under -race")
+	}
+	pipeA, pipeB := transport.Pipe(core.Addr{}, core.Addr{}, 64)
+	udpA, udpB, err := transport.UDPPair("a", "b")
+	if err != nil {
+		t.Fatalf("udp pair: %v", err)
+	}
+	for _, tc := range []struct {
+		name string
+		a, b core.Conn
+	}{{"pipe", pipeA, pipeB}, {"udp", udpA, udpB}} {
+		t.Run(tc.name, func(t *testing.T) {
+			const frame = 1200
+			a, err := New(tc.a, frame)
+			if err != nil {
+				t.Fatalf("new: %v", err)
+			}
+			b, err := New(tc.b, frame)
+			if err != nil {
+				t.Fatalf("new: %v", err)
+			}
+			defer a.Close()
+			defer b.Close()
+			ctx := context.Background()
+			payload := bytes.Repeat([]byte{0xA5}, 16<<10)
+			headroom := core.HeadroomOf(a)
+			avg := testing.AllocsPerRun(200, func() {
+				if err := core.SendBuf(ctx, a, wire.NewBufFrom(headroom, payload)); err != nil {
+					t.Errorf("send: %v", err)
+					return
+				}
+				r, err := core.RecvBuf(ctx, b)
+				if err != nil {
+					t.Errorf("recv: %v", err)
+					return
+				}
+				if !bytes.Equal(r.Bytes(), payload) {
+					t.Errorf("reassembled %d bytes, want %d (content mismatch)", r.Len(), len(payload))
+				}
+				r.Release()
+			})
+			if avg >= 1 {
+				t.Fatalf("16 KiB fragmented round trip over %s allocates %.2f objects/op, want 0", tc.name, avg)
+			}
+		})
+	}
+}
+
 // TestFragmentReassembly round-trips a message larger than maxFrame.
 func TestFragmentReassembly(t *testing.T) {
 	const maxFrame = 128

@@ -6,7 +6,8 @@
 // # Reliability pairing
 //
 // Framing itself is not reliable: fragments travel as independent
-// datagrams, so on a lossy or reordering transport a CONTINUATION can
+// datagrams — one burst per message, handed down in a single SendBufs
+// call — so on a lossy or reordering transport a CONTINUATION can
 // arrive out of order and the whole stream must be discarded (partial
 // messages are never delivered). Discards are counted rather than
 // silent: the "chunnel/http2/dropped_streams" counter in the process
@@ -23,6 +24,7 @@ import (
 	"context"
 	"encoding/binary"
 	"fmt"
+	"slices"
 	"sync"
 	"sync/atomic"
 
@@ -51,6 +53,24 @@ const headerLen = 8
 // DefaultMaxFrame is the fragment payload ceiling.
 const DefaultMaxFrame = 16 << 10
 
+// Reassembly is bounded per connection, so a peer that never finishes
+// its streams cannot pin memory without limit: at most maxOpenStreams
+// streams are open at once and at most MaxMessage payload bytes are
+// parked across them. Past either bound the oldest stream is discarded
+// (and counted in DroppedStreamsCounter). MaxMessage is therefore also
+// the largest message the chunnel carries; senders reject larger ones.
+const (
+	maxOpenStreams = 32
+	MaxMessage     = 4 << 20
+)
+
+// recvBurst is the burst-receive scratch: how many frames one receive
+// call below may return while a fragmented message is arriving. Sixteen
+// take a 16 KiB message's fourteen 1200-byte frames in one call; the
+// socket transport retains one pooled datagram buffer per slot, so the
+// figure is kept small.
+const recvBurst = 16
+
 // Node builds the DAG node: http2(maxFrame).
 func Node(maxFrame int) spec.Node {
 	return spec.New(Type, wire.Int(int64(maxFrame)))
@@ -74,14 +94,15 @@ func Register(reg *core.Registry) {
 }
 
 // DroppedStreamsCounter is the telemetry counter name for reassembly
-// streams discarded on fragment loss/reorder, registered in the process
-// registry (telemetry.Default()).
+// streams discarded — on fragment loss/reorder, or evicted by the
+// per-connection reassembly bounds — registered in the process registry
+// (telemetry.Default()).
 const DroppedStreamsCounter = "chunnel/http2/dropped_streams"
 
 // MalformedFramesCounter counts malformed frames (short, or unknown
-// frame type) discarded on the batch receive path. RecvBuf fails on the
-// first malformed frame, but RecvBufs keeps the rest of a burst that
-// already produced messages — this counter keeps those discards visible.
+// frame type) discarded inside a received burst. A burst that still
+// produced a message reports no error for them, so this counter keeps
+// those discards visible.
 const MalformedFramesCounter = "chunnel/http2/malformed_frames"
 
 // New wraps conn with frame encoding. maxFrame bounds each fragment's
@@ -95,7 +116,6 @@ func New(conn core.Conn, maxFrame int) (core.Conn, error) {
 		maxFrame:  maxFrame,
 		dropped:   telemetry.Default().Counter(DroppedStreamsCounter),
 		malformed: telemetry.Default().Counter(MalformedFramesCounter),
-		partial:   map[uint32][]*wire.Buf{},
 	}, nil
 }
 
@@ -109,8 +129,37 @@ type frameConn struct {
 	dropped   *telemetry.Counter
 	malformed *telemetry.Counter
 
-	mu      sync.Mutex
-	partial map[uint32][]*wire.Buf
+	// sendScratch and recvScratch are the connection's reusable burst
+	// arrays. A caller takes one by swapping nil in and puts it back when
+	// its call below returns, so no lock is held across that call; a
+	// concurrent caller that finds nil uses a fresh one.
+	sendScratch atomic.Pointer[fragBurst]
+	recvScratch atomic.Pointer[[recvBurst]*wire.Buf]
+
+	mu sync.Mutex
+	// The streams under reassembly, oldest first, as two parallel
+	// arrays: bufs[i] holds open[i]'s fragments so far, concatenated, and
+	// becomes the delivered message. A handful at most
+	// (maxOpenStreams), so lookup is a scan.
+	open   []openStream
+	bufs   []*wire.Buf
+	parked int // payload bytes held across bufs
+	// ready queues the messages a burst completed beyond the one its
+	// RecvBuf returned; nready mirrors its length so the single-frame
+	// path skips the lock.
+	ready     []*wire.Buf
+	readyHead int
+	nready    atomic.Int32
+}
+
+// fragBurst is a reusable send burst (boxed so the scratch pointer swap
+// does not allocate a slice header).
+type fragBurst struct{ bs []*wire.Buf }
+
+// openStream identifies a message under reassembly.
+type openStream struct {
+	id   uint32
+	next uint16 // the index its next fragment must carry
 }
 
 // fillHeader writes the frame header for fragment i of frags into h.
@@ -138,8 +187,8 @@ func (c *frameConn) Send(ctx context.Context, p []byte) error {
 
 // SendBuf frames the message in place. The common case — the whole
 // message fits one frame — prepends the header into b's headroom and
-// keeps the zero-copy path; oversized messages fall back to per-fragment
-// buffers.
+// keeps the zero-copy path; oversized messages go down as one burst of
+// fragments.
 func (c *frameConn) SendBuf(ctx context.Context, b *wire.Buf) error {
 	if b.Len() <= c.maxFrame {
 		stream := c.nextStream.Add(1)
@@ -153,8 +202,8 @@ func (c *frameConn) SendBuf(ctx context.Context, b *wire.Buf) error {
 
 // SendBufs frames a burst. The common case — every message fits one
 // frame — stamps all headers in one pass and hands the burst down
-// whole; mixed bursts vectorize the maximal single-frame runs and fall
-// back to per-fragment sends for oversized messages. BatchError.Sent
+// whole; mixed bursts vectorize the maximal single-frame runs and send
+// each oversized message as its own burst of fragments. BatchError.Sent
 // counts whole messages at this layer (a message whose fragments were
 // partially transmitted is not counted).
 func (c *frameConn) SendBufs(ctx context.Context, bs []*wire.Buf) error {
@@ -185,11 +234,7 @@ func (c *frameConn) SendBufs(ctx context.Context, bs []*wire.Buf) error {
 			}
 			if err := core.SendBufs(ctx, c.Conn, run); err != nil {
 				core.ReleaseAll(bs[j:])
-				cause := err
-				if be, ok := err.(*core.BatchError); ok {
-					cause = be.Err
-				}
-				return &core.BatchError{Sent: sent + core.BatchSent(err), Err: cause}
+				return &core.BatchError{Sent: sent + core.BatchSent(err), Err: batchCause(err)}
 			}
 			sent += len(run)
 			i = j
@@ -208,34 +253,57 @@ func (c *frameConn) SendBufs(ctx context.Context, bs []*wire.Buf) error {
 	return nil
 }
 
+// batchCause unwraps a burst error from the layer below to the failure
+// itself: this layer reports its own count of whole messages.
+func batchCause(err error) error {
+	if be, ok := err.(*core.BatchError); ok {
+		return be.Err
+	}
+	return err
+}
+
 // Headroom implements core.HeadroomConn.
 func (c *frameConn) Headroom() int { return headerLen + core.HeadroomOf(c.Conn) }
 
 // sendFragments splits p across maxFrame-sized frames, each in a pooled
-// buffer with headroom for the layers below.
+// buffer with headroom for the layers below, and hands them down as one
+// burst: a transport with batch support spends one syscall on the whole
+// message. The error is the message's — a burst that failed partway
+// delivered no message, so how many fragments went out is not reported.
 func (c *frameConn) sendFragments(ctx context.Context, p []byte) error {
-	stream := c.nextStream.Add(1)
-	frags := (len(p) + c.maxFrame - 1) / c.maxFrame
-	if frags == 0 {
-		frags = 1
+	if len(p) > MaxMessage {
+		return fmt.Errorf("%w: %d bytes", core.ErrMessageTooLarge, len(p))
 	}
+	frags := (len(p) + c.maxFrame - 1) / c.maxFrame
 	if frags > 1<<16-1 {
 		return fmt.Errorf("%w: %d fragments", core.ErrMessageTooLarge, frags)
 	}
+	stream := c.nextStream.Add(1)
 	inner := core.HeadroomOf(c.Conn)
+	scratch := c.sendScratch.Swap(nil)
+	if scratch == nil {
+		scratch = new(fragBurst)
+	}
+	bs := scratch.bs[:0]
 	for i := 0; i < frags; i++ {
 		lo := i * c.maxFrame
-		hi := lo + c.maxFrame
-		if hi > len(p) {
-			hi = len(p)
-		}
-		fb := wire.NewBufFrom(inner+headerLen, p[lo:hi])
-		fillHeader(fb.Prepend(headerLen), stream, i, frags)
-		if err := core.SendBuf(ctx, c.Conn, fb); err != nil {
-			return err
-		}
+		bs = append(bs, newFragment(inner, p[lo:min(lo+c.maxFrame, len(p))], stream, i, frags))
 	}
-	return nil
+	err := core.SendBufs(ctx, c.Conn, bs)
+	for i := range bs {
+		bs[i] = nil // the burst was consumed below; keep only the array
+	}
+	scratch.bs = bs
+	c.sendScratch.Store(scratch)
+	return batchCause(err)
+}
+
+// newFragment copies one fragment's payload into a pooled buffer behind
+// its frame header, leaving inner bytes of headroom for the layers below.
+func newFragment(inner int, payload []byte, stream uint32, i, frags int) *wire.Buf {
+	fb := wire.NewBufFrom(inner+headerLen, payload)
+	fillHeader(fb.Prepend(headerLen), stream, i, frags)
+	return fb
 }
 
 func (c *frameConn) Recv(ctx context.Context) ([]byte, error) {
@@ -248,87 +316,205 @@ func (c *frameConn) Recv(ctx context.Context) ([]byte, error) {
 
 // RecvBuf reassembles the next message. Single-frame messages — the
 // common case — are returned as the transport's buffer with the header
-// trimmed off: zero copies.
+// trimmed off: zero copies, one receive below. A frame that leaves a
+// stream open means the rest of a fragmented message is behind it, and
+// only then is the remainder taken with burst receives.
 func (c *frameConn) RecvBuf(ctx context.Context) (*wire.Buf, error) {
+	if msg := c.popReady(); msg != nil {
+		return msg, nil
+	}
 	for {
 		fb, err := core.RecvBuf(ctx, c.Conn)
 		if err != nil {
 			return nil, err
 		}
-		msg, err := c.processFrame(fb)
+		msg, open, err := c.processFrame(fb)
 		if err != nil {
 			return nil, err
 		}
 		if msg != nil {
 			return msg, nil
 		}
+		if open {
+			return c.recvBurstMessage(ctx)
+		}
 	}
+}
+
+// recvBurstMessage returns the next message with burst receives into
+// the connection's scratch, queueing any further messages the same
+// burst completed for the calls that follow.
+func (c *frameConn) recvBurstMessage(ctx context.Context) (*wire.Buf, error) {
+	scratch := c.recvScratch.Swap(nil)
+	if scratch == nil {
+		scratch = new([recvBurst]*wire.Buf)
+	}
+	n, err := c.recvMessages(ctx, scratch[:])
+	var msg *wire.Buf
+	if n > 0 {
+		msg = scratch[0]
+		c.pushReady(scratch[1:n])
+		for i := range scratch[:n] {
+			scratch[i] = nil
+		}
+	}
+	c.recvScratch.Store(scratch)
+	return msg, err
+}
+
+func (c *frameConn) popReady() *wire.Buf {
+	if c.nready.Load() == 0 {
+		return nil
+	}
+	c.mu.Lock()
+	defer c.mu.Unlock()
+	if c.readyHead == len(c.ready) {
+		return nil
+	}
+	msg := c.ready[c.readyHead]
+	c.ready[c.readyHead] = nil
+	c.readyHead++
+	if c.readyHead == len(c.ready) {
+		c.ready, c.readyHead = c.ready[:0], 0
+	}
+	c.nready.Add(-1)
+	return msg
+}
+
+func (c *frameConn) pushReady(msgs []*wire.Buf) {
+	if len(msgs) == 0 {
+		return
+	}
+	c.mu.Lock()
+	c.ready = append(c.ready, msgs...)
+	c.nready.Add(int32(len(msgs)))
+	c.mu.Unlock()
 }
 
 // processFrame absorbs one arriving frame, consuming fb in every case:
 // a completed message is returned (single-frame messages zero-copy, the
-// header trimmed in place); continuations park in the reassembly map
-// and return (nil, nil); malformed frames are an error.
-func (c *frameConn) processFrame(fb *wire.Buf) (*wire.Buf, error) {
+// header trimmed in place); a fragment joins its stream's reassembly
+// buffer and returns nil; malformed frames are an error. open reports
+// whether any stream is left under reassembly.
+func (c *frameConn) processFrame(fb *wire.Buf) (msg *wire.Buf, open bool, err error) {
 	f := fb.Bytes()
 	if len(f) < headerLen {
 		n := len(f)
 		fb.Release()
-		return nil, fmt.Errorf("http2: short frame (%d bytes)", n)
+		return nil, false, fmt.Errorf("http2: short frame (%d bytes)", n)
 	}
 	ft, flags := f[0], f[1]
-	stream := binary.LittleEndian.Uint32(f[2:6])
+	id := binary.LittleEndian.Uint32(f[2:6])
 	idx := binary.LittleEndian.Uint16(f[6:8])
 	if ft != frameData && ft != frameContinuation {
 		fb.Release()
-		return nil, fmt.Errorf("http2: unknown frame type %#x", ft)
+		return nil, false, fmt.Errorf("http2: unknown frame type %#x", ft)
 	}
 	fb.TrimFront(headerLen)
+	end := flags&flagEndStream != 0
 
 	c.mu.Lock()
-	frags := c.partial[stream]
-	if int(idx) != len(frags) {
+	defer c.mu.Unlock()
+	i := c.findLocked(id)
+	var want uint16
+	if i >= 0 {
+		want = c.open[i].next
+	}
+	switch {
+	case idx != want:
 		// Fragment loss or reorder below us: the stream cannot be
 		// reassembled. Drop it *visibly* (counters) — and pair with
 		// the reliability chunnel on lossy transports (see the
 		// package documentation).
-		delete(c.partial, stream)
-		c.mu.Unlock()
+		if i >= 0 {
+			c.removeLocked(i).Release()
+		}
 		c.dropped.Inc()
 		fb.Release()
-		releaseAll(frags)
-		return nil, nil
+	case i < 0 && end:
+		msg = fb // single-frame message: zero-copy
+	default:
+		// A fragment of a multi-frame message is copied in behind its
+		// stream's earlier ones and released at once: one right-sized
+		// buffer per stream, one copy per byte, and no datagram-sized
+		// receive buffer pinned per parked fragment.
+		if i < 0 {
+			i = len(c.open)
+			c.open = append(c.open, openStream{id: id})
+			c.bufs = append(c.bufs, newReassembly(fb.Len()))
+		}
+		c.parked += fb.Len()
+		c.bufs[i] = appendFragment(c.bufs[i], fb.Bytes())
+		fb.Release()
+		if end {
+			msg = c.removeLocked(i)
+		} else {
+			c.open[i].next++
+			c.boundLocked()
+		}
 	}
-	if flags&flagEndStream == 0 {
-		c.partial[stream] = append(frags, fb)
-		c.mu.Unlock()
-		return nil, nil
-	}
-	delete(c.partial, stream)
-	c.mu.Unlock()
+	return msg, len(c.open) > 0, nil
+}
 
-	if len(frags) == 0 {
-		return fb, nil // single-frame message: zero-copy
+// findLocked returns the position of stream id in the open list, or -1.
+func (c *frameConn) findLocked(id uint32) int {
+	for i := range c.open {
+		if c.open[i].id == id {
+			return i
+		}
 	}
-	total := fb.Len()
-	for _, fr := range frags {
-		total += fr.Len()
+	return -1
+}
+
+// removeLocked takes stream i out of the open list and returns its
+// buffer, which the caller now owns.
+func (c *frameConn) removeLocked(i int) *wire.Buf {
+	b := c.bufs[i]
+	c.parked -= b.Len()
+	c.open = slices.Delete(c.open, i, i+1)
+	c.bufs = slices.Delete(c.bufs, i, i+1)
+	return b
+}
+
+// boundLocked enforces the reassembly bounds by discarding the stream
+// that has been open longest — the one least likely to still complete —
+// until they hold again.
+func (c *frameConn) boundLocked() {
+	for len(c.open) > maxOpenStreams || c.parked > MaxMessage {
+		c.removeLocked(0).Release()
+		c.dropped.Inc()
 	}
-	out := wire.NewBuf(wire.DefaultHeadroom, total)
-	dst := out.Bytes()
-	n := 0
-	for _, fr := range frags {
-		n += copy(dst[n:], fr.Bytes())
-		fr.Release()
+}
+
+// reassemblyStart is the least room a new reassembly buffer starts with:
+// enough that a 16 KiB message never has to move.
+const reassemblyStart = 16 << 10
+
+// newReassembly returns an empty buffer for a stream whose first
+// fragment is first bytes long.
+func newReassembly(first int) *wire.Buf {
+	b := wire.NewBuf(wire.DefaultHeadroom, max(2*first, reassemblyStart))
+	b.Truncate(0)
+	return b
+}
+
+// appendFragment copies p in behind dst's bytes, moving to a buffer of
+// twice the size when dst's tailroom runs out, and returns the buffer
+// holding the result.
+func appendFragment(dst *wire.Buf, p []byte) *wire.Buf {
+	if dst.Tailroom() < len(p) {
+		grown := wire.NewBuf(wire.DefaultHeadroom, 2*(dst.Len()+len(p)))
+		grown.Truncate(copy(grown.Bytes(), dst.Bytes()))
+		dst.Release()
+		dst = grown
 	}
-	copy(dst[n:], fb.Bytes())
-	fb.Release()
-	return out, nil
+	copy(dst.Extend(len(p)), p)
+	return dst
 }
 
 // RecvBufs receives a burst of frames and reassembles in one pass:
-// completed messages compact into into's prefix, continuations park for
-// later, and malformed frames drop individually — each counted in
+// completed messages compact into into's prefix, fragments join their
+// streams, and malformed frames drop individually — each counted in
 // MalformedFramesCounter so a peer sending garbage stays visible even
 // when the burst still produced messages (the call only fails when a
 // burst produced no messages and at least one frame was bad).
@@ -336,6 +522,26 @@ func (c *frameConn) RecvBufs(ctx context.Context, into []*wire.Buf) (int, error)
 	if len(into) == 0 {
 		return 0, nil
 	}
+	// Messages an earlier RecvBuf's burst completed come first.
+	n := 0
+	for n < len(into) {
+		msg := c.popReady()
+		if msg == nil {
+			break
+		}
+		into[n] = msg
+		n++
+	}
+	if n > 0 {
+		return n, nil
+	}
+	return c.recvMessages(ctx, into)
+}
+
+// recvMessages is the burst receive loop under RecvBufs and under
+// RecvBuf's fragmented path: it blocks until a burst of frames completes
+// at least one message.
+func (c *frameConn) recvMessages(ctx context.Context, into []*wire.Buf) (int, error) {
 	for {
 		n, err := core.RecvBufs(ctx, c.Conn, into)
 		if err != nil {
@@ -346,7 +552,7 @@ func (c *frameConn) RecvBufs(ctx context.Context, into []*wire.Buf) (int, error)
 		for i := 0; i < n; i++ {
 			// out ≤ i at every write: each consumed frame yields at most
 			// one message, so compaction never overtakes the read index.
-			msg, err := c.processFrame(into[i])
+			msg, _, err := c.processFrame(into[i])
 			if err != nil {
 				c.malformed.Inc()
 				if firstErr == nil {
@@ -365,24 +571,25 @@ func (c *frameConn) RecvBufs(ctx context.Context, into []*wire.Buf) (int, error)
 		if firstErr != nil {
 			return 0, firstErr
 		}
-		// Whole burst was continuations (or dropped streams): go again.
+		// Whole burst was fragments (or dropped streams): go again.
 	}
 }
 
-// Close releases any partially reassembled streams.
+// Close releases everything the connection still holds: partially
+// reassembled streams and completed messages nobody received.
 func (c *frameConn) Close() error {
 	err := c.Conn.Close()
+	for {
+		msg := c.popReady()
+		if msg == nil {
+			break
+		}
+		msg.Release()
+	}
 	c.mu.Lock()
-	for s, frags := range c.partial {
-		delete(c.partial, s)
-		releaseAll(frags)
+	for len(c.open) > 0 {
+		c.removeLocked(len(c.open) - 1).Release()
 	}
 	c.mu.Unlock()
 	return err
-}
-
-func releaseAll(frags []*wire.Buf) {
-	for _, fr := range frags {
-		fr.Release()
-	}
 }

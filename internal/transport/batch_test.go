@@ -37,6 +37,33 @@ func recvN(ctx context.Context, t *testing.T, c core.Conn, n int) []*wire.Buf {
 	return got
 }
 
+// mkSizes builds a burst with the given message sizes, message i filled
+// with byte(i+j) at offset j so boundaries and order are checkable.
+func mkSizes(sizes ...int) ([]*wire.Buf, [][]byte) {
+	bs := make([]*wire.Buf, len(sizes))
+	want := make([][]byte, len(sizes))
+	for i, n := range sizes {
+		p := make([]byte, n)
+		for j := range p {
+			p[j] = byte(i + j)
+		}
+		want[i] = p
+		bs[i] = wire.NewBufFrom(0, p)
+	}
+	return bs, want
+}
+
+// fragmentSizes is the shape framing produces: n-1 uniform fragments and
+// a short tail.
+func fragmentSizes(n, seg, tail int) []int {
+	sizes := make([]int, n)
+	for i := range sizes {
+		sizes[i] = seg
+	}
+	sizes[n-1] = tail
+	return sizes
+}
+
 // TestUDPBatchRoundTrip pushes one equal-size burst (the GSO fast path
 // on linux) and one mixed-size burst (per-message sendmmsg framing)
 // through a socket pair and checks every datagram arrives intact with

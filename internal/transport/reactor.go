@@ -185,6 +185,13 @@ type reactorListener struct {
 	accept chan *reactorConn
 	closed chan struct{}
 	once   sync.Once
+	wg     sync.WaitGroup // the reactor goroutines, joined by Close
+
+	// send is the listener's burst-send state (reactorConn.SendBufs):
+	// one per listener, shared by its connections under sendMu — never
+	// per connection — and created by the first burst.
+	sendMu sync.Mutex
+	send   *reactorSend
 
 	goroutines atomic.Int64
 }
@@ -224,6 +231,7 @@ func (l *reactorListener) start() {
 		registerReactor(l)
 		for i := 0; i < l.cfg.Shards; i++ {
 			l.goroutines.Add(1)
+			l.wg.Add(1)
 			go l.run()
 		}
 	})
@@ -233,6 +241,7 @@ func (l *reactorListener) start() {
 // socket support it, single reads otherwise. Exits when the socket
 // closes.
 func (l *reactorListener) run() {
+	defer l.wg.Done()
 	defer l.goroutines.Add(-1)
 	pool := wire.NewLocalPool(wire.DefaultHeadroom, MaxDatagram+1, reactorPoolCap)
 	defer pool.Drain()
@@ -262,6 +271,7 @@ func (l *reactorListener) runSingle(pool *wire.LocalPool) {
 				key = peerKey{s: from.String()}
 			}
 		}
+		l.tel.recvSyscalls.Inc()
 		if err != nil {
 			pool.Put(b)
 			select {
@@ -270,7 +280,7 @@ func (l *reactorListener) runSingle(pool *wire.LocalPool) {
 			default:
 			}
 			if isClosedErr(err) {
-				l.Close()
+				l.shutdown() // not Close: a reactor cannot join itself
 				return
 			}
 			continue // transient error (e.g. ICMP-induced)
@@ -365,7 +375,22 @@ func (l *reactorListener) Accept(ctx context.Context) (core.Conn, error) {
 
 func (l *reactorListener) Addr() core.Addr { return l.addr }
 
+// Close shuts the listener down and joins its reactor goroutines: when
+// it returns, every receive buffer the reactors held is back in the
+// pool and nothing touches the listener's state again.
 func (l *reactorListener) Close() error {
+	// A listener closed before its lazy start never starts; one starting
+	// concurrently finishes first, so the join below sees its goroutines.
+	l.startOnce.Do(func() {})
+	l.shutdown()
+	l.wg.Wait()
+	return nil
+}
+
+// shutdown closes the socket and every connection without joining the
+// reactor goroutines — what a reactor goroutine itself calls when it
+// finds the socket closed underneath it.
+func (l *reactorListener) shutdown() {
 	l.once.Do(func() {
 		close(l.closed)
 		l.pc.Close()
@@ -377,7 +402,6 @@ func (l *reactorListener) Close() error {
 			sh.conns.Store(0)
 		}
 	})
-	return nil
 }
 
 // Shards reports the reactor width (ReactorListener).
@@ -691,7 +715,22 @@ func (c *reactorConn) writeTo(p []byte) error {
 	} else {
 		_, err = c.l.pc.WriteTo(p, c.peer)
 	}
+	c.l.tel.sendSyscalls.Inc()
 	return err
+}
+
+// writeLoop is the portable burst path — one writeTo per message — and
+// the path of every burst of one. It reports how many messages went out.
+func (c *reactorConn) writeLoop(bs []*wire.Buf) (int, error) {
+	for i, b := range bs {
+		if b.Len() > MaxDatagram {
+			return i, oversizeErr(b.Len())
+		}
+		if err := c.writeTo(b.Bytes()); err != nil {
+			return i, err
+		}
+	}
+	return len(bs), nil
 }
 
 func (c *reactorConn) Send(ctx context.Context, p []byte) error {
@@ -718,29 +757,25 @@ func (c *reactorConn) SendBuf(ctx context.Context, b *wire.Buf) error {
 	return err
 }
 
-// SendBufs writes the burst through the shared listener socket with one
-// closed-state check up front. WriteTo is already serialized by the
-// kernel; the first failure aborts the burst.
+// SendBufs sends the burst to the peer over the shared listener socket
+// with one closed-state check up front: on a linux UDP socket as one GSO
+// sendmsg (or sendmmsg) addressed to the peer, elsewhere — and for a
+// burst of one — as a write loop. The first failure aborts the burst.
 func (c *reactorConn) SendBufs(ctx context.Context, bs []*wire.Buf) error {
 	if c.closedFlag.Load() {
 		core.ReleaseAll(bs)
 		return &core.BatchError{Sent: 0, Err: core.ErrClosed}
 	}
-	for i, b := range bs {
-		if b.Len() > MaxDatagram {
-			err := oversizeErr(b.Len())
-			core.ReleaseAll(bs[i:])
-			return &core.BatchError{Sent: i, Err: err}
+	sent, err := c.l.writeBurst(c, bs)
+	if sent > 0 {
+		c.l.tel.sent.Add(uint64(sent))
+	}
+	core.ReleaseAll(bs)
+	if err != nil {
+		if isClosedErr(err) {
+			err = core.ErrClosed
 		}
-		if err := c.writeTo(b.Bytes()); err != nil {
-			if isClosedErr(err) {
-				err = core.ErrClosed
-			}
-			core.ReleaseAll(bs[i:])
-			return &core.BatchError{Sent: i, Err: err}
-		}
-		c.l.tel.sent.Inc()
-		b.Release()
+		return &core.BatchError{Sent: sent, Err: err}
 	}
 	return nil
 }

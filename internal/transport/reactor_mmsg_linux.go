@@ -29,8 +29,9 @@ type reactorMMsg struct {
 	// quiet socket costs no pool churn.
 	scratch [mmsgChunk]*wire.Buf
 
-	n   int
-	err error
+	n     int
+	err   error
+	calls int // syscalls the lap in flight completed (see mmsgState.calls)
 }
 
 // recvChunk is the RawConn.Read callback: one recvmmsg for up to
@@ -52,6 +53,7 @@ func (m *reactorMMsg) recvChunk(fd uintptr) bool {
 			fd, uintptr(unsafe.Pointer(&m.hdrs[0])), uintptr(mmsgChunk), 0, 0, 0)
 		switch errno {
 		case 0:
+			m.calls++
 			m.n = int(r1)
 			return true
 		case syscall.EINTR:
@@ -59,6 +61,7 @@ func (m *reactorMMsg) recvChunk(fd uintptr) bool {
 		case syscall.EAGAIN:
 			return false
 		default:
+			m.calls++
 			m.err = errno
 			return true
 		}
@@ -109,7 +112,9 @@ func (l *reactorListener) runBurst(pool *wire.LocalPool) bool {
 		}
 		m.n = 0
 		m.err = nil
+		m.calls = 0
 		rerr := m.raw.Read(m.fn)
+		l.tel.recvSyscalls.Add(uint64(m.calls))
 		if m.err == nil {
 			m.err = rerr // closed-fd errors surface from the poller
 		}
@@ -120,7 +125,7 @@ func (l *reactorListener) runBurst(pool *wire.LocalPool) bool {
 			default:
 			}
 			if isClosedErr(m.err) {
-				l.Close()
+				l.shutdown() // not Close: a reactor cannot join itself
 				return true
 			}
 			continue // transient (e.g. ICMP-induced ECONNREFUSED)
@@ -153,4 +158,53 @@ func (m *reactorMMsg) drainScratch(pool *wire.LocalPool) {
 			m.scratch[i] = nil
 		}
 	}
+}
+
+// reactorSend is a listener's burst-send state: the same sendmsg/sendmmsg
+// machinery connected sockets use (mmsgState, GSO probe state latched
+// here per listener), plus the destination sockaddr every message of a
+// burst carries as msg_name on the shared socket.
+type reactorSend struct {
+	mm   mmsgState
+	name syscall.RawSockaddrInet6 // large enough for either family
+}
+
+// setPeer points the burst's msg_name at ap. The family follows the key,
+// which this socket's own receive path produced: an AF_INET socket
+// yields 4-byte addresses, an AF_INET6 socket 16-byte ones — IPv4 peers
+// of a dual-stack socket arrive, and are addressed, in their v4-mapped
+// form. Zones are not carried (see source).
+func (s *reactorSend) setPeer(ap netip.AddrPort) {
+	s.mm.name = (*byte)(unsafe.Pointer(&s.name))
+	if a := ap.Addr(); a.Is4() {
+		*(*syscall.RawSockaddrInet4)(unsafe.Pointer(&s.name)) = syscall.RawSockaddrInet4{Family: syscall.AF_INET, Addr: a.As4()}
+		s.mm.nameLen = syscall.SizeofSockaddrInet4
+	} else {
+		s.name = syscall.RawSockaddrInet6{Family: syscall.AF_INET6, Addr: a.As16()}
+		s.mm.nameLen = syscall.SizeofSockaddrInet6
+	}
+	// Network byte order, at the offset both families share (see source).
+	pb := (*[2]byte)(unsafe.Pointer(&s.name.Port))
+	pb[0], pb[1] = byte(ap.Port()>>8), byte(ap.Port())
+}
+
+// writeBurst sends bs to c's peer: bursts of two or more on a UDP socket
+// through the listener's shared send state (one GSO sendmsg when the
+// burst is segmentable, else sendmmsg), anything else through the write
+// loop. It reports how many messages went out and does not release bs.
+func (l *reactorListener) writeBurst(c *reactorConn, bs []*wire.Buf) (int, error) {
+	if l.udp == nil || len(bs) < 2 {
+		return c.writeLoop(bs)
+	}
+	l.sendMu.Lock()
+	defer l.sendMu.Unlock()
+	if l.send == nil {
+		l.send = &reactorSend{}
+		l.send.mm.initSend(l.udp)
+	}
+	if l.send.mm.raw == nil {
+		return c.writeLoop(bs)
+	}
+	l.send.setPeer(c.key.ap)
+	return l.send.mm.sendBurst(bs, l.tel)
 }

@@ -28,6 +28,16 @@ type netCounters struct {
 	// sight: oversized (truncated by the receive buffer) or carrying an
 	// unparseable source address.
 	droppedMalformed *telemetry.Counter
+	// sendSyscalls and recvSyscalls count the system calls the datagram
+	// paths complete (one per call that moved data or failed; EAGAIN and
+	// EINTR retries are not counted), so datagrams_sent / send_syscalls
+	// is the realized send batching: 1 on single sends, the burst size
+	// on sendmmsg, the segment count on a GSO sendmsg.
+	sendSyscalls *telemetry.Counter
+	recvSyscalls *telemetry.Counter
+	// gsoFallbacks counts bursts whose UDP_SEGMENT sendmsg the kernel
+	// rejected and that were replayed through sendmmsg instead.
+	gsoFallbacks *telemetry.Counter
 }
 
 var (
@@ -52,6 +62,9 @@ func countersFor(netName string) *netCounters {
 			acceptDropped:    reg.Counter(prefix + "accept_dropped"),
 			droppedQueueFull: reg.Counter(prefix + "datagrams_dropped_queue_full"),
 			droppedMalformed: reg.Counter(prefix + "datagrams_dropped_malformed"),
+			sendSyscalls:     reg.Counter(prefix + "send_syscalls"),
+			recvSyscalls:     reg.Counter(prefix + "recv_syscalls"),
+			gsoFallbacks:     reg.Counter(prefix + "gso_fallbacks"),
 		}
 		netCountersBy[netName] = c
 	}
@@ -65,11 +78,12 @@ func countersFor(netName string) *netCounters {
 // listener starts its reactor; the probes read the set at snapshot
 // time.
 var (
-	reactorsMu          sync.Mutex
-	reactors            = map[*reactorListener]struct{}{}
-	reactorProbesOnce   sync.Once
-	reactorShardGauges  int
-	registerShardGauges func(upto int)
+	reactorsMu        sync.Mutex
+	reactors          = map[*reactorListener]struct{}{}
+	reactorProbesOnce sync.Once
+	// reactorShardGauges is how many per-shard gauges are published.
+	shardGaugesMu      sync.Mutex
+	reactorShardGauges int
 )
 
 // reactorAgg is the process-wide rollup across live reactors.
@@ -137,26 +151,20 @@ func registerReactor(l *reactorListener) {
 			}
 			return a.connMem / a.conns
 		})
-		registerShardGauges = func(upto int) {
-			for i := reactorShardGauges; i < upto; i++ {
-				idx := i
-				reg.RegisterGaugeProbe(shardGaugeName(idx), func() int64 {
-					return shardConnsAcross(idx)
-				})
-			}
-			if upto > reactorShardGauges {
-				reactorShardGauges = upto
-			}
-		}
 	})
 	reactorsMu.Lock()
 	reactors[l] = struct{}{}
-	upto := l.cfg.Shards
-	reg := registerShardGauges
-	cur := reactorShardGauges
 	reactorsMu.Unlock()
-	if reg != nil && upto > cur {
-		reg(upto)
+	// Not under reactorsMu: a snapshot holds the registry lock while its
+	// probes take reactorsMu, so registering a probe under reactorsMu
+	// would close a lock-order cycle.
+	shardGaugesMu.Lock()
+	defer shardGaugesMu.Unlock()
+	for ; reactorShardGauges < l.cfg.Shards; reactorShardGauges++ {
+		idx := reactorShardGauges
+		telemetry.Default().RegisterGaugeProbe(shardGaugeName(idx), func() int64 {
+			return shardConnsAcross(idx)
+		})
 	}
 }
 

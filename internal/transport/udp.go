@@ -97,6 +97,7 @@ func (s *socketConn) Send(ctx context.Context, p []byte) error {
 		s.conn.SetWriteDeadline(time.Time{})
 	}
 	s.wmu.Unlock()
+	s.tel.sendSyscalls.Inc()
 	if err != nil {
 		if isClosedErr(err) {
 			return core.ErrClosed
@@ -176,7 +177,9 @@ func (s *socketConn) writeBurstLoop(bs []*wire.Buf) (int, error) {
 		if b.Len() > MaxDatagram {
 			return i, oversizeErr(b.Len())
 		}
-		if _, err := s.conn.Write(b.Bytes()); err != nil {
+		_, err := s.conn.Write(b.Bytes())
+		s.tel.sendSyscalls.Inc()
+		if err != nil {
 			return i, err
 		}
 	}
@@ -261,6 +264,7 @@ func (s *socketConn) RecvBuf(ctx context.Context) (*wire.Buf, error) {
 	}
 	for {
 		n, err := s.conn.Read(b.Bytes())
+		s.tel.recvSyscalls.Inc()
 		if err != nil {
 			if ctx.Err() != nil {
 				b.Release()
@@ -304,8 +308,17 @@ func (s *socketConn) RecvBuf(ctx context.Context) (*wire.Buf, error) {
 func (s *socketConn) LocalAddr() core.Addr  { return s.local }
 func (s *socketConn) RemoteAddr() core.Addr { return s.remote }
 
+// Close closes the socket and returns the burst-receive scratch to the
+// pool. The socket goes first: that fails a reader parked in readBurst
+// out of rmu, and no callback runs on a closed fd, so the scratch cannot
+// refill afterwards.
 func (s *socketConn) Close() error {
-	s.closeOnce.Do(func() { s.closeErr = s.conn.Close() })
+	s.closeOnce.Do(func() {
+		s.closeErr = s.conn.Close()
+		s.rmu.Lock()
+		s.recvmm.releaseScratch()
+		s.rmu.Unlock()
+	})
 	return s.closeErr
 }
 

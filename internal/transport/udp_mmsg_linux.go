@@ -102,6 +102,11 @@ type mmsgState struct {
 	// Send-side callback state: the burst being written and the running
 	// count of messages the kernel accepted.
 	bs []*wire.Buf
+	// name, when non-nil, is the destination sockaddr stamped into every
+	// message header: an unconnected (listener) socket sending to one
+	// peer. Connected sockets leave it nil.
+	name    *byte
+	nameLen uint32
 	// GSO fast-path state: probe result, the segment size of the burst
 	// in flight, the pre-created sendGSO callback, and the UDP_SEGMENT
 	// control message (a struct field so it stays addressable across the
@@ -122,14 +127,17 @@ type mmsgState struct {
 
 	n   int
 	err error
+	// calls counts the syscalls the operation in flight completed (EAGAIN
+	// and EINTR retries excluded), for the send/recv_syscalls counters.
+	calls int
 }
 
 // initRaw resolves the RawConn once. A nil raw after init means the
 // underlying conn does not expose a raw fd (never the case for the net
 // package's UDP/unixgram sockets) and callers fall back.
-func (m *mmsgState) initRaw(s *socketConn, fn func(fd uintptr) bool) {
+func (m *mmsgState) initRaw(conn any, fn func(fd uintptr) bool) {
 	m.tried = true
-	sc, ok := s.conn.(syscall.Conn)
+	sc, ok := conn.(syscall.Conn)
 	if !ok {
 		return
 	}
@@ -141,23 +149,39 @@ func (m *mmsgState) initRaw(s *socketConn, fn func(fd uintptr) bool) {
 	m.fn = fn
 }
 
-// writeBurst transmits bs with sendmmsg, honouring the write deadline
-// already armed by SendBufs (RawConn.Write surfaces it as a timeout
-// error). Caller holds wmu. Returns how many messages went out.
+// initSend prepares m to send over conn: the raw fd, the two pre-created
+// callbacks, and the GSO probe state.
+func (m *mmsgState) initSend(conn any) {
+	m.initRaw(conn, m.sendChunks)
+	m.gsoFn = m.sendGSO
+	if _, ok := conn.(*net.UDPConn); !ok {
+		// UDP_SEGMENT is UDP-only; never fire the doomed probe cmsg
+		// on unixgram sockets.
+		m.gso = gsoNo
+	}
+}
+
+// writeBurst transmits bs with one GSO sendmsg or sendmmsg, honouring
+// the write deadline already armed by SendBufs (RawConn.Write surfaces
+// it as a timeout error). Caller holds wmu. Returns how many messages
+// went out.
 func (s *socketConn) writeBurst(bs []*wire.Buf) (int, error) {
 	m := &s.sendmm
 	if !m.tried {
-		m.initRaw(s, m.sendChunks)
-		m.gsoFn = m.sendGSO
-		if _, ok := s.conn.(*net.UDPConn); !ok {
-			// UDP_SEGMENT is UDP-only; never fire the doomed probe cmsg
-			// on unixgram sockets.
-			m.gso = gsoNo
-		}
+		m.initSend(s.conn)
 	}
 	if m.raw == nil {
 		return s.writeBurstLoop(bs)
 	}
+	return m.sendBurst(bs, s.tel)
+}
+
+// sendBurst transmits bs over m.raw (which must be set): a burst the
+// kernel can segment goes down as one UDP_SEGMENT sendmsg, anything else
+// as sendmmsg. It is the one burst-send path of both socket kinds —
+// connected sockets and, with m.name set, a reactor listener's shared
+// socket. The caller serializes calls and owns (and releases) bs.
+func (m *mmsgState) sendBurst(bs []*wire.Buf, tel *netCounters) (int, error) {
 	// Oversize messages abort the burst at their index; the valid prefix
 	// is still transmitted so BatchError.Sent stays accurate.
 	limit := len(bs)
@@ -172,21 +196,26 @@ func (s *socketConn) writeBurst(bs []*wire.Buf) (int, error) {
 	m.bs = bs[:limit]
 	m.n = 0
 	m.err = nil
+	m.calls = 0
 	var err error
 	if seg, ok := gsoEligible(m.bs); ok && m.gso != gsoNo {
 		m.seg = seg
 		m.gsoFallback = false
 		err = m.raw.Write(m.gsoFn)
-		if m.gsoFallback && m.err == nil && err == nil {
-			// The kernel rejected UDP_SEGMENT (probe failure, or a path
-			// MTU smaller than the segment size mid-burst): replay the
-			// unsent tail through plain sendmmsg, which delivers via IP
-			// fragmentation. sendChunks resumes from m.n.
-			err = m.raw.Write(m.fn)
+		if m.gsoFallback {
+			tel.gsoFallbacks.Inc()
+			if m.err == nil && err == nil {
+				// The kernel rejected UDP_SEGMENT (probe failure, or a path
+				// MTU smaller than the segment size mid-burst): replay the
+				// unsent tail through plain sendmmsg, which delivers via IP
+				// fragmentation. sendChunks resumes from m.n.
+				err = m.raw.Write(m.fn)
+			}
 		}
-	} else {
+	} else if limit > 0 {
 		err = m.raw.Write(m.fn)
 	}
+	tel.sendSyscalls.Add(uint64(m.calls))
 	sent, werr := m.n, m.err
 	m.bs = nil
 	if werr == nil {
@@ -199,9 +228,11 @@ func (s *socketConn) writeBurst(bs []*wire.Buf) (int, error) {
 }
 
 // gsoEligible reports whether bs can ride the UDP_SEGMENT fast path:
-// at least two messages, every one the same nonzero size. (The kernel
-// also allows a short final segment, but uniform bursts are what the
-// chunnel stack produces and the check stays branch-trivial.)
+// at least two messages, every one but the last the same nonzero size,
+// and the last no longer than that — the kernel cuts a super-datagram
+// every gso_size bytes and lets the final segment run short, which is
+// exactly the shape a fragmented message has (uniform fragments plus one
+// tail).
 func gsoEligible(bs []*wire.Buf) (seg int, ok bool) {
 	if len(bs) < 2 {
 		return 0, false
@@ -210,10 +241,14 @@ func gsoEligible(bs []*wire.Buf) (seg int, ok bool) {
 	if seg == 0 || seg > gsoMaxSeg {
 		return 0, false
 	}
-	for _, b := range bs[1:] {
+	last := len(bs) - 1
+	for _, b := range bs[1:last] {
 		if b.Len() != seg {
 			return 0, false
 		}
+	}
+	if n := bs[last].Len(); n == 0 || n > seg {
+		return 0, false
 	}
 	return seg, true
 }
@@ -237,17 +272,21 @@ func (m *mmsgState) sendChunks(fd uintptr) bool {
 			m.hdrs[i] = mmsghdr{}
 			m.hdrs[i].hdr.Iov = &m.iovs[i]
 			m.hdrs[i].hdr.Iovlen = 1
+			m.hdrs[i].hdr.Name = m.name
+			m.hdrs[i].hdr.Namelen = m.nameLen
 		}
 		r1, _, errno := syscall.Syscall6(sysSENDMMSG,
 			fd, uintptr(unsafe.Pointer(&m.hdrs[0])), uintptr(cnt), 0, 0, 0)
 		switch errno {
 		case 0:
+			m.calls++
 			m.n += int(r1)
 		case syscall.EINTR:
 			continue
 		case syscall.EAGAIN:
 			return false
 		default:
+			m.calls++
 			m.err = errno
 			return true
 		}
@@ -255,8 +294,9 @@ func (m *mmsgState) sendChunks(fd uintptr) bool {
 	return true
 }
 
-// sendGSO is the RawConn.Write callback for uniform bursts: each
-// ≤gsoMaxSegs slice of m.bs becomes one sendmsg whose iovec array
+// sendGSO is the RawConn.Write callback for segmentable bursts (uniform
+// but for a short tail): each ≤gsoMaxSegs slice of m.bs becomes one
+// sendmsg whose iovec array
 // concatenates the messages and whose UDP_SEGMENT cmsg tells the kernel
 // where to cut them apart again. The first successful call locks the
 // probe to gsoYes; an EINVAL-class rejection by an unprobed socket locks
@@ -285,12 +325,17 @@ func (m *mmsgState) sendGSO(fd uintptr) bool {
 		*(*uint16)(unsafe.Pointer(&m.ctrl[16])) = uint16(m.seg)
 		h := &m.hdrs[0].hdr
 		*h = syscall.Msghdr{
+			Name:       m.name,
+			Namelen:    m.nameLen,
 			Iov:        &m.iovs[0],
 			Iovlen:     uint64(cnt),
 			Control:    &m.ctrl[0],
 			Controllen: cmsgSegSpace,
 		}
 		errno := sendmsg(fd, uintptr(unsafe.Pointer(h)))
+		if errno != syscall.EINTR && errno != syscall.EAGAIN {
+			m.calls++
+		}
 		switch errno {
 		case 0:
 			// UDP sendmsg is atomic: the whole super-datagram went out.
@@ -328,13 +373,14 @@ func (m *mmsgState) sendGSO(fd uintptr) bool {
 func (s *socketConn) readBurst(into []*wire.Buf) (int, error) {
 	m := &s.recvmm
 	if !m.tried {
-		m.initRaw(s, m.recvChunk)
+		m.initRaw(s.conn, m.recvChunk)
 	}
 	if m.raw == nil {
 		// No raw fd: single-message read, mapped by the caller exactly
 		// like RecvBuf's error path.
 		b := wire.NewBuf(wire.DefaultHeadroom, MaxDatagram+1)
 		n, err := s.conn.Read(b.Bytes())
+		s.tel.recvSyscalls.Inc()
 		if err != nil {
 			b.Release()
 			return 0, err
@@ -346,7 +392,9 @@ func (s *socketConn) readBurst(into []*wire.Buf) (int, error) {
 	m.want = len(into)
 	m.n = 0
 	m.err = nil
+	m.calls = 0
 	err := m.raw.Read(m.fn)
+	s.tel.recvSyscalls.Add(uint64(m.calls))
 	if m.err == nil {
 		m.err = err // deadline/closed-fd errors from the poller
 	}
@@ -387,6 +435,7 @@ func (m *mmsgState) recvChunk(fd uintptr) bool {
 			fd, uintptr(unsafe.Pointer(&m.hdrs[0])), uintptr(cnt), 0, 0, 0)
 		switch errno {
 		case 0:
+			m.calls++
 			m.n = int(r1)
 			return true
 		case syscall.EINTR:
@@ -394,8 +443,20 @@ func (m *mmsgState) recvChunk(fd uintptr) bool {
 		case syscall.EAGAIN:
 			return false
 		default:
+			m.calls++
 			m.err = errno
 			return true
+		}
+	}
+}
+
+// releaseScratch returns the receive buffers retained across readBurst
+// calls to the pool. Caller holds rmu (or otherwise owns m).
+func (m *mmsgState) releaseScratch() {
+	for i, b := range m.scratch {
+		if b != nil {
+			b.Release()
+			m.scratch[i] = nil
 		}
 	}
 }

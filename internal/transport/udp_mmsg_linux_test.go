@@ -3,6 +3,7 @@
 package transport
 
 import (
+	"bytes"
 	"path/filepath"
 	"syscall"
 	"testing"
@@ -193,5 +194,149 @@ func TestUnixgramBurstSkipsGSO(t *testing.T) {
 	}
 	if gso := cli.(*unixConn).sendmm.gso; gso != gsoNo {
 		t.Errorf("unixgram gso state = %d, want gsoNo (%d)", gso, gsoNo)
+	}
+}
+
+// TestGSOEligibleShortTail pins the eligibility rule for the burst shape
+// a fragmented message has: uniform segments plus one final segment that
+// may run short — and nothing looser.
+func TestGSOEligibleShortTail(t *testing.T) {
+	cases := []struct {
+		sizes []int
+		ok    bool
+	}{
+		{[]int{1209, 1209, 1209, 500}, true}, // fragments + tail
+		{[]int{1209, 1}, true},               // shortest possible tail
+		{[]int{1209, 500, 1209}, false},      // short element not last
+		{[]int{500, 1209}, false},            // tail longer than the segment
+		{[]int{1209, 1209, 0}, false},        // empty tail: not a datagram GSO can cut
+		{[]int{gsoMaxSeg + 1, 100}, false},   // segment above the MTU guard
+		{[]int{gsoMaxSeg, gsoMaxSeg - 1}, true},
+	}
+	for _, tc := range cases {
+		bs, _ := mkSizes(tc.sizes...)
+		seg, ok := gsoEligible(bs)
+		if ok != tc.ok || (ok && seg != tc.sizes[0]) {
+			t.Errorf("gsoEligible(%v) = %d, %v; want ok=%v seg=%d", tc.sizes, seg, ok, tc.ok, tc.sizes[0])
+		}
+		core.ReleaseAll(bs)
+	}
+}
+
+// TestGSOShortTailRoundTrip sends fragment-shaped bursts through a real
+// socket pair: every datagram arrives byte-exact with its boundaries,
+// the short tail included, and the syscall counters show what the burst
+// cost — one sendmsg per ≤52-segment chunk against one datagram count
+// per message.
+func TestGSOShortTailRoundTrip(t *testing.T) {
+	ctx := ctxT(t)
+	a, b := udpPairT(t)
+	sent, calls := counterValue("transport/udp/datagrams_sent"), counterValue("transport/udp/send_syscalls")
+	for _, tc := range []struct{ n, wantCalls int }{{2, 1}, {14, 1}, {65, 2}} {
+		bs, want := mkSizes(fragmentSizes(tc.n, 1209, 77)...)
+		if err := core.SendBufs(ctx, a, bs); err != nil {
+			t.Fatalf("SendBufs(%d): %v", tc.n, err)
+		}
+		if gso := a.(*socketConn).sendmm.gso; gso != gsoYes {
+			t.Skipf("kernel without UDP_SEGMENT (gso state %d)", gso)
+		}
+		for i, g := range recvN(ctx, t, b, tc.n) {
+			if !bytes.Equal(g.Bytes(), want[i]) {
+				t.Errorf("burst of %d, datagram %d: %d bytes, want %d (content or boundary wrong)", tc.n, i, g.Len(), len(want[i]))
+			}
+			g.Release()
+		}
+		dSent, dCalls := counterValue("transport/udp/datagrams_sent")-sent, counterValue("transport/udp/send_syscalls")-calls
+		if dSent != uint64(tc.n) || dCalls != uint64(tc.wantCalls) {
+			t.Errorf("burst of %d: datagrams_sent +%d, send_syscalls +%d; want +%d, +%d", tc.n, dSent, dCalls, tc.n, tc.wantCalls)
+		}
+		sent, calls = sent+dSent, calls+dCalls
+	}
+}
+
+// TestShortNonFinalRoutesToSendmmsg: a short element anywhere but the
+// end cannot be expressed as a segment size, so the burst rides sendmmsg
+// — delivered intact in one call, the GSO probe never fired.
+func TestShortNonFinalRoutesToSendmmsg(t *testing.T) {
+	ctx := ctxT(t)
+	a, b := udpPairT(t)
+	calls := counterValue("transport/udp/send_syscalls")
+	bs, want := mkSizes(1209, 300, 1209)
+	if err := core.SendBufs(ctx, a, bs); err != nil {
+		t.Fatalf("SendBufs: %v", err)
+	}
+	for i, g := range recvN(ctx, t, b, len(want)) {
+		if !bytes.Equal(g.Bytes(), want[i]) {
+			t.Errorf("datagram %d: %d bytes, want %d", i, g.Len(), len(want[i]))
+		}
+		g.Release()
+	}
+	if gso := a.(*socketConn).sendmm.gso; gso != gsoUnknown {
+		t.Errorf("gso state = %d, want unprobed (%d): the burst must not have tried UDP_SEGMENT", gso, gsoUnknown)
+	}
+	if d := counterValue("transport/udp/send_syscalls") - calls; d != 1 {
+		t.Errorf("send_syscalls +%d, want 1 sendmmsg", d)
+	}
+}
+
+// TestGSORejectReplaysShortTailBurst drives a fragment-shaped burst into
+// the injected EINVAL: the whole burst, tail included, is replayed
+// through sendmmsg byte-exact, and the degrade is counted.
+func TestGSORejectReplaysShortTailBurst(t *testing.T) {
+	s, peer, restore := rejectingConn(t, syscall.EINVAL)
+	defer restore()
+	s.sendmm.gso = gsoYes
+	fallbacks := counterValue("transport/udp/gso_fallbacks")
+
+	bs, want := mkSizes(fragmentSizes(5, 256, 9)...)
+	sent, err := s.writeBurst(bs)
+	if err != nil || sent != len(want) {
+		t.Fatalf("writeBurst = %d, %v; want %d sent through the sendmmsg replay", sent, err, len(want))
+	}
+	core.ReleaseAll(bs)
+	buf := make([]byte, 512)
+	for i := range want {
+		k, err := syscall.Read(peer, buf)
+		if err != nil || !bytes.Equal(buf[:k], want[i]) {
+			t.Fatalf("datagram %d: %d bytes (%v), want %d", i, k, err, len(want[i]))
+		}
+	}
+	if d := counterValue("transport/udp/gso_fallbacks") - fallbacks; d != 1 {
+		t.Errorf("gso_fallbacks +%d, want 1", d)
+	}
+}
+
+// TestSocketCloseReleasesRecvScratch is the conservation check on the
+// burst-receive scratch: RecvBufs with more than one slot leaves pooled
+// buffers parked in the connection for the next call, and Close must
+// hand them back.
+func TestSocketCloseReleasesRecvScratch(t *testing.T) {
+	ctx := ctxT(t)
+	baseline := wire.BufsOutstanding()
+	a, b, err := UDPPair("a", "b")
+	if err != nil {
+		t.Fatal(err)
+	}
+	bs, _ := mkSizes(64, 64, 64)
+	if err := core.SendBufs(ctx, a, bs); err != nil {
+		t.Fatal(err)
+	}
+	// More slots than datagrams: the unfilled ones stay parked in b.
+	into := make([]*wire.Buf, 8)
+	for got := 0; got < 3; {
+		n, err := core.RecvBufs(ctx, b, into)
+		if err != nil {
+			t.Fatal(err)
+		}
+		core.ReleaseAll(into[:n])
+		got += n
+	}
+	if held := wire.BufsOutstanding() - baseline; held == 0 {
+		t.Fatal("RecvBufs retained no scratch buffers: the test no longer exercises the leak")
+	}
+	a.Close()
+	b.Close()
+	if got := wire.BufsOutstanding(); got != baseline {
+		t.Fatalf("%d pooled buffers outstanding after Close, want the baseline %d", got, baseline)
 	}
 }

@@ -19,6 +19,9 @@ const batchRecvSupported = false
 // mmsgState is empty without kernel batch syscalls.
 type mmsgState struct{}
 
+// releaseScratch: no batched receive, nothing retained.
+func (m *mmsgState) releaseScratch() {}
+
 // writeBurst degrades to the per-message write loop. Caller holds wmu,
 // so the burst still pays the lock and deadline management only once.
 func (s *socketConn) writeBurst(bs []*wire.Buf) (int, error) {
