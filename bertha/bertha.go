@@ -41,6 +41,7 @@ import (
 	"github.com/bertha-net/bertha/internal/chunnels/traced"
 	"github.com/bertha-net/bertha/internal/core"
 	"github.com/bertha-net/bertha/internal/spec"
+	"github.com/bertha-net/bertha/internal/wire"
 	"github.com/bertha-net/bertha/internal/xdp"
 )
 
@@ -85,6 +86,12 @@ type (
 	// ReactorStats is a reactor listener's accounting snapshot
 	// (connections, goroutines, ring occupancy, memory).
 	ReactorStats = core.ReactorStats
+	// Handler answers one request of a service run by Serve: it reads
+	// the borrowed request and appends the response to reply.
+	Handler = core.Handler
+	// Buf is a pooled message buffer with headroom, the unit the
+	// zero-copy datapath (and a Handler) works on.
+	Buf = wire.Buf
 
 	// Stack is a Chunnel DAG (Table 1 "Chunnel DAG").
 	Stack = spec.Stack
@@ -174,6 +181,25 @@ var (
 	// transport has no reactor (pipes) ignore it.
 	WithReactor = core.WithReactor
 )
+
+// Serve runs a request/reply service on a listener — negotiated or base
+// — until ctx is done or the listener is closed: every request is handed
+// to h, and what h answers goes back on the connection the request came
+// from. Serve works in bursts (the requests a connection has queued are
+// taken together and their replies leave in one vectored send), uses one
+// worker per reactor shard on the datagram transports however many
+// connections they carry, and joins everything it started before it
+// returns.
+//
+//	func answer(ctx context.Context, req, reply *bertha.Buf) bool {
+//	    reply.Append(lookup(req.Bytes())) // req is only valid until the handler returns
+//	    return true                       // false: no reply to this request
+//	}
+//
+//	err := bertha.Serve(ctx, listener, answer)
+func Serve(ctx context.Context, l Listener, h Handler) error {
+	return core.Serve(ctx, l, h)
+}
 
 // ConnHopStats reports a negotiated connection's per-layer exclusive
 // send-latency rollup (outermost first), the attribution that tells an

@@ -1,9 +1,10 @@
 // Command bertha-kv runs the sharded key-value store of Listing 4/5
 // over real UDP sockets, as a server or a client.
 //
-// Server (Listing 4): one process, one goroutine-worker per shard, a
-// canonical Bertha endpoint with the sharding chunnel, and per-shard
-// listeners for client-push traffic:
+// Server (Listing 4): one process, one store and queue worker per shard,
+// a canonical Bertha endpoint with the sharding chunnel, and per-shard
+// listeners for client-push traffic, each served in bursts by one worker
+// per reactor shard (bertha.Serve):
 //
 //	bertha-kv -serve -listen 127.0.0.1:9000 -shards 3
 //
@@ -135,13 +136,7 @@ func runServer(listen string, nshards int, traceOpts []bertha.Option) error {
 		return err
 	}
 	fmt.Printf("bertha-kv: canonical address %s (%d shards)\n", base.Addr().Addr, nshards)
-	go func() {
-		for {
-			if _, err := nl.Accept(ctx); err != nil {
-				return
-			}
-		}
-	}()
+	srv.ServeSteered(nl)
 
 	sig := make(chan os.Signal, 1)
 	signal.Notify(sig, os.Interrupt, syscall.SIGTERM)

@@ -63,13 +63,7 @@ func main() {
 	if err != nil {
 		log.Fatal(err)
 	}
-	go func() {
-		for {
-			if _, err := nl.Accept(ctx); err != nil {
-				return
-			}
-		}
-	}()
+	server.ServeSteered(nl) // steered connections are only held: their requests reach the shard queues
 
 	// --- Listing 5: clients ---
 	dial := func(name, host string, push bool) *kv.Client {

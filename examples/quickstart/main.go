@@ -13,6 +13,14 @@ import (
 	"github.com/bertha-net/bertha/bertha/transport"
 )
 
+// echo is the server's handler: req is only valid until it returns, and
+// what it appends to reply is sent when it returns true.
+func echo(_ context.Context, req, reply *bertha.Buf) bool {
+	reply.Append([]byte("echo: "))
+	reply.Append(req.Bytes())
+	return true
+}
+
 func main() {
 	ctx := context.Background()
 
@@ -41,26 +49,10 @@ func main() {
 	if err != nil {
 		log.Fatal(err)
 	}
-	go func() {
-		for {
-			conn, err := listener.Accept(ctx)
-			if err != nil {
-				return
-			}
-			go func(conn bertha.Conn) {
-				defer conn.Close()
-				for {
-					msg, err := conn.Recv(ctx)
-					if err != nil {
-						return
-					}
-					if err := conn.Send(ctx, append([]byte("echo: "), msg...)); err != nil {
-						return
-					}
-				}
-			}(conn)
-		}
-	}()
+	// bertha.Serve is the serving loop: it hands every request to the
+	// handler and sends what the handler appends to reply back on the
+	// request's connection.
+	go bertha.Serve(ctx, listener, echo)
 
 	// Client: wrap!() — the chunnels used are dictated by the server.
 	cli, err := bertha.New("echo-client", bertha.Wrap(), bertha.WithRegistry(regClient))

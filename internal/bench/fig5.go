@@ -165,13 +165,7 @@ func fig5Run(cfg Fig5Config, sc fig5Scenario, conc int) (float64, stats.Summary,
 	if err != nil {
 		return 0, stats.Summary{}, err
 	}
-	go func() {
-		for {
-			if _, err := nl.Accept(ctx); err != nil {
-				return
-			}
-		}
-	}()
+	srv.ServeSteered(nl)
 
 	// Preload.
 	gen0, err := ycsb.NewGenerator(ycsb.Config{

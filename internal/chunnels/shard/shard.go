@@ -53,9 +53,13 @@ const EnvQueues = "shard:queues"
 
 // Steered is one request routed to a shard worker.
 type Steered struct {
-	// Payload is the raw request.
+	// Payload is the raw request; the slice is the receiver's.
 	Payload []byte
-	// Reply sends a response back to the requesting client.
+	// Reply sends a response back to the requesting client; p is
+	// borrowed for the call, as in Conn.Send. The worker calls it exactly
+	// once for every request it takes: the steering implementation sends
+	// a connection's replies together once all of its outstanding
+	// requests have been answered.
 	Reply func(ctx context.Context, p []byte) error
 }
 
@@ -181,17 +185,28 @@ type pushConn struct {
 	once   sync.Once
 }
 
+// fanInBurst is how many replies a fan-in worker takes off its
+// connection per receive.
+const fanInBurst = 8
+
+// fanIn forwards one connection's replies, a receive burst at a time: a
+// shard answers a pipelining client's requests together, and they are
+// taken off the socket together.
 func (p *pushConn) fanIn(c core.Conn) {
+	var burst [fanInBurst]*wire.Buf
 	for {
-		m, err := core.RecvBuf(p.ctx, c)
+		n, err := core.RecvBufs(p.ctx, c, burst[:])
 		if err != nil {
 			return
 		}
-		select {
-		case p.in <- m:
-		case <-p.ctx.Done():
-			m.Release()
-			return
+		for i, m := range burst[:n] {
+			select {
+			case p.in <- m:
+				burst[i] = nil
+			case <-p.ctx.Done():
+				core.ReleaseAll(burst[i:n])
+				return
+			}
 		}
 	}
 }

@@ -4,6 +4,7 @@ import (
 	"bytes"
 	"context"
 	"fmt"
+	"sync/atomic"
 	"testing"
 	"time"
 
@@ -198,6 +199,52 @@ func TestXDPSteersThroughQueues(t *testing.T) {
 	}
 	if name, ok := x.Hook().Attached(); !ok || name != "shard-steer" {
 		t.Errorf("hook attachment: %q %t", name, ok)
+	}
+}
+
+// TestXDPInterposedQueues puts an interposer between the steering
+// implementation and the shard workers, the way the benchmark's traced
+// run does: it copies each Steered and wraps its Reply. The interposer
+// sees exactly one Reply call per request, and a pipelined burst is still
+// answered completely.
+func TestXDPInterposedQueues(t *testing.T) {
+	c := startCluster(t)
+	ctx := ctxT(t)
+	var taken, replied atomic.Int64
+	real := c.queues
+	c.queues = make([]chan shard.Steered, len(real))
+	for i := range real {
+		in := make(chan shard.Steered, cap(real[i]))
+		c.queues[i] = in
+		go func(out chan<- shard.Steered) {
+			for {
+				var st shard.Steered
+				select {
+				case st = <-in:
+				case <-ctx.Done():
+					return
+				}
+				taken.Add(1)
+				reply := st.Reply
+				st.Reply = func(ctx context.Context, p []byte) error {
+					replied.Add(1)
+					return reply(ctx, p)
+				}
+				select {
+				case out <- st:
+				case <-ctx.Done():
+					return
+				}
+			}
+		}(real[i])
+	}
+	regC, regS := core.NewRegistry(), core.NewRegistry()
+	shard.RegisterServer(regS)
+	shard.RegisterXDP(regS)
+	conn := connect(t, c, regC, regS, nil)
+	exercise(t, conn, 200)
+	if taken.Load() != 200 || replied.Load() != 200 {
+		t.Errorf("interposer took %d requests and saw %d Reply calls, want 200 and 200", taken.Load(), replied.Load())
 	}
 }
 

@@ -102,37 +102,141 @@ func (x *XDPImpl) wrap(ctx context.Context, conn core.Conn, args, params []wire.
 	}
 
 	pctx, cancel := context.WithCancel(context.Background())
-	// The receive pump is the simulated NIC->XDP path for this
-	// connection: each packet runs the steering program; redirects go
-	// straight to the shard queue with a reply capability bound to this
-	// client's connection.
-	go func() {
-		reply := func(rctx context.Context, p []byte) error {
-			return conn.Send(rctx, p)
+	sc := &steeredConn{conn: conn, headroom: core.HeadroomOf(conn)}
+	go x.pump(pctx, sc, queues)
+	return &captiveConn{conn: conn, cancel: func() {
+		cancel()
+		sc.close()
+	}}, nil
+}
+
+// pump is the simulated NIC->XDP path of one connection: it takes the
+// connection's requests a burst at a time, runs the steering program
+// over the burst, and puts every redirected request on its shard's queue
+// with a reply capability bound to this client's connection.
+func (x *XDPImpl) pump(ctx context.Context, sc *steeredConn, queues []chan Steered) {
+	var (
+		bufs     [xdp.MaxBurst]*wire.Buf
+		pkts     [xdp.MaxBurst]xdp.Packet
+		verdicts [xdp.MaxBurst]xdp.Verdict
+	)
+	reply := sc.reply // one func value for every request, not one each
+	for {
+		n, err := core.RecvBufs(ctx, sc.conn, bufs[:])
+		if err != nil {
+			return
 		}
-		for {
-			m, err := conn.Recv(pctx)
-			if err != nil {
-				return
+		for i := 0; i < n; i++ {
+			// The queues' consumers get plain slices with no pool
+			// obligations.
+			pkts[i] = xdp.Packet{Data: bufs[i].CopyOut()}
+			bufs[i] = nil
+		}
+		x.hook.RunBurst(pkts[:n], verdicts[:n])
+		steered := 0
+		for i := 0; i < n; i++ {
+			q := pkts[i].RedirectQueue()
+			if verdicts[i] == xdp.Redirect && q >= 0 && q < len(queues) {
+				steered++
+			} else if verdicts[i] == xdp.Redirect {
+				verdicts[i] = xdp.Drop
 			}
-			pkt := xdp.Packet{Data: m}
-			switch x.hook.Run(&pkt) {
+		}
+		// The whole burst counts as outstanding before its first request
+		// can be answered, so the answers to it leave together.
+		sc.expect(steered)
+		for i := 0; i < n; i++ {
+			switch verdicts[i] {
 			case xdp.Redirect:
-				q := pkt.RedirectQueue()
-				if q >= 0 && q < len(queues) {
-					select {
-					case queues[q] <- Steered{Payload: pkt.Data, Reply: reply}:
-					case <-pctx.Done():
-						return
-					}
+				select {
+				case queues[pkts[i].RedirectQueue()] <- Steered{Payload: pkts[i].Data, Reply: reply}:
+				case <-ctx.Done():
+					return
 				}
-			case xdp.Pass:
-				// Steering program absent (detached): drop to preserve
-				// at-most-once semantics rather than misroute.
 			case xdp.Tx:
-				_ = conn.Send(pctx, pkt.Data)
+				_ = sc.conn.Send(ctx, pkts[i].Data)
+			default:
+				// Pass means the steering program is absent (detached):
+				// drop, like the rest, to preserve at-most-once semantics
+				// rather than misroute.
 			}
+			pkts[i].Data = nil
 		}
-	}()
-	return &captiveConn{conn: conn, cancel: cancel}, nil
+	}
+}
+
+// replyBurstCap is the most replies a steered connection parks before it
+// sends them whatever is still outstanding.
+const replyBurstCap = 64
+
+// steeredConn is the reply side of one steered connection. The shard
+// workers answer a connection's requests one Reply call at a time, from
+// several goroutines; sending each answer by itself costs a system call
+// per request. Instead a reply is parked, and the parked replies go out
+// with one SendBufs when the last request the pump has handed to the
+// queues is answered — so a request that arrives alone is answered at
+// once, a pipelined burst is answered as a burst, and nothing waits on a
+// timer. What a parked reply waits for is bounded by the service time of
+// the connection's other outstanding requests, and by replyBurstCap.
+type steeredConn struct {
+	conn     core.Conn
+	headroom int
+
+	mu          sync.Mutex
+	outstanding int         // requests on the queues whose Reply has not run
+	parked      []*wire.Buf // replies waiting for the flush
+	spare       []*wire.Buf // parked's other backing array, between flushes
+	closed      bool
+}
+
+// expect counts n more steered requests as outstanding.
+func (c *steeredConn) expect(n int) {
+	c.mu.Lock()
+	c.outstanding += n
+	c.mu.Unlock()
+}
+
+// reply is every Steered.Reply of the connection.
+func (c *steeredConn) reply(ctx context.Context, p []byte) error {
+	b := wire.NewBufFrom(c.headroom, p)
+	c.mu.Lock()
+	if c.closed {
+		c.mu.Unlock()
+		b.Release()
+		return core.ErrClosed
+	}
+	c.parked = append(c.parked, b)
+	if c.outstanding > 0 {
+		c.outstanding--
+	}
+	if c.outstanding > 0 && len(c.parked) < replyBurstCap {
+		c.mu.Unlock()
+		return nil
+	}
+	burst := c.parked
+	c.parked, c.spare = c.spare[:0], nil
+	c.mu.Unlock()
+
+	err := core.SendBufs(ctx, c.conn, burst)
+	clear(burst)
+	c.mu.Lock()
+	if c.spare == nil {
+		c.spare = burst
+	}
+	c.mu.Unlock()
+	if be, ok := err.(*core.BatchError); ok {
+		return be.Err
+	}
+	return err
+}
+
+// close releases the parked replies; later ones are refused.
+func (c *steeredConn) close() {
+	c.mu.Lock()
+	c.closed = true
+	for _, b := range c.parked {
+		b.Release()
+	}
+	c.parked = nil
+	c.mu.Unlock()
 }

@@ -70,66 +70,40 @@ type Server struct {
 	l   core.Listener
 	ops *opCounters
 
-	mu     sync.Mutex
-	closed bool
-	wg     sync.WaitGroup
 	cancel context.CancelFunc
+	done   chan struct{} // closed when core.Serve has returned
+	once   sync.Once
 }
 
 // Serve starts serving svc on l and returns immediately; use Close to
 // stop.
 func Serve(svc *Service, l core.Listener) *Server {
 	ctx, cancel := context.WithCancel(context.Background())
-	s := &Server{svc: svc, l: l, ops: newOpCounters(), cancel: cancel}
-	s.wg.Add(1)
-	go s.acceptLoop(ctx)
+	s := &Server{svc: svc, l: l, ops: newOpCounters(), cancel: cancel, done: make(chan struct{})}
+	go func() {
+		defer close(s.done)
+		// Serve ends when Close cancels ctx or closes the listener.
+		_ = core.Serve(ctx, l, s.answer)
+	}()
 	return s
 }
 
-// Close stops the server and its listener.
+// answer is the server's core.Handler: a malformed request gets no reply.
+func (s *Server) answer(ctx context.Context, req, reply *wire.Buf) bool {
+	resp := s.handle(ctx, req.Bytes())
+	reply.Append(resp)
+	return resp != nil
+}
+
+// Close stops the server and its listener, and waits for both.
 func (s *Server) Close() error {
-	s.mu.Lock()
-	if s.closed {
-		s.mu.Unlock()
-		return nil
-	}
-	s.closed = true
-	s.mu.Unlock()
-	s.cancel()
-	err := s.l.Close()
-	s.wg.Wait()
+	var err error
+	s.once.Do(func() {
+		s.cancel()
+		err = s.l.Close()
+		<-s.done
+	})
 	return err
-}
-
-func (s *Server) acceptLoop(ctx context.Context) {
-	defer s.wg.Done()
-	for {
-		conn, err := s.l.Accept(ctx)
-		if err != nil {
-			return
-		}
-		s.wg.Add(1)
-		go func() {
-			defer s.wg.Done()
-			defer conn.Close()
-			s.serveConn(ctx, conn)
-		}()
-	}
-}
-
-func (s *Server) serveConn(ctx context.Context, conn core.Conn) {
-	for {
-		req, err := conn.Recv(ctx)
-		if err != nil {
-			return
-		}
-		resp := s.handle(ctx, req)
-		if resp != nil {
-			if err := conn.Send(ctx, resp); err != nil {
-				return
-			}
-		}
-	}
 }
 
 // handle processes one request datagram and returns the response (nil for

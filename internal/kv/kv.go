@@ -15,6 +15,7 @@
 package kv
 
 import (
+	"encoding/binary"
 	"errors"
 	"fmt"
 
@@ -133,30 +134,39 @@ func EncodeRequest(e *wire.Encoder, r Request) error {
 	return nil
 }
 
-// DecodeRequest parses a fixed-layout request.
-func DecodeRequest(p []byte) (Request, error) {
+// parseRequest splits a fixed-layout request into its fields without
+// copying: key and value alias p. A request too short to hold a key
+// still yields its id when it has one (for the bad-request reply).
+func parseRequest(p []byte) (id uint64, op Op, key, value []byte, err error) {
+	if len(p) >= 8 {
+		id = binary.LittleEndian.Uint64(p)
+	}
 	if len(p) < KeyOffset+KeyLen {
-		return Request{}, fmt.Errorf("kv: short request (%d bytes)", len(p))
+		return id, 0, nil, nil, fmt.Errorf("kv: short request (%d bytes)", len(p))
 	}
-	d := wire.NewDecoder(p)
-	r := Request{
-		ID: d.Uint64(),
-		Op: Op(d.Uint8()),
+	op = Op(p[8]) // p[9] is the pad
+	if op < OpGet || op > OpDelete {
+		return id, 0, nil, nil, fmt.Errorf("kv: invalid op %d", op)
 	}
-	d.Uint8() // pad
-	r.Key = string(d.Raw(KeyLen))
-	val := d.Raw(d.Remaining())
-	if len(val) > 0 {
-		r.Value = append([]byte(nil), val...)
-	}
-	if err := d.Finish(); err != nil {
+	return id, op, p[KeyOffset : KeyOffset+KeyLen], p[KeyOffset+KeyLen:], nil
+}
+
+// DecodeRequest parses a fixed-layout request into a Request of its own:
+// nothing in it aliases p.
+func DecodeRequest(p []byte) (Request, error) {
+	id, op, key, value, err := parseRequest(p)
+	if err != nil {
 		return Request{}, err
 	}
-	if r.Op < OpGet || r.Op > OpDelete {
-		return Request{}, fmt.Errorf("kv: invalid op %d", r.Op)
+	r := Request{ID: id, Op: op, Key: string(key)}
+	if len(value) > 0 {
+		r.Value = append([]byte(nil), value...)
 	}
 	return r, nil
 }
+
+// responseHeader is the fixed part of a response: id and status.
+const responseHeader = 9
 
 // EncodeResponse appends the response encoding.
 func EncodeResponse(e *wire.Encoder, r Response) {
@@ -167,7 +177,7 @@ func EncodeResponse(e *wire.Encoder, r Response) {
 
 // DecodeResponse parses a response.
 func DecodeResponse(p []byte) (Response, error) {
-	if len(p) < 9 {
+	if len(p) < responseHeader {
 		return Response{}, fmt.Errorf("kv: short response (%d bytes)", len(p))
 	}
 	d := wire.NewDecoder(p)

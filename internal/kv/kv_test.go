@@ -194,13 +194,7 @@ func startServer(t *testing.T, pn *transport.PipeNetwork, policy core.Policy) (a
 	if err != nil {
 		t.Fatal(err)
 	}
-	go func() {
-		for {
-			if _, err := nl.Accept(ctx); err != nil {
-				return
-			}
-		}
-	}()
+	srv.ServeSteered(nl)
 	return addrs, srv
 }
 

@@ -7,16 +7,18 @@ import (
 
 	"github.com/bertha-net/bertha/internal/chunnels/shard"
 	"github.com/bertha-net/bertha/internal/core"
+	"github.com/bertha-net/bertha/internal/wire"
 )
 
-// Server is the sharded key-value server: one Store and one worker per
-// shard. Each worker serves requests from two sources, matching the §5
-// deployment variants:
+// Server is the sharded key-value server: one Store per shard, reached
+// from two sources, matching the §5 deployment variants:
 //
-//   - its shard listener — direct connections from client-push clients
-//     and forwarded requests from the server-fallback steering proxy;
-//   - its steered queue — requests redirected by the XDP steering
-//     program in the receive path.
+//   - the shard's listener (ServeShard) — direct connections from
+//     client-push clients and forwarded requests from the
+//     server-fallback steering proxy;
+//   - the shard's steered queue (Queues), drained by one worker per
+//     shard — requests redirected by the XDP steering program in the
+//     receive path.
 type Server struct {
 	shards []*Store
 	queues []chan shard.Steered
@@ -58,50 +60,67 @@ func (s *Server) Shard(i int) *Store { return s.shards[i] }
 // chunnel's XDP implementation through Env (shard.EnvQueues).
 func (s *Server) Queues() []chan shard.Steered { return s.queues }
 
-// ServeShard accepts direct connections for shard i on l until the
-// server closes. Each connection's requests are applied to the shard's
-// store and answered in place.
+// ServeShard serves direct connections for shard i on l until the server
+// closes: requests are applied to the shard's store and answered on the
+// connection they came from, a burst at a time (core.Serve). The
+// listener stays the caller's to close.
 func (s *Server) ServeShard(i int, l core.Listener) {
 	if i < 0 || i >= len(s.shards) {
 		panic(fmt.Sprintf("kv: shard %d out of range", i))
 	}
+	s.serve(l, s.shards[i].answer)
+}
+
+// ServeSteered accepts connections on the canonical listener — the one
+// whose endpoint carries the shard chunnel — and holds them until the
+// server closes. There is nothing to answer on them: the steering
+// implementation takes their requests to the shard queues (Queues), and a
+// client-push peer sends its requests to the shard listeners.
+func (s *Server) ServeSteered(l core.Listener) {
+	s.serve(l, hold)
+}
+
+// hold is the handler of a connection that is only held.
+func hold(context.Context, *wire.Buf, *wire.Buf) bool { return false }
+
+func (s *Server) serve(l core.Listener, h core.Handler) {
 	s.wg.Add(1)
 	go func() {
 		defer s.wg.Done()
-		for {
-			conn, err := l.Accept(s.ctx)
-			if err != nil {
-				return
-			}
-			s.wg.Add(1)
-			go func(conn core.Conn) {
-				defer s.wg.Done()
-				defer conn.Close()
-				for {
-					p, err := conn.Recv(s.ctx)
-					if err != nil {
-						return
-					}
-					if err := conn.Send(s.ctx, s.shards[i].HandleRaw(p)); err != nil {
-						return
-					}
-				}
-			}(conn)
-		}
+		// Serve ends when the server closes (nil) or the listener fails,
+		// which whoever owns the listener sees for themselves.
+		_ = core.Serve(s.ctx, l, h)
 	}()
 }
 
+// queueWorker answers shard i's steered requests. Having blocked for
+// one, it takes whatever else is queued before it blocks again: a
+// non-blocking receive is the cheap kind, and the replies of one
+// connection then reach the steering implementation together, which
+// sends them together.
 func (s *Server) queueWorker(i int) {
 	defer s.wg.Done()
+	q, st := s.queues[i], s.shards[i]
+	reply := wire.NewBuf(0, 0)
+	defer reply.Release()
 	for {
+		var req shard.Steered
 		select {
-		case st := <-s.queues[i]:
-			resp := s.shards[i].HandleRaw(st.Payload)
-			if st.Reply != nil {
-				_ = st.Reply(s.ctx, resp)
-			}
+		case req = <-q:
 		case <-s.ctx.Done():
 			return
+		}
+		for more := true; more; {
+			reply.Truncate(0)
+			st.handle(req.Payload, reply)
+			if req.Reply != nil {
+				_ = req.Reply(s.ctx, reply.Bytes()) // a lost reply is the client's to retry
+			}
+			select {
+			case req = <-q:
+			default:
+				more = false
+			}
 		}
 	}
 }

@@ -81,7 +81,34 @@ func (p *pipeHalf) SendBuf(ctx context.Context, b *wire.Buf) error {
 		return ctx.Err()
 	case p.send <- b:
 		p.tel.sent.Inc()
+		p.reap()
 		return nil
+	}
+}
+
+// reap releases what is parked in both directions once both halves are
+// closed: nobody can receive it any more. Close calls it, and so does a
+// send that may have slipped a message in behind the last Close.
+func (p *pipeHalf) reap() {
+	select {
+	case <-p.closed:
+	default:
+		return
+	}
+	select {
+	case <-p.peerClosed:
+	default:
+		return
+	}
+	for _, ch := range [...]chan *wire.Buf{p.send, p.recv} {
+		for parked := true; parked; {
+			select {
+			case b := <-ch:
+				b.Release()
+			default:
+				parked = false
+			}
+		}
 	}
 }
 
@@ -117,6 +144,7 @@ func (p *pipeHalf) SendBufs(ctx context.Context, bs []*wire.Buf) error {
 		}
 	}
 	p.tel.sent.Add(uint64(len(bs)))
+	p.reap()
 	return nil
 }
 
@@ -197,6 +225,7 @@ func (p *pipeHalf) RemoteAddr() core.Addr { return p.remote }
 // Close implements core.Conn.
 func (p *pipeHalf) Close() error {
 	p.closeOnce.Do(func() { close(p.closed) })
+	p.reap()
 	return nil
 }
 

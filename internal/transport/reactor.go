@@ -75,28 +75,15 @@ func (u udpPC) WriteToAddrPort(p []byte, ap netip.AddrPort) (int, error) {
 	return u.WriteToUDPAddrPort(p, ap)
 }
 
-// ReactorListener is the readiness interface a reactor listener exports
-// beyond core.Listener: epoll-style edge-triggered connection readiness
-// per shard, so a server can serve every connection with O(shards)
-// worker goroutines instead of one blocked receiver per connection.
-//
-// Protocol: Ready blocks until some connection on the shard has
-// undelivered messages and returns it exactly once per readiness edge.
-// The worker drains what it wants (RecvBuf/RecvBufs) and then calls
-// Rearm; if messages remain (or raced in), the connection is re-queued
-// immediately. A connection never appears in the ready queue twice
-// concurrently.
+// ReactorListener is what a reactor listener offers beyond core.Listener:
+// epoll-style edge-triggered connection readiness per shard
+// (core.ReadyListener, where the protocol is written down), so a server
+// can serve every connection with O(shards) worker goroutines instead of
+// one blocked receiver per connection — core.Serve is that server — and
+// the runtime's accounting.
 type ReactorListener interface {
-	core.Listener
+	core.ReadyListener
 	core.ReactorAccountant
-	// Shards reports the reactor width; valid shard indices for Ready
-	// are [0, Shards()).
-	Shards() int
-	// Ready returns the next readable connection on a shard.
-	Ready(ctx context.Context, shard int) (core.Conn, error)
-	// Rearm re-enables readiness edges for a connection obtained from
-	// Ready, re-queueing it at once if messages are pending.
-	Rearm(conn core.Conn)
 }
 
 // peerKey identifies a demultiplexed peer: an AddrPort on the fast
@@ -180,6 +167,12 @@ type reactorListener struct {
 	cfg       core.ReactorConfig
 	startOnce sync.Once
 	started   atomic.Bool
+	// readiness is set by the first Ready call. Until then deliveries
+	// post no readiness edges: a listener served through Accept alone
+	// has nobody to pop them, and a queued edge keeps its connection —
+	// ring and all — reachable long after Close.
+	readiness atomic.Bool
+	readyOnce sync.Once
 
 	shards []*reactorShard
 	accept chan *reactorConn
@@ -308,10 +301,9 @@ func (l *reactorListener) deliver(key peerKey, from net.Addr, b *wire.Buf, pool 
 	if c == nil {
 		c = l.materialize(sh, key, from)
 		if c == nil {
-			// Accept backlog full: drop the peer (client retries).
+			// No connection for this peer (the client retries).
 			pool.Put(b)
 			l.tel.dropped.Inc()
-			l.tel.acceptDropped.Inc()
 			return
 		}
 	}
@@ -331,12 +323,23 @@ func (l *reactorListener) deliver(key peerKey, from net.Addr, b *wire.Buf, pool 
 
 // materialize creates (or, racing another reactor, finds) the
 // connection for a new peer and offers it to the accept queue. A full
-// backlog retracts the connection and reports nil.
+// backlog retracts the connection and reports nil; so does a listener
+// that is shutting down.
 func (l *reactorListener) materialize(sh *reactorShard, key peerKey, from net.Addr) *reactorConn {
 	sh.table.mu.Lock()
 	if c := sh.table.lookupLocked(key); c != nil {
 		sh.table.mu.Unlock()
 		return c
+	}
+	select {
+	case <-l.closed:
+		// shutdown empties the table under this lock, after closing
+		// l.closed: a connection inserted now would never be closed, and
+		// the datagrams of a burst still being delivered would sit in its
+		// ring for good.
+		sh.table.mu.Unlock()
+		return nil
+	default:
 	}
 	c := &reactorConn{
 		l:      l,
@@ -357,6 +360,7 @@ func (l *reactorListener) materialize(sh *reactorShard, key peerKey, from net.Ad
 		return c
 	default:
 		c.Close()
+		l.tel.acceptDropped.Inc()
 		return nil
 	}
 }
@@ -417,8 +421,14 @@ func (l *reactorListener) Ready(ctx context.Context, shard int) (core.Conn, erro
 	if shard < 0 || shard >= len(l.shards) {
 		return nil, fmt.Errorf("transport: shard %d out of range [0,%d)", shard, len(l.shards))
 	}
+	l.readyOnce.Do(l.engageReadiness)
 	sh := l.shards[shard]
 	for {
+		// Before the queue: under load it is never empty, and a worker
+		// told to stop must not be handed connections for ever.
+		if err := ctx.Err(); err != nil {
+			return nil, err
+		}
 		if c := sh.ready.pop(); c != nil {
 			return c, nil
 		}
@@ -429,6 +439,21 @@ func (l *reactorListener) Ready(ctx context.Context, shard int) (core.Conn, erro
 		case <-ctx.Done():
 			return nil, ctx.Err()
 		}
+	}
+}
+
+// engageReadiness turns readiness edges on and posts one for every
+// connection that already holds undelivered messages. A delivery racing
+// the switch either sees it on (and posts its own edge) or pushed before
+// the sweep below looked at its ring.
+func (l *reactorListener) engageReadiness() {
+	l.readiness.Store(true)
+	for _, sh := range l.shards {
+		sh.table.each(func(c *reactorConn) {
+			if c.ring.occupied() > 0 && c.queued.CompareAndSwap(false, true) {
+				sh.ready.push(c)
+			}
+		})
 	}
 }
 
@@ -659,19 +684,26 @@ func (t *peerTable) closeAll() []*reactorConn {
 	return conns
 }
 
+// each calls f for every live connection of the current generation.
+func (t *peerTable) each(f func(*reactorConn)) {
+	s := t.slots.Load()
+	if s == nil {
+		return
+	}
+	for i := range s.entries {
+		if c := s.entries[i].c.Load(); c != nil && c != tombstone {
+			f(c)
+		}
+	}
+}
+
 // account sums live connections' ring occupancy and the table's own
 // footprint (snapshot time only).
 func (t *peerTable) account() (occupied, tableBytes int64) {
-	s := t.slots.Load()
-	if s == nil {
-		return 0, 0
+	if s := t.slots.Load(); s != nil {
+		tableBytes = int64(len(s.entries)) * 8
 	}
-	tableBytes = int64(len(s.entries)) * 8
-	for i := range s.entries {
-		if c := s.entries[i].c.Load(); c != nil && c != tombstone {
-			occupied += c.ring.occupied()
-		}
-	}
+	t.each(func(c *reactorConn) { occupied += c.ring.occupied() })
 	return occupied, tableBytes
 }
 
@@ -695,14 +727,14 @@ type reactorConn struct {
 	once       sync.Once
 }
 
-// wake publishes a delivery: a token for blocked receivers, a readiness
-// edge for Ready workers.
+// wake publishes a delivery: a token for blocked receivers and, once the
+// listener is served through Ready, a readiness edge for its workers.
 func (c *reactorConn) wake(sh *reactorShard) {
 	select {
 	case c.notify <- struct{}{}:
 	default:
 	}
-	if c.queued.CompareAndSwap(false, true) {
+	if c.l.readiness.Load() && c.queued.CompareAndSwap(false, true) {
 		sh.ready.push(c)
 	}
 }

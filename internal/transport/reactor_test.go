@@ -159,7 +159,9 @@ func TestReactorPeerChurn(t *testing.T) {
 	addr := l.Addr().Addr
 
 	// Server side: accept every materialized peer, echo its hello, close
-	// the server conn immediately — the close half of the churn.
+	// the server conn immediately — the close half of the churn — and tell
+	// the client (gone) that its table entry is no more.
+	var gone sync.Map // client address → chan struct{}, closed after the server conn
 	acceptDone := make(chan struct{})
 	go func() {
 		defer close(acceptDone)
@@ -173,6 +175,9 @@ func TestReactorPeerChurn(t *testing.T) {
 					sc.Send(ctx, m)
 				}
 				sc.Close()
+				if ch, ok := gone.LoadAndDelete(sc.RemoteAddr().Addr); ok {
+					close(ch.(chan struct{}))
+				}
 			}()
 		}
 	}()
@@ -189,6 +194,8 @@ func TestReactorPeerChurn(t *testing.T) {
 					errs <- err
 					return
 				}
+				srvGone := make(chan struct{})
+				gone.Store(c.LocalAddr().Addr, srvGone)
 				if err := c.Send(ctx, []byte("hello")); err != nil {
 					c.Close()
 					errs <- err
@@ -197,6 +204,20 @@ func TestReactorPeerChurn(t *testing.T) {
 				if _, err := c.Recv(ctx); err != nil {
 					c.Close()
 					errs <- err
+					return
+				}
+				// The client keeps its socket, and with it its port, until
+				// the server conn is out of the table: the kernel hands a
+				// freed port to the next dial now and then, and a hello from
+				// a port whose previous owner's conn is still closing goes
+				// into that conn's ring and is drained with it (the demux
+				// key is the source address; reconnecting after the close
+				// is TestReactorReconnectSamePeer's).
+				select {
+				case <-srvGone:
+				case <-ctx.Done():
+					c.Close()
+					errs <- ctx.Err()
 					return
 				}
 				c.Close()

@@ -48,6 +48,7 @@ func DialUDP(hostID, raddr string) (core.Conn, error) {
 		local:  core.Addr{Net: "udp", Host: hostID, Addr: uc.LocalAddr().String()},
 		remote: core.Addr{Net: "udp", Host: "", Addr: raddr},
 		tel:    countersFor("udp"),
+		rsem:   make(chan struct{}, 1),
 	}, nil
 }
 
@@ -61,24 +62,100 @@ type socketConn struct {
 	closeOnce sync.Once
 	closeErr  error
 
-	// wmu serializes writes *and* write-deadline management. Without it
-	// a deadline-bearing sender's deadline reset races concurrent
-	// senders: A sets a deadline, B's write spuriously times out, then
-	// A's reset (the old code's deferred SetWriteDeadline(time.Time{}))
-	// clears a deadline a third sender just armed.
+	// wmu serializes writes *and* write-deadline management: the socket
+	// has one write deadline, so concurrent senders with different
+	// context deadlines must take turns arming it (wdl).
 	//
 	// The batch path takes wmu exactly once per burst: SendBufs arms the
-	// deadline, transmits the whole burst (one sendmmsg on linux, a
-	// write loop elsewhere), and resets — per-message locking would
-	// interleave concurrent bursts and pay the acquisition n times.
+	// deadline and transmits the whole burst (one sendmmsg on linux, a
+	// write loop elsewhere) — per-message locking would interleave
+	// concurrent bursts and pay the acquisition n times.
 	wmu sync.Mutex
+	wdl stickyDeadline
 	// sendmm/recvmm hold the platform batch-syscall state (cached raw
-	// conn, scratch header arrays). sendmm is guarded by wmu; recvmm by
-	// rmu, which also serializes concurrent RecvBufs callers so a burst
-	// is drained by one reader at a time.
+	// conn, scratch header arrays). sendmm is guarded by wmu; recvmm,
+	// the read-ahead queue rq and the read deadline rdl by the receiver
+	// role rsem (lockRecv), which serializes receivers: one of them at a
+	// time reads the socket, the others find what it read ahead. The role
+	// is a one-slot channel (constructors must make it), not a mutex,
+	// because its holder parks in the socket for as long as its context
+	// allows and a waiter with a shorter context must be able to give up.
 	sendmm mmsgState
-	rmu    sync.Mutex
+	rsem   chan struct{}
+	rdl    stickyDeadline
 	recvmm mmsgState
+	rq     recvQueue
+}
+
+// lockRecv takes the receiver role, or fails with ctx's error when ctx
+// ends before the current holder lets go.
+func (s *socketConn) lockRecv(ctx context.Context) error {
+	select {
+	case s.rsem <- struct{}{}:
+		return nil
+	default:
+	}
+	select {
+	case s.rsem <- struct{}{}:
+		return nil
+	case <-ctx.Done():
+		return ctx.Err()
+	}
+}
+
+func (s *socketConn) unlockRecv() { <-s.rsem }
+
+// stickyDeadline is the deadline armed on one direction of the socket.
+// It is sticky: a call arms its context's deadline only when none, or a
+// later one, is in place, and nobody resets it afterwards. A sequence of
+// calls whose deadlines only move forward — a client giving every
+// request the same budget — therefore costs one SetDeadline per budget
+// instead of two per call. The price is that the armed deadline can be
+// somebody else's: a timeout that is not the caller's own (staleTimeout)
+// re-arms and tries again.
+type stickyDeadline struct {
+	armed time.Time // zero: none
+}
+
+// setDeadline arms t on dl's direction of the socket. The caller holds
+// that direction's lock.
+func (s *socketConn) setDeadline(dl *stickyDeadline, t time.Time) {
+	dl.armed = t
+	if dl == &s.rdl {
+		s.conn.SetReadDeadline(t)
+	} else {
+		s.conn.SetWriteDeadline(t)
+	}
+}
+
+// arm applies ctx's deadline, if it has one, leaving an earlier armed
+// deadline where it is.
+func (s *socketConn) arm(dl *stickyDeadline, ctx context.Context) (d time.Time, ok bool) {
+	d, ok = ctx.Deadline()
+	if ok && (dl.armed.IsZero() || dl.armed.After(d)) {
+		s.setDeadline(dl, d)
+	}
+	return d, ok
+}
+
+// staleTimeout reports whether err is a timeout the caller (whose
+// context deadline is d, if hasDeadline) should not see: an earlier
+// caller's armed deadline, or the immediate one a cancelled context left
+// behind (watch), fired. It arms the caller's own deadline, or none,
+// and the caller tries again.
+func (s *socketConn) staleTimeout(dl *stickyDeadline, err error, d time.Time, hasDeadline bool) bool {
+	if ne, ok := err.(net.Error); !ok || !ne.Timeout() {
+		return false
+	}
+	if !hasDeadline {
+		s.setDeadline(dl, time.Time{})
+		return true
+	}
+	if time.Until(d) > 0 {
+		s.setDeadline(dl, d)
+		return true
+	}
+	return false
 }
 
 func (s *socketConn) Send(ctx context.Context, p []byte) error {
@@ -86,26 +163,15 @@ func (s *socketConn) Send(ctx context.Context, p []byte) error {
 		return fmt.Errorf("%w: %d bytes", core.ErrMessageTooLarge, len(p))
 	}
 	s.wmu.Lock()
-	d, hasDeadline := ctx.Deadline()
-	if hasDeadline {
-		s.conn.SetWriteDeadline(d)
-	}
+	d, hasDeadline := s.arm(&s.wdl, ctx)
 	_, err := s.conn.Write(p)
-	if hasDeadline {
-		// Reset only the deadline we set; no-deadline senders never
-		// touch the socket deadline.
-		s.conn.SetWriteDeadline(time.Time{})
+	for err != nil && s.staleTimeout(&s.wdl, err, d, hasDeadline) {
+		_, err = s.conn.Write(p) // a datagram write is all or nothing
 	}
 	s.wmu.Unlock()
 	s.tel.sendSyscalls.Inc()
 	if err != nil {
-		if isClosedErr(err) {
-			return core.ErrClosed
-		}
-		if ne, ok := err.(net.Error); ok && ne.Timeout() && hasDeadline {
-			return context.DeadlineExceeded
-		}
-		return err
+		return s.mapSendErr(err, hasDeadline)
 	}
 	s.tel.sent.Inc()
 	return nil
@@ -120,8 +186,8 @@ func (s *socketConn) SendBuf(ctx context.Context, b *wire.Buf) error {
 }
 
 // SendBufs transmits the burst behind a single wmu acquisition: one
-// deadline arm, the whole burst (one sendmmsg syscall on linux, a write
-// loop elsewhere), one reset. Ownership of every element ends here —
+// deadline check, then the whole burst (one sendmmsg syscall on linux, a
+// write loop elsewhere). Ownership of every element ends here —
 // datagram sockets do not retain payloads — so all buffers are released
 // before returning. The first failure aborts the burst; the returned
 // *core.BatchError reports how many messages went out.
@@ -140,13 +206,12 @@ func (s *socketConn) SendBufs(ctx context.Context, bs []*wire.Buf) error {
 		return nil
 	}
 	s.wmu.Lock()
-	d, hasDeadline := ctx.Deadline()
-	if hasDeadline {
-		s.conn.SetWriteDeadline(d)
-	}
+	d, hasDeadline := s.arm(&s.wdl, ctx)
 	sent, err := s.writeBurst(bs)
-	if hasDeadline {
-		s.conn.SetWriteDeadline(time.Time{})
+	for err != nil && s.staleTimeout(&s.wdl, err, d, hasDeadline) {
+		var n int
+		n, err = s.writeBurst(bs[sent:])
+		sent += n
 	}
 	s.wmu.Unlock()
 	if sent > 0 {
@@ -159,7 +224,7 @@ func (s *socketConn) SendBufs(ctx context.Context, bs []*wire.Buf) error {
 	return nil
 }
 
-// mapSendErr normalizes a burst write failure the same way Send does.
+// mapSendErr normalizes a write failure.
 func (s *socketConn) mapSendErr(err error, hasDeadline bool) error {
 	if isClosedErr(err) {
 		return core.ErrClosed
@@ -186,58 +251,159 @@ func (s *socketConn) writeBurstLoop(bs []*wire.Buf) (int, error) {
 	return len(bs), nil
 }
 
-// RecvBufs drains a burst of datagrams into pooled buffers owned by the
-// caller, blocking only for the first. On linux the drain is one
-// recvmmsg syscall; elsewhere it degrades to a single-message receive.
+// burstMax bounds one batch syscall (sendmmsg, recvmmsg) and with it the
+// read-ahead queue. Linux caps vlen at UIO_MAXIOV internally; 64 keeps
+// the fixed scratch arrays small while amortizing the syscall ~60x.
+const burstMax = 64
+
+// readAhead is how many datagrams a plain RecvBuf caller lets one
+// receive syscall take off the socket; RecvBufs callers set their own
+// bound with len(into).
+const readAhead = 8
+
+// recvQueue is a connected socket's read-ahead queue, shared by RecvBuf
+// and RecvBufs (a chunnel may use both on one connection: framing does):
+// one receive syscall takes what the kernel has queued, up to a bound,
+// and later calls are served from here without a syscall. Guarded by the
+// connection's receiver role.
+type recvQueue struct {
+	// slot[head:head+n] are the received datagrams, oldest first. Any
+	// other non-nil slot is a spare pooled buffer the next receive reads
+	// into; spares are kept across calls so a drained burst costs no pool
+	// round-trips, and go back to the pool on Close.
+	slot    [burstMax]*wire.Buf
+	head, n int
+	// width is how many slots a burst receive offers the kernel: 2 at
+	// first, doubled whenever a burst fills it. A receive buffer has to
+	// take the largest datagram (64 KiB), so a socket holds buffers in
+	// proportion to the bursts it actually sees.
+	width int
+	// ahead says the next receive should be a burst: the last one took
+	// more than one datagram, or found its datagram already waiting (a
+	// backlog is building). A socket that sees one datagram per wake-up —
+	// a ping-pong — keeps the plain single read, which is cheaper than
+	// setting up a burst of one.
+	ahead bool
+}
+
+// pop takes the oldest queued datagram, nil when the queue is empty.
+func (q *recvQueue) pop() *wire.Buf {
+	if q.n == 0 {
+		return nil
+	}
+	b := q.slot[q.head]
+	q.slot[q.head] = nil
+	q.head++
+	q.n--
+	if q.n == 0 {
+		q.head = 0 // receives fill from slot 0
+	}
+	return b
+}
+
+// spare returns slot i's buffer for a receive to read into, taking one
+// from the pool when the slot is empty.
+func (q *recvQueue) spare(i int) *wire.Buf {
+	if q.slot[i] == nil {
+		q.slot[i] = wire.NewBuf(wire.DefaultHeadroom, MaxDatagram+1)
+	}
+	return q.slot[i]
+}
+
+// release returns every held buffer, queued or spare, to the pool.
+func (q *recvQueue) release() {
+	for i, b := range q.slot {
+		if b != nil {
+			b.Release()
+			q.slot[i] = nil
+		}
+	}
+	q.head, q.n = 0, 0
+}
+
+// fill blocks until one receive has queued at least one datagram. want is
+// how many the caller can take at once. The caller holds the receiver
+// role and the queue is empty.
+func (s *socketConn) fill(ctx context.Context, want int) error {
+	q := &s.rq
+	slots := want // that this receive offers the kernel
+	if want == 1 && q.ahead {
+		slots = readAhead
+	}
+	if slots > 1 {
+		q.width = max(q.width, 2)
+		slots = min(slots, q.width)
+	}
+	d, hasDeadline := s.arm(&s.rdl, ctx)
+	for {
+		err := s.receive(ctx, slots)
+		if err == nil {
+			if q.n == q.width && q.width < burstMax {
+				q.width *= 2
+			}
+			s.tel.recvd.Add(uint64(q.n))
+			return nil
+		}
+		if slots == 1 {
+			// A connection read one datagram at a time holds no receive
+			// buffer while nobody is receiving, whatever the number of
+			// idle connections.
+			q.release()
+		}
+		if cerr := ctx.Err(); cerr != nil {
+			return cerr
+		}
+		if isClosedErr(err) {
+			return core.ErrClosed
+		}
+		if s.staleTimeout(&s.rdl, err, d, hasDeadline) {
+			continue
+		}
+		if ne, ok := err.(net.Error); ok && ne.Timeout() {
+			// The socket deadline mirrors the context's and can fire a
+			// hair earlier; report the context's error.
+			return context.DeadlineExceeded
+		}
+		return err
+	}
+}
+
+// watch wakes a receiver blocked in the socket when its context is
+// cancelled: an immediate read deadline fails the read, and the receiver
+// finds its context done. The receiver closes done when it is back. The
+// wake-up can land late — after the receiver has returned, even — so it
+// touches nothing but the socket; the immediate deadline it may leave
+// behind fails a later receive once, which staleTimeout recognises.
+func (s *socketConn) watch(ctx context.Context, done <-chan struct{}) {
+	select {
+	case <-ctx.Done():
+		s.conn.SetReadDeadline(time.Unix(1, 0))
+	case <-done:
+	}
+}
+
+// RecvBufs hands over the datagrams read ahead, or, when there are none,
+// blocks for one receive — on linux a recvmmsg taking up to len(into)
+// datagrams — and hands over what it got.
 func (s *socketConn) RecvBufs(ctx context.Context, into []*wire.Buf) (int, error) {
 	if len(into) == 0 {
 		return 0, nil
 	}
-	if !batchRecvSupported || len(into) == 1 {
-		// recvmmsg for a single message costs more than the plain read
-		// path; a one-slot burst degrades to RecvBuf.
-		b, err := s.RecvBuf(ctx)
-		if err != nil {
+	if err := s.lockRecv(ctx); err != nil {
+		return 0, err
+	}
+	defer s.unlockRecv()
+	if s.rq.n == 0 {
+		if err := s.fill(ctx, len(into)); err != nil {
 			return 0, err
 		}
-		into[0] = b
-		return 1, nil
 	}
-	if ctx.Done() != nil {
-		stop := ctxDeadline(ctx, s.conn.SetReadDeadline)
-		defer stop()
+	n := 0
+	for n < len(into) && s.rq.n > 0 {
+		into[n] = s.rq.pop()
+		n++
 	}
-	for {
-		s.rmu.Lock()
-		n, err := s.readBurst(into)
-		s.rmu.Unlock()
-		if err != nil {
-			if ctx.Err() != nil {
-				return 0, ctx.Err()
-			}
-			if isClosedErr(err) {
-				return 0, core.ErrClosed
-			}
-			if ne, ok := err.(net.Error); ok && ne.Timeout() {
-				if d, hasDeadline := ctx.Deadline(); hasDeadline {
-					if time.Until(d) > 0 {
-						// Stale immediate deadline (see RecvBuf): re-arm
-						// to our own deadline and retry.
-						s.conn.SetReadDeadline(d)
-						continue
-					}
-					return 0, context.DeadlineExceeded
-				}
-				// Stale deadline from an earlier context: clear and retry
-				// (see RecvBuf).
-				s.conn.SetReadDeadline(time.Time{})
-				continue
-			}
-			return 0, err
-		}
-		s.tel.recvd.Add(uint64(n))
-		return n, nil
-	}
+	return n, nil
 }
 
 // Headroom: transports terminate the stack, no headers below.
@@ -251,116 +417,39 @@ func (s *socketConn) Recv(ctx context.Context) ([]byte, error) {
 	return b.CopyOut(), nil
 }
 
-// RecvBuf reads the next datagram into a pooled buffer owned by the
-// caller. The buffer keeps the headroom a reply path needs to prepend
-// its headers without reallocating.
+// RecvBuf returns the next datagram in a pooled buffer owned by the
+// caller: the oldest one read ahead, or the first of a new receive. The
+// buffer keeps the headroom a reply path needs to prepend its headers
+// without reallocating.
 func (s *socketConn) RecvBuf(ctx context.Context) (*wire.Buf, error) {
-	b := wire.NewBuf(wire.DefaultHeadroom, MaxDatagram+1)
-	if ctx.Done() != nil {
-		// Only cancellable contexts arm the deadline machinery; building
-		// the method value alone would cost an allocation per receive.
-		stop := ctxDeadline(ctx, s.conn.SetReadDeadline)
-		defer stop()
+	if err := s.lockRecv(ctx); err != nil {
+		return nil, err
 	}
-	for {
-		n, err := s.conn.Read(b.Bytes())
-		s.tel.recvSyscalls.Inc()
-		if err != nil {
-			if ctx.Err() != nil {
-				b.Release()
-				return nil, ctx.Err()
-			}
-			if isClosedErr(err) {
-				b.Release()
-				return nil, core.ErrClosed
-			}
-			if ne, ok := err.(net.Error); ok && ne.Timeout() {
-				if d, hasDeadline := ctx.Deadline(); hasDeadline {
-					if time.Until(d) > 0 {
-						// Our deadline is still in the future, so this
-						// timeout came from a *stale* immediate deadline —
-						// an earlier context's cancellation racing its
-						// reset (see ctxDeadline). Re-arm to our own
-						// deadline and retry.
-						s.conn.SetReadDeadline(d)
-						continue
-					}
-					// The socket deadline mirrors the context deadline and
-					// can fire a hair earlier; report the context's error.
-					b.Release()
-					return nil, context.DeadlineExceeded
-				}
-				// A stale deadline fires here with no deadline of our
-				// own: clear it before retrying, or this loop spins hot
-				// on an always-expired deadline.
-				s.conn.SetReadDeadline(time.Time{})
-				continue
-			}
-			b.Release()
+	defer s.unlockRecv()
+	if s.rq.n == 0 {
+		if err := s.fill(ctx, 1); err != nil {
 			return nil, err
 		}
-		b.Truncate(n)
-		s.tel.recvd.Inc()
-		return b, nil
 	}
+	return s.rq.pop(), nil
 }
 
 func (s *socketConn) LocalAddr() core.Addr  { return s.local }
 func (s *socketConn) RemoteAddr() core.Addr { return s.remote }
 
-// Close closes the socket and returns the burst-receive scratch to the
-// pool. The socket goes first: that fails a reader parked in readBurst
-// out of rmu, and no callback runs on a closed fd, so the scratch cannot
-// refill afterwards.
+// Close closes the socket and returns the read-ahead queue — datagrams
+// nobody took and spare receive buffers — to the pool. The socket goes
+// first: that fails a receiver blocked in it out of the receiver role,
+// and no receive callback runs on a closed fd, so the queue cannot refill
+// afterwards.
 func (s *socketConn) Close() error {
 	s.closeOnce.Do(func() {
 		s.closeErr = s.conn.Close()
-		s.rmu.Lock()
-		s.recvmm.releaseScratch()
-		s.rmu.Unlock()
+		s.rsem <- struct{}{}
+		s.rq.release()
+		<-s.rsem
 	})
 	return s.closeErr
-}
-
-// ctxDeadline propagates context cancellation into a deadline-based socket
-// API: it sets an immediate deadline when ctx is done. The returned stop
-// function must be deferred. Contexts that can never be cancelled cost
-// nothing. stop resets the socket deadline only when one was actually
-// armed, so deadline-free readers never clobber another caller's
-// deadline. (A cancellation racing stop can leave a stale immediate
-// deadline behind; RecvBuf's timeout branch clears those.)
-func ctxDeadline(ctx context.Context, set func(time.Time) error) (stop func()) {
-	if ctx.Done() == nil {
-		return func() {}
-	}
-	var (
-		mu    sync.Mutex
-		armed bool
-	)
-	if d, ok := ctx.Deadline(); ok {
-		set(d)
-		armed = true
-	}
-	done := make(chan struct{})
-	go func() {
-		select {
-		case <-ctx.Done():
-			mu.Lock()
-			armed = true
-			mu.Unlock()
-			set(time.Unix(1, 0)) // immediate timeout unblocks the read
-		case <-done:
-		}
-	}()
-	return func() {
-		close(done)
-		mu.Lock()
-		wasArmed := armed
-		mu.Unlock()
-		if wasArmed {
-			set(time.Time{})
-		}
-	}
 }
 
 func isClosedErr(err error) bool {

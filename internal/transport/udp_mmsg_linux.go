@@ -10,11 +10,14 @@
 // Everything here is careful about allocation: the mmsghdr/iovec scratch
 // arrays are fixed-size fields of mmsgState, the RawConn callbacks are
 // method values created once, and receive-side buffers are pooled and
-// retained across calls. SendBufs/RecvBufs stay at 0 allocs/op.
+// retained across calls (recvQueue). SendBufs/RecvBufs stay at 0
+// allocs/op.
 
 package transport
 
 import (
+	"context"
+	"errors"
 	"net"
 	"syscall"
 	"unsafe"
@@ -22,14 +25,12 @@ import (
 	"github.com/bertha-net/bertha/internal/wire"
 )
 
-// batchRecvSupported gates socketConn.RecvBufs onto readBurst; the
+// batchRecvSupported gates the reactor onto its recvmmsg loop; the
 // portable build degrades to single-message receives instead.
 const batchRecvSupported = true
 
-// mmsgChunk bounds one sendmmsg/recvmmsg invocation. Linux caps vlen at
-// UIO_MAXIOV internally; 64 keeps the fixed scratch arrays small while
-// amortizing the syscall ~60x.
-const mmsgChunk = 64
+// mmsgChunk bounds one sendmmsg/recvmmsg invocation.
+const mmsgChunk = burstMax
 
 // UDP generalized segmentation offload: a burst of equal-size datagrams
 // goes down as ONE sendmsg whose payload the kernel splits back into
@@ -90,7 +91,7 @@ type mmsghdr struct {
 // RawConn, header/iovec arrays, and the in/out fields the pre-created
 // RawConn callback communicates through (a fresh closure per burst
 // would allocate). An instance serves either sends or receives, guarded
-// by the owning socketConn's wmu or rmu respectively.
+// by the owning socketConn's wmu or receiver role respectively.
 type mmsgState struct {
 	raw   syscall.RawConn
 	tried bool // SyscallConn attempted; raw may still be nil (fallback)
@@ -119,11 +120,16 @@ type mmsgState struct {
 	gsoFallback bool
 	gsoFn       func(fd uintptr) bool
 	ctrl        [cmsgSegSpace]byte
-	// Recv-side callback state: how many slots the caller wants, and
-	// pooled buffers retained across calls so a drained burst costs no
-	// pool round-trips.
-	want    int
-	scratch [mmsgChunk]*wire.Buf
+	// Recv-side callback state (a connected socket's; the buffers are the
+	// connection's recvQueue): how many slots the burst offers, the
+	// single-read callback, the receiver's context, whether the receive
+	// had to wait, and the channel that stops the cancellation watcher it
+	// then started.
+	want   int
+	oneFn  func(fd uintptr) bool
+	ctx    context.Context
+	waited bool
+	done   chan struct{}
 
 	n   int
 	err error
@@ -367,64 +373,106 @@ func (m *mmsgState) sendGSO(fd uintptr) bool {
 	return true
 }
 
-// readBurst fills into with up to len(into) datagrams from one recvmmsg
-// call, blocking (in the poller) only until the first arrives. Caller
-// holds rmu. The returned buffers are pooled and owned by the caller.
-func (s *socketConn) readBurst(into []*wire.Buf) (int, error) {
+// errNoRawConn fails a receive on a socket without a raw fd — none of the
+// net package's datagram sockets, which are all this package wraps.
+var errNoRawConn = errors.New("transport: socket exposes no raw connection")
+
+// receive makes one receive into the (empty) read-ahead queue, through
+// one of two RawConn.Read callbacks: recvOne, a read(2) of one datagram,
+// when slots is 1 — the ping-pong case, which must not pay for setting up
+// a burst — else recvBurst, one recvmmsg offering that many. Both are
+// non-blocking first and tell waits when they are about to park, which
+// is what a conn.Read cannot do (the portable build's receive has to wire
+// up cancellation before every read). It blocks (in the poller) only
+// until the first datagram arrives, and records in rq.ahead whether the
+// next receive should read ahead. Caller holds the receiver role.
+func (s *socketConn) receive(ctx context.Context, slots int) error {
 	m := &s.recvmm
 	if !m.tried {
-		m.initRaw(s.conn, m.recvChunk)
+		m.initRaw(s.conn, s.recvBurst)
+		m.oneFn = s.recvOne
 	}
 	if m.raw == nil {
-		// No raw fd: single-message read, mapped by the caller exactly
-		// like RecvBuf's error path.
-		b := wire.NewBuf(wire.DefaultHeadroom, MaxDatagram+1)
-		n, err := s.conn.Read(b.Bytes())
-		s.tel.recvSyscalls.Inc()
-		if err != nil {
-			b.Release()
-			return 0, err
-		}
-		b.Truncate(n)
-		into[0] = b
-		return 1, nil
+		return errNoRawConn
 	}
-	m.want = len(into)
-	m.n = 0
-	m.err = nil
-	m.calls = 0
-	err := m.raw.Read(m.fn)
+	m.ctx, m.want = ctx, slots
+	m.n, m.err, m.calls, m.waited = 0, nil, 0, false
+	fn := m.oneFn
+	if slots > 1 {
+		fn = m.fn
+	}
+	err := m.raw.Read(fn)
+	if m.done != nil {
+		close(m.done)
+		m.done = nil
+	}
+	m.ctx = nil
 	s.tel.recvSyscalls.Add(uint64(m.calls))
-	if m.err == nil {
-		m.err = err // deadline/closed-fd errors from the poller
-	}
 	if m.err != nil {
-		return 0, m.err
+		err = m.err
 	}
+	if err != nil {
+		return err // deadline/closed-fd errors come from the poller
+	}
+	q := &s.rq
 	for i := 0; i < m.n; i++ {
-		b := m.scratch[i]
-		m.scratch[i] = nil
-		b.Truncate(int(m.hdrs[i].msgLen))
-		into[i] = b
+		q.slot[i].Truncate(int(m.hdrs[i].msgLen))
 	}
-	return m.n, nil
+	q.n = m.n
+	q.ahead = m.n > 1 || !m.waited
+	return nil
 }
 
-// recvChunk is the RawConn.Read callback: one recvmmsg for up to
-// m.want messages. On a non-blocking socket recvmmsg returns whatever
-// is queued without waiting once at least one datagram is available, so
-// a burst costs one syscall; EAGAIN (nothing queued) parks the
-// goroutine in the poller.
-func (m *mmsgState) recvChunk(fd uintptr) bool {
-	cnt := m.want
-	if cnt > mmsgChunk {
-		cnt = mmsgChunk
+// waits runs in a receive callback that found nothing queued, just before
+// the goroutine parks in the poller: from here on a cancelled context
+// must be able to wake it. A receive that finds its datagram waiting
+// never gets here and pays nothing for being cancellable.
+func (s *socketConn) waits() {
+	m := &s.recvmm
+	m.waited = true
+	if m.done == nil && m.ctx.Done() != nil {
+		m.done = make(chan struct{})
+		go s.watch(m.ctx, m.done)
 	}
-	for i := 0; i < cnt; i++ {
-		if m.scratch[i] == nil {
-			m.scratch[i] = wire.NewBuf(wire.DefaultHeadroom, MaxDatagram+1)
+}
+
+// recvOne is the RawConn.Read callback of the single read: one read(2)
+// into slot 0.
+func (s *socketConn) recvOne(fd uintptr) bool {
+	m := &s.recvmm
+	p := s.rq.spare(0).Bytes()
+	for {
+		r1, _, errno := syscall.Syscall(syscall.SYS_READ,
+			fd, uintptr(unsafe.Pointer(&p[0])), uintptr(len(p)))
+		switch errno {
+		case 0:
+			m.calls++
+			m.hdrs[0].msgLen = uint32(r1)
+			m.n = 1
+			return true
+		case syscall.EINTR:
+			continue
+		case syscall.EAGAIN:
+			s.waits()
+			return false
+		default:
+			m.calls++
+			m.err = errno
+			return true
 		}
-		p := m.scratch[i].Bytes()
+	}
+}
+
+// recvBurst is the RawConn.Read callback of the burst receive: one
+// recvmmsg for up to m.want messages. On a non-blocking socket recvmmsg
+// returns whatever is queued without waiting once at least one datagram
+// is available, so a burst costs one syscall; EAGAIN (nothing queued)
+// parks the goroutine in the poller.
+func (s *socketConn) recvBurst(fd uintptr) bool {
+	m := &s.recvmm
+	cnt := m.want
+	for i := 0; i < cnt; i++ {
+		p := s.rq.spare(i).Bytes()
 		m.iovs[i] = syscall.Iovec{Base: &p[0], Len: uint64(len(p))}
 		m.hdrs[i] = mmsghdr{}
 		m.hdrs[i].hdr.Iov = &m.iovs[i]
@@ -441,22 +489,12 @@ func (m *mmsgState) recvChunk(fd uintptr) bool {
 		case syscall.EINTR:
 			continue
 		case syscall.EAGAIN:
+			s.waits()
 			return false
 		default:
 			m.calls++
 			m.err = errno
 			return true
-		}
-	}
-}
-
-// releaseScratch returns the receive buffers retained across readBurst
-// calls to the pool. Caller holds rmu (or otherwise owns m).
-func (m *mmsgState) releaseScratch() {
-	for i, b := range m.scratch {
-		if b != nil {
-			b.Release()
-			m.scratch[i] = nil
 		}
 	}
 }

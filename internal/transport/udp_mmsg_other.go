@@ -8,19 +8,16 @@
 package transport
 
 import (
-	"errors"
+	"context"
 
 	"github.com/bertha-net/bertha/internal/wire"
 )
 
-// batchRecvSupported: RecvBufs falls back to single-message receives.
+// batchRecvSupported: the reactor reads one datagram at a time.
 const batchRecvSupported = false
 
 // mmsgState is empty without kernel batch syscalls.
 type mmsgState struct{}
-
-// releaseScratch: no batched receive, nothing retained.
-func (m *mmsgState) releaseScratch() {}
 
 // writeBurst degrades to the per-message write loop. Caller holds wmu,
 // so the burst still pays the lock and deadline management only once.
@@ -28,8 +25,24 @@ func (s *socketConn) writeBurst(bs []*wire.Buf) (int, error) {
 	return s.writeBurstLoop(bs)
 }
 
-// readBurst is unreachable (batchRecvSupported is false); it exists so
-// RecvBufs compiles on every platform.
-func (s *socketConn) readBurst(into []*wire.Buf) (int, error) {
-	return 0, errors.New("transport: batched receive not supported on this platform")
+// receive reads one datagram per call however many slots it is offered:
+// without recvmmsg the read-ahead queue never holds more than one. This
+// is the only conn.Read receive (the linux build reads through RawConn
+// callbacks). Cancellation is wired up front, since nothing tells this
+// path that the read is about to block.
+func (s *socketConn) receive(ctx context.Context, slots int) error {
+	if ctx.Done() != nil {
+		done := make(chan struct{})
+		defer close(done)
+		go s.watch(ctx, done)
+	}
+	q := &s.rq
+	n, err := s.conn.Read(q.spare(0).Bytes())
+	s.tel.recvSyscalls.Inc()
+	if err != nil {
+		return err
+	}
+	q.slot[0].Truncate(n)
+	q.n = 1
+	return nil
 }

@@ -59,6 +59,7 @@ func udpPairOnce(hostA, hostB string) (core.Conn, core.Conn, error) {
 			local:  core.Addr{Net: "udp", Host: host, Addr: c.LocalAddr().String()},
 			remote: core.Addr{Net: "udp", Host: peerHost, Addr: c.RemoteAddr().String()},
 			tel:    countersFor("udp"),
+			rsem:   make(chan struct{}, 1),
 		}
 	}
 	return mk(ca, hostA, hostB), mk(cb, hostB, hostA), nil

@@ -85,6 +85,7 @@ func DialUnix(hostID, path string) (core.Conn, error) {
 			local:  core.Addr{Net: "unix", Host: hostID, Addr: clientPath},
 			remote: core.Addr{Net: "unix", Host: hostID, Addr: path},
 			tel:    countersFor("unix"),
+			rsem:   make(chan struct{}, 1),
 		},
 		clientPath: clientPath,
 	}, nil

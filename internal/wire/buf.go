@@ -215,6 +215,11 @@ func (b *Buf) Extend(n int) []byte {
 	return b.store[b.end-n : b.end]
 }
 
+// Append grows the message by a copy of p at the end.
+func (b *Buf) Append(p []byte) {
+	copy(b.Extend(len(p)), p)
+}
+
 // TrimFront drops n bytes from the front of the message — how a chunnel
 // consumes its header on the receive path. The dropped bytes become
 // headroom, so an echo path can Prepend them back without reallocating.
