@@ -21,6 +21,13 @@
 // loop over the burst parameter executes once per element, so it counts
 // per-element against SendOverhead instead of tripping the unbounded
 // rule.
+//
+// A chunnel in the declarative form (core.Transform: Overhead, Encode,
+// Decode) has no SendBuf of its own — core.TransformConn calls its
+// Encode once per message on both paths — so Encode is its send path,
+// bounded by the constant its own Overhead() returns (what the
+// connection reserves) as well as by the declared SendOverhead (what
+// negotiation reserves).
 package overhead
 
 import (
@@ -75,54 +82,103 @@ func run(pass *analysis.Pass) error {
 			}
 		}
 	}
-	if len(impls) > 0 {
-		// The bound every send path must respect: the largest declared
-		// SendOverhead in the package (packages register one impl today;
-		// max keeps multi-impl packages conservative rather than wrong).
-		bound := impls[0]
-		for _, im := range impls[1:] {
-			if im.overhead > bound.overhead {
-				bound = im
-			}
+	// The bound every send path must respect: the largest declared
+	// SendOverhead in the package (packages register one impl today;
+	// max keeps multi-impl packages conservative rather than wrong).
+	var bound *implDecl
+	for i := range impls {
+		if bound == nil || impls[i].overhead > bound.overhead {
+			bound = &impls[i]
 		}
-		for _, f := range pass.Files {
-			for _, d := range f.Decls {
-				fd, ok := d.(*ast.FuncDecl)
-				if !ok || fd.Body == nil || fd.Recv == nil {
+	}
+	for _, f := range pass.Files {
+		for _, d := range f.Decls {
+			fd, ok := d.(*ast.FuncDecl)
+			if !ok || fd.Body == nil || fd.Recv == nil {
+				continue
+			}
+			// path names the send path and total is its worst-case
+			// prepend per message.
+			path, total := "", 0
+			switch {
+			case fd.Name.Name == "SendBuf" && bound != nil:
+				if buf := bufParam(pass, fd); buf != nil {
+					path, total = "SendBuf", w.costFunc(fd, buf)
+				}
+			case fd.Name.Name == "SendBufs" && bound != nil:
+				// The batch path must respect the same per-message
+				// bound: each element of the burst gets at most
+				// SendOverhead bytes of headers.
+				if slice := bufSliceParam(pass, fd); slice != nil {
+					path, total = "SendBufs (per element)", w.costBatch(fd, slice)
+				}
+			case fd.Name.Name == "Encode":
+				own, ownPos, isTransform := w.transformOverhead(fd)
+				buf := bufParam(pass, fd)
+				if !isTransform || buf == nil {
 					continue
 				}
-				switch fd.Name.Name {
-				case "SendBuf":
-					buf := bufParam(pass, fd)
-					if buf == nil {
-						continue
-					}
-					total := w.costFunc(fd, buf)
-					if total > bound.overhead {
-						pass.Reportf(fd.Name.Pos(), "exceeds",
-							"SendBuf prepends up to %d bytes but ImplInfo %q declares SendOverhead %d; raise the declaration or shrink the header",
-							total, bound.name, bound.overhead)
-					}
-				case "SendBufs":
-					// The batch path must respect the same per-message
-					// bound: each element of the burst gets at most
-					// SendOverhead bytes of headers.
-					slice := bufSliceParam(pass, fd)
-					if slice == nil {
-						continue
-					}
-					total := w.costBatch(fd, slice)
-					if total > bound.overhead {
-						pass.Reportf(fd.Name.Pos(), "exceeds",
-							"SendBufs prepends up to %d bytes per element but ImplInfo %q declares SendOverhead %d; raise the declaration or shrink the header",
-							total, bound.name, bound.overhead)
-					}
+				path, total = "Encode", w.costFunc(fd, buf)
+				switch {
+				case own >= 0 && total > own:
+					pass.Reportf(fd.Name.Pos(), "exceeds",
+						"Encode prepends up to %d bytes but the transform's Overhead() returns %d; raise it or shrink the header",
+						total, own)
+				case own < 0 && bound == nil:
+					pass.Reportf(ownPos, "nonconst",
+						"Overhead() is not a compile-time constant and the package declares no SendOverhead; the analyzer cannot bound Encode")
 				}
+			}
+			if path != "" && bound != nil && total > bound.overhead {
+				pass.Reportf(fd.Name.Pos(), "exceeds",
+					"%s prepends up to %d bytes but ImplInfo %q declares SendOverhead %d; raise the declaration or shrink the header",
+					path, total, bound.name, bound.overhead)
 			}
 		}
 	}
 	w.exportCosts()
 	return nil
+}
+
+// transformOverhead reports whether fd — a method named Encode — belongs
+// to a type in the declarative chunnel form, i.e. one that also has
+// Overhead() int and Decode(*wire.Buf) (bool, error), and folds what its
+// Overhead returns: own is -1 when that is not a single constant return.
+func (w *walker) transformOverhead(fd *ast.FuncDecl) (own int, pos token.Pos, ok bool) {
+	fn, _ := w.pass.TypesInfo.Defs[fd.Name].(*types.Func)
+	if fn == nil {
+		return -1, token.NoPos, false
+	}
+	recv := fn.Type().(*types.Signature).Recv().Type()
+	if p, isPtr := recv.(*types.Pointer); isPtr {
+		recv = p.Elem()
+	}
+	mset := types.NewMethodSet(types.NewPointer(recv))
+	method := func(name string) *types.Func {
+		if sel := mset.Lookup(w.pass.Pkg, name); sel != nil {
+			f, _ := sel.Obj().(*types.Func)
+			return f
+		}
+		return nil
+	}
+	over, dec := method("Overhead"), method("Decode")
+	if over == nil || dec == nil {
+		return -1, token.NoPos, false
+	}
+	osig, dsig := over.Type().(*types.Signature), dec.Type().(*types.Signature)
+	if osig.Params().Len() != 0 || osig.Results().Len() != 1 ||
+		dsig.Params().Len() != 1 || !analysis.IsBufPtr(dsig.Params().At(0).Type()) || dsig.Results().Len() != 2 {
+		return -1, token.NoPos, false
+	}
+	own = -1
+	if od := w.decls[over]; od != nil && od.Body != nil && len(od.Body.List) == 1 {
+		if ret, isRet := od.Body.List[0].(*ast.ReturnStmt); isRet && len(ret.Results) == 1 {
+			if n, exact := foldInt(w.pass.TypesInfo.Types[ret.Results[0]].Value); exact {
+				own = n
+			}
+		}
+	}
+	return own, over.Pos(), true
 }
 
 // exportCosts publishes a CostFact for every function that prepends
@@ -358,6 +414,9 @@ func (c *coster) stmt(s ast.Stmt) int {
 					}
 				}
 			}
+		}
+		for _, l := range s.Lhs {
+			total += c.expr(l) // b.Prepend(1)[0] = tag prepends on the left
 		}
 		for _, r := range s.Rhs {
 			total += c.expr(r)

@@ -129,3 +129,70 @@ func (c *batchVarConn) SendBufs(ctx context.Context, bs []*wire.Buf) error {
 	}
 	return nil
 }
+
+// okTransform is a chunnel in the declarative form (core.Transform): it
+// has no SendBuf, so Encode is its send path. It prepends exactly what
+// its Overhead() and the ImplInfo declare: clean.
+type okTransform struct{}
+
+func (okTransform) Overhead() int { return headerLen }
+
+func (okTransform) Encode(b *wire.Buf) error {
+	b.Prepend(headerLen)[0] = 1
+	return nil
+}
+
+func (okTransform) Decode(b *wire.Buf) (bool, error) {
+	b.TrimFront(headerLen)
+	return true, nil
+}
+
+// shyTransform prepends more than its own Overhead() returns: the
+// connection built from it reserves too little headroom, even though
+// the ImplInfo bound still holds.
+type shyTransform struct{}
+
+func (*shyTransform) Overhead() int { return 2 }
+
+func (*shyTransform) Encode(b *wire.Buf) error { // want `Overhead\(\) returns 2`
+	b.Prepend(headerLen)
+	return nil
+}
+
+func (*shyTransform) Decode(b *wire.Buf) (bool, error) { return true, nil }
+
+// bigTransform is consistent with itself but not with the registered
+// ImplInfo: negotiation reserves 4 bytes for a layer that prepends 8.
+type bigTransform struct{}
+
+func (bigTransform) Overhead() int { return 8 }
+
+func (bigTransform) Encode(b *wire.Buf) error { // want `declares SendOverhead 4`
+	stamp(b)
+	stamp(b)
+	return nil
+}
+
+func (bigTransform) Decode(b *wire.Buf) (bool, error) { return true, nil }
+
+// encoderOnly has an Encode over a Buf but is not a transform (no
+// Overhead, no Decode): it is some other codec, not a send path.
+type encoderOnly struct{}
+
+func (encoderOnly) Encode(b *wire.Buf) error {
+	b.Prepend(64)
+	return nil
+}
+
+// lhsTransform stamps its header through an index on the Prepend result,
+// so the call sits on the left of the assignment: it counts all the same.
+type lhsTransform struct{}
+
+func (lhsTransform) Overhead() int { return 1 }
+
+func (lhsTransform) Encode(b *wire.Buf) error { // want `Overhead\(\) returns 1`
+	b.Prepend(2)[0] = 0xb0
+	return nil
+}
+
+func (lhsTransform) Decode(b *wire.Buf) (bool, error) { return true, nil }

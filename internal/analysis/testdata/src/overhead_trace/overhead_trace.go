@@ -28,19 +28,24 @@ func info() core.ImplInfo {
 	}
 }
 
-// stampConn mirrors the real traced chunnel's send path: a branch that
-// prepends the full context for sampled buffers and the marker for the
-// rest. The worst case is 16 bytes — over the declared 8.
-type stampConn struct{ next core.BufConn }
+// stamper mirrors the real traced chunnel's send path, a core.Transform
+// whose Encode prepends the full context for sampled buffers and the
+// marker for the rest. Its own Overhead() is honest; the worst case is
+// 16 bytes — over the declared 8.
+type stamper struct{}
 
-func (c *stampConn) SendBuf(ctx context.Context, b *wire.Buf) error { // want `exceeds`
+func (stamper) Overhead() int { return contextSize }
+
+func (stamper) Encode(b *wire.Buf) error { // want `exceeds`
 	if _, _, _, ok := b.Trace(); ok {
 		b.Prepend(contextSize)
 	} else {
 		b.Prepend(markerSize)[0] = 0xB0
 	}
-	return c.next.SendBuf(ctx, b)
+	return nil
 }
+
+func (stamper) Decode(b *wire.Buf) (bool, error) { return true, nil }
 
 // markerOnlyConn never stamps the full context; its 1-byte worst case
 // fits the declaration and the path stays clean.

@@ -11,7 +11,7 @@ import "runtime/debug"
 // Suite identifies the vet-suite rule set. Bump it whenever an
 // analyzer's rules change: the go command hashes the tool's -V=full
 // output into its build cache key, so a bump re-vets every package.
-const Suite = "berthavet-2026.08.8"
+const Suite = "berthavet-2026.09.1"
 
 // String renders "<module version> <suite revision>", e.g.
 // "v0.3.0 berthavet-2026.08.3". The module version is "(devel)" for

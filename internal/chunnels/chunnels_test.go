@@ -5,8 +5,11 @@ package chunnels_test
 
 import (
 	"bytes"
+	"compress/flate"
 	"context"
+	"errors"
 	"math/rand"
+	"runtime"
 	"testing"
 	"testing/quick"
 	"time"
@@ -145,6 +148,59 @@ func TestCompressInvalidLevel(t *testing.T) {
 	ra, _ := transport.Pipe(core.Addr{}, core.Addr{}, 1)
 	if _, err := compress.New(ra, 42); err == nil {
 		t.Error("invalid level accepted")
+	}
+}
+
+// TestCompressBoundsInflation: the bytes of one datagram may not size an
+// unbounded allocation. 57 KB of deflated zeros (a 56 MiB message) fails
+// the receive with ErrInflatedTooLarge; a message of exactly
+// core.MaxMessage still crosses, and one byte more is refused at the
+// sender.
+func TestCompressBoundsInflation(t *testing.T) {
+	ctx := ctxT(t)
+	ra, rb := transport.Pipe(core.Addr{}, core.Addr{}, 16)
+	a, _ := compress.New(ra, 1)
+	b, _ := compress.New(rb, 1)
+	defer a.Close()
+	defer b.Close()
+
+	var bomb bytes.Buffer
+	w, _ := flate.NewWriter(&bomb, flate.BestCompression)
+	zeros := make([]byte, 1<<20)
+	for i := 0; i < 56; i++ {
+		w.Write(zeros)
+	}
+	w.Close()
+	if bomb.Len() > transport.MaxDatagram {
+		t.Fatalf("the bomb is %d bytes, more than one datagram", bomb.Len())
+	}
+	if err := ra.Send(ctx, bomb.Bytes()); err != nil {
+		t.Fatal(err)
+	}
+	var before, after runtime.MemStats
+	runtime.ReadMemStats(&before)
+	_, err := b.Recv(ctx)
+	runtime.ReadMemStats(&after)
+	if !errors.Is(err, compress.ErrInflatedTooLarge) {
+		t.Fatalf("receiving a 56 MiB bomb: %v, want ErrInflatedTooLarge", err)
+	}
+	// ReadAll growing its slice up to the 4 MiB limit allocates ~20 MiB
+	// in all; inflating the whole bomb would take several times its size.
+	if grew := after.TotalAlloc - before.TotalAlloc; grew > 32<<20 {
+		t.Fatalf("the refused bomb still allocated %d MiB", grew>>20)
+	}
+
+	atLimit := make([]byte, core.MaxMessage)
+	rand.New(rand.NewSource(1)).Read(atLimit[:1024]) // mostly zeros: it must fit a pipe message either way
+	if err := a.Send(ctx, atLimit); err != nil {
+		t.Fatalf("send at the limit: %v", err)
+	}
+	got, err := b.Recv(ctx)
+	if err != nil || !bytes.Equal(got, atLimit) {
+		t.Fatalf("a message of exactly MaxMessage: %d bytes, %v", len(got), err)
+	}
+	if err := a.Send(ctx, make([]byte, core.MaxMessage+1)); !errors.Is(err, core.ErrMessageTooLarge) {
+		t.Fatalf("send over the limit: %v, want ErrMessageTooLarge", err)
 	}
 }
 

@@ -10,6 +10,7 @@ import (
 	"bytes"
 	"compress/flate"
 	"context"
+	"errors"
 	"fmt"
 	"io"
 	"sync"
@@ -64,6 +65,9 @@ type compConn struct {
 }
 
 func (c *compConn) Send(ctx context.Context, p []byte) error {
+	if len(p) > core.MaxMessage {
+		return fmt.Errorf("compress: %d bytes: %w", len(p), core.ErrMessageTooLarge)
+	}
 	c.mu.Lock()
 	c.buf.Reset()
 	if c.w == nil {
@@ -91,17 +95,16 @@ func (c *compConn) Send(ctx context.Context, p []byte) error {
 	return core.SendBuf(ctx, c.Conn, out)
 }
 
-// SendBuf consumes b. Compression rewrites the whole message, so this
-// is inherently a copy boundary, not a prepend.
-func (c *compConn) SendBuf(ctx context.Context, b *wire.Buf) error {
-	err := c.Send(ctx, b.Bytes())
-	b.Release()
-	return err
-}
-
 // Headroom: compression re-buffers the message, so upstream headroom
-// cannot reach the layers below; reserving it would be waste.
+// cannot reach the layers below; reserving it would be waste. A Buf
+// handed to this layer takes the core fallback (Send its bytes, release
+// it): compression is a copy boundary, not a prepend.
 func (c *compConn) Headroom() int { return 0 }
+
+// ErrInflatedTooLarge fails a receive whose datagram inflates past
+// core.MaxMessage: network bytes may not size an allocation without a
+// bound (60 KB of deflated zeros is ~60 MB).
+var ErrInflatedTooLarge = errors.New("compress: inflated message exceeds the message size limit")
 
 func (c *compConn) Recv(ctx context.Context) ([]byte, error) {
 	b, err := core.RecvBuf(ctx, c.Conn)
@@ -109,21 +112,14 @@ func (c *compConn) Recv(ctx context.Context) ([]byte, error) {
 		return nil, err
 	}
 	r := flate.NewReader(bytes.NewReader(b.Bytes()))
-	out, err := io.ReadAll(r)
+	out, err := io.ReadAll(io.LimitReader(r, core.MaxMessage+1))
 	r.Close()
 	b.Release()
 	if err != nil {
 		return nil, fmt.Errorf("compress: inflate: %w", err)
 	}
-	return out, nil
-}
-
-// RecvBuf is Recv wrapped in an unpooled buffer (inflation allocates
-// its output regardless).
-func (c *compConn) RecvBuf(ctx context.Context) (*wire.Buf, error) {
-	p, err := c.Recv(ctx)
-	if err != nil {
-		return nil, err
+	if len(out) > core.MaxMessage {
+		return nil, ErrInflatedTooLarge
 	}
-	return wire.WrapBuf(p), nil
+	return out, nil
 }

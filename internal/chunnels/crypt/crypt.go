@@ -59,7 +59,7 @@ func fallback() *base.Impl {
 			Type:         Type,
 			Endpoint:     spec.EndpointBoth,
 			Location:     core.LocUserspace,
-			SendOverhead: 12, // GCM standard nonce size (tag is tailroom)
+			SendOverhead: nonceLen,
 		},
 		WrapFn: func(ctx context.Context, conn core.Conn, args, params []wire.Value, side core.Side, env *core.Env) (core.Conn, error) {
 			key, err := base.Bytes(Type, args, 0)
@@ -71,6 +71,14 @@ func fallback() *base.Impl {
 	}
 }
 
+// nonceLen is the GCM standard nonce size, the header in front of every
+// sealed message (the tag goes into tailroom).
+const nonceLen = 12
+
+// DecodeDroppedCounter counts received messages that were too short or
+// failed authentication, in the process telemetry registry.
+const DecodeDroppedCounter = "chunnel/encrypt/decode_dropped"
+
 // New wraps conn with AES-GCM encryption using the pre-shared key.
 func New(conn core.Conn, key []byte) (core.Conn, error) {
 	sum := sha256.Sum256(key)
@@ -78,134 +86,44 @@ func New(conn core.Conn, key []byte) (core.Conn, error) {
 	if err != nil {
 		return nil, fmt.Errorf("encrypt: %w", err)
 	}
-	aead, err := cipher.NewGCM(block)
+	aead, err := cipher.NewGCM(block) // standard nonce: nonceLen
 	if err != nil {
 		return nil, fmt.Errorf("encrypt: %w", err)
 	}
-	return &cryptConn{Conn: conn, aead: aead}, nil
+	return core.WrapTransform(conn, &sealer{aead: aead}, DecodeDroppedCounter), nil
 }
 
-type cryptConn struct {
-	core.Conn
+// sealer is the chunnel's datapath: seal and open in place.
+type sealer struct {
 	aead cipher.AEAD
 }
 
-func (c *cryptConn) Send(ctx context.Context, p []byte) error {
-	return c.SendBuf(ctx, wire.NewBufFrom(c.Headroom(), p))
-}
+func (s *sealer) Overhead() int { return nonceLen }
 
-// SendBuf seals the message in place: the nonce goes into headroom, the
-// plaintext is encrypted where it lies, and the GCM tag lands in
+// Encode seals the message where it lies: a fresh nonce goes into
+// headroom, the plaintext is encrypted in place and the GCM tag lands in
 // tailroom — no allocation on the steady-state path.
-func (c *cryptConn) SendBuf(ctx context.Context, b *wire.Buf) error {
-	ns := c.aead.NonceSize()
+func (s *sealer) Encode(b *wire.Buf) error {
 	plainLen := b.Len()
-	nonce := b.Prepend(ns) //bertha:overhead 12 GCM standard nonce, matches SendOverhead
-	if _, err := rand.Read(nonce); err != nil {
-		b.Release()
+	if _, err := rand.Read(b.Prepend(nonceLen)); err != nil {
 		return fmt.Errorf("encrypt: nonce: %w", err)
 	}
-	b.Extend(c.aead.Overhead())
+	b.Extend(s.aead.Overhead())
 	msg := b.Bytes() // nonce | plaintext | tag space
-	c.aead.Seal(msg[ns:ns], msg[:ns], msg[ns:ns+plainLen], nil)
-	return core.SendBuf(ctx, c.Conn, b)
+	s.aead.Seal(msg[nonceLen:nonceLen], msg[:nonceLen], msg[nonceLen:nonceLen+plainLen], nil)
+	return nil
 }
 
-// SendBufs seals the whole burst in one pass — each message in place
-// with its own fresh nonce — then hands the sealed burst down whole. A
-// nonce failure aborts before anything is transmitted.
-func (c *cryptConn) SendBufs(ctx context.Context, bs []*wire.Buf) error {
-	ns := c.aead.NonceSize()
-	for _, b := range bs {
-		plainLen := b.Len()
-		nonce := b.Prepend(ns) //bertha:overhead 12 GCM standard nonce, matches SendOverhead
-		if _, err := rand.Read(nonce); err != nil {
-			core.ReleaseAll(bs)
-			return &core.BatchError{Sent: 0, Err: fmt.Errorf("encrypt: nonce: %w", err)}
-		}
-		b.Extend(c.aead.Overhead())
-		msg := b.Bytes() // nonce | plaintext | tag space
-		c.aead.Seal(msg[ns:ns], msg[:ns], msg[ns:ns+plainLen], nil)
-	}
-	return core.SendBufs(ctx, c.Conn, bs)
-}
-
-// RecvBufs opens a burst in one pass. Messages that fail authentication
-// (or are too short) are dropped individually — datagram semantics —
-// and the plaintexts compact into into's prefix; the call only fails
-// when an entire burst was bad.
-func (c *cryptConn) RecvBufs(ctx context.Context, into []*wire.Buf) (int, error) {
-	if len(into) == 0 {
-		return 0, nil
-	}
-	ns := c.aead.NonceSize()
-	for {
-		n, err := core.RecvBufs(ctx, c.Conn, into)
-		if err != nil {
-			return 0, err
-		}
-		out := 0
-		var firstErr error
-		for i := 0; i < n; i++ {
-			b := into[i]
-			sealed := b.Bytes()
-			if len(sealed) < ns+c.aead.Overhead() {
-				if firstErr == nil {
-					firstErr = fmt.Errorf("encrypt: short ciphertext (%d bytes)", len(sealed))
-				}
-				b.Release()
-				continue
-			}
-			if _, err := c.aead.Open(sealed[ns:ns], sealed[:ns], sealed[ns:], nil); err != nil {
-				if firstErr == nil {
-					firstErr = fmt.Errorf("encrypt: authentication failed: %w", err)
-				}
-				b.Release()
-				continue
-			}
-			b.TrimFront(ns)
-			b.TrimBack(c.aead.Overhead())
-			into[out] = b
-			out++
-		}
-		if out > 0 {
-			return out, nil
-		}
-		if firstErr != nil {
-			return 0, firstErr
-		}
-	}
-}
-
-// Headroom implements core.HeadroomConn.
-func (c *cryptConn) Headroom() int { return c.aead.NonceSize() + core.HeadroomOf(c.Conn) }
-
-func (c *cryptConn) Recv(ctx context.Context) ([]byte, error) {
-	b, err := c.RecvBuf(ctx)
-	if err != nil {
-		return nil, err
-	}
-	return b.CopyOut(), nil
-}
-
-// RecvBuf opens the message in place and trims the nonce and tag off.
-func (c *cryptConn) RecvBuf(ctx context.Context) (*wire.Buf, error) {
-	b, err := core.RecvBuf(ctx, c.Conn)
-	if err != nil {
-		return nil, err
-	}
-	ns := c.aead.NonceSize()
+// Decode opens the message in place and trims the nonce and tag off.
+func (s *sealer) Decode(b *wire.Buf) (bool, error) {
 	sealed := b.Bytes()
-	if len(sealed) < ns+c.aead.Overhead() {
-		n := len(sealed)
-		b.Release()
-		return nil, fmt.Errorf("encrypt: short ciphertext (%d bytes)", n)
+	if len(sealed) < nonceLen+s.aead.Overhead() {
+		return false, fmt.Errorf("encrypt: short ciphertext (%d bytes)", len(sealed))
 	}
-	if _, err := c.aead.Open(sealed[ns:ns], sealed[:ns], sealed[ns:], nil); err != nil {
-		b.Release()
-		return nil, fmt.Errorf("encrypt: authentication failed: %w", err)
+	if _, err := s.aead.Open(sealed[nonceLen:nonceLen], sealed[:nonceLen], sealed[nonceLen:], nil); err != nil {
+		return false, fmt.Errorf("encrypt: authentication failed: %w", err)
 	}
-	b.TrimFront(ns)
-	b.TrimBack(c.aead.Overhead())
-	return b, nil
+	b.TrimFront(nonceLen)
+	b.TrimBack(s.aead.Overhead())
+	return true, nil
 }

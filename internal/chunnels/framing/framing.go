@@ -61,7 +61,7 @@ const DefaultMaxFrame = 16 << 10
 // the largest message the chunnel carries; senders reject larger ones.
 const (
 	maxOpenStreams = 32
-	MaxMessage     = 4 << 20
+	MaxMessage     = core.MaxMessage
 )
 
 // recvBurst is the burst-receive scratch: how many frames one receive

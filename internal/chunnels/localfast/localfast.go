@@ -149,15 +149,21 @@ func (i *ipcImpl) acceptLoop(ctx context.Context, l core.Listener) {
 				conn.Close()
 				return
 			}
+			// The entry stays until the negotiation that issued the token
+			// has looked it up (wrap removes it): a fast client gets here
+			// before the server's own wrap does.
 			i.mu.Lock()
 			ch, ok := i.waiting[string(tok)]
-			delete(i.waiting, string(tok))
 			i.mu.Unlock()
 			if !ok {
 				conn.Close() // unknown token
 				return
 			}
-			ch <- conn
+			select {
+			case ch <- conn:
+			default:
+				conn.Close() // the token was presented twice
+			}
 		}(conn)
 	}
 }
@@ -220,6 +226,11 @@ func (i *ipcImpl) wrap(ctx context.Context, conn core.Conn, args, params []wire.
 		if !ok {
 			return nil, fmt.Errorf("localfast: unknown token %q", token)
 		}
+		defer func() {
+			i.mu.Lock()
+			delete(i.waiting, token)
+			i.mu.Unlock()
+		}()
 		// Drain the original (network) connection while waiting and for
 		// the connection's lifetime: all data moves to the IPC path, so
 		// the only traffic here is retransmitted handshakes over a lossy
@@ -228,13 +239,10 @@ func (i *ipcImpl) wrap(ctx context.Context, conn core.Conn, args, params []wire.
 		spliced.startDrain()
 		select {
 		case ipc := <-ch:
-			spliced.Conn = ipc
+			spliced.Datapath = core.Resolve(ipc)
 			return spliced, nil
 		case <-time.After(spliceTimeout):
 			spliced.Close()
-			i.mu.Lock()
-			delete(i.waiting, token)
-			i.mu.Unlock()
 			return nil, fmt.Errorf("localfast: client never dialed the IPC path")
 		case <-ctx.Done():
 			spliced.Close()
@@ -243,18 +251,19 @@ func (i *ipcImpl) wrap(ctx context.Context, conn core.Conn, args, params []wire.
 	}
 }
 
-// splicedConn carries data on the IPC transport while keeping the
-// original network connection alive (drained in the background) for
-// handshake retransmissions and close propagation.
+// splicedConn carries data on the IPC transport — every datapath method
+// is the IPC connection's own — while keeping the original network
+// connection alive (drained in the background) for handshake
+// retransmissions and close propagation.
 type splicedConn struct {
-	core.Conn
+	core.Datapath
 	orig   core.Conn
 	cancel context.CancelFunc
 	once   sync.Once
 }
 
 func newSpliced(ipc, orig core.Conn) *splicedConn {
-	s := &splicedConn{Conn: ipc, orig: orig}
+	s := &splicedConn{Datapath: core.Resolve(ipc), orig: orig}
 	s.startDrain()
 	return s
 }
@@ -271,22 +280,10 @@ func (s *splicedConn) startDrain() {
 	}()
 }
 
-// SendBuf, RecvBuf, and Headroom forward the zero-copy path to the IPC
-// transport (interface embedding would otherwise hide it).
-func (s *splicedConn) SendBuf(ctx context.Context, b *wire.Buf) error {
-	return core.SendBuf(ctx, s.Conn, b)
-}
-
-func (s *splicedConn) RecvBuf(ctx context.Context) (*wire.Buf, error) {
-	return core.RecvBuf(ctx, s.Conn)
-}
-
-func (s *splicedConn) Headroom() int { return core.HeadroomOf(s.Conn) }
-
 func (s *splicedConn) Close() error {
 	var err error
-	if s.Conn != nil {
-		err = s.Conn.Close()
+	if s.Datapath != nil {
+		err = s.Datapath.Close()
 	}
 	s.once.Do(func() {
 		if s.cancel != nil {

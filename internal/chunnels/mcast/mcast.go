@@ -253,72 +253,55 @@ func (im *Impl) WrapMulti(ctx context.Context, conns []core.Conn, args, params [
 	if err != nil {
 		return nil, fmt.Errorf("mcast: dial sequencer %s: %w", target, err)
 	}
-	mc := &clientConn{
-		group:    conns,
-		send:     send,
-		stripCID: im.variant == ImplSwitch,
-	}
+	mc := &clientConn{group: conns}
+	mc.TransformConn = core.WrapTransform(send, groupFrame{stripCID: im.variant == ImplSwitch}, DecodeDroppedCounter)
 	return mc, nil
 }
 
 // clientConn is the client's ordered-multicast connection: Send
 // multicasts one operation through the sequencer; Recv returns replica
-// responses.
+// responses. Its datapath is the groupFrame transform over the
+// connection to the sequencer.
 type clientConn struct {
-	group    []core.Conn
-	send     core.Conn
-	stripCID bool
-	once     sync.Once
+	*core.TransformConn
+	group []core.Conn
+	once  sync.Once
 }
 
-func (c *clientConn) Send(ctx context.Context, p []byte) error {
-	return c.SendBuf(ctx, wire.NewBufFrom(c.Headroom(), p))
-}
+// DecodeDroppedCounter counts replies too short for the header the
+// switch variant puts on them, in the process telemetry registry.
+const DecodeDroppedCounter = "chunnel/mcast/decode_dropped"
 
-// SendBuf prepends the (zeroed) frame header into b's headroom; seq and
+// groupFrame is the client's header: the frame header on the way out,
+// and on the way back the client id the switch variant's replicas lead
+// their replies with.
+type groupFrame struct{ stripCID bool }
+
+func (groupFrame) Overhead() int { return frameHeader }
+
+// Encode prepends the (zeroed) frame header into b's headroom; seq and
 // cid are filled along the path.
-func (c *clientConn) SendBuf(ctx context.Context, b *wire.Buf) error {
+func (groupFrame) Encode(b *wire.Buf) error {
 	hdr := b.Prepend(frameHeader)
 	for i := range hdr {
 		hdr[i] = 0
 	}
-	return core.SendBuf(ctx, c.send, b)
+	return nil
 }
 
-// Headroom implements core.HeadroomConn.
-func (c *clientConn) Headroom() int { return frameHeader + core.HeadroomOf(c.send) }
-
-// RecvBuf is Recv's zero-copy form.
-func (c *clientConn) RecvBuf(ctx context.Context) (*wire.Buf, error) {
-	b, err := core.RecvBuf(ctx, c.send)
-	if err != nil {
-		return nil, err
-	}
-	if c.stripCID {
+func (f groupFrame) Decode(b *wire.Buf) (bool, error) {
+	if f.stripCID {
 		if b.Len() < 8 {
-			n := b.Len()
-			b.Release()
-			return nil, fmt.Errorf("mcast: short reply (%d bytes)", n)
+			return false, fmt.Errorf("mcast: short reply (%d bytes)", b.Len())
 		}
 		b.TrimFront(8)
 	}
-	return b, nil
+	return true, nil
 }
-
-func (c *clientConn) Recv(ctx context.Context) ([]byte, error) {
-	b, err := c.RecvBuf(ctx)
-	if err != nil {
-		return nil, err
-	}
-	return b.CopyOut(), nil
-}
-
-func (c *clientConn) LocalAddr() core.Addr  { return c.send.LocalAddr() }
-func (c *clientConn) RemoteAddr() core.Addr { return c.send.RemoteAddr() }
 
 func (c *clientConn) Close() error {
 	c.once.Do(func() {
-		c.send.Close()
+		c.TransformConn.Close()
 		for _, g := range c.group {
 			g.Close()
 		}

@@ -9,8 +9,10 @@ package ordering
 import (
 	"context"
 	"encoding/binary"
+	"errors"
 	"fmt"
 	"sync"
+	"sync/atomic"
 	"time"
 
 	"github.com/bertha-net/bertha/internal/chunnels/base"
@@ -44,7 +46,7 @@ func Register(reg *core.Registry) {
 			Type:         Type,
 			Endpoint:     spec.EndpointBoth,
 			Location:     core.LocUserspace,
-			SendOverhead: 8, // sequence number
+			SendOverhead: seqLen,
 		},
 		WrapFn: func(ctx context.Context, conn core.Conn, args, params []wire.Value, side core.Side, env *core.Env) (core.Conn, error) {
 			buf := int(base.IntOr(args, 0, DefaultBuffer))
@@ -54,6 +56,15 @@ func Register(reg *core.Registry) {
 	})
 }
 
+// seqLen is the header: a little-endian sequence number.
+const seqLen = 8
+
+// DecodeDroppedCounter counts received messages too short to carry a
+// sequence number, in the process telemetry registry.
+const DecodeDroppedCounter = "chunnel/ordering/decode_dropped"
+
+var errShort = errors.New("ordering: message shorter than its sequence number")
+
 // New wraps conn with ordered delivery.
 func New(conn core.Conn, buffer int, gapTimeout time.Duration) (core.Conn, error) {
 	if buffer <= 0 {
@@ -62,22 +73,25 @@ func New(conn core.Conn, buffer int, gapTimeout time.Duration) (core.Conn, error
 	if gapTimeout <= 0 {
 		gapTimeout = DefaultGapTimeout
 	}
-	return &orderConn{
-		Conn:    conn,
+	c := &orderConn{
 		buffer:  buffer,
 		gap:     gapTimeout,
 		pendMap: map[uint64]*wire.Buf{},
 		expect:  1,
-	}, nil
+	}
+	c.TransformConn = core.WrapTransform(conn, c, DecodeDroppedCounter)
+	return c, nil
 }
 
+// orderConn's send half is a transform (stamp the next sequence number);
+// its receive half is the reorder buffer, which is stateful and so keeps
+// its own receive methods over the transform's.
 type orderConn struct {
-	core.Conn
+	*core.TransformConn
 	buffer int
 	gap    time.Duration
 
-	sendMu  sync.Mutex
-	nextSeq uint64
+	nextSeq atomic.Uint64
 
 	recvMu   sync.Mutex
 	expect   uint64
@@ -85,36 +99,23 @@ type orderConn struct {
 	gapSince time.Time
 }
 
-func (c *orderConn) Send(ctx context.Context, p []byte) error {
-	return c.SendBuf(ctx, wire.NewBufFrom(c.Headroom(), p))
+func (c *orderConn) Overhead() int { return seqLen }
+
+// Encode stamps the next sequence number into b's headroom. If a burst
+// aborts partway the unsent tail's numbers are burned; the receiver's
+// gap handling skips them like any loss.
+func (c *orderConn) Encode(b *wire.Buf) error {
+	binary.LittleEndian.PutUint64(b.Prepend(seqLen), c.nextSeq.Add(1))
+	return nil
 }
 
-// SendBuf prepends the sequence number into b's headroom.
-func (c *orderConn) SendBuf(ctx context.Context, b *wire.Buf) error {
-	c.sendMu.Lock()
-	c.nextSeq++
-	seq := c.nextSeq
-	c.sendMu.Unlock()
-	binary.LittleEndian.PutUint64(b.Prepend(8), seq)
-	return core.SendBuf(ctx, c.Conn, b)
-}
-
-// SendBufs reserves a contiguous sequence range under one sendMu
-// acquisition and stamps the burst in slice order, then hands it down
-// whole. If the burst aborts partway the unsent tail's sequence numbers
-// are burned; the receiver's gap handling skips them like any loss.
-func (c *orderConn) SendBufs(ctx context.Context, bs []*wire.Buf) error {
-	if len(bs) == 0 {
-		return nil
+// Decode only rejects what cannot carry a sequence number; the number
+// stays on the message for the reorder buffer to read.
+func (c *orderConn) Decode(b *wire.Buf) (bool, error) {
+	if b.Len() < seqLen {
+		return false, errShort
 	}
-	c.sendMu.Lock()
-	base := c.nextSeq + 1
-	c.nextSeq += uint64(len(bs))
-	c.sendMu.Unlock()
-	for i, b := range bs {
-		binary.LittleEndian.PutUint64(b.Prepend(8), base+uint64(i))
-	}
-	return core.SendBufs(ctx, c.Conn, bs)
+	return true, nil
 }
 
 // RecvBufs delivers a contiguous in-order run: first whatever the
@@ -155,9 +156,6 @@ func (c *orderConn) drainReady(into []*wire.Buf) int {
 	c.recvMu.Unlock()
 	return n
 }
-
-// Headroom implements core.HeadroomConn.
-func (c *orderConn) Headroom() int { return 8 + core.HeadroomOf(c.Conn) }
 
 // Recv returns messages in sequence order, skipping gaps after the gap
 // timeout. Recv is not safe for concurrent callers (like most ordered
@@ -214,7 +212,7 @@ func (c *orderConn) RecvBuf(ctx context.Context) (*wire.Buf, error) {
 		if waiting {
 			rctx, cancel = context.WithDeadline(ctx, since.Add(c.gap))
 		}
-		msg, err := core.RecvBuf(rctx, c.Conn)
+		msg, err := c.TransformConn.RecvBuf(rctx)
 		if cancel != nil {
 			cancel()
 		}
@@ -222,14 +220,13 @@ func (c *orderConn) RecvBuf(ctx context.Context) (*wire.Buf, error) {
 			if waiting && rctx.Err() != nil && ctx.Err() == nil {
 				continue // gap timer fired: loop and skip
 			}
+			if errors.Is(err, errShort) {
+				continue // malformed: dropped and counted below
+			}
 			return nil, err
 		}
-		if msg.Len() < 8 {
-			msg.Release()
-			continue // malformed: drop
-		}
-		seq := binary.LittleEndian.Uint64(msg.Bytes()[:8])
-		msg.TrimFront(8)
+		seq := binary.LittleEndian.Uint64(msg.Bytes())
+		msg.TrimFront(seqLen)
 
 		c.recvMu.Lock()
 		switch {
@@ -255,7 +252,7 @@ func (c *orderConn) RecvBuf(ctx context.Context) (*wire.Buf, error) {
 
 // Close releases any buffered out-of-order messages.
 func (c *orderConn) Close() error {
-	err := c.Conn.Close()
+	err := c.TransformConn.Close()
 	c.recvMu.Lock()
 	for s, b := range c.pendMap {
 		delete(c.pendMap, s)

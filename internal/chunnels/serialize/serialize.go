@@ -54,108 +54,39 @@ func Register(reg *core.Registry) {
 	})
 }
 
+// DecodeDroppedCounter counts received messages whose format tag did not
+// match, in the process telemetry registry.
+const DecodeDroppedCounter = "chunnel/serialize/decode_dropped"
+
 // New wraps conn with the named format's message tagging.
 func New(conn core.Conn, format string) (core.Conn, error) {
 	tag, ok := formatTag[format]
 	if !ok {
 		return nil, fmt.Errorf("serialize: unknown format %q", format)
 	}
-	return &tagConn{Conn: conn, tag: tag}, nil
+	return core.WrapTransform(conn, formatTagger(tag), DecodeDroppedCounter), nil
 }
 
-type tagConn struct {
-	core.Conn
-	tag byte
+// formatTagger is the chunnel's datapath: one format tag byte in front
+// of every message.
+type formatTagger byte
+
+func (formatTagger) Overhead() int { return 1 }
+
+func (t formatTagger) Encode(b *wire.Buf) error {
+	b.Prepend(1)[0] = byte(t)
+	return nil
 }
 
-func (c *tagConn) Send(ctx context.Context, p []byte) error {
-	return c.SendBuf(ctx, wire.NewBufFrom(c.Headroom(), p))
-}
-
-// SendBuf prepends the format tag into b's headroom.
-func (c *tagConn) SendBuf(ctx context.Context, b *wire.Buf) error {
-	b.Prepend(1)[0] = c.tag
-	return core.SendBuf(ctx, c.Conn, b)
-}
-
-// SendBufs stamps the format tag onto every message in one pass, then
-// hands the burst down whole.
-func (c *tagConn) SendBufs(ctx context.Context, bs []*wire.Buf) error {
-	for _, b := range bs {
-		b.Prepend(1)[0] = c.tag
+func (t formatTagger) Decode(b *wire.Buf) (bool, error) {
+	if b.Len() == 0 {
+		return false, fmt.Errorf("serialize: format mismatch (empty message)")
 	}
-	return core.SendBufs(ctx, c.Conn, bs)
-}
-
-// RecvBufs checks and trims the format tag across a burst in one pass.
-// Mismatched messages are dropped individually (datagram semantics) and
-// the survivors compact into into's prefix; the call only fails when an
-// entire burst is bad.
-func (c *tagConn) RecvBufs(ctx context.Context, into []*wire.Buf) (int, error) {
-	if len(into) == 0 {
-		return 0, nil
-	}
-	for {
-		n, err := core.RecvBufs(ctx, c.Conn, into)
-		if err != nil {
-			return 0, err
-		}
-		out := 0
-		var firstErr error
-		for i := 0; i < n; i++ {
-			b := into[i]
-			if b.Len() == 0 || b.Bytes()[0] != c.tag {
-				got := firstByte(b.Bytes())
-				b.Release()
-				if firstErr == nil {
-					firstErr = fmt.Errorf("serialize: format mismatch (tag %#x)", got)
-				}
-				continue
-			}
-			b.TrimFront(1)
-			into[out] = b
-			out++
-		}
-		if out > 0 {
-			return out, nil
-		}
-		if firstErr != nil {
-			return 0, firstErr
-		}
-	}
-}
-
-// Headroom implements core.HeadroomConn.
-func (c *tagConn) Headroom() int { return 1 + core.HeadroomOf(c.Conn) }
-
-func (c *tagConn) Recv(ctx context.Context) ([]byte, error) {
-	b, err := c.RecvBuf(ctx)
-	if err != nil {
-		return nil, err
-	}
-	return b.CopyOut(), nil
-}
-
-// RecvBuf checks and trims the format tag in place.
-func (c *tagConn) RecvBuf(ctx context.Context) (*wire.Buf, error) {
-	b, err := core.RecvBuf(ctx, c.Conn)
-	if err != nil {
-		return nil, err
-	}
-	if b.Len() == 0 || b.Bytes()[0] != c.tag {
-		got := firstByte(b.Bytes())
-		b.Release()
-		return nil, fmt.Errorf("serialize: format mismatch (tag %#x)", got)
+	if got := b.Bytes()[0]; got != byte(t) {
+		return false, fmt.Errorf("serialize: format mismatch (tag %#x)", got)
 	}
 	b.TrimFront(1)
-	return b, nil
-}
-
-func firstByte(p []byte) byte {
-	if len(p) == 0 {
-		return 0
-	}
-	return p[0]
+	return true, nil
 }
 
 // Codec marshals values of T to and from the binary wire format.

@@ -9,14 +9,12 @@
 // by the endpoint's sampler at the top of the stack) into 16 bytes of
 // headroom; unsampled messages pay a single marker byte. On the receive
 // path it parses the context back onto the Buf before any layer above
-// runs, and self-records the innermost receive span — including on the
-// plain []byte Recv path, where the Buf (and its context fields) do not
-// survive the copy out.
+// runs, so the instrumented wrapper over each layer — this one included
+// — records that layer's receive span.
 package traced
 
 import (
 	"context"
-	"time"
 
 	"github.com/bertha-net/bertha/internal/chunnels/base"
 	"github.com/bertha-net/bertha/internal/core"
@@ -43,125 +41,56 @@ func Register(reg *core.Registry) {
 			SendOverhead: tracing.ContextSize, // sampled sends; unsampled pay 1 marker byte
 		},
 		WrapFn: func(ctx context.Context, conn core.Conn, args, params []wire.Value, side core.Side, env *core.Env) (core.Conn, error) {
-			var ring *tracing.SpanRing
-			if v, ok := env.Lookup(core.EnvTraceRing); ok {
-				ring, _ = v.(*tracing.SpanRing)
-			}
-			// A missing ring (peer-driven tracing with local telemetry
-			// off) still stamps and parses the wire format so the two
-			// sides stay interoperable; it just records nothing here.
-			return New(conn, ring), nil
+			return New(conn, nil), nil
 		},
 	})
 }
 
-// New wraps conn with trace-context stamping, recording receive spans
-// into ring (nil: wire format only, no recording). Exported for manual
-// stacks; negotiated stacks get it via Register.
-func New(conn core.Conn, ring *tracing.SpanRing) core.Conn {
-	return &tracedConn{Conn: conn, recv: ring.Handle(Type, core.TraceImplName)}
+// DecodeDroppedCounter is the layer's rejected-message counter. It stays
+// at zero: a message without a context is passed up untouched, never
+// rejected.
+const DecodeDroppedCounter = "chunnel/trace/decode_dropped"
+
+// New wraps conn with trace-context stamping. Exported for manual
+// stacks; negotiated stacks get it via Register. The ring is unused:
+// receive spans are recorded by the core.InstrumentTraced wrapper over
+// this layer, from the context parsed here.
+func New(conn core.Conn, _ *tracing.SpanRing) core.Conn {
+	return core.WrapTransform(conn, stamper{}, DecodeDroppedCounter)
 }
 
-type tracedConn struct {
-	core.Conn
-	recv tracing.Handle
-}
+// stamper is the chunnel's datapath.
+type stamper struct{}
 
-// stamp serializes b's trace context into headroom: the full 16-byte
-// context when sampled, the 1-byte marker otherwise.
-func stamp(b *wire.Buf) {
+// Overhead is the sampled context size — the worst case — so callers
+// allocating against the stack's headroom never force a reallocating
+// Prepend.
+func (stamper) Overhead() int { return tracing.ContextSize }
+
+// Encode serializes b's trace context into headroom: the full 16-byte
+// context when sampled, the 1-byte marker otherwise (a message that
+// entered the stack as plain []byte carries none).
+func (stamper) Encode(b *wire.Buf) error {
 	if id, span, hop, ok := b.Trace(); ok {
-		tracing.EncodeContext(b.Prepend(16), id, span, hop)
+		tracing.EncodeContext(b.Prepend(tracing.ContextSize), id, span, hop)
 	} else {
-		b.Prepend(1)[0] = tracing.FlagUnsampled
+		b.Prepend(tracing.MarkerSize)[0] = tracing.FlagUnsampled
 	}
+	return nil
 }
 
-// parse consumes b's leading context, restoring the trace fields onto
-// the Buf for the layers above. Returns the sampled context for span
-// recording (ok only when sampled).
-func parse(b *wire.Buf) (id uint64, hop uint8, ok bool) {
+// Decode consumes b's leading context, restoring the trace fields onto
+// the Buf for the layers above.
+func (stamper) Decode(b *wire.Buf) (bool, error) {
 	n, id, span, hop, sampled, valid := tracing.ParseContext(b.Bytes())
 	if !valid {
 		// The peer did not run the trace chunnel (or the message is
 		// corrupt); leave the payload untouched for the layers above.
-		return 0, 0, false
+		return true, nil
 	}
 	b.TrimFront(n)
 	if sampled {
 		b.SetTrace(id, span, hop)
-		return id, hop, true
 	}
-	return 0, 0, false
-}
-
-func (c *tracedConn) Send(ctx context.Context, p []byte) error {
-	// Plain []byte sends carry no Buf to hold a context; they ride the
-	// unsampled marker path.
-	return c.SendBuf(ctx, wire.NewBufFrom(c.Headroom(), p))
-}
-
-func (c *tracedConn) SendBuf(ctx context.Context, b *wire.Buf) error {
-	stamp(b)
-	return core.SendBuf(ctx, c.Conn, b)
-}
-
-// SendBufs stamps every element in place — each datagram needs its own
-// context or marker on the wire — then hands the burst down whole so
-// the vectored path is preserved.
-func (c *tracedConn) SendBufs(ctx context.Context, bs []*wire.Buf) error {
-	for _, b := range bs {
-		stamp(b)
-	}
-	return core.SendBufs(ctx, c.Conn, bs)
-}
-
-func (c *tracedConn) Recv(ctx context.Context) ([]byte, error) {
-	b, err := c.RecvBuf(ctx)
-	if err != nil {
-		return nil, err
-	}
-	// CopyOut drops the Buf (and the context fields with it); the span
-	// was already recorded by RecvBuf, so only per-layer attribution
-	// above this point is lost on the plain path.
-	return b.CopyOut(), nil
-}
-
-func (c *tracedConn) RecvBuf(ctx context.Context) (*wire.Buf, error) {
-	t0 := time.Now()
-	b, err := core.RecvBuf(ctx, c.Conn)
-	if err != nil {
-		return nil, err
-	}
-	if id, hop, ok := parse(b); ok && c.recv.Active() {
-		c.recv.Record(tracing.KindRecv, id, t0, time.Since(t0), b.Len(), 1, hop, false)
-	}
-	return b, nil
-}
-
-func (c *tracedConn) RecvBufs(ctx context.Context, into []*wire.Buf) (int, error) {
-	t0 := time.Now()
-	n, err := core.RecvBufs(ctx, c.Conn, into)
-	var tid uint64
-	var thop uint8
-	traced := false
-	bytes := 0
-	for _, b := range into[:n] {
-		id, hop, ok := parse(b)
-		bytes += b.Len()
-		if ok && !traced {
-			tid, thop, traced = id, hop, true
-		}
-	}
-	if traced && c.recv.Active() {
-		c.recv.Record(tracing.KindRecv, tid, t0, time.Since(t0), bytes, n, thop, false)
-	}
-	return n, err
-}
-
-// Headroom adds the sampled context size — the worst case — so callers
-// allocating against the stack's headroom never force a reallocating
-// Prepend.
-func (c *tracedConn) Headroom() int {
-	return tracing.ContextSize + core.HeadroomOf(c.Conn)
+	return true, nil
 }

@@ -100,11 +100,10 @@ const (
 // Close). Buffers are in all cases consumed by the flush: the inner
 // SendBufs releases whatever it did not transmit.
 type Coalescer struct {
-	inner    Conn
+	Datapath // the stack below: the receive side passes straight through
 	delay    time.Duration
 	idle     int64 // load-detection window, nanoseconds
 	max      int
-	headroom int
 
 	last    atomic.Int64 // UnixNano of the most recent send
 	hot     atomic.Bool  // a recent send already followed another
@@ -136,10 +135,8 @@ type Coalescer struct {
 }
 
 var (
-	_ BufConn      = (*Coalescer)(nil)
-	_ BatchConn    = (*Coalescer)(nil)
-	_ HeadroomConn = (*Coalescer)(nil)
-	_ Flusher      = (*Coalescer)(nil)
+	_ Datapath = (*Coalescer)(nil)
+	_ Flusher  = (*Coalescer)(nil)
 )
 
 // NewCoalescer wraps inner in a send-side coalescer. Telemetry lands in
@@ -155,11 +152,10 @@ func NewCoalescer(inner Conn, cfg CoalesceConfig, tel *telemetry.Registry) *Coal
 		tel = telemetry.Default()
 	}
 	c := &Coalescer{
-		inner:    inner,
+		Datapath: Resolve(inner),
 		delay:    cfg.Delay,
 		idle:     cfg.Idle.Nanoseconds(),
 		max:      cfg.MaxBurst,
-		headroom: HeadroomOf(inner),
 		pending:  make([]*wire.Buf, cfg.MaxBurst),
 		flight:   make([]*wire.Buf, cfg.MaxBurst),
 		flushSem: make(chan struct{}, 1),
@@ -209,13 +205,13 @@ func (c *Coalescer) SendBuf(ctx context.Context, b *wire.Buf) error {
 		c.hot.Store(false) // cooled off
 	}
 	c.idleBypass.Inc()
-	return SendBuf(ctx, c.inner, b)
+	return c.Datapath.SendBuf(ctx, b)
 }
 
 // Send implements Conn by copying p into a pooled buffer and sending it
 // through the coalescing path, so plain-[]byte callers coalesce too.
 func (c *Coalescer) Send(ctx context.Context, p []byte) error {
-	return c.SendBuf(ctx, wire.NewBufFrom(c.headroom, p))
+	return c.SendBuf(ctx, wire.NewBufFrom(c.Headroom(), p))
 }
 
 // enqueue adds b to the pending burst, flushing inline when the burst
@@ -344,7 +340,7 @@ func (c *Coalescer) flushPending(ctx context.Context, reason int) error {
 	c.delayHist.Observe(time.Duration(time.Now().UnixNano() - first))
 	c.reasons[reason].Inc()
 	burst := c.flight[:n]
-	err := SendBufs(ctx, c.inner, burst)
+	err := c.Datapath.SendBufs(ctx, burst)
 	for i := range burst {
 		burst[i] = nil
 	}
@@ -399,32 +395,8 @@ func (c *Coalescer) SendBufs(ctx context.Context, bs []*wire.Buf) error {
 			return &BatchError{Sent: 0, Err: err}
 		}
 	}
-	return SendBufs(ctx, c.inner, bs)
+	return c.Datapath.SendBufs(ctx, bs)
 }
-
-// RecvBuf implements BufConn (receive path is untouched by coalescing).
-func (c *Coalescer) RecvBuf(ctx context.Context) (*wire.Buf, error) {
-	return RecvBuf(ctx, c.inner)
-}
-
-// RecvBufs implements BatchConn.
-func (c *Coalescer) RecvBufs(ctx context.Context, into []*wire.Buf) (int, error) {
-	return RecvBufs(ctx, c.inner, into)
-}
-
-// Recv implements Conn.
-func (c *Coalescer) Recv(ctx context.Context) ([]byte, error) {
-	return c.inner.Recv(ctx)
-}
-
-// Headroom implements HeadroomConn: the coalescer adds no headers.
-func (c *Coalescer) Headroom() int { return c.headroom }
-
-// LocalAddr implements Conn.
-func (c *Coalescer) LocalAddr() Addr { return c.inner.LocalAddr() }
-
-// RemoteAddr implements Conn.
-func (c *Coalescer) RemoteAddr() Addr { return c.inner.RemoteAddr() }
 
 // Close flushes the pending burst, stops the flush loop, and closes the
 // inner connection. A flush failure (including a deferred one) is
@@ -436,7 +408,7 @@ func (c *Coalescer) Close() error {
 		c.cancel()
 		c.timer.Stop()
 	})
-	err := c.inner.Close()
+	err := c.Datapath.Close()
 	if err == nil {
 		err = ferr
 	}

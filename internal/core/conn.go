@@ -137,6 +137,12 @@ func (s Side) String() string {
 	return "server"
 }
 
+// MaxMessage is the largest message a chunnel that buffers whole
+// messages agrees to carry (framing's reassembly, compress's inflation):
+// the one bound on what bytes from the network may make a receiver
+// allocate.
+const MaxMessage = 4 << 20
+
 // Common errors.
 var (
 	// ErrClosed is returned by operations on a closed Conn or Listener.

@@ -22,7 +22,7 @@ import (
 // up) gets one span per layer crossing recorded through the span
 // handle. Untraced Bufs cost one branch.
 type instrumentedConn struct {
-	Conn
+	Datapath
 	m    *telemetry.ConnMetrics
 	span tracing.Handle
 }
@@ -41,13 +41,13 @@ func InstrumentTraced(conn Conn, m *telemetry.ConnMetrics, h tracing.Handle) Con
 	if m == nil {
 		return conn
 	}
-	return &instrumentedConn{Conn: conn, m: m, span: h}
+	return &instrumentedConn{Datapath: Resolve(conn), m: m, span: h}
 }
 
 func (c *instrumentedConn) Send(ctx context.Context, p []byte) error {
 	n := len(p)
 	t0 := time.Now()
-	err := c.Conn.Send(ctx, p)
+	err := c.Datapath.Send(ctx, p)
 	c.m.RecordSend(n, time.Since(t0), err)
 	return err
 }
@@ -58,7 +58,7 @@ func (c *instrumentedConn) SendBuf(ctx context.Context, b *wire.Buf) error {
 	n := b.Len()
 	id, _, hop, traced := b.Trace()
 	t0 := time.Now()
-	err := SendBuf(ctx, c.Conn, b)
+	err := c.Datapath.SendBuf(ctx, b)
 	d := time.Since(t0)
 	c.m.RecordSend(n, d, err)
 	if traced && c.span.Active() {
@@ -69,7 +69,7 @@ func (c *instrumentedConn) SendBuf(ctx context.Context, b *wire.Buf) error {
 
 func (c *instrumentedConn) Recv(ctx context.Context) ([]byte, error) {
 	t0 := time.Now()
-	p, err := c.Conn.Recv(ctx)
+	p, err := c.Datapath.Recv(ctx)
 	c.m.RecordRecv(len(p), time.Since(t0), err)
 	return p, err
 }
@@ -80,7 +80,7 @@ func (c *instrumentedConn) Recv(ctx context.Context) ([]byte, error) {
 // durations include time blocked waiting for the message.
 func (c *instrumentedConn) RecvBuf(ctx context.Context) (*wire.Buf, error) {
 	t0 := time.Now()
-	b, err := RecvBuf(ctx, c.Conn)
+	b, err := c.Datapath.RecvBuf(ctx)
 	d := time.Since(t0)
 	n := 0
 	if err == nil {
@@ -100,20 +100,9 @@ func (c *instrumentedConn) RecvBuf(ctx context.Context) (*wire.Buf, error) {
 // before ownership transfers down the stack. A partial burst (the
 // callee aborted after sending a prefix) records the transmitted count.
 func (c *instrumentedConn) SendBufs(ctx context.Context, bs []*wire.Buf) error {
-	bytes := 0
-	var tid uint64
-	var thop uint8
-	traced := false
-	for _, b := range bs {
-		bytes += b.Len()
-		if !traced {
-			if id, _, hop, ok := b.Trace(); ok {
-				tid, thop, traced = id, hop, true
-			}
-		}
-	}
+	bytes, tid, thop, traced := burstTrace(bs)
 	t0 := time.Now()
-	err := SendBufs(ctx, c.Conn, bs)
+	err := c.Datapath.SendBufs(ctx, bs)
 	d := time.Since(t0)
 	sent := len(bs)
 	if err != nil {
@@ -132,20 +121,9 @@ func (c *instrumentedConn) SendBufs(ctx context.Context, bs []*wire.Buf) error {
 // size; ownership of the filled buffers passes untouched to the caller.
 func (c *instrumentedConn) RecvBufs(ctx context.Context, into []*wire.Buf) (int, error) {
 	t0 := time.Now()
-	n, err := RecvBufs(ctx, c.Conn, into)
+	n, err := c.Datapath.RecvBufs(ctx, into)
 	d := time.Since(t0)
-	bytes := 0
-	var tid uint64
-	var thop uint8
-	traced := false
-	for _, b := range into[:n] {
-		bytes += b.Len()
-		if !traced {
-			if id, _, hop, ok := b.Trace(); ok {
-				tid, thop, traced = id, hop, true
-			}
-		}
-	}
+	bytes, tid, thop, traced := burstTrace(into[:n])
 	c.m.RecordRecvBatch(n, bytes, d, err)
 	if traced && c.span.Active() {
 		c.span.Record(tracing.KindRecv, tid, t0, d, bytes, n, thop, false)
@@ -153,6 +131,14 @@ func (c *instrumentedConn) RecvBufs(ctx context.Context, into []*wire.Buf) (int,
 	return n, err
 }
 
-// Headroom reports the wrapped connection's headroom: instrumentation
-// adds no headers.
-func (c *instrumentedConn) Headroom() int { return HeadroomOf(c.Conn) }
+// burstTrace sums a burst's payload bytes and returns the trace context
+// of its first sampled element, if any.
+func burstTrace(bs []*wire.Buf) (bytes int, id uint64, hop uint8, traced bool) {
+	for _, b := range bs {
+		bytes += b.Len()
+		if !traced {
+			id, _, hop, traced = b.Trace()
+		}
+	}
+	return bytes, id, hop, traced
+}

@@ -172,7 +172,7 @@ func (e *Endpoint) assembleMulti(ctx context.Context, tagged []*taggedConn, hell
 	if e.coalesce != nil {
 		out = NewCoalescer(out, *e.coalesce, e.tel)
 	}
-	return &managedConn{Conn: out, ep: e, side: SideClient, active: active}, nil
+	return &managedConn{Datapath: Resolve(out), ep: e, side: SideClient, active: active}, nil
 }
 
 // fanConn is the default group connection when no chunnel collapses the

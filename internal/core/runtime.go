@@ -474,10 +474,8 @@ func (e *Endpoint) assemble(ctx context.Context, tc *taggedConn, stack []Resolve
 	e.env.SetStackHeadroom(headroom)
 
 	// When negotiation put the trace chunnel into the stack, enable the
-	// per-registry span ring and publish it through the Env so the trace
-	// chunnel (and any transport that wants to self-record) finds it.
-	// Handles minted from a nil ring are inert, so the untraced path
-	// needs no branches below.
+	// per-registry span ring. Handles minted from a nil ring are inert,
+	// so the untraced path needs no branches below.
 	var spanRing *tracing.SpanRing
 	if stackHasTrace(stack) {
 		ringSize := tracing.DefaultRingSize
@@ -485,7 +483,6 @@ func (e *Endpoint) assemble(ctx context.Context, tc *taggedConn, stack []Resolve
 			ringSize = e.tracing.RingSize
 		}
 		spanRing = e.tel.EnableSpans(ringSize)
-		e.env.Provide(EnvTraceRing, spanRing)
 	}
 
 	// The base of the instrumented stack: the mux data channel, recorded
@@ -556,12 +553,12 @@ func (e *Endpoint) assemble(ctx context.Context, tc *taggedConn, stack []Resolve
 	// the coalescer) so every instrumented wrapper underneath sees the
 	// trace context on the way down.
 	if e.tracing != nil && spanRing != nil {
-		conn = &samplerConn{Conn: conn, sampler: tracing.NewSampler(e.tracing.SampleRate)}
+		conn = &samplerConn{Datapath: Resolve(conn), sampler: tracing.NewSampler(e.tracing.SampleRate)}
 	}
 	openConns := e.tel.Gauge("core/open_conns")
 	openConns.Add(1)
 	return &managedConn{
-		Conn: conn, ep: e, side: side, active: active,
+		Datapath: Resolve(conn), ep: e, side: side, active: active,
 		layers: layerMetrics, openConns: openConns,
 	}, nil
 }
@@ -585,10 +582,12 @@ func teardownAll(ctx context.Context, active []activeImpl, e *Endpoint) {
 // service must not wedge shutdown.
 const teardownTimeout = 5 * time.Second
 
-// managedConn runs implementation teardown (and resource release) when
-// the connection closes.
+// managedConn is the top of a negotiated stack: the single place where
+// the application's Send(p) and Recv() become the Buf path (every other
+// entry point it inherits from the stack below), and where closing runs
+// implementation teardown and resource release.
 type managedConn struct {
-	Conn
+	Datapath
 	ep     *Endpoint
 	side   Side
 	active []activeImpl
@@ -597,6 +596,18 @@ type managedConn struct {
 	layers    []*telemetry.ConnMetrics
 	openConns *telemetry.Gauge
 	once      sync.Once
+}
+
+func (m *managedConn) Send(ctx context.Context, p []byte) error {
+	return m.SendBuf(ctx, wire.NewBufFrom(m.Headroom(), p))
+}
+
+func (m *managedConn) Recv(ctx context.Context) ([]byte, error) {
+	b, err := m.RecvBuf(ctx)
+	if err != nil {
+		return nil, err
+	}
+	return b.CopyOut(), nil
 }
 
 // HopStats derives each layer's exclusive send latency (p50/p95, µs)
@@ -639,34 +650,14 @@ func (m *managedConn) HopStats() []HopStat {
 	return out
 }
 
-// SendBuf, RecvBuf, and Headroom forward the zero-copy path through the
-// management wrapper (plain interface embedding would hide it).
-func (m *managedConn) SendBuf(ctx context.Context, b *wire.Buf) error {
-	return SendBuf(ctx, m.Conn, b)
-}
-
-func (m *managedConn) RecvBuf(ctx context.Context) (*wire.Buf, error) {
-	return RecvBuf(ctx, m.Conn)
-}
-
-func (m *managedConn) SendBufs(ctx context.Context, bs []*wire.Buf) error {
-	return SendBufs(ctx, m.Conn, bs)
-}
-
-func (m *managedConn) RecvBufs(ctx context.Context, into []*wire.Buf) (int, error) {
-	return RecvBufs(ctx, m.Conn, into)
-}
-
 // Flush forwards to the coalescer when the endpoint coalesces sends
 // (WithCoalescing); otherwise it is a no-op.
 func (m *managedConn) Flush(ctx context.Context) error {
-	return Flush(ctx, m.Conn)
+	return Flush(ctx, m.Datapath)
 }
 
-func (m *managedConn) Headroom() int { return HeadroomOf(m.Conn) }
-
 func (m *managedConn) Close() error {
-	err := m.Conn.Close()
+	err := m.Datapath.Close()
 	m.once.Do(func() {
 		if m.openConns != nil {
 			m.openConns.Add(-1)

@@ -2,8 +2,9 @@ package core
 
 import (
 	"context"
-	"fmt"
+	"errors"
 	"sync"
+	"sync/atomic"
 	"time"
 
 	"github.com/bertha-net/bertha/internal/wire"
@@ -14,97 +15,68 @@ import (
 // channel tag. It also answers duplicate ClientHellos (retransmitted over
 // lossy transports) with the cached ServerHello so the handshake is
 // idempotent.
+//
+// The data channel is a Transform — Encode stamps the data tag, Decode
+// strips it and handles control traffic that arrives late in place — so
+// the connection the negotiated stack wraps is WrapTransform's, reading
+// from a muxSource.
 type taggedConn struct {
-	raw Conn
+	raw Datapath
 
-	mu        sync.Mutex
-	earlyData [][]byte // data messages that arrived during the handshake
+	mu sync.Mutex
+	// early holds data messages that arrived during the handshake, tag
+	// still on, for the data channel to decode like any other.
+	early []*wire.Buf
 
 	ctrlMu    sync.Mutex
 	ctrlNonce uint64
 	ctrlReply []byte
 
-	peerClosed chan struct{}
-	closeOnce  sync.Once
+	// peerClosed records that the peer tore the connection down (an
+	// explicit close message, or a foreign handshake from a reused
+	// address).
+	peerClosed atomic.Bool
 }
 
 func newTaggedConn(raw Conn) *taggedConn {
-	return &taggedConn{raw: raw, peerClosed: make(chan struct{})}
+	return &taggedConn{raw: Resolve(raw)}
 }
 
-// markPeerClosed records that the peer tore the connection down (an
-// explicit close message, or a foreign handshake from a reused address).
-func (t *taggedConn) markPeerClosed() {
-	t.closeOnce.Do(func() { close(t.peerClosed) })
-}
-
-func (t *taggedConn) isPeerClosed() bool {
-	select {
-	case <-t.peerClosed:
-		return true
-	default:
-		return false
-	}
-}
-
-// sendTagged transmits one message on the given channel. p is copied
-// into a pooled buffer; hot-path senders use sendTaggedBuf instead.
+// sendTagged transmits one message on the given channel, copying p into
+// a pooled buffer.
 func (t *taggedConn) sendTagged(ctx context.Context, tag byte, p []byte) error {
-	return t.sendTaggedBuf(ctx, tag, wire.NewBufFrom(1, p))
-}
-
-// sendTaggedBuf prepends the channel tag into b's headroom and passes it
-// down, consuming b.
-func (t *taggedConn) sendTaggedBuf(ctx context.Context, tag byte, b *wire.Buf) error {
+	b := wire.NewBufFrom(1, p)
 	b.Prepend(1)[0] = tag
-	return SendBuf(ctx, t.raw, b)
+	return t.raw.SendBuf(ctx, b)
 }
 
-// recvTaggedBuf receives the next message as an owned buffer with the
-// channel tag already trimmed off.
-func (t *taggedConn) recvTaggedBuf(ctx context.Context) (byte, *wire.Buf, error) {
-	b, err := RecvBuf(ctx, t.raw)
-	if err != nil {
-		return 0, nil, err
-	}
-	if b.Len() == 0 {
-		b.Release()
-		return 0, nil, fmt.Errorf("bertha: empty datagram on tagged connection")
-	}
-	tag := b.Bytes()[0]
-	b.TrimFront(1)
-	return tag, b, nil
-}
-
-// recvTagged receives the next message and its tag as a plain slice
-// owned by the caller (control messages are decoded with aliasing, so
-// they must not share pooled backing storage).
-func (t *taggedConn) recvTagged(ctx context.Context) (byte, []byte, error) {
-	tag, b, err := t.recvTaggedBuf(ctx)
-	if err != nil {
-		return 0, nil, err
-	}
-	return tag, b.CopyOut(), nil
-}
-
-// recvCtrl returns the next control message, buffering any data messages
-// that arrive first (possible when the peer finished its handshake and
-// started sending data before our control read).
+// recvCtrl returns the next control message as a slice the caller owns
+// (control messages are decoded with aliasing, so they must not share
+// pooled backing storage), keeping any data messages that arrive first
+// (possible when the peer finished its handshake and started sending
+// data before our control read) for the data channel.
 func (t *taggedConn) recvCtrl(ctx context.Context) ([]byte, error) {
 	for {
-		tag, p, err := t.recvTagged(ctx)
+		b, err := t.raw.RecvBuf(ctx)
 		if err != nil {
 			return nil, err
 		}
-		switch tag {
+		if b.Len() == 0 {
+			b.Release()
+			return nil, errEmptyDatagram
+		}
+		switch b.Bytes()[0] {
 		case tagCtrl:
-			return p, nil
+			b.TrimFront(1)
+			return b.CopyOut(), nil
 		case tagData:
+			// Unpooled: it may wait out the whole handshake.
+			early := wire.WrapBuf(b.CopyOut())
 			t.mu.Lock()
-			t.earlyData = append(t.earlyData, p)
+			t.early = append(t.early, early)
 			t.mu.Unlock()
 		default:
-			// Unknown tag: drop (forward compatibility).
+			b.Release() // unknown tag: drop (forward compatibility)
 		}
 	}
 }
@@ -118,166 +90,122 @@ func (t *taggedConn) setCtrlResponder(nonce uint64, reply []byte) {
 	t.ctrlMu.Unlock()
 }
 
-// dataConn returns the Conn the negotiated chunnel stack wraps: Send adds
-// the data tag; Recv drains handshake-era buffered data first, then
-// delivers data messages, replaying the cached ServerHello for duplicate
-// hellos.
+// muxDroppedCounter counts empty datagrams (nothing to carry a tag) on
+// negotiated connections' data channels.
+const muxDroppedCounter = "core/mux/decode_dropped"
+
+var errEmptyDatagram = errors.New("bertha: empty datagram on tagged connection")
+
+// dataConn returns the Conn the negotiated chunnel stack wraps.
 func (t *taggedConn) dataConn() Conn {
-	return &taggedDataConn{t: t}
+	return WrapTransform(&muxSource{Datapath: t.raw, t: t}, t, muxDroppedCounter)
 }
 
-type taggedDataConn struct {
+// Overhead is the tag byte.
+func (t *taggedConn) Overhead() int { return 1 }
+
+// Encode stamps the data tag.
+func (t *taggedConn) Encode(b *wire.Buf) error {
+	b.Prepend(1)[0] = tagData
+	return nil
+}
+
+// Decode strips the tag from a data message and consumes everything
+// else: control traffic is handled in place, and unknown tags and data
+// behind an observed close are dropped.
+func (t *taggedConn) Decode(b *wire.Buf) (bool, error) {
+	if b.Len() == 0 {
+		return false, errEmptyDatagram
+	}
+	tag := b.Bytes()[0]
+	b.TrimFront(1)
+	switch tag {
+	case tagData:
+		return !t.peerClosed.Load(), nil
+	case tagCtrl:
+		t.handleLateCtrl(b.Bytes())
+	}
+	return false, nil
+}
+
+// muxSource is where the data channel receives from: data kept from the
+// handshake first, then the base connection — and nothing once the peer
+// has closed, which is how a close that Decode consumed ends the receive
+// that saw it. Its Close announces the teardown.
+type muxSource struct {
+	Datapath
 	t *taggedConn
 }
 
-func (c *taggedDataConn) Send(ctx context.Context, p []byte) error {
-	return c.t.sendTagged(ctx, tagData, p)
-}
-
-// SendBuf prepends the data tag into b's headroom — the zero-copy entry
-// into the mux layer.
-func (c *taggedDataConn) SendBuf(ctx context.Context, b *wire.Buf) error {
-	return c.t.sendTaggedBuf(ctx, tagData, b)
-}
-
-// SendBufs stamps the data tag onto every message in one pass, then
-// hands the whole burst to the base transport.
-func (c *taggedDataConn) SendBufs(ctx context.Context, bs []*wire.Buf) error {
-	for _, b := range bs {
-		b.Prepend(1)[0] = tagData
+// takeEarly returns the oldest message kept from the handshake, if any.
+func (t *taggedConn) takeEarly() *wire.Buf {
+	t.mu.Lock()
+	defer t.mu.Unlock()
+	if len(t.early) == 0 {
+		return nil
 	}
-	return SendBufs(ctx, c.t.raw, bs)
+	b := t.early[0]
+	t.early = t.early[1:]
+	return b
 }
 
-// Headroom is the tag byte plus whatever the base transport wants.
-func (c *taggedDataConn) Headroom() int { return 1 + HeadroomOf(c.t.raw) }
-
-func (c *taggedDataConn) Recv(ctx context.Context) ([]byte, error) {
-	b, err := c.RecvBuf(ctx)
-	if err != nil {
-		return nil, err
+func (s *muxSource) RecvBuf(ctx context.Context) (*wire.Buf, error) {
+	if b := s.t.takeEarly(); b != nil {
+		return b, nil
 	}
-	return b.CopyOut(), nil
-}
-
-// RecvBuf returns the next data message, handling interleaved control
-// traffic (ServerHello replays, close announcements) in place.
-func (c *taggedDataConn) RecvBuf(ctx context.Context) (*wire.Buf, error) {
-	c.t.mu.Lock()
-	if len(c.t.earlyData) > 0 {
-		p := c.t.earlyData[0]
-		c.t.earlyData = c.t.earlyData[1:]
-		c.t.mu.Unlock()
-		return wire.WrapBuf(p), nil
-	}
-	c.t.mu.Unlock()
-	if c.t.isPeerClosed() {
+	if s.t.peerClosed.Load() {
 		return nil, ErrClosed
 	}
-	for {
-		tag, b, err := c.t.recvTaggedBuf(ctx)
-		if err != nil {
-			return nil, err
-		}
-		switch tag {
-		case tagData:
-			return b, nil
-		case tagCtrl:
-			closed := c.t.handleLateCtrl(ctx, b.Bytes())
-			b.Release() // handleLateCtrl does not retain the message
-			if closed {
-				return nil, ErrClosed
-			}
-		default:
-			b.Release() // unknown tag: drop (forward compatibility)
-		}
-	}
+	return s.Datapath.RecvBuf(ctx)
 }
 
-// RecvBufs drains a burst of data messages, demultiplexing the channel
-// tags in one pass: control traffic is handled in place (as in RecvBuf)
-// and data messages compact into into's prefix. Handshake-era buffered
-// data is delivered first, one message per call (it predates the batch
-// path and is already unpooled).
-func (c *taggedDataConn) RecvBufs(ctx context.Context, into []*wire.Buf) (int, error) {
-	if len(into) == 0 {
-		return 0, nil
-	}
-	c.t.mu.Lock()
-	if len(c.t.earlyData) > 0 {
-		p := c.t.earlyData[0]
-		c.t.earlyData = c.t.earlyData[1:]
-		c.t.mu.Unlock()
-		into[0] = wire.WrapBuf(p)
+// RecvBufs delivers kept handshake-era data one message per call (it
+// predates the batch path and is already unpooled). into is not empty:
+// TransformConn answers an empty one itself.
+func (s *muxSource) RecvBufs(ctx context.Context, into []*wire.Buf) (int, error) {
+	if b := s.t.takeEarly(); b != nil {
+		into[0] = b
 		return 1, nil
 	}
-	c.t.mu.Unlock()
-	if c.t.isPeerClosed() {
+	if s.t.peerClosed.Load() {
 		return 0, ErrClosed
 	}
-	for {
-		n, err := RecvBufs(ctx, c.t.raw, into)
-		if err != nil {
-			return 0, err
-		}
-		out := 0
-		closed := false
-		for i := 0; i < n; i++ {
-			b := into[i]
-			if b.Len() == 0 {
-				b.Release() // empty datagram: cannot carry a tag, drop
-				continue
-			}
-			tag := b.Bytes()[0]
-			b.TrimFront(1)
-			switch tag {
-			case tagData:
-				if closed {
-					b.Release() // data after an observed close: drop
-					continue
-				}
-				into[out] = b
-				out++
-			case tagCtrl:
-				closed = c.t.handleLateCtrl(ctx, b.Bytes()) || closed
-				b.Release() // handleLateCtrl does not retain the message
-			default:
-				b.Release() // unknown tag: drop (forward compatibility)
-			}
-		}
-		if out > 0 {
-			return out, nil
-		}
-		if closed {
-			return 0, ErrClosed
-		}
-	}
+	return s.Datapath.RecvBufs(ctx, into)
 }
+
+// Close announces teardown to the peer (best effort) and closes the
+// base connection. The announcement lets datagram peers release
+// per-address state promptly.
+func (s *muxSource) Close() error {
+	if !s.t.peerClosed.Load() {
+		cctx, cancel := context.WithTimeout(context.Background(), lateCtrlTimeout)
+		_ = s.t.sendTagged(cctx, tagCtrl, []byte{msgClose})
+		cancel()
+	}
+	return s.Datapath.Close()
+}
+
+// lateCtrlTimeout bounds the best-effort control sends an established
+// connection makes without a caller's context: the close announcement
+// and a ServerHello replay (Decode has none to give).
+const lateCtrlTimeout = 50 * time.Millisecond
 
 // handleLateCtrl processes a control message on an established
 // connection: replay the cached ServerHello for retransmitted hellos of
 // this connection, and treat an explicit close — or a hello from a
 // *different* connection attempt (datagram source address reuse) — as
-// the peer tearing this connection down. It reports whether the
-// connection is now closed.
-func (t *taggedConn) handleLateCtrl(ctx context.Context, msg []byte) bool {
+// the peer tearing this connection down. It does not keep msg.
+func (t *taggedConn) handleLateCtrl(msg []byte) {
 	if len(msg) == 0 {
-		return false
+		return
 	}
 	switch msg[0] {
-	case msgClose:
-		// Close the base connection too: on demultiplexing datagram
-		// transports this releases the per-address peer entry, so a new
-		// connection from a reused source address starts fresh.
-		t.markPeerClosed()
-		t.raw.Close()
-		return true
 	case msgClientHello:
 		t.ctrlMu.Lock()
 		nonce, reply := t.ctrlNonce, t.ctrlReply
 		t.ctrlMu.Unlock()
 		if reply == nil {
-			return false
+			return
 		}
 		// The nonce sits right after [type, version] in the encoding.
 		d := wire.NewDecoder(msg)
@@ -285,34 +213,23 @@ func (t *taggedConn) handleLateCtrl(ctx context.Context, msg []byte) bool {
 		d.Uint8() // version
 		got := d.Uint64()
 		if d.Err() != nil {
-			return false
+			return
 		}
 		if got == nonce {
 			// Retransmission of this connection's hello: replay.
+			ctx, cancel := context.WithTimeout(context.Background(), lateCtrlTimeout)
 			_ = t.sendTagged(ctx, tagCtrl, reply)
-			return false
+			cancel()
+			return
 		}
 		// A new connection attempt from a reused address: this
-		// connection is dead. Closing releases the transport's peer
-		// state so the client's retry reaches a fresh connection.
-		t.markPeerClosed()
+		// connection is dead.
+		fallthrough
+	case msgClose:
+		// Close the base connection too: on demultiplexing datagram
+		// transports this releases the per-address peer entry, so a new
+		// connection from a reused source address starts fresh.
+		t.peerClosed.Store(true)
 		t.raw.Close()
-		return true
 	}
-	return false
-}
-
-func (c *taggedDataConn) LocalAddr() Addr  { return c.t.raw.LocalAddr() }
-func (c *taggedDataConn) RemoteAddr() Addr { return c.t.raw.RemoteAddr() }
-
-// Close announces teardown to the peer (best effort) and closes the
-// base connection. The announcement lets datagram peers release
-// per-address state promptly.
-func (c *taggedDataConn) Close() error {
-	if !c.t.isPeerClosed() {
-		cctx, cancel := context.WithTimeout(context.Background(), 50*time.Millisecond)
-		_ = c.t.sendTagged(cctx, tagCtrl, []byte{msgClose})
-		cancel()
-	}
-	return c.t.raw.Close()
 }

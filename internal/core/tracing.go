@@ -31,11 +31,6 @@ const (
 	TraceImplName = "trace/inline"
 )
 
-// EnvTraceRing is the Env resource key under which assemble publishes
-// the endpoint's span ring; the trace chunnel's Wrap looks it up to
-// record receive-side spans.
-const EnvTraceRing = "telemetry/span-ring"
-
 // TraceConfig parameterizes WithTracing; see tracing.Config.
 type TraceConfig = tracing.Config
 
@@ -64,12 +59,13 @@ func stackHasTrace(stack []ResolvedNode) bool {
 }
 
 // samplerConn sits at the very top of an assembled traced stack (above
-// the coalescer, below the managedConn) and makes the per-send sampling
-// decision. It must be outermost so that every instrumented wrapper
-// underneath sees the trace context on the way down. Receive-side
-// traffic passes through untouched — contexts arrive from the wire.
+// the coalescer, below the managedConn, which hands it every send as a
+// Buf) and makes the per-send sampling decision. It must be outermost so
+// that every instrumented wrapper underneath sees the trace context on
+// the way down. Receive-side traffic passes through untouched — contexts
+// arrive from the wire.
 type samplerConn struct {
-	Conn
+	Datapath
 	sampler *tracing.Sampler
 }
 
@@ -77,20 +73,7 @@ func (c *samplerConn) SendBuf(ctx context.Context, b *wire.Buf) error {
 	if c.sampler.Sample() {
 		b.SetTrace(tracing.NewTraceID(), 0, 0)
 	}
-	return SendBuf(ctx, c.Conn, b)
-}
-
-// Send lifts sampled plain-[]byte sends onto the Buf path — a bare
-// []byte has nowhere to carry the trace context, and applications using
-// the simple API are exactly the ones relying on tracing to see their
-// stack. Unsampled sends stay on the plain path untouched.
-func (c *samplerConn) Send(ctx context.Context, p []byte) error {
-	if c.sampler.Sample() {
-		b := wire.NewBufFrom(HeadroomOf(c.Conn), p)
-		b.SetTrace(tracing.NewTraceID(), 0, 0)
-		return SendBuf(ctx, c.Conn, b)
-	}
-	return c.Conn.Send(ctx, p)
+	return c.Datapath.SendBuf(ctx, b)
 }
 
 // SendBufs samples the burst as a unit: one decision, stamped on the
@@ -101,20 +84,10 @@ func (c *samplerConn) SendBufs(ctx context.Context, bs []*wire.Buf) error {
 	if len(bs) > 0 && c.sampler.Sample() {
 		bs[0].SetTrace(tracing.NewTraceID(), 0, 0)
 	}
-	return SendBufs(ctx, c.Conn, bs)
+	return c.Datapath.SendBufs(ctx, bs)
 }
 
-func (c *samplerConn) RecvBuf(ctx context.Context) (*wire.Buf, error) {
-	return RecvBuf(ctx, c.Conn)
-}
-
-func (c *samplerConn) RecvBufs(ctx context.Context, into []*wire.Buf) (int, error) {
-	return RecvBufs(ctx, c.Conn, into)
-}
-
-func (c *samplerConn) Flush(ctx context.Context) error { return Flush(ctx, c.Conn) }
-
-func (c *samplerConn) Headroom() int { return HeadroomOf(c.Conn) }
+func (c *samplerConn) Flush(ctx context.Context) error { return Flush(ctx, c.Datapath) }
 
 // HopStat is one stack layer's exclusive-latency estimate: the layer's
 // inclusive send latency minus its inner neighbour's, i.e. the time the

@@ -199,22 +199,34 @@ func (l *svcListener) Close() error {
 			service = l.addr.Addr[i:]
 		}
 		l.host.dropService(service)
-		l.mu.Lock()
-		for _, c := range l.peers {
-			c.closePeer()
-		}
-		l.mu.Unlock()
+		l.closePeers()
 	})
 	return nil
 }
 
+// closeLocked is Close for the host, which holds its own lock and drops
+// the service itself.
 func (l *svcListener) closeLocked() {
 	l.once.Do(func() {
 		close(l.closed)
-		for _, c := range l.peers {
-			c.closePeer()
-		}
+		l.closePeers()
 	})
+}
+
+// closePeers closes every peer connection. The table is read under the
+// listener's lock — a peer closing itself edits it (dropPeer) — and the
+// peers are closed outside it: that same peer holds its once while it
+// waits for the lock.
+func (l *svcListener) closePeers() {
+	l.mu.Lock()
+	peers := make([]*hostConn, 0, len(l.peers))
+	for _, c := range l.peers {
+		peers = append(peers, c)
+	}
+	l.mu.Unlock()
+	for _, c := range peers {
+		c.closePeer()
+	}
 }
 
 func (l *svcListener) dropPeer(key string) {
