@@ -177,9 +177,12 @@ func writeAttribution(w io.Writer, reg *telemetry.Registry) {
 		"stack: per-chunnel send-latency attribution (client side)",
 		"chunnel", "impl", "sends", "incl p50 (µs)", "incl p95 (µs)", "excl p95 (µs)", "share")
 	incl := make([]float64, len(stackTelemetryOrder))
+	sends := make([]uint64, len(stackTelemetryOrder))
 	snaps := make([]telemetry.HistogramSnapshot, len(stackTelemetryOrder))
 	for i, l := range stackTelemetryOrder {
-		snaps[i] = reg.Conn(l.chunnel, l.impl).SendLatency.Snapshot()
+		m := reg.Conn(l.chunnel, l.impl)
+		sends[i] = m.Sends.Value()
+		snaps[i] = m.SendLatency.Snapshot()
 		incl[i] = snaps[i].Quantile(0.95)
 	}
 	total := incl[0]
@@ -195,7 +198,7 @@ func writeAttribution(w io.Writer, reg *telemetry.Registry) {
 		if total > 0 {
 			share = excl / total
 		}
-		table.AddRow(l.chunnel, l.impl, snaps[i].Count,
+		table.AddRow(l.chunnel, l.impl, sends[i],
 			snaps[i].Quantile(0.50), incl[i], excl, fmt.Sprintf("%.0f%%", share*100))
 	}
 	table.Render(w)

@@ -59,7 +59,7 @@ func stackPairTraced(reg *telemetry.Registry, ring *tracing.SpanRing) (cli, srv 
 			return core.InstrumentTraced(conn, r.Conn(chunnel, impl), ring.Handle(chunnel, impl))
 		}
 		c = inst(c, "transport", "udp")
-		c = inst(traced.New(c, ring), "trace", core.TraceImplName)
+		c = inst(traced.New(c), "trace", core.TraceImplName)
 		f, err := framing.New(c, framing.DefaultMaxFrame)
 		if err != nil {
 			return nil, err

@@ -159,18 +159,7 @@ func wrapClientPush(ctx context.Context, conn core.Conn, args, params []wire.Val
 		}
 		conns[i] = c
 	}
-	pc := &pushConn{
-		canonical: conn,
-		shards:    conns,
-		fh:        fh,
-		in:        make(chan *wire.Buf, 1024),
-	}
-	pc.ctx, pc.cancel = context.WithCancel(context.Background())
-	for _, c := range conns {
-		go pc.fanIn(c)
-	}
-	go pc.fanIn(conn) // canonical address may also carry replies
-	return pc, nil
+	return newPushConn(conn, conns, fh), nil
 }
 
 // pushConn routes sends to per-shard connections and fans replies in.
@@ -182,7 +171,33 @@ type pushConn struct {
 
 	ctx    context.Context
 	cancel context.CancelFunc
+	fanIns sync.WaitGroup
 	once   sync.Once
+}
+
+// newPushConn starts one fan-in worker per shard connection; Close joins
+// them.
+func newPushConn(canonical core.Conn, shards []core.Conn, fh xdp.FieldHash) *pushConn {
+	p := &pushConn{
+		canonical: canonical,
+		shards:    shards,
+		fh:        fh,
+		in:        make(chan *wire.Buf, 1024),
+	}
+	p.ctx, p.cancel = context.WithCancel(context.Background())
+	for _, c := range shards {
+		p.startFanIn(c)
+	}
+	p.startFanIn(canonical) // canonical address may also carry replies
+	return p
+}
+
+func (p *pushConn) startFanIn(c core.Conn) {
+	p.fanIns.Add(1)
+	go func() {
+		defer p.fanIns.Done()
+		p.fanIn(c)
+	}()
 }
 
 // fanInBurst is how many replies a fan-in worker takes off its
@@ -306,6 +321,8 @@ func (p *pushConn) RecvBuf(ctx context.Context) (*wire.Buf, error) {
 func (p *pushConn) LocalAddr() core.Addr  { return p.canonical.LocalAddr() }
 func (p *pushConn) RemoteAddr() core.Addr { return p.canonical.RemoteAddr() }
 
+// Close stops and joins the fan-in workers, then releases the replies
+// they queued that no receive took.
 func (p *pushConn) Close() error {
 	p.once.Do(func() {
 		p.cancel()
@@ -313,6 +330,15 @@ func (p *pushConn) Close() error {
 			c.Close()
 		}
 		p.canonical.Close()
+		p.fanIns.Wait()
+		for {
+			select {
+			case m := <-p.in:
+				m.Release()
+			default:
+				return
+			}
+		}
 	})
 	return nil
 }

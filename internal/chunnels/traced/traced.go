@@ -41,7 +41,7 @@ func Register(reg *core.Registry) {
 			SendOverhead: tracing.ContextSize, // sampled sends; unsampled pay 1 marker byte
 		},
 		WrapFn: func(ctx context.Context, conn core.Conn, args, params []wire.Value, side core.Side, env *core.Env) (core.Conn, error) {
-			return New(conn, nil), nil
+			return New(conn), nil
 		},
 	})
 }
@@ -52,10 +52,10 @@ func Register(reg *core.Registry) {
 const DecodeDroppedCounter = "chunnel/trace/decode_dropped"
 
 // New wraps conn with trace-context stamping. Exported for manual
-// stacks; negotiated stacks get it via Register. The ring is unused:
-// receive spans are recorded by the core.InstrumentTraced wrapper over
-// this layer, from the context parsed here.
-func New(conn core.Conn, _ *tracing.SpanRing) core.Conn {
+// stacks; negotiated stacks get it via Register. Receive spans are
+// recorded by the core.InstrumentTraced wrapper over this layer, from
+// the context parsed here.
+func New(conn core.Conn) core.Conn {
 	return core.WrapTransform(conn, stamper{}, DecodeDroppedCounter)
 }
 

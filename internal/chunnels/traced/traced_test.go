@@ -265,9 +265,9 @@ func TestTracedSampledAllocs(t *testing.T) {
 	p1, p2 := transport.Pipe(a, bAddr, 64)
 	ring := tracing.NewSpanRing(256)
 	tel := telemetry.New()
-	cli := core.InstrumentTraced(traced.New(p1, ring), tel.Conn("trace", core.TraceImplName),
+	cli := core.InstrumentTraced(traced.New(p1), tel.Conn("trace", core.TraceImplName),
 		ring.Handle("trace", core.TraceImplName)).(core.BufConn)
-	srv := traced.New(p2, ring).(core.BufConn)
+	srv := traced.New(p2).(core.BufConn)
 
 	send := func() {
 		b := wire.NewBuf(64, 32)

@@ -90,7 +90,7 @@ var transformCases = []transformCase{
 	},
 	{
 		name:     "traced",
-		wrap:     func(c core.Conn) core.Conn { return traced.New(c, nil) },
+		wrap:     func(c core.Conn) core.Conn { return traced.New(c) },
 		overhead: tracing.ContextSize,
 		counter:  traced.DecodeDroppedCounter,
 		// No context, and a sampled flag without the bytes of one: the
@@ -312,7 +312,7 @@ func TestTransformEncodeFailure(t *testing.T) {
 func TestTransformTraceContext(t *testing.T) {
 	ctx := ctxT(t)
 	a, b := transport.Pipe(core.Addr{}, core.Addr{}, 16)
-	snd, rcv := core.Resolve(traced.New(a, nil)), core.Resolve(traced.New(b, nil))
+	snd, rcv := core.Resolve(traced.New(a)), core.Resolve(traced.New(b))
 	defer snd.Close()
 	defer rcv.Close()
 	mk := func(sampled bool) *wire.Buf {
@@ -386,7 +386,7 @@ func TestOrderingSendHalf(t *testing.T) {
 // stackOfThree is serialize |> encrypt |> trace by hand over one end of
 // a pipe, and its declared overheads.
 func stackOfThree(c core.Conn) core.Conn {
-	return must(serialize.New(wrapCrypt(traced.New(c, nil)), serialize.FormatBincode))
+	return must(serialize.New(wrapCrypt(traced.New(c)), serialize.FormatBincode))
 }
 
 const stackOfThreeOverhead = 1 + 12 + tracing.ContextSize

@@ -214,8 +214,8 @@ func (s HistogramSnapshot) Summary() stats.Summary {
 // ConnMetrics aggregates the data-plane counters for one
 // (chunnel type, implementation) pair. The runtime preallocates one per
 // pair at stack-assembly time and the instrumented connection holds a
-// direct pointer, so the per-message cost is a handful of atomic adds —
-// never a map lookup.
+// direct pointer, so the per-message cost is two atomic adds (plus the
+// latency histogram's three on a timed call) — never a map lookup.
 type ConnMetrics struct {
 	// Chunnel is the chunnel type ("serialize", "http2", "transport").
 	Chunnel string
@@ -232,7 +232,10 @@ type ConnMetrics struct {
 	// SendLatency and RecvLatency are inclusive of every layer below
 	// this one: a layer's exclusive cost is its latency minus its inner
 	// neighbour's. RecvLatency includes time blocked waiting for the
-	// next message.
+	// next message. Fed by core's instrumented wrapper they are a
+	// sample — each connection times its first call per direction, then
+	// every 64th (and every traced one) — so their count is the number of
+	// timed calls; Sends and Recvs are the exact rates.
 	SendLatency Histogram
 	RecvLatency Histogram
 	// SendBatch and RecvBatch record the realized burst sizes (messages
@@ -288,58 +291,91 @@ func (m *ConnMetrics) HopExcl() (p50, p95 float64, ok bool) {
 	return math.Float64frombits(b50), math.Float64frombits(b95), true
 }
 
+// The Record* methods count one call and observe its latency; the
+// Count* methods are the same call without a duration, for callers that
+// time only a sample of their calls (core's instrumented wrapper). Each
+// Count* reports whether its Record* twin would observe the latency.
+
 // RecordSend records one send outcome of n bytes taking d.
 func (m *ConnMetrics) RecordSend(n int, d time.Duration, err error) {
+	if m.CountSend(n, err) {
+		m.SendLatency.Observe(d)
+	}
+}
+
+// CountSend records one untimed send outcome of n bytes.
+func (m *ConnMetrics) CountSend(n int, err error) bool {
 	if err != nil {
 		m.SendErrs.Inc()
-		return
+		return false
 	}
 	m.Sends.Inc()
 	m.SendBytes.Add(uint64(n))
-	m.SendLatency.Observe(d)
+	return true
 }
 
 // RecordRecv records one receive outcome of n bytes taking d.
 func (m *ConnMetrics) RecordRecv(n int, d time.Duration, err error) {
+	if m.CountRecv(n, err) {
+		m.RecvLatency.Observe(d)
+	}
+}
+
+// CountRecv records one untimed receive outcome of n bytes.
+func (m *ConnMetrics) CountRecv(n int, err error) bool {
 	if err != nil {
 		m.RecvErrs.Inc()
-		return
+		return false
 	}
 	m.Recvs.Inc()
 	m.RecvBytes.Add(uint64(n))
-	m.RecvLatency.Observe(d)
+	return true
 }
 
 // RecordSendBatch records one SendBufs outcome: sent messages totalling
 // bytes payload bytes, taking d. A partially sent burst (sent > 0 with a
 // non-nil err) counts its transmitted prefix and the error.
 func (m *ConnMetrics) RecordSendBatch(sent, bytes int, d time.Duration, err error) {
+	if m.CountSendBatch(sent, bytes, err) {
+		m.SendLatency.Observe(d)
+	}
+}
+
+// CountSendBatch records one untimed SendBufs outcome.
+func (m *ConnMetrics) CountSendBatch(sent, bytes int, err error) bool {
 	if err != nil {
 		m.SendErrs.Inc()
 	}
 	if sent <= 0 {
-		return
+		return false
 	}
 	m.Sends.Add(uint64(sent))
 	m.SendBytes.Add(uint64(bytes))
-	m.SendLatency.Observe(d)
 	m.SendBatch.ObserveValue(uint64(sent))
+	return true
 }
 
 // RecordRecvBatch records one RecvBufs outcome of n messages totalling
 // bytes payload bytes, taking d.
 func (m *ConnMetrics) RecordRecvBatch(n, bytes int, d time.Duration, err error) {
+	if m.CountRecvBatch(n, bytes, err) {
+		m.RecvLatency.Observe(d)
+	}
+}
+
+// CountRecvBatch records one untimed RecvBufs outcome.
+func (m *ConnMetrics) CountRecvBatch(n, bytes int, err error) bool {
 	if err != nil {
 		m.RecvErrs.Inc()
-		return
+		return false
 	}
 	if n <= 0 {
-		return
+		return false
 	}
 	m.Recvs.Add(uint64(n))
 	m.RecvBytes.Add(uint64(bytes))
-	m.RecvLatency.Observe(d)
 	m.RecvBatch.ObserveValue(uint64(n))
+	return true
 }
 
 // connKey identifies a ConnMetrics in the registry.

@@ -183,8 +183,8 @@ func TestStackRoundTripAllocs(t *testing.T) {
 
 // BenchmarkStackSendInstrumented is BenchmarkStackSend with telemetry
 // recording at every layer: three ConnMetrics (serialize, http2,
-// transport) each taking two timestamps and a handful of atomic adds
-// per message. The alloc column must read 0 — instrumentation rides the
+// transport) each taking two atomic adds per message and two timestamps
+// on the 1-in-64 timed ones. The alloc column must read 0 — instrumentation rides the
 // pooled-buffer path without touching the heap.
 func BenchmarkStackSendInstrumented(b *testing.B) {
 	cli, srv := newStackPairTelemetry(b, telemetry.New())
