@@ -101,6 +101,75 @@ func TestQuickstartShape(t *testing.T) {
 	}
 }
 
+// TestOptimizerInNegotiation drives WithOptimizer through a real
+// negotiation: the server declares compress |> compress |> encrypt |>
+// http2, the optimizer drops the redundant idempotent compress, and the
+// client's negotiated connection carries one compress layer and still
+// echoes.
+func TestOptimizerInNegotiation(t *testing.T) {
+	ctx := ctxT(t)
+	regS, regC := bertha.NewRegistry(), bertha.NewRegistry()
+	bertha.RegisterStandard(regS)
+	bertha.RegisterStandard(regC)
+
+	pn := transport.NewPipeNetwork()
+	srv, err := bertha.New("opt-server",
+		bertha.Wrap(bertha.Compress(6), bertha.Compress(6), bertha.Encrypt([]byte("k")), bertha.HTTP2(4096)),
+		bertha.WithRegistry(regS), bertha.WithOptimizer(bertha.NewOptimizer(regS)))
+	if err != nil {
+		t.Fatal(err)
+	}
+	base, _ := pn.Listen("srvhost", "opt")
+	nl, err := srv.Listen(ctx, base)
+	if err != nil {
+		t.Fatal(err)
+	}
+	go func() {
+		conn, err := nl.Accept(ctx)
+		if err != nil {
+			return
+		}
+		defer conn.Close()
+		for {
+			m, err := conn.Recv(ctx)
+			if err != nil {
+				return
+			}
+			conn.Send(ctx, m)
+		}
+	}()
+
+	cli, err := bertha.New("opt-client", bertha.Wrap(), bertha.WithRegistry(regC))
+	if err != nil {
+		t.Fatal(err)
+	}
+	raw, _ := pn.DialFrom(ctx, "clihost", bertha.Addr{Net: "pipe", Addr: "opt"})
+	conn, err := cli.Connect(ctx, raw)
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer conn.Close()
+	const msg = "through the optimized stack"
+	if err := conn.Send(ctx, []byte(msg)); err != nil {
+		t.Fatal(err)
+	}
+	if m, err := conn.Recv(ctx); err != nil || string(m) != msg {
+		t.Fatalf("recv: %q %v", m, err)
+	}
+
+	var layers []string
+	compress := 0
+	for _, h := range bertha.ConnHopStats(conn) {
+		layers = append(layers, h.Chunnel)
+		if h.Chunnel == "compress" {
+			compress++
+		}
+	}
+	if compress != 1 || len(layers) != 4 {
+		t.Fatalf("negotiated layers %v: want one compress, encrypt, http2 and the transport", layers)
+	}
+}
+
 func TestRegisterChunnelDefaultRegistry(t *testing.T) {
 	// RegisterChunnel targets the process-wide registry; use a unique
 	// type to avoid collisions with other tests.

@@ -263,8 +263,8 @@ func TestSeededDeadlockFailsTheGate(t *testing.T) {
 	}
 }
 
-// TestVersionFlag pins the -version contract shared with bertha-bench:
-// module version plus vet-suite revision.
+// TestVersionFlag pins the -version contract: module version plus
+// vet-suite revision.
 func TestVersionFlag(t *testing.T) {
 	var stdout, stderr bytes.Buffer
 	if code := driver.Main([]string{"-version"}, &stdout, &stderr); code != 0 {

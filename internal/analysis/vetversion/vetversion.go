@@ -1,9 +1,8 @@
 // Package vetversion carries the berthavet suite revision as a
 // dependency-free leaf. Binaries that want to stamp the revision into
-// their -version output (berthavet itself, bertha-bench) import this
-// package alone, keeping the analysis framework — and its go/types
-// machinery — strictly build-time: nothing under internal/analysis is
-// linked into the data plane.
+// their -version output import this package alone, keeping the analysis
+// framework — and its go/types machinery — strictly build-time: nothing
+// under internal/analysis is linked into the data plane.
 package vetversion
 
 import "runtime/debug"

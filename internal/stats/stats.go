@@ -1,8 +1,7 @@
-// Package stats provides latency recording and summarization for the
-// Bertha benchmark harness: exact percentiles over recorded samples,
-// boxplot-style summary rows (p5/p25/p50/p75/p95 as in the paper's
-// Figure 3), time series binning (Figure 4), and fixed-width table
-// rendering for experiment output.
+// Package stats provides latency recording and summarization: exact
+// percentiles over recorded samples, boxplot-style summaries
+// (p5/p25/p50/p75/p95 as in the paper's Figure 3), and fixed-width
+// table rendering for command output.
 package stats
 
 import (
@@ -162,68 +161,4 @@ func (r *Recorder) meanLocked() float64 {
 func (s Summary) String() string {
 	return fmt.Sprintf("n=%d mean=%.1fµs p5=%.1f p25=%.1f p50=%.1f p75=%.1f p95=%.1f p99=%.1f",
 		s.Count, s.Mean, s.P5, s.P25, s.P50, s.P75, s.P95, s.P99)
-}
-
-// TimePoint is one sample in a time series: an offset from the series
-// start and a latency in microseconds.
-type TimePoint struct {
-	At      time.Duration
-	Latency float64
-}
-
-// TimeSeries records (time, latency) pairs for Figure-4-style plots.
-// It is safe for concurrent use.
-type TimeSeries struct {
-	mu     sync.Mutex
-	start  time.Time
-	points []TimePoint
-}
-
-// NewTimeSeries returns a TimeSeries anchored at start.
-func NewTimeSeries(start time.Time) *TimeSeries {
-	return &TimeSeries{start: start}
-}
-
-// RecordAt adds a point with an explicit timestamp.
-func (ts *TimeSeries) RecordAt(at time.Time, latency time.Duration) {
-	ts.mu.Lock()
-	ts.points = append(ts.points, TimePoint{At: at.Sub(ts.start), Latency: float64(latency.Nanoseconds()) / 1e3})
-	ts.mu.Unlock()
-}
-
-// Points returns a copy of the recorded points sorted by time.
-func (ts *TimeSeries) Points() []TimePoint {
-	ts.mu.Lock()
-	out := append([]TimePoint(nil), ts.points...)
-	ts.mu.Unlock()
-	sort.Slice(out, func(i, j int) bool { return out[i].At < out[j].At })
-	return out
-}
-
-// Bin groups the points into fixed-width time bins and returns, per bin,
-// the median latency. Empty bins produce NaN. The returned slice has
-// ceil(total/width) entries.
-func (ts *TimeSeries) Bin(total, width time.Duration) []float64 {
-	if width <= 0 {
-		panic("stats: non-positive bin width")
-	}
-	nbins := int((total + width - 1) / width)
-	bins := make([][]float64, nbins)
-	for _, p := range ts.Points() {
-		i := int(p.At / width)
-		if i < 0 || i >= nbins {
-			continue
-		}
-		bins[i] = append(bins[i], p.Latency)
-	}
-	out := make([]float64, nbins)
-	for i, b := range bins {
-		if len(b) == 0 {
-			out[i] = math.NaN()
-			continue
-		}
-		sort.Float64s(b)
-		out[i] = b[len(b)/2]
-	}
-	return out
 }

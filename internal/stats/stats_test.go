@@ -172,61 +172,6 @@ func minInt(a, b int) int {
 	return b
 }
 
-func TestTimeSeriesBinning(t *testing.T) {
-	start := time.Unix(0, 0)
-	ts := NewTimeSeries(start)
-	// Seconds 0–3: 100µs latency; seconds 4–7: 10µs (the Figure 4 shape).
-	for s := 0; s < 8; s++ {
-		lat := 100 * time.Microsecond
-		if s >= 4 {
-			lat = 10 * time.Microsecond
-		}
-		for k := 0; k < 5; k++ {
-			ts.RecordAt(start.Add(time.Duration(s)*time.Second+time.Duration(k)*100*time.Millisecond), lat)
-		}
-	}
-	bins := ts.Bin(8*time.Second, time.Second)
-	if len(bins) != 8 {
-		t.Fatalf("bins = %d", len(bins))
-	}
-	for i := 0; i < 4; i++ {
-		if bins[i] != 100 {
-			t.Errorf("bin %d = %g, want 100", i, bins[i])
-		}
-	}
-	for i := 4; i < 8; i++ {
-		if bins[i] != 10 {
-			t.Errorf("bin %d = %g, want 10", i, bins[i])
-		}
-	}
-}
-
-func TestTimeSeriesEmptyBinsAndOutOfRange(t *testing.T) {
-	start := time.Unix(0, 0)
-	ts := NewTimeSeries(start)
-	ts.RecordAt(start.Add(500*time.Millisecond), time.Microsecond)
-	ts.RecordAt(start.Add(100*time.Second), time.Microsecond) // beyond range: ignored
-	bins := ts.Bin(3*time.Second, time.Second)
-	if len(bins) != 3 {
-		t.Fatalf("bins = %d", len(bins))
-	}
-	if bins[0] != 1 {
-		t.Errorf("bin 0 = %g", bins[0])
-	}
-	if !math.IsNaN(bins[1]) || !math.IsNaN(bins[2]) {
-		t.Error("empty bins should be NaN")
-	}
-}
-
-func TestTimeSeriesBinPanicsOnBadWidth(t *testing.T) {
-	defer func() {
-		if recover() == nil {
-			t.Error("expected panic for zero width")
-		}
-	}()
-	NewTimeSeries(time.Now()).Bin(time.Second, 0)
-}
-
 func TestTableRender(t *testing.T) {
 	tb := NewTable("latency", "scenario", "p50", "p95")
 	tb.AddRow("client-push", 12.5, 30.0)
@@ -278,16 +223,5 @@ nan            NaN
 `
 	if got != want {
 		t.Errorf("table render mismatch:\ngot:\n%s\nwant:\n%s", got, want)
-	}
-}
-
-func TestBoxplotRow(t *testing.T) {
-	r := NewRecorder(0)
-	for i := 0; i < 100; i++ {
-		r.RecordMicros(float64(i))
-	}
-	row := BoxplotRow("x", r.Summarize())
-	if len(row) != 7 || row[0] != "x" || row[1] != 100 {
-		t.Errorf("boxplot row: %v", row)
 	}
 }

@@ -7,9 +7,8 @@ import (
 	"strings"
 )
 
-// Table renders fixed-width experiment output: a header row, aligned
-// columns, and an optional title. It exists so every experiment in
-// cmd/bertha-bench prints rows in the same shape the paper's plots report.
+// Table renders fixed-width command output: a header row, aligned
+// columns, and an optional title.
 type Table struct {
 	Title   string
 	Columns []string
@@ -99,9 +98,4 @@ func (t *Table) Render(w io.Writer) {
 		}
 		fmt.Fprintln(w, b.String())
 	}
-}
-
-// BoxplotRow formats a Summary as table cells: n, p5, p25, p50, p75, p95.
-func BoxplotRow(label string, s Summary) []any {
-	return []any{label, s.Count, s.P5, s.P25, s.P50, s.P75, s.P95}
 }

@@ -42,11 +42,9 @@ const reactorPoolCap = 256
 // retransmission re-creates the connection.
 const acceptBacklog = 128
 
-// PacketConn abstracts net.UDPConn and net.UnixConn for the shared
-// demultiplexing listener; exported so harnesses (the connections
-// benchmark's in-memory network) can drive a reactor listener over a
-// custom socket via NewPacketListener.
-type PacketConn interface {
+// packetConn abstracts net.UDPConn and net.UnixConn for the shared
+// demultiplexing listener.
+type packetConn interface {
 	ReadFrom(b []byte) (int, net.Addr, error)
 	WriteTo(b []byte, addr net.Addr) (int, error)
 	Close() error
@@ -54,17 +52,17 @@ type PacketConn interface {
 	SetReadDeadline(t time.Time) error
 }
 
-// AddrPortPacketConn is the allocation-free demux fast path: sources
+// addrPortPacketConn is the allocation-free demux fast path: sources
 // are identified by netip.AddrPort values, so the per-datagram receive
 // performs no net.Addr or key-string allocation. *net.UDPConn rides it
-// via udpPC; in-memory harness sockets implement it directly.
-type AddrPortPacketConn interface {
-	PacketConn
+// via udpPC.
+type addrPortPacketConn interface {
+	packetConn
 	ReadFromAddrPort(p []byte) (int, netip.AddrPort, error)
 	WriteToAddrPort(p []byte, ap netip.AddrPort) (int, error)
 }
 
-// udpPC adapts *net.UDPConn to AddrPortPacketConn.
+// udpPC adapts *net.UDPConn to addrPortPacketConn.
 type udpPC struct{ *net.UDPConn }
 
 func (u udpPC) ReadFromAddrPort(p []byte) (int, netip.AddrPort, error) {
@@ -127,7 +125,7 @@ func (k peerKey) hash() uint64 {
 // newDemuxListener builds a reactor listener over pc. The reactor
 // goroutines start lazily on the first Accept/Ready call, so
 // ConfigureReactor (via core.WithReactor) can still adjust the shape.
-func newDemuxListener(pc PacketConn, addr core.Addr) *reactorListener {
+func newDemuxListener(pc packetConn, addr core.Addr) *reactorListener {
 	l := &reactorListener{
 		pc:     pc,
 		addr:   addr,
@@ -135,7 +133,7 @@ func newDemuxListener(pc PacketConn, addr core.Addr) *reactorListener {
 		accept: make(chan *reactorConn, acceptBacklog),
 		closed: make(chan struct{}),
 	}
-	if apc, ok := pc.(AddrPortPacketConn); ok {
+	if apc, ok := pc.(addrPortPacketConn); ok {
 		l.apc = apc
 	}
 	if u, ok := pc.(udpPC); ok {
@@ -144,22 +142,12 @@ func newDemuxListener(pc PacketConn, addr core.Addr) *reactorListener {
 	return l
 }
 
-// NewPacketListener builds a reactor listener over a caller-supplied
-// socket with an explicit configuration (the zero value selects the
-// defaults). Harnesses use it to run the reactor over in-memory
-// networks; production listeners come from ListenUDP/ListenUnix.
-func NewPacketListener(pc PacketConn, addr core.Addr, cfg core.ReactorConfig) ReactorListener {
-	l := newDemuxListener(pc, addr)
-	l.cfg = cfg
-	return l
-}
-
 // reactorListener demultiplexes one datagram socket into per-peer
 // core.Conns on the sharded reactor runtime: the datagram analog of
 // accept(), scaled past goroutine-per-peer.
 type reactorListener struct {
-	pc   PacketConn
-	apc  AddrPortPacketConn // non-nil: allocation-free source addressing
+	pc   packetConn
+	apc  addrPortPacketConn // non-nil: allocation-free source addressing
 	udp  *net.UDPConn       // non-nil: recvmmsg burst receive on linux
 	addr core.Addr
 	tel  *netCounters
