@@ -10,25 +10,17 @@
 // (sync/atomic access discipline), and batchcontract (the
 // SendBufs/RecvBufs batch contract).
 //
-// Analyzers exchange cross-package facts: standalone mode propagates
-// them in dependency order within one process (independent packages in
-// parallel waves), vettool mode serializes them through the .vetx
-// files the go command threads between units.
-//
-// Standalone:
+// Analyzers exchange cross-package facts in one process: packages are
+// analyzed in dependency order (independent packages in parallel
+// waves) over one shared fact store, and a final module-global pass
+// assembles lock-order cycles that span sibling packages.
 //
 //	go run ./cmd/berthavet ./...
-//	go run ./cmd/berthavet -json ./...        # machine-readable findings
-//	go run ./cmd/berthavet -sarif ./...       # SARIF 2.1.0 for code scanning
-//	go run ./cmd/berthavet -diff HEAD~1 ./... # only findings on changed lines
+//	go run ./cmd/berthavet -version
 //
-// As a vettool:
-//
-//	go build -o /tmp/berthavet ./cmd/berthavet
-//	go vet -vettool=/tmp/berthavet ./...
-//
+// Each finding is one line, file:line:col: [analyzer/category] message.
 // Exit status is 0 when the tree is clean, 2 when diagnostics were
-// reported, 1 on operational failure.
+// reported, 1 on operational failure (including an unknown flag).
 package main
 
 import (

@@ -9,7 +9,7 @@
 // linear Buf ownership, declared SendOverhead bounds, and no blocking
 // conn calls under a mutex. The analyzers in the sub-packages (bufown,
 // overhead, lockdisc) prove those conventions at build time; cmd/berthavet
-// is the multichecker that runs them standalone or as a `go vet -vettool`.
+// is the multichecker that runs them over the module in one process.
 package analysis
 
 import (
@@ -20,16 +20,12 @@ import (
 	"sort"
 	"strconv"
 	"strings"
-
-	"github.com/bertha-net/bertha/internal/analysis/vetversion"
 )
 
-// SuiteRevision identifies the vet-suite rule set; the canonical value
-// lives in the dependency-free vetversion package so binaries can stamp
-// it without linking the framework. Bump it whenever an analyzer's
-// diagnostics change so `go vet` re-runs cached packages and `-version`
-// output reflects the rules in force.
-const SuiteRevision = vetversion.Suite
+// SuiteRevision identifies the vet-suite rule set. Bump it whenever an
+// analyzer's diagnostics change so `berthavet -version` reflects the
+// rules in force.
+const SuiteRevision = "berthavet-2026.09.1"
 
 // An Analyzer describes one static check.
 type Analyzer struct {
@@ -40,21 +36,12 @@ type Analyzer struct {
 	Doc string
 	// Run applies the analyzer to one package.
 	Run func(*Pass) error
-	// FactTypes lists exemplar values (pointers to zero structs) of
-	// every Fact type this analyzer exports or imports, so the driver
-	// can gob-register them for the .vetx round-trip.
-	FactTypes []Fact
 }
 
 // A Diagnostic is one finding.
 type Diagnostic struct {
 	// Pos is where the finding anchors.
 	Pos token.Pos
-	// End is the exclusive end of the source range the finding covers
-	// (token.NoPos when the analyzer reported a point, not a range).
-	// SARIF output turns a valid End into endLine/endColumn so code
-	// scanning underlines the whole expression.
-	End token.Pos
 	// Analyzer is the reporting analyzer's name.
 	Analyzer string
 	// Category names the specific rule, e.g. "use-after-release".
@@ -84,27 +71,12 @@ type Pass struct {
 // Reportf records a diagnostic unless a //berthavet:ignore directive
 // suppresses it on that line.
 func (p *Pass) Reportf(pos token.Pos, category, format string, args ...any) {
-	p.ReportRangef(pos, token.NoPos, category, format, args...)
-}
-
-// ReportNodef records a diagnostic anchored to a node's full source
-// range, so SARIF consumers can underline the offending expression
-// rather than a single column.
-func (p *Pass) ReportNodef(n ast.Node, category, format string, args ...any) {
-	p.ReportRangef(n.Pos(), n.End(), category, format, args...)
-}
-
-// ReportRangef records a diagnostic covering [pos, end) unless a
-// //berthavet:ignore directive suppresses it on pos's line. end may be
-// token.NoPos for point diagnostics.
-func (p *Pass) ReportRangef(pos, end token.Pos, category, format string, args ...any) {
 	position := p.Fset.Position(pos)
 	if p.suppressed(position.Filename, position.Line) {
 		return
 	}
 	p.diags = append(p.diags, Diagnostic{
 		Pos:      pos,
-		End:      end,
 		Analyzer: p.Analyzer.Name,
 		Category: category,
 		Message:  fmt.Sprintf(format, args...),

@@ -64,10 +64,9 @@ func (*AtomicFieldsFact) AFact() {}
 
 // Analyzer is the atomdisc pass.
 var Analyzer = &analysis.Analyzer{
-	Name:      "atomdisc",
-	Doc:       "check atomic-access discipline: no mixed atomic/plain field access, aligned 64-bit atomics, no by-value copies of atomic-bearing structs",
-	Run:       run,
-	FactTypes: []analysis.Fact{(*AtomicFieldsFact)(nil)},
+	Name: "atomdisc",
+	Doc:  "check atomic-access discipline: no mixed atomic/plain field access, aligned 64-bit atomics, no by-value copies of atomic-bearing structs",
+	Run:  run,
 }
 
 // sizes32 computes layout under the strictest supported rules: on

@@ -79,10 +79,9 @@ func (*BorrowsFact) AFact() {}
 
 // Analyzer is the bufown pass.
 var Analyzer = &analysis.Analyzer{
-	Name:      "bufown",
-	Doc:       "check linear ownership of wire.Buf values (release/transfer exactly once per path)",
-	Run:       run,
-	FactTypes: []analysis.Fact{(*BorrowsFact)(nil), (*SinksFact)(nil)},
+	Name: "bufown",
+	Doc:  "check linear ownership of wire.Buf values (release/transfer exactly once per path)",
+	Run:  run,
 }
 
 // st is the abstract ownership state of one Buf cell.

@@ -79,10 +79,9 @@ func (*CallGraphFact) AFact() {}
 // in the suite so same-package analyzers can import the fact the same
 // way importers do.
 var Analyzer = &analysis.Analyzer{
-	Name:      "callgraph",
-	Doc:       "build the module call graph (static calls + bounded interface devirtualization) and export it as a fact",
-	Run:       run,
-	FactTypes: []analysis.Fact{(*CallGraphFact)(nil)},
+	Name: "callgraph",
+	Doc:  "build the module call graph (static calls + bounded interface devirtualization) and export it as a fact",
+	Run:  run,
 }
 
 func run(pass *analysis.Pass) error {

@@ -53,10 +53,9 @@ func (*BlocksFact) AFact() {}
 
 // Analyzer is the ctxflow pass.
 var Analyzer = &analysis.Analyzer{
-	Name:      "ctxflow",
-	Doc:       "check that context cancellation flows through blocking calls (dropped ctx, detached Background, leaked timers)",
-	Run:       run,
-	FactTypes: []analysis.Fact{(*BlocksFact)(nil)},
+	Name: "ctxflow",
+	Doc:  "check that context cancellation flows through blocking calls (dropped ctx, detached Background, leaked timers)",
+	Run:  run,
 }
 
 // funcInfo is what one pass learns about one declared function.

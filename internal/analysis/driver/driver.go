@@ -1,31 +1,22 @@
 // Package driver is the berthavet multichecker: it runs the callgraph,
 // bufown, overhead, lockdisc, ctxflow, golife, speccheck, atomdisc,
-// and batchcontract analyzers over packages either standalone
-// (`berthavet ./...`) or as a
-// `go vet -vettool` backend speaking the go command's unitchecker
-// protocol (-flags/-V=full handshakes plus a JSON .cfg file per
-// package).
+// and batchcontract analyzers over the module's packages in one process
+// (`berthavet ./...`).
 //
-// Both modes thread cross-package facts. Standalone, the driver orders
-// the loaded packages topologically by import dependency and runs each
-// wave of mutually independent packages in parallel (DepWaves), sharing
-// one in-memory analysis.FactStore, so a pass over a package sees every
-// fact its dependencies exported. After the per-package passes it
-// assembles the lockdisc LockOrderFacts into one module-global
-// lock-order graph and reports deadlock cycles no single pass could
-// see whole. Under go vet, facts are gob-encoded into each package's
-// .vetx file (VetxOutput) and read back from the .vetx files of its
-// dependencies (PackageVetx); each .vetx carries the dependencies'
-// facts too, so facts flow transitively.
+// The driver orders the loaded packages topologically by import
+// dependency and runs each wave of mutually independent packages in
+// parallel (DepWaves), sharing one in-memory analysis.FactStore, so a
+// pass over a package sees every fact its dependencies exported. After
+// the per-package passes it assembles the lockdisc LockOrderFacts into
+// one module-global lock-order graph and reports deadlock cycles no
+// single pass could see whole.
 package driver
 
 import (
-	"encoding/json"
 	"fmt"
-	"go/token"
 	"go/types"
 	"io"
-	"os"
+	"runtime/debug"
 	"sort"
 	"strings"
 	"sync"
@@ -41,7 +32,6 @@ import (
 	"github.com/bertha-net/bertha/internal/analysis/lockdisc"
 	"github.com/bertha-net/bertha/internal/analysis/overhead"
 	"github.com/bertha-net/bertha/internal/analysis/speccheck"
-	"github.com/bertha-net/bertha/internal/analysis/vetversion"
 )
 
 // Analyzers is the berthavet suite, in execution order. callgraph runs
@@ -59,52 +49,26 @@ var Analyzers = []*analysis.Analyzer{
 	batchcontract.Analyzer,
 }
 
-func init() {
-	analysis.RegisterFactTypes(Analyzers)
+// Version renders the tool version, "<module version> <suite revision>",
+// e.g. "v0.3.0 berthavet-2026.09.1". The module version is "(devel)"
+// for plain `go build` working-tree binaries.
+func Version() string {
+	mod := "(devel)"
+	if bi, ok := debug.ReadBuildInfo(); ok && bi.Main.Version != "" {
+		mod = bi.Main.Version
+	}
+	return mod + " " + analysis.SuiteRevision
 }
-
-// Version renders the tool version: module version (when stamped into
-// the binary) plus the vet-suite rule revision.
-func Version() string { return vetversion.String() }
 
 // Main is the berthavet entry point; it returns the process exit code
 // (0 clean, 1 operational failure, 2 diagnostics found).
 func Main(args []string, stdout, stderr io.Writer) int {
 	var patterns []string
-	jsonOut := false
-	sarifOut := false
-	diffRef := ""
-	for i := 0; i < len(args); i++ {
-		a := args[i]
+	for _, a := range args {
 		switch {
-		case a == "-diff" || a == "--diff":
-			if i+1 >= len(args) {
-				fmt.Fprintln(stderr, "berthavet: -diff requires a git ref")
-				return 1
-			}
-			i++
-			diffRef = args[i]
-		case strings.HasPrefix(a, "-diff="):
-			diffRef = strings.TrimPrefix(a, "-diff=")
-		case strings.HasPrefix(a, "--diff="):
-			diffRef = strings.TrimPrefix(a, "--diff=")
-		case a == "-flags" || a == "--flags":
-			// go vet interrogates the tool's flags; we add none beyond
-			// the standard handshake set.
-			fmt.Fprintln(stdout, "[]")
-			return 0
-		case a == "-V=full" || a == "--V=full":
-			// The go command hashes this line into its build cache key;
-			// SuiteRevision busts the cache when the rules change.
-			fmt.Fprintf(stdout, "berthavet version %s\n", Version())
-			return 0
 		case a == "-version" || a == "--version":
 			fmt.Fprintf(stdout, "berthavet %s\n", Version())
 			return 0
-		case a == "-json" || a == "--json":
-			jsonOut = true
-		case a == "-sarif" || a == "--sarif":
-			sarifOut = true
 		case a == "-h" || a == "-help" || a == "--help":
 			usage(stdout)
 			return 0
@@ -116,153 +80,69 @@ func Main(args []string, stdout, stderr io.Writer) int {
 			patterns = append(patterns, a)
 		}
 	}
-	if len(patterns) == 1 && strings.HasSuffix(patterns[0], ".cfg") {
-		return vetUnit(patterns[0], stderr)
-	}
 	if len(patterns) == 0 {
 		patterns = []string{"./..."}
 	}
-	if jsonOut && sarifOut {
-		fmt.Fprintln(stderr, "berthavet: -json and -sarif are mutually exclusive")
-		return 1
-	}
-	return standalone(patterns, jsonOut, sarifOut, diffRef, stdout, stderr)
-}
-
-func usage(w io.Writer) {
-	fmt.Fprintf(w, `usage: berthavet [-json|-sarif] [packages]
-
-Runs the bertha static-analysis suite (%s) over the packages:
-`, analysis.SuiteRevision)
-	for _, a := range Analyzers {
-		fmt.Fprintf(w, "  %-13s %s\n", a.Name, a.Doc)
-	}
-	fmt.Fprint(w, `
-Flags:
-  -json       one finding per line as JSON {file, line, col, analyzer,
-              category, message} (standalone mode only)
-  -sarif      all findings as one SARIF 2.1.0 document on stdout, ready
-              for code-scanning upload (standalone mode only)
-  -diff REF   report only findings on lines changed versus the git ref
-              (git diff -U0 REF); analysis still covers every package
-  -version    print the tool and rule-set revision
-
-Also usable as a vettool: go vet -vettool=$(which berthavet) ./...
-Suppress a diagnostic with //berthavet:ignore <analyzer> on its line.
-`)
-}
-
-// jsonDiag is the -json wire form of one finding.
-type jsonDiag struct {
-	File     string `json:"file"`
-	Line     int    `json:"line"`
-	Col      int    `json:"col"`
-	Analyzer string `json:"analyzer"`
-	Category string `json:"category"`
-	Message  string `json:"message"`
-}
-
-// standalone loads patterns itself and runs every analyzer over the
-// packages in dependency order, sharing one fact store.
-func standalone(patterns []string, jsonOut, sarifOut bool, diffRef string, stdout, stderr io.Writer) int {
-	cwd, err := os.Getwd()
+	found, err := run(patterns, stdout)
 	if err != nil {
 		fmt.Fprintf(stderr, "berthavet: %v\n", err)
 		return 1
-	}
-	modRoot, err := load.ModuleRoot(cwd)
-	if err != nil {
-		fmt.Fprintf(stderr, "berthavet: %v\n", err)
-		return 1
-	}
-	pkgs, err := load.Patterns(modRoot, patterns...)
-	if err != nil {
-		fmt.Fprintf(stderr, "berthavet: %v\n", err)
-		return 1
-	}
-	// -diff: restrict the report to lines changed against the ref. The
-	// analysis itself still covers everything — facts must flow — only
-	// the output is filtered.
-	var changed ChangedLines
-	if diffRef != "" {
-		changed, err = gitChangedLines(modRoot, diffRef)
-		if err != nil {
-			fmt.Fprintf(stderr, "berthavet: %v\n", err)
-			return 1
-		}
-	}
-	facts := analysis.NewFactStore()
-	found := 0
-	var findings []sarifFinding
-	enc := json.NewEncoder(stdout)
-	results, err := Analyze(pkgs, facts)
-	if err != nil {
-		fmt.Fprintf(stderr, "berthavet: %v\n", err)
-		return 1
-	}
-	for _, r := range results {
-		pkg := r.Pkg
-		for _, d := range r.Diags {
-			pos := pkg.Fset.Position(d.Pos)
-			if changed != nil && !changed.Contains(modRoot, pos) {
-				continue
-			}
-			switch {
-			case sarifOut:
-				f := sarifFinding{Pos: pos, Diag: d}
-				if d.End.IsValid() {
-					f.End = pkg.Fset.Position(d.End)
-				}
-				findings = append(findings, f)
-			case jsonOut:
-				enc.Encode(jsonDiag{
-					File: pos.Filename, Line: pos.Line, Col: pos.Column,
-					Analyzer: d.Analyzer, Category: d.Category, Message: d.Message,
-				})
-			default:
-				fmt.Fprintf(stdout, "%s: [%s/%s] %s\n",
-					pos, d.Analyzer, d.Category, d.Message)
-			}
-			found++
-		}
-	}
-	// Module-global deadlock check: lock-order cycles split between
-	// sibling packages reach the shared fact store but no single pass's
-	// view; assemble and report them here (see lockdisc/module.go).
-	sees := factVisibility(pkgs)
-	for _, f := range lockdisc.ModuleDeadlocks(facts.ModulePackageFacts("lockdisc"), sees) {
-		pos := parseFileLine(f.Pos)
-		if changed != nil && !changed.Contains(modRoot, pos) {
-			continue
-		}
-		d := analysis.Diagnostic{Analyzer: "lockdisc", Category: "deadlock", Message: f.Message}
-		switch {
-		case sarifOut:
-			findings = append(findings, sarifFinding{Pos: pos, Diag: d})
-		case jsonOut:
-			enc.Encode(jsonDiag{
-				File: pos.Filename, Line: pos.Line,
-				Analyzer: d.Analyzer, Category: d.Category, Message: d.Message,
-			})
-		default:
-			fmt.Fprintf(stdout, "%s: [%s/%s] %s\n", f.Pos, d.Analyzer, d.Category, d.Message)
-		}
-		found++
-	}
-	if sarifOut {
-		// The document is emitted even when clean: code-scanning uploads
-		// expect a well-formed run either way, and an empty results array
-		// is how resolved findings get closed.
-		if err := writeSARIF(stdout, modRoot, findings); err != nil {
-			fmt.Fprintf(stderr, "berthavet: %v\n", err)
-			return 1
-		}
 	}
 	if found > 0 {
 		fmt.Fprintf(stderr, "berthavet: %d diagnostic(s)\n", found)
 		return 2
 	}
 	return 0
+}
+
+func usage(w io.Writer) {
+	fmt.Fprintf(w, `usage: berthavet [-version] [packages]
+
+Runs the bertha static-analysis suite (%s) over the packages
+(default ./...) and prints one finding per line as
+file:line:col: [analyzer/category] message
+`, analysis.SuiteRevision)
+	for _, a := range Analyzers {
+		fmt.Fprintf(w, "  %-13s %s\n", a.Name, a.Doc)
+	}
+	fmt.Fprint(w, `
+Suppress a diagnostic with //berthavet:ignore <analyzer> on its line.
+`)
+}
+
+// run loads the packages, runs every analyzer over them in dependency
+// order sharing one fact store, then the module-global deadlock check,
+// and prints each finding to stdout. It returns the number of findings.
+func run(patterns []string, stdout io.Writer) (int, error) {
+	modRoot, err := load.ModuleRoot(".")
+	if err != nil {
+		return 0, err
+	}
+	pkgs, err := load.Patterns(modRoot, patterns...)
+	if err != nil {
+		return 0, err
+	}
+	facts := analysis.NewFactStore()
+	results, err := Analyze(pkgs, facts)
+	if err != nil {
+		return 0, err
+	}
+	found := 0
+	for _, r := range results {
+		for _, d := range r.Diags {
+			fmt.Fprintf(stdout, "%s: [%s/%s] %s\n",
+				r.Pkg.Fset.Position(d.Pos), d.Analyzer, d.Category, d.Message)
+			found++
+		}
+	}
+	// Module-global deadlock check: lock-order cycles split between
+	// sibling packages reach the shared fact store but no single pass's
+	// view; assemble and report them here (see lockdisc/module.go).
+	for _, f := range lockdisc.ModuleDeadlocks(facts.ModulePackageFacts("lockdisc"), factVisibility(pkgs)) {
+		fmt.Fprintf(stdout, "%s: [lockdisc/deadlock] %s\n", f.Pos, f.Message)
+		found++
+	}
+	return found, nil
 }
 
 // PkgDiags pairs one analyzed package with its findings.
@@ -371,19 +251,6 @@ func factVisibility(pkgs []*load.Package) func(a, b string) bool {
 	}
 }
 
-// parseFileLine splits a "file:line" witness string back into a
-// position for the structured output formats.
-func parseFileLine(s string) token.Position {
-	var pos token.Position
-	if i := strings.LastIndexByte(s, ':'); i >= 0 {
-		pos.Filename = s[:i]
-		fmt.Sscanf(s[i+1:], "%d", &pos.Line)
-	} else {
-		pos.Filename = s
-	}
-	return pos
-}
-
 // SortDeps orders loaded packages topologically: every package after
 // all of its dependencies that are also in the slice, ties broken by
 // import path for determinism.
@@ -441,126 +308,4 @@ func RunPackageFacts(pkg *load.Package, facts *analysis.FactStore) ([]analysis.D
 		all = append(all, diags...)
 	}
 	return all, nil
-}
-
-// vetConfig is the subset of the go command's per-package vet config we
-// consume (see cmd/go/internal/work's vetConfig).
-type vetConfig struct {
-	ID                        string
-	Dir                       string
-	ImportPath                string
-	GoFiles                   []string
-	ImportMap                 map[string]string
-	PackageFile               map[string]string
-	PackageVetx               map[string]string
-	VetxOnly                  bool
-	VetxOutput                string
-	SucceedOnTypecheckFailure bool
-}
-
-// writeVetx persists the fact store (or, on skip paths, an empty
-// placeholder) to the path go vet expects.
-func writeVetx(path string, facts *analysis.FactStore, stderr io.Writer) bool {
-	if path == "" {
-		return true
-	}
-	data := []byte("berthavet")
-	if facts != nil {
-		enc, err := facts.EncodeVetx()
-		if err != nil {
-			fmt.Fprintf(stderr, "berthavet: %v\n", err)
-			return false
-		}
-		data = enc
-	}
-	if err := os.WriteFile(path, data, 0o666); err != nil {
-		fmt.Fprintf(stderr, "berthavet: %v\n", err)
-		return false
-	}
-	return true
-}
-
-// vetUnit analyzes one package as directed by a go vet .cfg file.
-func vetUnit(cfgPath string, stderr io.Writer) int {
-	data, err := os.ReadFile(cfgPath)
-	if err != nil {
-		fmt.Fprintf(stderr, "berthavet: %v\n", err)
-		return 1
-	}
-	var cfg vetConfig
-	if err := json.Unmarshal(data, &cfg); err != nil {
-		fmt.Fprintf(stderr, "berthavet: parsing %s: %v\n", cfgPath, err)
-		return 1
-	}
-	// The suite's invariants concern production code; test files (and
-	// test-augmented variants of packages) are skipped — but go still
-	// expects a facts file.
-	var goFiles []string
-	for _, f := range cfg.GoFiles {
-		if !strings.HasSuffix(f, "_test.go") {
-			goFiles = append(goFiles, f)
-		}
-	}
-	if len(goFiles) == 0 || strings.HasSuffix(cfg.ImportPath, ".test") ||
-		strings.HasSuffix(cfg.ImportPath, "_test") {
-		if !writeVetx(cfg.VetxOutput, nil, stderr) {
-			return 1
-		}
-		return 0
-	}
-	// Merge the facts every dependency exported; missing or pre-fact
-	// .vetx files just leave the store sparse (analyzers then fall back
-	// to their conservative intra-package behavior).
-	facts := analysis.NewFactStore()
-	for _, vetx := range cfg.PackageVetx {
-		if err := facts.ReadVetxFile(vetx); err != nil {
-			fmt.Fprintf(stderr, "berthavet: %v\n", err)
-			return 1
-		}
-	}
-	exports := make(map[string]string, len(cfg.PackageFile))
-	for path, file := range cfg.PackageFile {
-		exports[path] = file
-	}
-	// ImportMap aliases source import paths to canonical ones (vendor,
-	// test variants); surface both spellings.
-	for src, canon := range cfg.ImportMap {
-		if file, ok := cfg.PackageFile[canon]; ok {
-			exports[src] = file
-		}
-	}
-	pkg, err := load.Files(cfg.ImportPath, goFiles, exports)
-	if err != nil {
-		if cfg.SucceedOnTypecheckFailure {
-			if !writeVetx(cfg.VetxOutput, nil, stderr) {
-				return 1
-			}
-			return 0
-		}
-		fmt.Fprintf(stderr, "berthavet: %v\n", err)
-		return 1
-	}
-	diags, err := RunPackageFacts(pkg, facts)
-	if err != nil {
-		fmt.Fprintf(stderr, "berthavet: %v\n", err)
-		return 1
-	}
-	// The store now holds dependency facts plus this package's; the
-	// .vetx therefore carries facts transitively to importers.
-	if !writeVetx(cfg.VetxOutput, facts, stderr) {
-		return 1
-	}
-	if cfg.VetxOnly {
-		// Facts-only run over a dependency of the requested patterns:
-		// report nothing, but the analyzers had to execute to export.
-		return 0
-	}
-	for _, d := range diags {
-		fmt.Fprintf(stderr, "%s: [%s/%s] %s\n",
-			pkg.Fset.Position(d.Pos), d.Analyzer, d.Category, d.Message)
-	}
-	if len(diags) > 0 {
-		return 2
-	}
-	return 0
 }

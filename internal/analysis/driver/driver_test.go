@@ -275,3 +275,26 @@ func TestVersionFlag(t *testing.T) {
 		t.Errorf("-version output %q missing tool name or suite revision", out)
 	}
 }
+
+// TestRemovedEntryPointsFail pins that the deleted report formats and
+// the `go vet -vettool` handshakes fail loudly instead of passing
+// silently: each exits 1 and prints nothing a caller could mistake for
+// a report.
+func TestRemovedEntryPointsFail(t *testing.T) {
+	for _, args := range [][]string{
+		{"-json"},
+		{"-sarif"},
+		{"-diff", "HEAD"},
+		{"-flags"},
+		{"-V=full"},
+		{"x.cfg"},
+	} {
+		var stdout, stderr bytes.Buffer
+		if code := driver.Main(args, &stdout, &stderr); code != 1 {
+			t.Errorf("berthavet %v = exit %d, want 1", args, code)
+		}
+		if stdout.Len() != 0 {
+			t.Errorf("berthavet %v printed to stdout: %q", args, stdout.String())
+		}
+	}
+}

@@ -8,39 +8,27 @@
 // consuming a context, borrows its Buf parameter, or prepends a bounded
 // number of bytes.
 //
-// Facts travel two ways, mirroring golang.org/x/tools/go/analysis:
-//
-//   - Standalone (`berthavet ./...`): the driver analyzes packages in
-//     dependency order and threads one in-memory FactStore through every
-//     pass.
-//   - Unitchecker (`go vet -vettool`): each package's facts are
-//     gob-encoded into the .vetx file the go command asks the tool to
-//     write (VetxOutput), and decoded back from the .vetx files of the
-//     package's dependencies (PackageVetx). A package's .vetx carries
-//     its dependencies' facts too, so facts flow transitively.
+// Facts never leave the process: the driver analyzes packages in
+// dependency order and threads one in-memory FactStore through every
+// pass, mirroring the fact model of golang.org/x/tools/go/analysis.
 //
 // Objects are addressed by (package path, object key), where the key is
 // "F" for a package-level function or "T.M" for a method — the only
-// object shapes the suite records facts about. Fact types must be
-// gob-encodable structs registered via Analyzer.FactTypes.
+// object shapes the suite records facts about.
 package analysis
 
 import (
-	"bytes"
-	"encoding/gob"
-	"fmt"
 	"go/types"
-	"os"
 	"reflect"
 	"sort"
 	"sync"
 )
 
-// A Fact is a serializable property of an object or package, produced
-// by one analyzer and consumed by later runs over importing packages.
-// Implementations must be pointers to gob-encodable structs.
+// A Fact is a property of an object or package, produced by one
+// analyzer and consumed by later runs over importing packages.
+// Implementations must be pointers to structs.
 type Fact interface {
-	// AFact marks the type as a fact (and gives vet a method to find).
+	// AFact marks the type as a fact.
 	AFact()
 }
 
@@ -85,7 +73,7 @@ type factKey struct {
 
 // A FactStore holds every fact known to one driver invocation. It is
 // shared across analyzers and packages within a run and is safe for
-// concurrent use: the parallel standalone driver analyzes independent
+// concurrent use: the parallel driver analyzes independent
 // packages of one dependency wave on separate goroutines, each reading
 // its dependencies' facts and writing its own.
 type FactStore struct {
@@ -146,7 +134,7 @@ func (s *FactStore) allPackageFacts(analyzer string, paths map[string]bool) []Pa
 
 // ModulePackageFacts returns every package-level fact the named
 // analyzer exported for any package in the store, regardless of import
-// relationships. This is the standalone driver's module-global view,
+// relationships. This is the driver's module-global view,
 // used for whole-module checks (like sibling-package lock-order cycles)
 // that no single per-package pass can see.
 func (s *FactStore) ModulePackageFacts(analyzer string) []PackageFact {
@@ -160,83 +148,6 @@ func (s *FactStore) ModulePackageFacts(analyzer string) []PackageFact {
 	}
 	sort.Slice(out, func(i, j int) bool { return out[i].Path < out[j].Path })
 	return out
-}
-
-// wireFact is the gob frame for one serialized fact.
-type wireFact struct {
-	Analyzer string
-	Pkg      string
-	Obj      string
-	Fact     Fact
-}
-
-// vetxMagic heads every berthavet .vetx payload so a foreign or
-// truncated file is rejected rather than misdecoded.
-const vetxMagic = "berthavet-facts\n"
-
-// EncodeVetx serializes the whole store for a .vetx file.
-func (s *FactStore) EncodeVetx() ([]byte, error) {
-	var buf bytes.Buffer
-	buf.WriteString(vetxMagic)
-	s.mu.RLock()
-	frames := make([]wireFact, 0, len(s.m))
-	for k, f := range s.m {
-		frames = append(frames, wireFact{Analyzer: k.Analyzer, Pkg: k.Pkg, Obj: k.Obj, Fact: f})
-	}
-	s.mu.RUnlock()
-	sort.Slice(frames, func(i, j int) bool {
-		a, b := frames[i], frames[j]
-		if a.Pkg != b.Pkg {
-			return a.Pkg < b.Pkg
-		}
-		if a.Analyzer != b.Analyzer {
-			return a.Analyzer < b.Analyzer
-		}
-		return a.Obj < b.Obj
-	})
-	if err := gob.NewEncoder(&buf).Encode(frames); err != nil {
-		return nil, fmt.Errorf("analysis: encoding facts: %w", err)
-	}
-	return buf.Bytes(), nil
-}
-
-// DecodeVetx merges the facts serialized in data into the store. Data
-// written before facts existed (the bare "berthavet" placeholder) or by
-// another tool is ignored rather than failed: a missing fact only makes
-// analyzers conservative.
-func (s *FactStore) DecodeVetx(data []byte) error {
-	if !bytes.HasPrefix(data, []byte(vetxMagic)) {
-		return nil
-	}
-	var frames []wireFact
-	if err := gob.NewDecoder(bytes.NewReader(data[len(vetxMagic):])).Decode(&frames); err != nil {
-		return fmt.Errorf("analysis: decoding facts: %w", err)
-	}
-	for _, fr := range frames {
-		s.put(factKey{Analyzer: fr.Analyzer, Pkg: fr.Pkg, Obj: fr.Obj}, fr.Fact)
-	}
-	return nil
-}
-
-// ReadVetxFile merges facts from a dependency's .vetx file. A file that
-// does not exist or predates the fact format is silently skipped.
-func (s *FactStore) ReadVetxFile(path string) error {
-	data, err := os.ReadFile(path)
-	if err != nil {
-		return nil // dependency vetted by an older tool: no facts
-	}
-	return s.DecodeVetx(data)
-}
-
-// RegisterFactTypes registers every fact type of the analyzers with gob
-// so wireFact frames can carry them as interface values. Call once per
-// process before encoding or decoding.
-func RegisterFactTypes(analyzers []*Analyzer) {
-	for _, a := range analyzers {
-		for _, f := range a.FactTypes {
-			gob.Register(f)
-		}
-	}
 }
 
 // ---- Pass-level fact API ----
@@ -287,9 +198,9 @@ func (p *Pass) ImportPackageFact(pkg *types.Package, f Fact) bool {
 
 // AllPackageFacts returns this analyzer's package facts for every
 // package in the transitive import closure of the package under
-// analysis (including itself) — the visibility rule of the vetx flow:
-// a pass can only know about packages it could have imported facts
-// from.
+// analysis (including itself): a pass only sees facts of packages it
+// imports, directly or transitively, so its verdict does not depend on
+// which unrelated packages happened to be analyzed first.
 func (p *Pass) AllPackageFacts() []PackageFact {
 	if p.Facts == nil {
 		return nil

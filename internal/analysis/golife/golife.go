@@ -66,10 +66,9 @@ func (*SpawnsFact) AFact() {}
 
 // Analyzer is the golife pass.
 var Analyzer = &analysis.Analyzer{
-	Name:      "golife",
-	Doc:       "require a provable shutdown edge for every launched goroutine and sane WaitGroup pairing",
-	Run:       run,
-	FactTypes: []analysis.Fact{(*LoopsForeverFact)(nil), (*SpawnsFact)(nil)},
+	Name: "golife",
+	Doc:  "require a provable shutdown edge for every launched goroutine and sane WaitGroup pairing",
+	Run:  run,
 }
 
 func run(pass *analysis.Pass) error {

@@ -1,10 +1,9 @@
 // Package load turns Go packages into type-checked syntax trees using
 // only the standard library: file selection via go/build, parsing via
 // go/parser, and dependency import via compiler export data produced by
-// `go list -export` (the same build-cache artifacts `go vet` feeds its
-// vettool). It is the loader beneath cmd/berthavet and the analyzer
-// golden tests, standing in for golang.org/x/tools/go/packages, which
-// this repository deliberately does not depend on.
+// `go list -export`. It is the loader beneath cmd/berthavet and the
+// analyzer golden tests, standing in for golang.org/x/tools/go/packages,
+// which this repository deliberately does not depend on.
 package load
 
 import (
@@ -54,7 +53,7 @@ func ModuleRoot(dir string) (string, error) {
 // goList runs `go list` in dir with the given format and patterns and
 // returns non-empty output lines.
 func goList(dir, format string, patterns []string) ([]string, error) {
-	args := append([]string{"list", "-e", "-f", format}, patterns...)
+	args := append([]string{"list", "-f", format}, patterns...)
 	cmd := exec.Command("go", args...)
 	cmd.Dir = dir
 	out, err := cmd.Output()
@@ -80,7 +79,7 @@ func goList(dir, format string, patterns []string) ([]string, error) {
 // imports from.
 func ExportMap(modRoot string, patterns ...string) (map[string]string, error) {
 	lines, err := goList(modRoot, `{{if .Export}}{{.ImportPath}}={{.Export}}{{end}}`,
-		append([]string{"-deps", "-export"}, patterns...))
+		append([]string{"-e", "-deps", "-export"}, patterns...))
 	if err != nil {
 		return nil, err
 	}
@@ -99,7 +98,8 @@ func ExportMap(modRoot string, patterns ...string) (map[string]string, error) {
 // ResolvePatterns expands go package patterns (./..., import paths) into
 // (dir, importPath) pairs. Arguments naming existing directories that go
 // list cannot resolve (e.g. testdata trees) are returned with a
-// synthesized import path.
+// synthesized import path; any other pattern go list cannot resolve is
+// an error, so a mistyped pattern never passes as a clean run.
 func ResolvePatterns(modRoot string, patterns []string) ([][2]string, error) {
 	var pkgs [][2]string
 	var listable []string
@@ -151,8 +151,8 @@ type exportImporter struct {
 	imported map[string]*types.Package
 }
 
-func newExportImporter(fset *token.FileSet, exports map[string]string, extra map[string]*types.Package) *exportImporter {
-	ei := &exportImporter{exports: exports, extra: extra, fset: fset, imported: map[string]*types.Package{}}
+func newExportImporter(fset *token.FileSet, exports map[string]string) *exportImporter {
+	ei := &exportImporter{exports: exports, extra: map[string]*types.Package{}, fset: fset, imported: map[string]*types.Package{}}
 	lookup := func(path string) (io.ReadCloser, error) {
 		f, ok := exports[path]
 		if !ok {
@@ -207,7 +207,7 @@ type Loader struct {
 // NewLoader returns a Loader resolving imports from the export map.
 func NewLoader(exports map[string]string) *Loader {
 	fset := token.NewFileSet()
-	return &Loader{fset: fset, imp: newExportImporter(fset, exports, map[string]*types.Package{})}
+	return &Loader{fset: fset, imp: newExportImporter(fset, exports)}
 }
 
 // Add registers a previously loaded package under importPath, letting
@@ -232,22 +232,6 @@ func (l *Loader) Dir(dir, importPath string) (*Package, error) {
 		files = append(files, f)
 	}
 	return check(l.fset, files, importPath, l.imp)
-}
-
-// Files parses and type-checks an explicit file list as one package —
-// the entry point for `go vet -vettool` mode, where the go command
-// supplies the exact file set and export map.
-func Files(importPath string, goFiles []string, exports map[string]string) (*Package, error) {
-	fset := token.NewFileSet()
-	var files []*ast.File
-	for _, name := range goFiles {
-		f, err := parser.ParseFile(fset, name, nil, parser.ParseComments|parser.SkipObjectResolution)
-		if err != nil {
-			return nil, fmt.Errorf("load: %w", err)
-		}
-		files = append(files, f)
-	}
-	return check(fset, files, importPath, newExportImporter(fset, exports, nil))
 }
 
 func check(fset *token.FileSet, files []*ast.File, importPath string, imp types.Importer) (*Package, error) {
@@ -280,14 +264,13 @@ func check(fset *token.FileSet, files []*ast.File, importPath string, imp types.
 }
 
 // Patterns loads every package matched by the patterns: the one-call
-// convenience used by the standalone driver and the repo-clean test.
+// convenience used by the driver and the repo-clean test.
 func Patterns(modRoot string, patterns ...string) ([]*Package, error) {
-	exportPatterns := append([]string{"./..."}, nil...)
-	exports, err := ExportMap(modRoot, exportPatterns...)
+	resolved, err := ResolvePatterns(modRoot, patterns)
 	if err != nil {
 		return nil, err
 	}
-	resolved, err := ResolvePatterns(modRoot, patterns)
+	exports, err := ExportMap(modRoot, "./...")
 	if err != nil {
 		return nil, err
 	}

@@ -24,7 +24,7 @@
 // that use at least one edge it produced itself, so a cycle is reported
 // exactly once no matter how many packages can see it; plain
 // two-function inverse pairs inside one package keep the existing
-// "order" category. The standalone driver additionally assembles every
+// "order" category. The driver additionally assembles every
 // package's exported edges into one module-global graph to catch
 // cycles between sibling packages no single pass can see.
 package lockdisc

@@ -37,10 +37,9 @@ import (
 
 // Analyzer is the lockdisc pass.
 var Analyzer = &analysis.Analyzer{
-	Name:      "lockdisc",
-	Doc:       "flag mutexes held across blocking conn calls, inconsistent lock ordering, and cross-package lock-order cycles",
-	Run:       run,
-	FactTypes: []analysis.Fact{(*LockOrderFact)(nil)},
+	Name: "lockdisc",
+	Doc:  "flag mutexes held across blocking conn calls, inconsistent lock ordering, and cross-package lock-order cycles",
+	Run:  run,
 }
 
 // held maps a lock's source expression (e.g. "c.mu") to where it was

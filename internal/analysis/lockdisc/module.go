@@ -5,7 +5,7 @@
 // own edges plus its dependencies' (interproc.go). What no pass can see
 // is a cycle split between sibling packages: pkg A orders X before Y,
 // pkg B orders Y before X, and neither imports the other. Both edge
-// sets still reach the standalone driver's shared fact store, so after
+// sets still reach the driver's shared fact store, so after
 // the last package the driver hands every exported LockOrderFact to
 // ModuleDeadlocks, which assembles the one module-global order graph
 // and reports exactly the cycles the per-package ownership rule let

@@ -53,10 +53,9 @@ func (*CostFact) AFact() {}
 
 // Analyzer is the overhead pass.
 var Analyzer = &analysis.Analyzer{
-	Name:      "overhead",
-	Doc:       "bound worst-case Prepend bytes on chunnel send paths against declared SendOverhead",
-	Run:       run,
-	FactTypes: []analysis.Fact{(*CostFact)(nil)},
+	Name: "overhead",
+	Doc:  "bound worst-case Prepend bytes on chunnel send paths against declared SendOverhead",
+	Run:  run,
 }
 
 type implDecl struct {

@@ -102,9 +102,6 @@ var Analyzer = &analysis.Analyzer{
 	Name: "speccheck",
 	Doc:  "evaluate Chunnel DAG construction against the registered implementations and their scopes",
 	Run:  run,
-	FactTypes: []analysis.Fact{
-		(*NodeFact)(nil), (*StackFact)(nil), (*RegistryFact)(nil),
-	},
 }
 
 func run(pass *analysis.Pass) error {
