@@ -1,19 +1,18 @@
-// Command berthavet runs the bertha static-analysis suite: callgraph
-// (per-package call graph with bounded devirtualization, feeding the
-// others), bufown (linear wire.Buf ownership with inferred
-// borrow/transfer summaries), overhead (Prepend totals vs declared
-// SendOverhead), lockdisc (mutexes across blocking conn calls, lock
-// ordering, and module-global deadlock cycles), ctxflow (context
-// propagation and timer lifetimes), golife (goroutine shutdown edges,
-// WaitGroup pairing, and spawns through helper wrappers), speccheck
-// (spec stacks evaluated against the chunnel registry), atomdisc
-// (sync/atomic access discipline), and batchcontract (the
-// SendBufs/RecvBufs batch contract).
+// Command berthavet runs the bertha static-analysis suite: bufown
+// (linear wire.Buf ownership with inferred borrow/transfer summaries),
+// overhead (Prepend totals vs declared SendOverhead), lockdisc (mutexes
+// across blocking conn calls, lock ordering, and lock-order cycles
+// across the whole program), ctxflow (context propagation and timer
+// lifetimes), golife (goroutine shutdown edges, WaitGroup pairing, and
+// spawns through helper wrappers), speccheck (spec stacks evaluated
+// against the chunnel registry), atomdisc (sync/atomic access
+// discipline), and batchcontract (the SendBufs/RecvBufs batch
+// contract).
 //
-// Analyzers exchange cross-package facts in one process: packages are
-// analyzed in dependency order (independent packages in parallel
-// waves) over one shared fact store, and a final module-global pass
-// assembles lock-order cycles that span sibling packages.
+// The packages are loaded and type-checked once, as one program, and
+// each analyzer runs over all of them in one pass, so what it learns
+// about a function in one package (a borrowed parameter, a lock it
+// takes) is a plain map entry when another package calls it.
 //
 //	go run ./cmd/berthavet ./...
 //	go run ./cmd/berthavet -version

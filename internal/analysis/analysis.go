@@ -1,8 +1,15 @@
 // Package analysis is a dependency-free re-implementation of the core of
 // golang.org/x/tools/go/analysis, sized for this repository: an Analyzer
-// is a named check over one type-checked package, a Pass is one run of an
-// analyzer, and diagnostics carry a category so golden tests and CI can
+// is a named check, a Pass is one run of it over the whole loaded
+// program, and diagnostics carry a category so golden tests and CI can
 // assert on the exact rule that fired.
+//
+// The program is checked as one unit (internal/analysis/load), so an
+// analyzer sees every package at once, dependencies first, and keeps
+// what it learns about one package's functions and fields — borrowed
+// parameters, blocking calls, lock acquisitions — in plain maps keyed by
+// the *types.Func or *types.Var, which are the same pointers in every
+// package that mentions them.
 //
 // The suite exists because the zero-copy data plane (internal/wire,
 // core.BufConn) is governed by conventions the compiler cannot see:
@@ -20,12 +27,14 @@ import (
 	"sort"
 	"strconv"
 	"strings"
+
+	"github.com/bertha-net/bertha/internal/analysis/load"
 )
 
 // SuiteRevision identifies the vet-suite rule set. Bump it whenever an
 // analyzer's diagnostics change so `berthavet -version` reflects the
 // rules in force.
-const SuiteRevision = "berthavet-2026.09.1"
+const SuiteRevision = "berthavet-2026.10.1"
 
 // An Analyzer describes one static check.
 type Analyzer struct {
@@ -34,7 +43,7 @@ type Analyzer struct {
 	Name string
 	// Doc is the one-paragraph description shown by -help.
 	Doc string
-	// Run applies the analyzer to one package.
+	// Run applies the analyzer to the whole program, once.
 	Run func(*Pass) error
 }
 
@@ -50,19 +59,17 @@ type Diagnostic struct {
 	Message string
 }
 
-// A Pass is one analyzer run over one package.
+// A Pass is one analyzer run over the whole program.
 type Pass struct {
-	Analyzer  *Analyzer
-	Fset      *token.FileSet
-	Files     []*ast.File
-	Pkg       *types.Package
+	Analyzer *Analyzer
+	Fset     *token.FileSet
+	// Pkgs are the packages under analysis, each after the packages it
+	// imports.
+	Pkgs []*load.Package
+	// Files are the files of every package, in Pkgs order.
+	Files []*ast.File
+	// TypesInfo holds the type information of every package.
 	TypesInfo *types.Info
-	// Facts is the run-wide fact store: facts of already-analyzed
-	// dependency packages are read from it, and facts about this
-	// package are exported into it. Nil when the driver runs without
-	// cross-package facts (then Import*Fact reports no facts and
-	// Export*Fact is a no-op).
-	Facts *FactStore
 
 	diags   []Diagnostic
 	ignores map[string]map[int]bool // filename -> line -> suppressed (built lazily)
@@ -133,10 +140,16 @@ func (p *Pass) suppressed(filename string, line int) bool {
 	return p.ignores[filename][line]
 }
 
-// Run applies an analyzer to a package and returns its diagnostics.
-// facts may be nil for a fact-free run.
-func Run(a *Analyzer, fset *token.FileSet, files []*ast.File, pkg *types.Package, info *types.Info, facts *FactStore) ([]Diagnostic, error) {
-	pass := &Pass{Analyzer: a, Fset: fset, Files: files, Pkg: pkg, TypesInfo: info, Facts: facts}
+// Run applies an analyzer to packages checked together by one
+// load.Loader, given dependencies first, and returns its diagnostics.
+func Run(a *Analyzer, pkgs []*load.Package) ([]Diagnostic, error) {
+	pass := &Pass{Analyzer: a, Pkgs: pkgs}
+	if len(pkgs) > 0 {
+		pass.Fset, pass.TypesInfo = pkgs[0].Fset, pkgs[0].Info
+	}
+	for _, pkg := range pkgs {
+		pass.Files = append(pass.Files, pkg.Files...)
+	}
 	if err := a.Run(pass); err != nil {
 		return nil, fmt.Errorf("%s: %w", a.Name, err)
 	}

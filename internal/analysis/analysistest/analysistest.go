@@ -25,12 +25,24 @@ import (
 
 // Run loads internal/analysis/testdata/src/<dir> and applies a to it.
 //
-// deps names other testdata corpora to load and analyze first, in
-// order, sharing one fact store: facts their analysis exports are
-// visible to the main corpus, and the main corpus may import them by
-// their synthesized path ("testdata/<dep>"). `// want` expectations are
-// checked in the dependency corpora too.
+// deps names other testdata corpora the main corpus builds on. Every
+// corpus is loaded as one program, deps first in the given order, so
+// the main corpus may import a dep by its synthesized path
+// ("testdata/<dep>") and the analyzer sees them all in one run.
+// `// want` expectations are checked in the dependency corpora too.
 func Run(t *testing.T, dir string, a *analysis.Analyzer, deps ...string) {
+	t.Helper()
+	pkgs := Load(t, append(deps, dir)...)
+	diags, err := analysis.Run(a, pkgs)
+	if err != nil {
+		t.Fatal(err)
+	}
+	checkWants(t, pkgs, diags)
+}
+
+// Load type-checks the named testdata corpora as one program, in the
+// given order, which must put every corpus after those it imports.
+func Load(t testing.TB, corpora ...string) []*load.Package {
 	t.Helper()
 	modRoot, err := load.ModuleRoot(".")
 	if err != nil {
@@ -40,30 +52,28 @@ func Run(t *testing.T, dir string, a *analysis.Analyzer, deps ...string) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	facts := analysis.NewFactStore()
 	loader := load.NewLoader(exports)
-	for _, dep := range append(deps, dir) {
-		pkgDir := filepath.Join(modRoot, "internal", "analysis", "testdata", "src", dep)
-		pkg, err := loader.Dir(pkgDir, "testdata/"+dep)
+	var pkgs []*load.Package
+	for _, name := range corpora {
+		pkg, err := loader.Dir(filepath.Join(modRoot, "internal", "analysis", "testdata", "src", name), "testdata/"+name)
 		if err != nil {
 			t.Fatal(err)
 		}
-		loader.Add(pkg.ImportPath, pkg.Types)
-		diags, err := analysis.Run(a, pkg.Fset, pkg.Files, pkg.Types, pkg.Info, facts)
-		if err != nil {
-			t.Fatal(err)
-		}
-		checkWants(t, pkg, diags)
+		pkgs = append(pkgs, pkg)
 	}
+	return pkgs
 }
 
-// checkWants matches diagnostics against the package's `// want`
+// checkWants matches diagnostics against the packages' `// want`
 // expectations, failing on both unexpected and missing findings.
-func checkWants(t *testing.T, pkg *load.Package, diags []analysis.Diagnostic) {
+func checkWants(t *testing.T, pkgs []*load.Package, diags []analysis.Diagnostic) {
 	t.Helper()
-	wants := collectWants(t, pkg)
+	wants := map[string][]*regexp.Regexp{}
+	for _, pkg := range pkgs {
+		collectWants(t, pkg, wants)
+	}
 	for _, d := range diags {
-		pos := pkg.Fset.Position(d.Pos)
+		pos := pkgs[0].Fset.Position(d.Pos)
 		key := lineKey(pos)
 		text := fmt.Sprintf("[%s/%s] %s", d.Analyzer, d.Category, d.Message)
 		matched := false
@@ -93,10 +103,9 @@ func lineKey(pos token.Position) string {
 
 var wantRE = regexp.MustCompile("`([^`]*)`|\"([^\"]*)\"")
 
-// collectWants indexes // want comments by file:line.
-func collectWants(t *testing.T, pkg *load.Package) map[string][]*regexp.Regexp {
+// collectWants indexes the package's // want comments by file:line.
+func collectWants(t *testing.T, pkg *load.Package, wants map[string][]*regexp.Regexp) {
 	t.Helper()
-	wants := map[string][]*regexp.Regexp{}
 	for _, f := range pkg.Files {
 		for _, cg := range f.Comments {
 			for _, c := range cg.List {
@@ -120,5 +129,4 @@ func collectWants(t *testing.T, pkg *load.Package) map[string][]*regexp.Regexp {
 			}
 		}
 	}
-	return wants
 }

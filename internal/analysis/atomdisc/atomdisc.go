@@ -23,16 +23,14 @@
 //	              existing value; the copy races with concurrent
 //	              writers and the copied atomics are dead state
 //
-// Mixed access is checked across packages: the set of atomically
-// accessed exported fields of exported types is published as an
-// AtomicFieldsFact package fact, and importing packages check their
-// plain accesses against it.
+// Mixed access is checked across the whole program: a field whose
+// address reaches sync/atomic in any package makes every plain access
+// to it, in any package, a finding.
 //
 // //bertha:racy <why> is the escape hatch for intentional mixed
 // access (for example a stats field whose readers tolerate torn
 // values). On the line before (or on) a plain access it suppresses
-// that site; on a field declaration it exempts the field everywhere,
-// including from the exported fact.
+// that site; on a field declaration it exempts the field everywhere.
 //
 // Creating values is fine: composite literals and zero-value var
 // declarations of atomic-bearing types are not copies of live state
@@ -44,23 +42,10 @@ import (
 	"go/ast"
 	"go/token"
 	"go/types"
-	"sort"
 	"strings"
 
 	"github.com/bertha-net/bertha/internal/analysis"
 )
-
-// AtomicFieldsFact lists the exported fields of this package's
-// exported struct types whose addresses are passed to sync/atomic
-// functions, keyed "TypeName.field". Importing packages flag their own
-// plain accesses to these fields. Fields declared //bertha:racy are
-// excluded.
-type AtomicFieldsFact struct {
-	Fields []string
-}
-
-// AFact marks AtomicFieldsFact as a fact type.
-func (*AtomicFieldsFact) AFact() {}
 
 // Analyzer is the atomdisc pass.
 var Analyzer = &analysis.Analyzer{
@@ -85,11 +70,9 @@ type checker struct {
 	pass *analysis.Pass
 	ann  *analysis.Annotations
 
-	// atomicLocal holds fields whose address this package passes to a
-	// sync/atomic function; atomicAll adds fields imported via
-	// AtomicFieldsFact from dependencies.
-	atomicLocal map[*types.Var]bool
-	atomicAll   map[*types.Var]bool
+	// atomic holds the fields whose address the program passes to a
+	// sync/atomic function.
+	atomic map[*types.Var]bool
 
 	// atomicArgs marks selector nodes inside the address argument of an
 	// atomic call: they are the sanctioned access, not a plain one.
@@ -102,12 +85,11 @@ type checker struct {
 
 func run(pass *analysis.Pass) error {
 	c := &checker{
-		pass:        pass,
-		ann:         analysis.CollectAnnotations(pass.Fset, pass.Files),
-		atomicLocal: map[*types.Var]bool{},
-		atomicAll:   map[*types.Var]bool{},
-		atomicArgs:  map[ast.Expr]bool{},
-		writes:      map[ast.Expr]bool{},
+		pass:       pass,
+		ann:        analysis.CollectAnnotations(pass.Fset, pass.Files),
+		atomic:     map[*types.Var]bool{},
+		atomicArgs: map[ast.Expr]bool{},
+		writes:     map[ast.Expr]bool{},
 	}
 
 	// Phase 1: collect atomic accesses (checking 64-bit alignment as we
@@ -116,14 +98,9 @@ func run(pass *analysis.Pass) error {
 		ast.Inspect(f, c.collect)
 	}
 
-	// Phase 2: merge imported facts, report mixed accesses, publish the
-	// fact, then hunt by-value copies of atomic-bearing structs.
-	for fld := range c.atomicLocal {
-		c.atomicAll[fld] = true
-	}
-	c.importFacts()
+	// Phase 2: report mixed accesses, then hunt by-value copies of
+	// atomic-bearing structs.
 	c.reportMixed()
-	c.exportFact()
 	for _, f := range pass.Files {
 		ast.Inspect(f, c.copyCheck)
 	}
@@ -197,7 +174,7 @@ func (c *checker) atomicArg(arg ast.Expr, fnName string, callPos token.Pos) {
 		}
 		return true
 	})
-	c.atomicLocal[fld] = true
+	c.atomic[fld] = true
 
 	if strings.HasSuffix(fnName, "Int64") || strings.HasSuffix(fnName, "Uint64") {
 		if off, known := c.chainOffset(sel); known && off%8 != 0 {
@@ -268,10 +245,10 @@ func (c *checker) chainOffset(sel *ast.SelectorExpr) (int64, bool) {
 }
 
 // reportMixed flags every plain access to a field that is atomically
-// accessed somewhere — here, or (via facts) in a dependency.
+// accessed somewhere in the program.
 func (c *checker) reportMixed() {
 	for _, site := range c.plains {
-		if !c.atomicAll[site.fld] {
+		if !c.atomic[site.fld] {
 			continue
 		}
 		if c.ann.RacyAt(site.pos) {
@@ -291,97 +268,9 @@ func (c *checker) reportMixed() {
 }
 
 // racyField reports whether the field's declaration carries a
-// //bertha:racy annotation. Only decidable for fields declared in the
-// package under analysis; imported racy fields were already excluded
-// from the dependency's fact.
+// //bertha:racy annotation.
 func (c *checker) racyField(fld *types.Var) bool {
-	return fld.Pkg() == c.pass.Pkg && c.ann.RacyAt(fld.Pos())
-}
-
-// exportFact publishes the atomically accessed exported fields of
-// exported struct types so importing packages can police their own
-// plain accesses.
-func (c *checker) exportFact() {
-	var keys []string
-	scope := c.pass.Pkg.Scope()
-	for _, name := range scope.Names() {
-		tn, ok := scope.Lookup(name).(*types.TypeName)
-		if !ok || !tn.Exported() {
-			continue
-		}
-		st, ok := tn.Type().Underlying().(*types.Struct)
-		if !ok {
-			continue
-		}
-		for i := 0; i < st.NumFields(); i++ {
-			fld := st.Field(i)
-			if fld.Exported() && c.atomicLocal[fld] && !c.racyField(fld) {
-				keys = append(keys, name+"."+fld.Name())
-			}
-		}
-	}
-	if len(keys) == 0 {
-		return
-	}
-	sort.Strings(keys)
-	c.pass.ExportPackageFact(&AtomicFieldsFact{Fields: keys})
-}
-
-// importFacts resolves dependency AtomicFieldsFact entries back to
-// field objects and merges them into the tracked set.
-func (c *checker) importFacts() {
-	for _, pf := range c.pass.AllPackageFacts() {
-		fact, ok := pf.Fact.(*AtomicFieldsFact)
-		if !ok || pf.Path == c.pass.Pkg.Path() {
-			continue
-		}
-		pkg := findImport(c.pass.Pkg, pf.Path)
-		if pkg == nil {
-			continue
-		}
-		for _, key := range fact.Fields {
-			typeName, fieldName, ok := strings.Cut(key, ".")
-			if !ok {
-				continue
-			}
-			tn, ok := pkg.Scope().Lookup(typeName).(*types.TypeName)
-			if !ok {
-				continue
-			}
-			st, ok := tn.Type().Underlying().(*types.Struct)
-			if !ok {
-				continue
-			}
-			for i := 0; i < st.NumFields(); i++ {
-				if fld := st.Field(i); fld.Name() == fieldName {
-					c.atomicAll[fld] = true
-				}
-			}
-		}
-	}
-}
-
-// findImport walks the import graph for the package with the given
-// path.
-func findImport(root *types.Package, path string) *types.Package {
-	seen := map[*types.Package]bool{}
-	var walk func(*types.Package) *types.Package
-	walk = func(p *types.Package) *types.Package {
-		if seen[p] {
-			return nil
-		}
-		seen[p] = true
-		if p.Path() == path {
-			return p
-		}
-		for _, imp := range p.Imports() {
-			if found := walk(imp); found != nil {
-				return found
-			}
-		}
-		return nil
-	}
-	return walk(root)
+	return c.ann.RacyAt(fld.Pos())
 }
 
 // ---- atomic-copy ----
@@ -478,7 +367,7 @@ func (c *checker) bearsAtomic(t types.Type, seen map[types.Type]bool) bool {
 	seen[t] = true
 	for i := 0; i < st.NumFields(); i++ {
 		fld := st.Field(i)
-		if c.atomicAll[fld] && !c.racyField(fld) {
+		if c.atomic[fld] && !c.racyField(fld) {
 			return true
 		}
 		if c.bearsAtomic(fld.Type(), seen) {

@@ -20,13 +20,12 @@
 // Interprocedural summaries are inferred rather than declared wherever
 // the code already proves them (see infer.go and sinks.go): a helper
 // that never consumes a Buf parameter on any exit path is learned as
-// borrowing it — bottom-up over the SCCs of the package call graph
-// (internal/analysis/callgraph), so borrows chain through helper
-// layers — and a struct field the package demonstrably drains (channel
-// receive, map read, range) is a learned sink whose stores are
-// sanctioned transfers, replacing most per-statement
-// //bertha:transfers annotations. Both summaries export as facts
-// (BorrowsFact, SinksFact) so cross-package callers see them too.
+// borrowing it — bottom-up over the SCCs of the program's call graph
+// (internal/analysis/callgraph), so borrows chain through helper layers
+// and across packages — and a struct field the program demonstrably
+// drains (channel receive, map read, range) is a learned sink whose
+// stores are sanctioned transfers, replacing most per-statement
+// //bertha:transfers annotations.
 //
 // The batch path follows the same discipline element-wise: a
 // []*wire.Buf argument to SendBufs transfers every element to the
@@ -60,22 +59,10 @@ import (
 	"go/ast"
 	"go/token"
 	"go/types"
-	"sort"
 
 	"github.com/bertha-net/bertha/internal/analysis"
 	"github.com/bertha-net/bertha/internal/analysis/cfg"
 )
-
-// BorrowsFact marks a function's //bertha:borrows parameters for
-// cross-package callers: an argument passed at one of these positions
-// stays owned by the caller instead of transferring to the callee.
-type BorrowsFact struct {
-	// Params holds the borrowed parameter indices (receiver excluded).
-	Params []int
-}
-
-// AFact marks BorrowsFact as a fact type.
-func (*BorrowsFact) AFact() {}
 
 // Analyzer is the bufown pass.
 var Analyzer = &analysis.Analyzer{
@@ -227,12 +214,17 @@ func mergeState(a, b st) st {
 }
 
 func run(pass *analysis.Pass) error {
-	if analysis.IsWirePackage(pass.Pkg) {
-		return nil
+	// internal/wire implements the discipline rather than obeys it: its
+	// functions are neither judged nor summarized.
+	var files []*ast.File
+	for _, pkg := range pass.Pkgs {
+		if !analysis.IsWirePackage(pkg.Types) {
+			files = append(files, pkg.Files...)
+		}
 	}
-	ann := analysis.CollectAnnotations(pass.Fset, pass.Files)
+	ann := analysis.CollectAnnotations(pass.Fset, files)
 	decls := map[*types.Func]*ast.FuncDecl{}
-	for _, f := range pass.Files {
+	for _, f := range files {
 		for _, d := range f.Decls {
 			if fd, ok := d.(*ast.FuncDecl); ok {
 				if fn, ok := pass.TypesInfo.Defs[fd.Name].(*types.Func); ok {
@@ -247,7 +239,7 @@ func run(pass *analysis.Pass) error {
 	// structs each carrying a *wire.Buf field (the reactor's receive
 	// ring, where slots pair the buffer with sequence bookkeeping).
 	queues := map[*types.Var]bool{}
-	for _, f := range pass.Files {
+	for _, f := range files {
 		ast.Inspect(f, func(n ast.Node) bool {
 			st, ok := n.(*ast.StructType)
 			if !ok {
@@ -265,46 +257,12 @@ func run(pass *analysis.Pass) error {
 			return true
 		})
 	}
-	// Learn the package's summaries before judging anyone: sink fields
+	// Learn the program's summaries before judging anyone: sink fields
 	// from drain witnesses, borrowed parameters from the silent
 	// bottom-up dataflow over the call graph.
-	sinks, sinkFact := collectSinks(pass)
+	sinks := collectSinks(pass.TypesInfo, files)
 	inferred := inferBorrows(pass, ann, decls, queues, sinks)
-	if sinkFact != nil {
-		pass.ExportPackageFact(sinkFact)
-	}
-	// Publish each function's borrowed Buf parameters — declared and
-	// inferred alike — so callers in other packages keep ownership
-	// instead of assuming a transfer.
-	for fn, fd := range decls {
-		if fd.Type.Params == nil {
-			continue
-		}
-		borrowedSet := map[int]bool{}
-		idx := 0
-		for _, field := range fd.Type.Params.List {
-			for _, name := range field.Names {
-				if v, ok := pass.TypesInfo.Defs[name].(*types.Var); ok &&
-					analysis.IsBufPtr(v.Type()) &&
-					analysis.FuncDirective(fd.Doc, "borrows", name.Name) {
-					borrowedSet[idx] = true
-				}
-				idx++
-			}
-		}
-		for i := range inferred[fn] {
-			borrowedSet[i] = true
-		}
-		if len(borrowedSet) > 0 {
-			borrowed := make([]int, 0, len(borrowedSet))
-			for i := range borrowedSet {
-				borrowed = append(borrowed, i)
-			}
-			sort.Ints(borrowed)
-			pass.ExportObjectFact(fn, &BorrowsFact{Params: borrowed})
-		}
-	}
-	for _, f := range pass.Files {
+	for _, f := range files {
 		for _, d := range f.Decls {
 			fd, ok := d.(*ast.FuncDecl)
 			if !ok || fd.Body == nil {
@@ -326,11 +284,11 @@ type funcAnalysis struct {
 	// fn is the declared function under analysis (nil for function
 	// literals and summary runs); its own inferred borrows key off it.
 	fn *types.Func
-	// sinks holds the package's inferred sink fields: stores into them
+	// sinks holds the program's inferred sink fields: stores into them
 	// are sanctioned transfers like //bertha:queue stores.
 	sinks *sinkSet
-	// inferred holds the package's learned borrow summaries, consulted
-	// by calleeBorrows alongside declared directives and facts.
+	// inferred holds the program's learned borrow summaries, consulted
+	// by calleeBorrows alongside declared directives.
 	inferred map[*types.Func]map[int]bool
 	// summarize, when set, runs in place of exit diagnostics: the
 	// inference pass records per-parameter consumption instead of
@@ -341,7 +299,7 @@ type funcAnalysis struct {
 	// to the caller through the slice — so it consumes the Buf without
 	// needing a //bertha:transfers annotation.
 	intoParams map[*types.Var]bool
-	// queues holds the package's //bertha:queue struct fields: stores
+	// queues holds the program's //bertha:queue struct fields: stores
 	// into and appends onto a queue are likewise sanctioned transfers
 	// (the drain path owns the release).
 	queues map[*types.Var]bool
@@ -1145,10 +1103,8 @@ func (fa *funcAnalysis) calleeFunc(x *ast.CallExpr) *types.Func {
 	return nil
 }
 
-// calleeBorrows reports whether the callee's i-th parameter is marked
-// //bertha:borrows — same-package callees by their doc comment,
-// cross-package callees through the BorrowsFact their own analysis
-// exported.
+// calleeBorrows reports whether the callee borrows its i-th parameter:
+// inferred, or marked //bertha:borrows in its doc comment.
 func (fa *funcAnalysis) calleeBorrows(fn *types.Func, i int) bool {
 	if fn == nil {
 		return false
@@ -1167,15 +1123,6 @@ func (fa *funcAnalysis) calleeBorrows(fn *types.Func, i int) bool {
 					return analysis.FuncDirective(fd.Doc, "borrows", name.Name)
 				}
 				idx++
-			}
-		}
-		return false
-	}
-	var bf BorrowsFact
-	if fa.pass.ImportObjectFact(fn, &bf) {
-		for _, p := range bf.Params {
-			if p == i {
-				return true
 			}
 		}
 	}

@@ -10,16 +10,16 @@
 //
 // Inference runs the same CFG ownership dataflow the reporting pass
 // uses, silently, over every function in bottom-up SCC order of the
-// package call graph (internal/analysis/callgraph): a callee's summary
+// program's call graph (internal/analysis/callgraph): a callee's summary
 // exists before any caller is summarized, so borrows chain through
-// layers of helpers. A parameter is inferred borrowed when no exit path
-// releases, stores, transfers, or returns it — ownership demonstrably
-// never leaves the caller. Recursive (same-SCC) and statically
+// layers of helpers and across packages. A parameter is inferred
+// borrowed when no exit path releases, stores, transfers, or returns
+// it — ownership demonstrably never leaves the caller. Recursive (same-SCC) and statically
 // unresolvable callees are assumed consuming, which errs toward the
 // quieter, pre-inference behavior.
 //
-// Inferred borrows merge into the exported BorrowsFact, so
-// cross-package callers hold the same obligations as local ones.
+// Callers in every package read the same summaries, so a cross-package
+// caller holds the same obligations as a local one.
 package bufown
 
 import (
@@ -31,16 +31,16 @@ import (
 	"github.com/bertha-net/bertha/internal/analysis/cfg"
 )
 
-// inferBorrows computes the package's borrowed-parameter summaries,
+// inferBorrows computes the program's borrowed-parameter summaries,
 // keyed by function, with parameter indices counted across all
-// parameters (receiver excluded) to match BorrowsFact.
+// parameters (receiver excluded).
 func inferBorrows(pass *analysis.Pass, ann *analysis.Annotations, decls map[*types.Func]*ast.FuncDecl, queues map[*types.Var]bool, sinks *sinkSet) map[*types.Func]map[int]bool {
 	g := callgraph.Build(pass)
 	inferred := map[*types.Func]map[int]bool{}
 	for _, scc := range g.SCCs() {
 		for _, node := range scc {
 			fd := node.Decl
-			if fd.Type.Params == nil {
+			if fd.Type.Params == nil || analysis.IsWirePackage(node.Fn.Pkg()) {
 				continue
 			}
 			hasBuf := false

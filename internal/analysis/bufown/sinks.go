@@ -4,13 +4,13 @@
 // The production pattern behind almost every transfers annotation is
 // the same: an owned *wire.Buf is parked in a longer-lived struct field
 // — a reassembly map, a pending-retransmit map, a per-peer channel —
-// and a drain path elsewhere in the package takes it back out and
+// and a drain path elsewhere in the program takes it back out and
 // releases it. The store is not a leak; it is the hand-off to the
 // drain. This file infers those fields directly:
 //
 //  1. Candidate fields are struct fields whose type can hold Bufs:
 //     chan *wire.Buf, map[K]*wire.Buf, map[K][]*wire.Buf, []*wire.Buf.
-//  2. A candidate is "drained" when the package reads Bufs back out of
+//  2. A candidate is "drained" when the program reads Bufs back out of
 //     it: a channel receive `<-x.f`, a `range x.f`, or an rvalue index
 //     read `x.f[k]` (an index on the left of `=` is a store, not a
 //     drain).
@@ -23,8 +23,8 @@
 //
 // Stores into inferred sink fields are sanctioned ownership transfers,
 // exactly as if annotated: the drain path owns the release. The
-// inferred set is exported as a SinksFact so importing packages
-// sanction their stores into the same fields. The deliberate trust is
+// inference runs over the whole program, so a store in one package is
+// sanctioned by a drain in another. The deliberate trust is
 // the same one //bertha:queue makes: the analysis believes the drain
 // path releases what it takes out — it verifies the hand-off, not the
 // drain.
@@ -34,19 +34,9 @@ import (
 	"go/ast"
 	"go/token"
 	"go/types"
-	"sort"
 
 	"github.com/bertha-net/bertha/internal/analysis"
 )
-
-// SinksFact lists a package's inferred Buf sink fields as
-// "Type.field" keys, so importing packages sanction stores into them.
-type SinksFact struct {
-	Fields []string
-}
-
-// AFact marks SinksFact as a fact type.
-func (*SinksFact) AFact() {}
 
 // sinkCandidateType reports whether a struct field of type t can park
 // Bufs for a later drain.
@@ -62,69 +52,27 @@ func sinkCandidateType(t types.Type) bool {
 	return false
 }
 
-// sinkSet resolves field references against the inferred sinks — the
-// local package's by object identity, imported packages' through their
-// SinksFact.
+// sinkSet is the program's inferred sink fields.
 type sinkSet struct {
-	pass     *analysis.Pass
-	local    map[*types.Var]bool
-	imported map[string]map[string]bool
+	info   *types.Info
+	fields map[*types.Var]bool
 }
 
-// isSinkSel reports whether sel names an inferred sink field. A nil
-// receiver (an analysis run without sink collection) matches nothing.
+// isSinkSel reports whether x selects an inferred sink field.
 func (ss *sinkSet) isSinkSel(x ast.Expr) bool {
-	if ss == nil {
-		return false
-	}
 	sel, ok := ast.Unparen(x).(*ast.SelectorExpr)
 	if !ok {
 		return false
 	}
-	v, ok := ss.pass.TypesInfo.Uses[sel.Sel].(*types.Var)
-	if !ok || !v.IsField() {
-		return false
-	}
-	if ss.local[v] {
-		return true
-	}
-	if v.Pkg() == nil || v.Pkg() == ss.pass.Pkg {
-		return false
-	}
-	// Cross-package: resolve "Type.field" against the owning package's
-	// exported SinksFact.
-	t := ss.pass.TypesInfo.TypeOf(sel.X)
-	if t == nil {
-		return false
-	}
-	if ptr, ok := t.(*types.Pointer); ok {
-		t = ptr.Elem()
-	}
-	named, ok := t.(*types.Named)
-	if !ok {
-		return false
-	}
-	fields, ok := ss.imported[v.Pkg().Path()]
-	if !ok {
-		fields = map[string]bool{}
-		var sf SinksFact
-		if ss.pass.ImportPackageFact(v.Pkg(), &sf) {
-			for _, f := range sf.Fields {
-				fields[f] = true
-			}
-		}
-		ss.imported[v.Pkg().Path()] = fields
-	}
-	return fields[named.Obj().Name()+"."+v.Name()]
+	v, ok := ss.info.Uses[sel.Sel].(*types.Var)
+	return ok && ss.fields[v]
 }
 
-// collectSinks infers the package's sink fields and builds the fact to
-// export (nil when nothing was inferred).
-func collectSinks(pass *analysis.Pass) (*sinkSet, *SinksFact) {
-	info := pass.TypesInfo
-	// 1. Candidate fields, keyed for the fact by "Type.field".
-	candidates := map[*types.Var]string{}
-	for _, f := range pass.Files {
+// collectSinks infers the sink fields declared in files.
+func collectSinks(info *types.Info, files []*ast.File) *sinkSet {
+	// 1. Candidate fields.
+	candidates := map[*types.Var]bool{}
+	for _, f := range files {
 		ast.Inspect(f, func(n ast.Node) bool {
 			ts, ok := n.(*ast.TypeSpec)
 			if !ok {
@@ -137,15 +85,16 @@ func collectSinks(pass *analysis.Pass) (*sinkSet, *SinksFact) {
 			for _, field := range st.Fields.List {
 				for _, name := range field.Names {
 					if v, ok := info.Defs[name].(*types.Var); ok && sinkCandidateType(v.Type()) {
-						candidates[v] = ts.Name.Name + "." + name.Name
+						candidates[v] = true
 					}
 				}
 			}
 			return true
 		})
 	}
+	ss := &sinkSet{info: info, fields: map[*types.Var]bool{}}
 	if len(candidates) == 0 {
-		return &sinkSet{pass: pass, imported: map[string]map[string]bool{}}, nil
+		return ss
 	}
 
 	fieldOf := func(x ast.Expr) *types.Var {
@@ -153,10 +102,8 @@ func collectSinks(pass *analysis.Pass) (*sinkSet, *SinksFact) {
 		if !ok {
 			return nil
 		}
-		if v, ok := info.Uses[sel.Sel].(*types.Var); ok {
-			if _, isCand := candidates[v]; isCand {
-				return v
-			}
+		if v, ok := info.Uses[sel.Sel].(*types.Var); ok && candidates[v] {
+			return v
 		}
 		return nil
 	}
@@ -182,7 +129,7 @@ func collectSinks(pass *analysis.Pass) (*sinkSet, *SinksFact) {
 	// known before the IndexExpr case asks.
 	drained := map[*types.Var]bool{}
 	varFields := map[*types.Var][]*types.Var{}
-	for _, f := range pass.Files {
+	for _, f := range files {
 		stores := map[*ast.IndexExpr]bool{}
 		ast.Inspect(f, func(n ast.Node) bool {
 			switch n := n.(type) {
@@ -230,10 +177,7 @@ func collectSinks(pass *analysis.Pass) (*sinkSet, *SinksFact) {
 						continue
 					}
 					fv, ok := info.Uses[kid].(*types.Var)
-					if !ok {
-						continue
-					}
-					if _, isCand := candidates[fv]; !isCand {
+					if !ok || !candidates[fv] {
 						continue
 					}
 					if lv := localVar(kv.Value); lv != nil {
@@ -274,18 +218,10 @@ func collectSinks(pass *analysis.Pass) (*sinkSet, *SinksFact) {
 		rootDrained[find(v)] = true
 	}
 
-	sinks := map[*types.Var]bool{}
-	var keys []string
-	for v, key := range candidates {
+	for v := range candidates {
 		if rootDrained[find(v)] {
-			sinks[v] = true
-			keys = append(keys, key)
+			ss.fields[v] = true
 		}
 	}
-	ss := &sinkSet{pass: pass, local: sinks, imported: map[string]map[string]bool{}}
-	if len(keys) == 0 {
-		return ss, nil
-	}
-	sort.Strings(keys)
-	return ss, &SinksFact{Fields: keys}
+	return ss
 }

@@ -1,27 +1,22 @@
-// Package callgraph builds a module-wide static call graph for the
-// berthavet suite: class-hierarchy analysis over static calls, plus
-// bounded devirtualization of interface-method calls (core.BufConn /
-// core.BatchConn and any other module-declared interface) against the
-// named types visible in the analyzed package's import closure.
+// Package callgraph is the call-graph library of the berthavet suite:
+// one static call graph over the whole loaded program, with
+// class-hierarchy devirtualization of interface-method calls against
+// every named type the program declares.
 //
-// The graph is the reusable layer the interprocedural analyzers ride:
+// Three analyzers build one graph per run and ride it:
 //
 //   - bufown orders its summary inference bottom-up over the graph's
 //     strongly connected components, so an unannotated helper's
 //     transfer/borrow behavior is known before its callers are judged;
 //   - lockdisc chains held-lock sets through call edges (including
-//     devirtualized ones) to build the module-global lock-order graph;
+//     devirtualized ones) into one lock-order graph for the program;
 //   - golife follows `go wrapper()` launches through helper calls to
 //     find the forever-loop at the end of the chain.
 //
-// Per package, the analyzer exports a CallGraphFact so importers can
-// walk a dependency's edges without re-analyzing it — the facts model
-// of golang.org/x/tools/go/analysis, applied to the graph itself.
-//
 // Soundness caveats (documented, deliberate): calls through function
 // values, reflection, and method values are not edges; interface calls
-// whose visible implementation count exceeds DevirtLimit resolve to no
-// edges (analyses must stay conservative at such sites).
+// with more than DevirtLimit implementations in the program resolve to
+// no edges (analyses must stay conservative at such sites).
 package callgraph
 
 import (
@@ -29,123 +24,30 @@ import (
 	"go/token"
 	"go/types"
 	"sort"
-	"strings"
 
 	"github.com/bertha-net/bertha/internal/analysis"
 )
 
 // DevirtLimit bounds interface-call devirtualization: a call site whose
-// interface has more visible implementations than this resolves to none
-// (the fan-out would drown the analyses in spurious edges).
+// interface has more implementations in the program than this resolves
+// to none (the fan-out would drown the analyses in spurious edges).
 const DevirtLimit = 16
 
-// A Ref addresses a function across packages: the package's import path
-// plus the object key ("F" or "T.M") the fact store uses.
-type Ref struct {
-	Pkg string
-	Obj string
-}
-
-// A CallEdge is one call site recorded in a CallGraphFact.
-type CallEdge struct {
-	// Callee is the target: a concrete function, or — when Iface is
-	// set — the interface method the call goes through.
-	Callee Ref
-	// Iface marks a call through an interface method; consumers
-	// devirtualize it against the implementations they can see.
-	Iface bool
-	// Go marks a `go` launch rather than a plain call.
-	Go bool
-	// Pos is the call site as "file:line".
-	Pos string
-}
-
-// A FuncInfo is one function's outgoing edges in a CallGraphFact.
-type FuncInfo struct {
-	Obj   string
-	Calls []CallEdge
-}
-
-// CallGraphFact is the per-package fact: every declared function's
-// statically resolvable outgoing calls.
-type CallGraphFact struct {
-	Funcs []FuncInfo
-}
-
-// AFact marks CallGraphFact as a fact type.
-func (*CallGraphFact) AFact() {}
-
-// Analyzer builds and exports the package's call graph. It runs first
-// in the suite so same-package analyzers can import the fact the same
-// way importers do.
-var Analyzer = &analysis.Analyzer{
-	Name: "callgraph",
-	Doc:  "build the module call graph (static calls + bounded interface devirtualization) and export it as a fact",
-	Run:  run,
-}
-
-func run(pass *analysis.Pass) error {
-	g := Build(pass)
-	fact := &CallGraphFact{}
-	for _, n := range g.Nodes {
-		fi := FuncInfo{Obj: analysis.ObjectKey(n.Fn)}
-		if fi.Obj == "" {
-			continue
-		}
-		for _, s := range n.Sites {
-			callee := s.Callee
-			if callee.Pkg() == nil {
-				continue
-			}
-			obj := analysis.ObjectKey(callee)
-			if obj == "" {
-				continue
-			}
-			pos := pass.Fset.Position(s.Pos)
-			fi.Calls = append(fi.Calls, CallEdge{
-				Callee: Ref{Pkg: callee.Pkg().Path(), Obj: obj},
-				Iface:  s.Iface,
-				Go:     s.Go,
-				Pos:    pos.Filename + ":" + itoa(pos.Line),
-			})
-		}
-		fact.Funcs = append(fact.Funcs, fi)
-	}
-	sort.Slice(fact.Funcs, func(i, j int) bool { return fact.Funcs[i].Obj < fact.Funcs[j].Obj })
-	pass.ExportPackageFact(fact)
-	return nil
-}
-
-func itoa(n int) string {
-	if n == 0 {
-		return "0"
-	}
-	var buf [12]byte
-	i := len(buf)
-	for n > 0 {
-		i--
-		buf[i] = byte('0' + n%10)
-		n /= 10
-	}
-	return string(buf[i:])
-}
-
-// A Graph is the in-memory call graph of one package under analysis.
+// A Graph is the call graph of the whole program under analysis.
 type Graph struct {
 	// Nodes holds one node per declared function with a body, in
-	// source order.
+	// source order, packages in dependency order.
 	Nodes []*Node
 	// ByFunc indexes nodes by their types.Func.
 	ByFunc map[*types.Func]*Node
 
-	pass       *Pass
-	implCache  map[*types.Interface][]*types.Func
-	implNumber map[*types.Interface]bool
+	pkgs []*types.Package
+	// impls caches each interface's implementing types (nil when they
+	// overflow DevirtLimit); methods caches each interface method's
+	// concrete targets.
+	impls   map[*types.Interface][]types.Type
+	methods map[*types.Func][]*types.Func
 }
-
-// Pass is the subset of analysis.Pass the builder needs — an interface
-// so tests can drive the builder without a full pass.
-type Pass = analysis.Pass
 
 // A Node is one declared function and its outgoing call sites.
 type Node struct {
@@ -169,13 +71,15 @@ type Site struct {
 	Call *ast.CallExpr
 }
 
-// Build constructs the package's call graph.
+// Build constructs the program's call graph.
 func Build(pass *analysis.Pass) *Graph {
 	g := &Graph{
-		ByFunc:     map[*types.Func]*Node{},
-		pass:       pass,
-		implCache:  map[*types.Interface][]*types.Func{},
-		implNumber: map[*types.Interface]bool{},
+		ByFunc:  map[*types.Func]*Node{},
+		impls:   map[*types.Interface][]types.Type{},
+		methods: map[*types.Func][]*types.Func{},
+	}
+	for _, pkg := range pass.Pkgs {
+		g.pkgs = append(g.pkgs, pkg.Types)
 	}
 	for _, f := range pass.Files {
 		for _, d := range f.Decls {
@@ -249,8 +153,8 @@ func classify(info *types.Info, call *ast.CallExpr) *Site {
 	return nil
 }
 
-// SCCs returns the graph's strongly connected components over
-// same-package static call edges, bottom-up: every component appears
+// SCCs returns the graph's strongly connected components over static
+// call edges, across packages, bottom-up: every component appears
 // after the components it calls into. This is the order summary
 // inference wants — callees are summarized before their callers.
 func (g *Graph) SCCs() [][]*Node {
@@ -305,115 +209,66 @@ func (g *Graph) SCCs() [][]*Node {
 	return sccs
 }
 
-// Devirtualize resolves an interface-method call site to the concrete
-// methods of every implementation visible from the pass: named types of
-// the package under analysis plus those of the module (and testdata)
-// packages in its import closure. It returns nil when the fan-out
-// exceeds DevirtLimit or the method is not an interface method.
+// Devirtualize resolves an interface-method call to the concrete
+// methods of every implementation the program declares. It returns nil
+// when the fan-out exceeds DevirtLimit or the method is not an
+// interface method.
 func (g *Graph) Devirtualize(ifaceFn *types.Func) []*types.Func {
-	sig, ok := ifaceFn.Type().(*types.Signature)
-	if !ok || sig.Recv() == nil {
-		return nil
+	if methods, ok := g.methods[ifaceFn]; ok {
+		return methods
 	}
-	iface, ok := sig.Recv().Type().Underlying().(*types.Interface)
-	if !ok {
-		return nil
-	}
-	if impls, ok := g.implCache[iface]; ok {
-		if g.implNumber[iface] {
-			return lookupMethods(impls, ifaceFn)
-		}
-		return nil
-	}
-	var implTypes []types.Type
-	overflow := false
-	consider := func(obj types.Object) {
-		tn, ok := obj.(*types.TypeName)
-		if !ok || tn.IsAlias() {
-			return
-		}
-		named, ok := tn.Type().(*types.Named)
-		if !ok {
-			return
-		}
-		if _, isIface := named.Underlying().(*types.Interface); isIface {
-			return
-		}
-		if types.Implements(named, iface) {
-			implTypes = append(implTypes, named)
-		} else if types.Implements(types.NewPointer(named), iface) {
-			implTypes = append(implTypes, types.NewPointer(named))
-		} else {
-			return
-		}
-		if len(implTypes) > DevirtLimit {
-			overflow = true
-		}
-	}
-	scan := func(pkg *types.Package) {
-		scope := pkg.Scope()
-		for _, name := range scope.Names() {
-			consider(scope.Lookup(name))
-			if overflow {
-				return
-			}
-		}
-	}
-	scan(g.pass.Pkg)
-	seen := map[string]bool{g.pass.Pkg.Path(): true}
-	var walk func(pkg *types.Package)
-	walk = func(pkg *types.Package) {
-		for _, imp := range pkg.Imports() {
-			if seen[imp.Path()] || overflow {
-				continue
-			}
-			seen[imp.Path()] = true
-			if moduleLike(imp.Path()) {
-				scan(imp)
-			}
-			walk(imp)
-		}
-	}
-	walk(g.pass.Pkg)
-	if overflow {
-		g.implNumber[iface] = false
-		g.implCache[iface] = nil
-		return nil
-	}
-	// Cache the concrete method funcs for this interface.
 	var methods []*types.Func
-	for _, t := range implTypes {
-		obj, _, _ := types.LookupFieldOrMethod(t, true, ifaceFn.Pkg(), ifaceFn.Name())
-		if m, ok := obj.(*types.Func); ok {
-			methods = append(methods, m)
+	sig, ok := ifaceFn.Type().(*types.Signature)
+	if ok && sig.Recv() != nil {
+		if iface, ok := sig.Recv().Type().Underlying().(*types.Interface); ok {
+			for _, t := range g.implementations(iface) {
+				obj, _, _ := types.LookupFieldOrMethod(t, true, ifaceFn.Pkg(), ifaceFn.Name())
+				if m, ok := obj.(*types.Func); ok {
+					methods = append(methods, m)
+				}
+			}
 		}
 	}
 	sort.Slice(methods, func(i, j int) bool { return methods[i].FullName() < methods[j].FullName() })
-	g.implNumber[iface] = true
-	g.implCache[iface] = methods
-	return lookupMethods(methods, ifaceFn)
+	g.methods[ifaceFn] = methods
+	return methods
 }
 
-func lookupMethods(methods []*types.Func, ifaceFn *types.Func) []*types.Func {
-	out := make([]*types.Func, 0, len(methods))
-	for _, m := range methods {
-		if m.Name() == ifaceFn.Name() {
-			out = append(out, m)
+// implementations returns the program's named non-interface types that
+// implement iface, as T or *T, or nil when more than DevirtLimit do.
+func (g *Graph) implementations(iface *types.Interface) []types.Type {
+	if impls, ok := g.impls[iface]; ok {
+		return impls
+	}
+	var impls []types.Type
+	for _, pkg := range g.pkgs {
+		scope := pkg.Scope()
+		for _, name := range scope.Names() {
+			tn, ok := scope.Lookup(name).(*types.TypeName)
+			if !ok || tn.IsAlias() {
+				continue
+			}
+			named, ok := tn.Type().(*types.Named)
+			if !ok || named.TypeParams().Len() > 0 {
+				continue // Implements is unspecified for uninstantiated generics
+			}
+			if _, isIface := named.Underlying().(*types.Interface); isIface {
+				continue
+			}
+			switch {
+			case types.Implements(named, iface):
+				impls = append(impls, named)
+			case types.Implements(types.NewPointer(named), iface):
+				impls = append(impls, types.NewPointer(named))
+			default:
+				continue
+			}
+			if len(impls) > DevirtLimit {
+				g.impls[iface] = nil
+				return nil
+			}
 		}
 	}
-	return out
-}
-
-// moduleLike reports whether an import path belongs to the analyzed
-// module or a testdata corpus rather than the standard library: module
-// paths carry a dot in their first segment, corpora use the synthesized
-// "testdata/" prefix. Devirtualization only scans these — conn
-// implementations live in the module, and walking every stdlib scope
-// would be pure overhead.
-func moduleLike(path string) bool {
-	first := path
-	if i := strings.IndexByte(path, '/'); i >= 0 {
-		first = path[:i]
-	}
-	return strings.Contains(first, ".") || first == "testdata" || first == "internal"
+	g.impls[iface] = impls
+	return impls
 }

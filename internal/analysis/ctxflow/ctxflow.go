@@ -18,9 +18,8 @@
 // Blocking operations are unguarded channel sends/receives (a select
 // with a default or a ctx.Done() case is not blocking-without-ctx),
 // time.Sleep, and calls to functions known to block without consuming a
-// context — same-package callees by direct analysis, cross-package
-// callees through the exported BlocksFact, so the check crosses package
-// boundaries transitively.
+// context. "Known to block" is a fixpoint over the whole program's
+// calls, so the check crosses package boundaries transitively.
 //
 // Detection is reachability-aware: each function body is lowered to a
 // control-flow graph (internal/analysis/cfg) and blocking operations or
@@ -39,18 +38,6 @@ import (
 	"github.com/bertha-net/bertha/internal/analysis/cfg"
 )
 
-// BlocksFact marks a function that performs a blocking operation
-// without consuming any context.Context: callers holding a ctx must
-// treat calling it as a blocking operation of their own.
-type BlocksFact struct {
-	// Op names the blocking operation, e.g. "channel receive" or
-	// "time.Sleep", for caller-side diagnostics.
-	Op string
-}
-
-// AFact marks BlocksFact as a fact type.
-func (*BlocksFact) AFact() {}
-
 // Analyzer is the ctxflow pass.
 var Analyzer = &analysis.Analyzer{
 	Name: "ctxflow",
@@ -58,18 +45,18 @@ var Analyzer = &analysis.Analyzer{
 	Run:  run,
 }
 
-// funcInfo is what one pass learns about one declared function.
+// funcInfo is what the pass learns about one declared function.
 type funcInfo struct {
 	decl *ast.FuncDecl
 	// ctxVar is the context.Context parameter, nil if none (or blank).
 	ctxVar *types.Var
 	// consumesCtx reports whether ctxVar appears anywhere in the body.
 	consumesCtx bool
-	// block is the first directly-blocking operation in the body, nil
+	// block names the first directly-blocking operation in the body, ""
 	// if none.
-	block *blockSite
-	// calls lists same-package callees invoked outside nested function
-	// literals, for the transitive fixpoint.
+	block string
+	// calls lists the reachable static callees invoked outside nested
+	// function literals, for the transitive fixpoint.
 	calls []*types.Func
 	// dead holds the source spans of CFG-unreachable code; blocking
 	// operations inside them never execute and are not counted.
@@ -86,14 +73,7 @@ func (fi *funcInfo) reachable(pos token.Pos) bool {
 	return true
 }
 
-// blockSite is one blocking operation.
-type blockSite struct {
-	pos token.Pos
-	op  string
-}
-
 func run(pass *analysis.Pass) error {
-	isMain := pass.Pkg.Name() == "main"
 	infos := map[*types.Func]*funcInfo{}
 	var order []*types.Func
 	for _, f := range pass.Files {
@@ -106,113 +86,81 @@ func run(pass *analysis.Pass) error {
 			if !ok {
 				continue
 			}
-			fi := analyzeFunc(pass, fd)
-			infos[fn] = fi
+			infos[fn] = analyzeFunc(pass, fd)
 			order = append(order, fn)
 		}
 	}
 
-	// Propagate "blocks without ctx" through the same-package call
-	// graph to a fixpoint: a function that calls a blocker (and has no
-	// ctx of its own to consume) is itself a blocker.
-	blocks := map[*types.Func]*blockSite{}
+	// Propagate "blocks without ctx" through the program's calls to a
+	// fixpoint: a function that calls a blocker (and has no ctx of its
+	// own to consume) is itself a blocker.
+	blocks := map[*types.Func]string{}
 	for fn, fi := range infos {
-		if fi.block != nil && !fi.consumesCtx {
+		if fi.block != "" && !fi.consumesCtx {
 			blocks[fn] = fi.block
 		}
 	}
 	for changed := true; changed; {
 		changed = false
-		for fn, fi := range infos {
-			if blocks[fn] != nil || fi.consumesCtx {
+		for _, fn := range order {
+			fi := infos[fn]
+			if blocks[fn] != "" || fi.consumesCtx {
 				continue
 			}
-			for _, callee := range fi.calls {
-				if site := blocks[callee]; site != nil {
-					blocks[fn] = &blockSite{pos: site.pos, op: "call to " + callee.Name() + " (" + site.op + ")"}
-					changed = true
-					break
-				}
+			if op := blockingCall(fn, fi, blocks); op != "" {
+				blocks[fn] = op
+				changed = true
 			}
 		}
 	}
 
-	// Export facts for functions that block without consuming a ctx, so
-	// importing packages treat calls to them as blocking operations.
-	for fn, site := range blocks {
-		pass.ExportObjectFact(fn, &BlocksFact{Op: site.op})
-	}
-
 	// dropped-ctx: a ctx parameter that is never consumed while the
-	// function blocks — directly, via a same-package callee, or via a
-	// cross-package callee with a BlocksFact.
+	// function blocks — directly or via a callee.
 	for _, fn := range order {
 		fi := infos[fn]
 		if fi.ctxVar == nil || fi.consumesCtx {
 			continue
 		}
-		site := fi.block
-		if site == nil {
-			for _, callee := range fi.calls {
-				if s := blocks[callee]; s != nil {
-					site = &blockSite{pos: fi.decl.Name.Pos(), op: "call to " + callee.Name() + " (" + s.op + ")"}
-					break
-				}
-			}
+		op := fi.block
+		if op == "" {
+			op = blockingCall(fn, fi, blocks)
 		}
-		if site == nil {
-			site = factBlockSite(pass, fi)
-		}
-		if site != nil {
+		if op != "" {
 			pass.Reportf(fi.decl.Name.Pos(), "dropped-ctx",
 				"%s receives ctx %q but never consumes it, yet blocks via %s; pass the ctx down, select on its Done, or drop the parameter",
-				fn.Name(), fi.ctxVar.Name(), site.op)
+				fn.Name(), fi.ctxVar.Name(), op)
 		}
 	}
 
 	// background: Background/TODO handed straight to a callee.
-	if !isMain {
-		for _, f := range pass.Files {
+	for _, pkg := range pass.Pkgs {
+		if pkg.Types.Name() == "main" {
+			continue
+		}
+		for _, f := range pkg.Files {
 			checkBackground(pass, f)
 		}
 	}
 	return nil
 }
 
-// factBlockSite looks for a cross-package callee carrying a BlocksFact.
-func factBlockSite(pass *analysis.Pass, fi *funcInfo) *blockSite {
-	var site *blockSite
-	ast.Inspect(fi.decl.Body, func(n ast.Node) bool {
-		if site != nil {
-			return false
+// blockingCall names fn's first call to a known blocker, "" if none.
+func blockingCall(fn *types.Func, fi *funcInfo, blocks map[*types.Func]string) string {
+	for _, callee := range fi.calls {
+		if op := blocks[callee]; op != "" {
+			name := callee.Name()
+			if callee.Pkg() != fn.Pkg() {
+				name = callee.Pkg().Name() + "." + name
+			}
+			return "call to " + name + " (" + op + ")"
 		}
-		if _, ok := n.(*ast.FuncLit); ok {
-			return false
-		}
-		call, ok := n.(*ast.CallExpr)
-		if !ok {
-			return true
-		}
-		if !fi.reachable(call.Pos()) {
-			return true
-		}
-		fn := calleeFunc(pass.TypesInfo, call)
-		if fn == nil || fn.Pkg() == pass.Pkg {
-			return true
-		}
-		var bf BlocksFact
-		if pass.ImportObjectFact(fn, &bf) {
-			site = &blockSite{pos: call.Pos(), op: "call to " + fn.Pkg().Name() + "." + fn.Name() + " (" + bf.Op + ")"}
-			return false
-		}
-		return true
-	})
-	return site
+	}
+	return ""
 }
 
 // analyzeFunc computes one function's ctx parameter, ctx consumption,
-// first blocking operation, and same-package callees. Timer leaks are
-// reported as a side effect.
+// first blocking operation, and callees. Timer leaks are reported as a
+// side effect.
 func analyzeFunc(pass *analysis.Pass, fd *ast.FuncDecl) *funcInfo {
 	fi := &funcInfo{decl: fd, dead: cfg.New(fd.Body).UnreachableSpans()}
 	if fd.Type.Params != nil {
@@ -231,7 +179,7 @@ func analyzeFunc(pass *analysis.Pass, fd *ast.FuncDecl) *funcInfo {
 }
 
 // walkBody scans stmts for ctx consumption, blocking operations, and
-// same-package calls. inGuardedSelect marks nodes under a select arm
+// calls. inGuardedSelect marks nodes under a select arm
 // whose select has a default or a ctx.Done() case.
 func walkBody(pass *analysis.Pass, body *ast.BlockStmt, fi *funcInfo, inGuardedSelect bool) {
 	var walk func(n ast.Node, guarded bool)
@@ -283,7 +231,7 @@ func walkBody(pass *analysis.Pass, body *ast.BlockStmt, fi *funcInfo, inGuardedS
 				if isPkgFunc(fn, "time", "Sleep") && !guarded {
 					fi.noteBlock(n.Pos(), "time.Sleep")
 				}
-				if fn.Pkg() == pass.Pkg {
+				if fi.reachable(n.Pos()) {
 					fi.calls = append(fi.calls, fn)
 				}
 			}
@@ -305,8 +253,8 @@ func walkBody(pass *analysis.Pass, body *ast.BlockStmt, fi *funcInfo, inGuardedS
 // noteBlock records the first blocking operation. Sites in
 // CFG-unreachable code never execute and are ignored.
 func (fi *funcInfo) noteBlock(pos token.Pos, op string) {
-	if fi.block == nil && fi.reachable(pos) {
-		fi.block = &blockSite{pos: pos, op: op}
+	if fi.block == "" && fi.reachable(pos) {
+		fi.block = op
 	}
 }
 

@@ -3,113 +3,26 @@ package driver_test
 import (
 	"testing"
 
-	"github.com/bertha-net/bertha/internal/analysis"
 	"github.com/bertha-net/bertha/internal/analysis/driver"
 	"github.com/bertha-net/bertha/internal/analysis/load"
 )
 
-// TestDepWaves pins the wave invariant the parallel driver relies on:
-// every package's transitive in-set dependencies live in strictly
-// earlier waves, so wave members never race on each other's facts.
-func TestDepWaves(t *testing.T) {
-	if testing.Short() {
-		t.Skip("loads and typechecks every package")
-	}
-	pkgs := loadModule(t)
-	waves := driver.DepWaves(driver.SortDeps(pkgs))
-	waveOf := map[string]int{}
-	for i, wave := range waves {
-		for _, p := range wave {
-			waveOf[p.ImportPath] = i
-		}
-	}
-	total := 0
-	for i, wave := range waves {
-		total += len(wave)
-		for _, p := range wave {
-			for _, imp := range p.Types.Imports() {
-				if j, ok := waveOf[imp.Path()]; ok && j >= i {
-					t.Errorf("%s (wave %d) depends on %s (wave %d); dependencies must be in earlier waves",
-						p.ImportPath, i, imp.Path(), j)
-				}
-			}
-		}
-	}
-	if total != len(pkgs) {
-		t.Errorf("waves hold %d packages, loaded %d", total, len(pkgs))
-	}
-	if len(waves) >= len(pkgs) && len(pkgs) > 1 {
-		t.Errorf("%d packages degenerated into %d waves: no parallelism", len(pkgs), len(waves))
-	}
-}
-
-// TestAnalyzeMatchesSequential pins that the parallel path finds
-// exactly what the sequential per-package path finds over the module:
-// nothing, and with the same fact-driven behavior.
-func TestAnalyzeMatchesSequential(t *testing.T) {
-	if testing.Short() {
-		t.Skip("loads and typechecks every package")
-	}
-	pkgs := loadModule(t)
-	results, err := driver.Analyze(pkgs, analysis.NewFactStore())
-	if err != nil {
-		t.Fatal(err)
-	}
-	seq := analysis.NewFactStore()
-	i := 0
-	for _, pkg := range driver.SortDeps(pkgs) {
-		diags, err := driver.RunPackageFacts(pkg, seq)
-		if err != nil {
-			t.Fatal(err)
-		}
-		if results[i].Pkg.ImportPath != pkg.ImportPath {
-			t.Fatalf("result order diverges at %d: %s vs %s", i, results[i].Pkg.ImportPath, pkg.ImportPath)
-		}
-		if len(results[i].Diags) != len(diags) {
-			t.Errorf("%s: parallel found %d diagnostics, sequential %d",
-				pkg.ImportPath, len(results[i].Diags), len(diags))
-		}
-		i++
-	}
-}
-
-func loadModule(t testing.TB) []*load.Package {
-	t.Helper()
+// BenchmarkBerthavetSuite measures one full suite run over the
+// already-loaded module — the analysis cost CI pays per push, excluding
+// parse/typecheck.
+func BenchmarkBerthavetSuite(b *testing.B) {
 	modRoot, err := load.ModuleRoot(".")
 	if err != nil {
-		t.Fatal(err)
+		b.Fatal(err)
 	}
 	pkgs, err := load.Patterns(modRoot, "./...")
 	if err != nil {
-		t.Fatal(err)
+		b.Fatal(err)
 	}
-	return pkgs
-}
-
-// BenchmarkBerthavetSuite measures one full wave-parallel suite run
-// over the already-loaded module — the analysis cost CI pays per push,
-// excluding parse/typecheck.
-func BenchmarkBerthavetSuite(b *testing.B) {
-	pkgs := loadModule(b)
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
-		if _, err := driver.Analyze(pkgs, analysis.NewFactStore()); err != nil {
+		if _, err := driver.Analyze(pkgs); err != nil {
 			b.Fatal(err)
-		}
-	}
-}
-
-// BenchmarkBerthavetSuiteSequential is the no-parallelism baseline for
-// BenchmarkBerthavetSuite.
-func BenchmarkBerthavetSuiteSequential(b *testing.B) {
-	pkgs := loadModule(b)
-	b.ResetTimer()
-	for i := 0; i < b.N; i++ {
-		facts := analysis.NewFactStore()
-		for _, pkg := range driver.SortDeps(pkgs) {
-			if _, err := driver.RunPackageFacts(pkg, facts); err != nil {
-				b.Fatal(err)
-			}
 		}
 	}
 }

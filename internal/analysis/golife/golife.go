@@ -13,23 +13,23 @@
 //	waitgroup      sync.WaitGroup misuse around a launch: Add inside
 //	               the launched goroutine (races with Wait), or a
 //	               local WaitGroup whose Done has no prior Add
-//	spawn-in-loop  an unbounded loop calls a function known (via facts)
-//	               to launch a daemon goroutine per call, so the
+//	spawn-in-loop  an unbounded loop calls a function of another package
+//	               known to launch a daemon goroutine per call, so the
 //	               goroutine population grows without bound
 //
-// The analyzer exports two facts. LoopsForeverFact marks functions
-// whose body contains an exit-less unbounded loop, so `go pkg.F()` in
-// another package is checked like a local function literal.
-// SpawnsFact records the spawn behavior of exported constructors
+// Two program-wide summaries drive the checks. The forever set holds
+// every function whose body contains an exit-less unbounded loop, so
+// `go pkg.F()` in another package is checked like a local function
+// literal. The spawn summary records each function's spawn behavior
 // (mcast.New, reliable.New, discovery.Serve, ...): how many goroutines
 // a call launches and whether any is a daemon, which powers the
 // spawn-in-loop check across package boundaries.
 //
-// Both facts see through helper wrappers via the module call graph
+// Both see through helper wrappers via the program's call graph
 // (internal/analysis/callgraph): a function that synchronously calls a
 // forever-looping function is itself forever (so `go runLoop()` is
 // caught even when runLoop merely delegates to the loop), and a
-// constructor's SpawnsFact counts the goroutines launched by the
+// constructor's spawn summary counts the goroutines launched by the
 // helpers it calls, not just its own `go` statements.
 package golife
 
@@ -42,28 +42,6 @@ import (
 	"github.com/bertha-net/bertha/internal/analysis/callgraph"
 )
 
-// LoopsForeverFact marks a function whose body contains an unbounded
-// loop with no exit edge: launching it on a goroutine creates a daemon.
-type LoopsForeverFact struct{}
-
-// AFact marks LoopsForeverFact as a fact type.
-func (*LoopsForeverFact) AFact() {}
-
-// SpawnsFact records a function's goroutine spawn behavior, exported
-// for constructors so callers in other packages know what a call
-// launches.
-type SpawnsFact struct {
-	// Count is the number of `go` statements executed directly by the
-	// function (not transitively).
-	Count int
-	// Daemon reports whether any launched goroutine loops forever with
-	// no shutdown edge (after //bertha:daemon declarations).
-	Daemon bool
-}
-
-// AFact marks SpawnsFact as a fact type.
-func (*SpawnsFact) AFact() {}
-
 // Analyzer is the golife pass.
 var Analyzer = &analysis.Analyzer{
 	Name: "golife",
@@ -72,82 +50,44 @@ var Analyzer = &analysis.Analyzer{
 }
 
 func run(pass *analysis.Pass) error {
-	ann := analysis.CollectAnnotations(pass.Fset, pass.Files)
-	decls := map[*types.Func]*ast.FuncDecl{}
-	for _, f := range pass.Files {
-		for _, d := range f.Decls {
-			if fd, ok := d.(*ast.FuncDecl); ok {
-				if fn, ok := pass.TypesInfo.Defs[fd.Name].(*types.Func); ok {
-					decls[fn] = fd
-				}
-			}
-		}
-	}
 	g := callgraph.Build(pass)
-	// Export LoopsForeverFact for every declared function with an
-	// exit-less unbounded loop (callers may `go` them from anywhere) —
-	// and, via the call graph, for every wrapper that synchronously
-	// calls one: the wrapper never returns either.
-	foreverHere := map[*types.Func]bool{}
-	for fn, fd := range decls {
-		if fd.Body != nil && hasForeverLoop(fd.Body) {
-			foreverHere[fn] = true
+	// The forever set: every function with an exit-less unbounded loop
+	// (callers may `go` them from anywhere) — and, via the call graph,
+	// every wrapper that synchronously calls one: the wrapper never
+	// returns either.
+	forever := map[*types.Func]bool{}
+	for _, n := range g.Nodes {
+		if hasForeverLoop(n.Decl.Body) {
+			forever[n.Fn] = true
 		}
-	}
-	foreverFact := map[*types.Func]bool{}
-	calleeForever := func(fn *types.Func) bool {
-		if foreverHere[fn] {
-			return true
-		}
-		if cached, ok := foreverFact[fn]; ok {
-			return cached
-		}
-		var lf LoopsForeverFact
-		got := fn.Pkg() != pass.Pkg && pass.ImportObjectFact(fn, &lf)
-		foreverFact[fn] = got
-		return got
 	}
 	for changed := true; changed; {
 		changed = false
 		for _, n := range g.Nodes {
-			if foreverHere[n.Fn] {
+			if forever[n.Fn] {
 				continue
 			}
 			for _, s := range n.Sites {
-				if s.Go || s.Iface {
-					continue
-				}
-				if calleeForever(s.Callee) {
-					foreverHere[n.Fn] = true
+				if !s.Go && !s.Iface && forever[s.Callee] {
+					forever[n.Fn] = true
 					changed = true
 					break
 				}
 			}
 		}
 	}
-	for fn := range foreverHere {
-		pass.ExportObjectFact(fn, &LoopsForeverFact{})
-	}
 
-	w := &walker{pass: pass, ann: ann, decls: decls, forever: foreverHere}
+	w := &walker{pass: pass, ann: analysis.CollectAnnotations(pass.Fset, pass.Files), forever: forever}
 	direct := map[*types.Func]spawnInfo{}
-	for _, f := range pass.Files {
-		for _, d := range f.Decls {
-			fd, ok := d.(*ast.FuncDecl)
-			if !ok || fd.Body == nil {
-				continue
-			}
-			spawns, daemon := w.checkFunc(fd)
-			if fn, ok := pass.TypesInfo.Defs[fd.Name].(*types.Func); ok {
-				direct[fn] = spawnInfo{count: spawns, daemon: daemon}
-			}
-		}
+	for _, n := range g.Nodes {
+		spawns, daemon := w.checkFunc(n.Decl)
+		direct[n.Fn] = spawnInfo{count: spawns, daemon: daemon}
 	}
 	// Propagate spawn behavior bottom-up over the call graph so a
-	// constructor that delegates launching to helpers still exports an
-	// honest SpawnsFact. An SCC is treated as one unit (recursive
-	// helpers share a combined summary).
-	trans := map[*types.Func]spawnInfo{}
+	// constructor that delegates launching to helpers still has an
+	// honest summary. An SCC is treated as one unit (recursive helpers
+	// share a combined summary).
+	w.spawns = map[*types.Func]spawnInfo{}
 	for _, scc := range g.SCCs() {
 		var total spawnInfo
 		for _, n := range scc {
@@ -158,15 +98,9 @@ func run(pass *analysis.Pass) error {
 				if s.Go || s.Iface {
 					continue
 				}
-				if t, ok := trans[s.Callee]; ok {
+				if t, ok := w.spawns[s.Callee]; ok {
 					total.count += t.count
 					total.daemon = total.daemon || t.daemon
-				} else if s.Callee.Pkg() != pass.Pkg {
-					var sf SpawnsFact
-					if pass.ImportObjectFact(s.Callee, &sf) {
-						total.count += sf.Count
-						total.daemon = total.daemon || sf.Daemon
-					}
 				}
 			}
 		}
@@ -174,13 +108,11 @@ func run(pass *analysis.Pass) error {
 			total.count = 1000 // saturate: recursion multiplies sites
 		}
 		for _, n := range scc {
-			trans[n.Fn] = total
+			w.spawns[n.Fn] = total
 		}
 	}
-	for fn, t := range trans {
-		if t.count > 0 {
-			pass.ExportObjectFact(fn, &SpawnsFact{Count: t.count, Daemon: t.daemon})
-		}
+	for _, n := range g.Nodes {
+		w.checkSpawnInLoop(n.Fn, n.Decl)
 	}
 	return nil
 }
@@ -192,12 +124,11 @@ type spawnInfo struct {
 }
 
 type walker struct {
-	pass    *analysis.Pass
-	ann     *analysis.Annotations
-	decls   map[*types.Func]*ast.FuncDecl
+	pass *analysis.Pass
+	ann  *analysis.Annotations
+	// forever is the program's forever set; spawns its spawn summaries.
 	forever map[*types.Func]bool
-	// daemonSpawner marks functions that launch a daemon goroutine
-	// (annotated or not), for the SpawnsFact export.
+	spawns  map[*types.Func]spawnInfo
 }
 
 // checkFunc checks every `go` statement in one declared function and
@@ -238,10 +169,6 @@ func (w *walker) checkFunc(fd *ast.FuncDecl) (int, bool) {
 	for _, s := range fd.Body.List {
 		scan(s)
 	}
-	// spawn-in-loop: inside an unbounded exit-less loop, a call to a
-	// function whose SpawnsFact (or local analysis) says every call
-	// launches a daemon goroutine.
-	w.checkSpawnInLoop(fd)
 	return spawns, daemon
 }
 
@@ -256,19 +183,9 @@ func (w *walker) checkGo(g *ast.GoStmt, added map[*types.Var]bool) bool {
 		body = fun.Body
 		isLit = true
 	default:
-		if fn := calleeFunc(w.pass.TypesInfo, g.Call); fn != nil {
-			// The forever closure already sees through local wrapper
-			// chains; check it before falling back to the decl body.
-			if w.forever[fn] {
-				daemon = true
-			} else if fd, ok := w.decls[fn]; ok && fd.Body != nil {
-				body = fd.Body
-			} else {
-				var lf LoopsForeverFact
-				if w.pass.ImportObjectFact(fn, &lf) {
-					daemon = true
-				}
-			}
+		// The forever set already sees through wrapper chains.
+		if fn := calleeFunc(w.pass.TypesInfo, g.Call); fn != nil && w.forever[fn] {
+			daemon = true
 		}
 	}
 	if body != nil && hasForeverLoop(body) {
@@ -347,9 +264,10 @@ func isLocalVar(v *types.Var) bool {
 	return !v.IsField() && v.Pkg() != nil && v.Parent() != v.Pkg().Scope()
 }
 
-// checkSpawnInLoop reports calls, inside an exit-less unbounded loop,
-// to functions that launch a daemon goroutine per call.
-func (w *walker) checkSpawnInLoop(fd *ast.FuncDecl) {
+// checkSpawnInLoop reports calls, inside an exit-less unbounded loop of
+// caller, to functions of other packages that launch a daemon goroutine
+// per call. Same-package daemons are already flagged at their go site.
+func (w *walker) checkSpawnInLoop(caller *types.Func, fd *ast.FuncDecl) {
 	ast.Inspect(fd.Body, func(n ast.Node) bool {
 		loop, ok := n.(*ast.ForStmt)
 		if !ok || loop.Cond != nil || hasLoopExit(loop.Body) {
@@ -364,16 +282,8 @@ func (w *walker) checkSpawnInLoop(fd *ast.FuncDecl) {
 				return true
 			}
 			fn := calleeFunc(w.pass.TypesInfo, call)
-			if fn == nil || fn.Pkg() == nil {
+			if fn == nil || fn.Pkg() == nil || fn.Pkg() == caller.Pkg() || !w.spawns[fn].daemon {
 				return true
-			}
-			var sf SpawnsFact
-			if fn.Pkg() != w.pass.Pkg {
-				if !w.pass.ImportObjectFact(fn, &sf) || !sf.Daemon {
-					return true
-				}
-			} else {
-				return true // same-package daemons already flagged at their go site
 			}
 			w.pass.Reportf(call.Pos(), "spawn-in-loop",
 				"%s.%s launches a daemon goroutine per call and runs inside an unbounded loop; the goroutine population grows without bound",

@@ -1,9 +1,16 @@
 // Package load turns Go packages into type-checked syntax trees using
 // only the standard library: file selection via go/build, parsing via
-// go/parser, and dependency import via compiler export data produced by
-// `go list -export`. It is the loader beneath cmd/berthavet and the
-// analyzer golden tests, standing in for golang.org/x/tools/go/packages,
-// which this repository deliberately does not depend on.
+// go/parser, and type-checking via go/types. It is the loader beneath
+// cmd/berthavet and the analyzer golden tests, standing in for
+// golang.org/x/tools/go/packages, which this repository deliberately
+// does not depend on.
+//
+// The requested packages are checked from source as one program: in
+// dependency order, through one Loader, so an import of a package in
+// the set resolves to its already-checked *types.Package and every
+// object is one pointer program-wide. Only imports from outside the set
+// (the standard library) come from compiler export data produced by
+// `go list -export`.
 package load
 
 import (
@@ -18,6 +25,7 @@ import (
 	"os"
 	"os/exec"
 	"path/filepath"
+	"sort"
 	"strings"
 )
 
@@ -28,7 +36,9 @@ type Package struct {
 	Fset       *token.FileSet
 	Files      []*ast.File
 	Types      *types.Package
-	Info       *types.Info
+	// Info is the type information of the whole program the package was
+	// checked in: every package of one Loader shares it.
+	Info *types.Info
 }
 
 // ModuleRoot locates the enclosing module root (the directory holding
@@ -75,8 +85,8 @@ func goList(dir, format string, patterns []string) ([]string, error) {
 
 // ExportMap builds an import-path → export-data-file map for the
 // transitive dependencies of the patterns (compiling them if needed).
-// The map is what the export importer resolves stdlib and intra-module
-// imports from.
+// The map is what the export importer resolves imports from outside the
+// checked set from.
 func ExportMap(modRoot string, patterns ...string) (map[string]string, error) {
 	lines, err := goList(modRoot, `{{if .Export}}{{.ImportPath}}={{.Export}}{{end}}`,
 		append([]string{"-e", "-deps", "-export"}, patterns...))
@@ -139,20 +149,19 @@ func underTestdata(path string) bool {
 	return false
 }
 
-// exportImporter resolves imports from compiler export data, with the
-// slow-but-pure source importer as fallback for standard-library
-// packages missing from the export map.
+// exportImporter resolves imports: packages already checked by the
+// Loader first, then compiler export data, with the slow-but-pure
+// source importer as fallback for standard-library packages missing
+// from the export map.
 type exportImporter struct {
-	exports  map[string]string
-	extra    map[string]*types.Package
+	checked  map[string]*types.Package
 	gc       types.Importer
 	source   types.Importer
-	fset     *token.FileSet
 	imported map[string]*types.Package
 }
 
 func newExportImporter(fset *token.FileSet, exports map[string]string) *exportImporter {
-	ei := &exportImporter{exports: exports, extra: map[string]*types.Package{}, fset: fset, imported: map[string]*types.Package{}}
+	ei := &exportImporter{checked: map[string]*types.Package{}, imported: map[string]*types.Package{}}
 	lookup := func(path string) (io.ReadCloser, error) {
 		f, ok := exports[path]
 		if !ok {
@@ -169,7 +178,7 @@ func (ei *exportImporter) Import(path string) (*types.Package, error) {
 	if path == "unsafe" {
 		return types.Unsafe, nil
 	}
-	if pkg, ok := ei.extra[path]; ok {
+	if pkg, ok := ei.checked[path]; ok {
 		return pkg, nil
 	}
 	if pkg, ok := ei.imported[path]; ok {
@@ -188,36 +197,39 @@ func (ei *exportImporter) Import(path string) (*types.Package, error) {
 	return pkg, nil
 }
 
-// Dir parses and type-checks the package in dir (non-test files only,
-// honoring build constraints) against the given export map.
-func Dir(dir, importPath string, exports map[string]string) (*Package, error) {
-	return NewLoader(exports).Dir(dir, importPath)
-}
-
-// A Loader type-checks multiple packages against one shared importer
-// and FileSet, so a named type resolved while loading one package is
-// identical (pointer-equal) when a later package mentions it. The
-// golden-test harness needs this to load a dependency corpus and then a
-// main corpus that imports it.
+// A Loader type-checks packages as one program: one FileSet, one
+// types.Info, and one importer, so a package checked earlier is what
+// later packages import by its path, and a named type or function is
+// identical (pointer-equal) wherever it is mentioned. Check packages
+// dependencies first; the golden-test harness loads each corpus's
+// dependency corpora before it, and Patterns sorts.
 type Loader struct {
 	fset *token.FileSet
+	info *types.Info
 	imp  *exportImporter
 }
 
-// NewLoader returns a Loader resolving imports from the export map.
+// NewLoader returns a Loader resolving imports outside the checked set
+// from the export map.
 func NewLoader(exports map[string]string) *Loader {
 	fset := token.NewFileSet()
-	return &Loader{fset: fset, imp: newExportImporter(fset, exports)}
+	return &Loader{
+		fset: fset,
+		info: &types.Info{
+			Types:      map[ast.Expr]types.TypeAndValue{},
+			Defs:       map[*ast.Ident]types.Object{},
+			Uses:       map[*ast.Ident]types.Object{},
+			Selections: map[*ast.SelectorExpr]*types.Selection{},
+			Implicits:  map[ast.Node]types.Object{},
+			Scopes:     map[ast.Node]*types.Scope{},
+		},
+		imp: newExportImporter(fset, exports),
+	}
 }
 
-// Add registers a previously loaded package under importPath, letting
-// subsequent loads import it by that path even though no export data
-// exists for it (testdata corpora).
-func (l *Loader) Add(importPath string, pkg *types.Package) {
-	l.imp.extra[importPath] = pkg
-}
-
-// Dir parses and type-checks the package in dir through this loader.
+// Dir parses and type-checks the package in dir (non-test files only,
+// honoring build constraints) under importPath, and makes it importable
+// by that path for every package checked after it.
 func (l *Loader) Dir(dir, importPath string) (*Package, error) {
 	bp, err := build.ImportDir(dir, 0)
 	if err != nil {
@@ -231,40 +243,26 @@ func (l *Loader) Dir(dir, importPath string) (*Package, error) {
 		}
 		files = append(files, f)
 	}
-	return check(l.fset, files, importPath, l.imp)
-}
-
-func check(fset *token.FileSet, files []*ast.File, importPath string, imp types.Importer) (*Package, error) {
-	info := &types.Info{
-		Types:      map[ast.Expr]types.TypeAndValue{},
-		Defs:       map[*ast.Ident]types.Object{},
-		Uses:       map[*ast.Ident]types.Object{},
-		Selections: map[*ast.SelectorExpr]*types.Selection{},
-		Implicits:  map[ast.Node]types.Object{},
-		Scopes:     map[ast.Node]*types.Scope{},
-	}
 	var firstErr error
 	conf := &types.Config{
-		Importer: imp,
+		Importer: l.imp,
 		Error: func(err error) {
 			if firstErr == nil {
 				firstErr = err
 			}
 		},
 	}
-	pkg, _ := conf.Check(importPath, fset, files, info)
+	pkg, _ := conf.Check(importPath, l.fset, files, l.info)
 	if firstErr != nil {
 		return nil, fmt.Errorf("load: typecheck %s: %w", importPath, firstErr)
 	}
-	dir := ""
-	if len(files) > 0 {
-		dir = filepath.Dir(fset.Position(files[0].Pos()).Filename)
-	}
-	return &Package{ImportPath: importPath, Dir: dir, Fset: fset, Files: files, Types: pkg, Info: info}, nil
+	l.imp.checked[importPath] = pkg
+	return &Package{ImportPath: importPath, Dir: dir, Fset: l.fset, Files: files, Types: pkg, Info: l.info}, nil
 }
 
-// Patterns loads every package matched by the patterns: the one-call
-// convenience used by the driver and the repo-clean test.
+// Patterns loads every package matched by the patterns as one program,
+// returned dependencies first: the one-call convenience used by the
+// driver and the repo-clean test.
 func Patterns(modRoot string, patterns ...string) ([]*Package, error) {
 	resolved, err := ResolvePatterns(modRoot, patterns)
 	if err != nil {
@@ -274,13 +272,58 @@ func Patterns(modRoot string, patterns ...string) ([]*Package, error) {
 	if err != nil {
 		return nil, err
 	}
-	pkgs := make([]*Package, 0, len(resolved))
-	for _, dp := range resolved {
-		pkg, err := Dir(dp[0], dp[1], exports)
+	sorted, err := sortDeps(resolved)
+	if err != nil {
+		return nil, err
+	}
+	l := NewLoader(exports)
+	pkgs := make([]*Package, 0, len(sorted))
+	for _, dp := range sorted {
+		pkg, err := l.Dir(dp[0], dp[1])
 		if err != nil {
 			return nil, err
 		}
 		pkgs = append(pkgs, pkg)
 	}
 	return pkgs, nil
+}
+
+// sortDeps orders (dir, importPath) pairs topologically by their
+// imports: every package after all of its dependencies in the set, ties
+// broken by import path for determinism.
+func sortDeps(pkgs [][2]string) ([][2]string, error) {
+	imports := make(map[string][]string, len(pkgs))
+	byPath := make(map[string][2]string, len(pkgs))
+	for _, dp := range pkgs {
+		bp, err := build.ImportDir(dp[0], 0)
+		if err != nil {
+			return nil, fmt.Errorf("load: %s: %w", dp[0], err)
+		}
+		imports[dp[1]] = bp.Imports // sorted by go/build
+		byPath[dp[1]] = dp
+	}
+	paths := make([]string, 0, len(byPath))
+	for p := range byPath {
+		paths = append(paths, p)
+	}
+	sort.Strings(paths)
+	sorted := make([][2]string, 0, len(paths))
+	placed := map[string]bool{}
+	var visit func(p string)
+	visit = func(p string) {
+		if placed[p] {
+			return // Go forbids import cycles, so no package is re-entered
+		}
+		placed[p] = true
+		for _, d := range imports[p] {
+			if _, ok := byPath[d]; ok {
+				visit(d)
+			}
+		}
+		sorted = append(sorted, byPath[p])
+	}
+	for _, p := range paths {
+		visit(p)
+	}
+	return sorted, nil
 }

@@ -20,9 +20,9 @@
 // counts as held after a branch only if every arm holds it). `defer
 // mu.Unlock()` keeps the mutex held for the rest of the function, which
 // is the point: the data-plane calls it covers execute under the lock.
-// On top of it, interproc.go chains held-lock sets through calls using
-// the module call graph and each package's exported LockOrderFact,
-// turning the order check whole-module.
+// On top of it, interproc.go chains held-lock sets through calls over
+// the program's call graph into one lock-order graph and searches it
+// for cycles once.
 package lockdisc
 
 import (
@@ -78,22 +78,36 @@ func (h held) keys() []string {
 type orderEdge struct{ first, second string }
 
 func run(pass *analysis.Pass) error {
-	w := &walker{pass: pass, orders: map[orderEdge]token.Pos{},
-		globalOf: map[string]string{}, moduleOf: map[string]string{}}
-	for _, f := range pass.Files {
-		for _, d := range f.Decls {
-			fd, ok := d.(*ast.FuncDecl)
-			if !ok || fd.Body == nil {
-				continue
+	w := &walker{pass: pass}
+	for _, pkg := range pass.Pkgs {
+		w.pkg = pkg.Types
+		w.orders = map[orderEdge]token.Pos{}
+		w.globalOf = map[string]string{}
+		w.moduleOf = map[string]string{}
+		for _, f := range pkg.Files {
+			for _, d := range f.Decls {
+				fd, ok := d.(*ast.FuncDecl)
+				if !ok || fd.Body == nil {
+					continue
+				}
+				fn, _ := pass.TypesInfo.Defs[fd.Name].(*types.Func)
+				w.cur = &funcRec{fn: fn, acquires: map[string]token.Pos{}}
+				w.recs = append(w.recs, w.cur)
+				w.stmtList(fd.Body.List, held{})
 			}
-			fn, _ := pass.TypesInfo.Defs[fd.Name].(*types.Func)
-			w.cur = &funcRec{fn: fn, acquires: map[string]token.Pos{}}
-			w.recs = append(w.recs, w.cur)
-			w.stmtList(fd.Body.List, held{})
 		}
+		w.cur = nil
+		w.reportOrder()
 	}
-	w.cur = nil
-	// Inconsistent acquisition order: both (A,B) and (B,A) observed.
+	// Interprocedural pass: transitive acquire sets and one cycle
+	// search over the program's lock-order graph.
+	w.deadlocks()
+	return nil
+}
+
+// reportOrder reports the package's inconsistent acquisition orders:
+// both (A,B) and (B,A) observed.
+func (w *walker) reportOrder() {
 	reported := map[orderEdge]bool{}
 	var edges []orderEdge
 	for e := range w.orders {
@@ -109,31 +123,28 @@ func run(pass *analysis.Pass) error {
 		inv := orderEdge{e.second, e.first}
 		if invPos, ok := w.orders[inv]; ok && !reported[e] && !reported[inv] {
 			reported[e], reported[inv] = true, true
-			pass.Reportf(w.orders[e], "order",
+			w.pass.Reportf(w.orders[e], "order",
 				"locks %s and %s are acquired in both orders (inverse order at %s); pick one order to avoid deadlock",
-				e.first, e.second, pass.Fset.Position(invPos))
+				e.first, e.second, w.pass.Fset.Position(invPos))
 		}
 	}
-	// Interprocedural pass: transitive acquire sets, cross-package
-	// cycle detection, and the LockOrderFact export.
-	if fact := w.interproc(); fact != nil {
-		pass.ExportPackageFact(fact)
-	}
-	return nil
 }
 
 type walker struct {
-	pass     *analysis.Pass
+	pass *analysis.Pass
+	// pkg is the package being walked; orders, globalOf and moduleOf
+	// are per package.
+	pkg      *types.Package
 	orders   map[orderEdge]token.Pos
 	globalOf map[string]string // local lock key -> global identity
-	moduleOf map[string]string // local lock key -> module-global lock ID
+	moduleOf map[string]string // local lock key -> program-wide lock ID
 	// cur is the record of the function (or literal) being walked;
 	// recs accumulates every record for the interprocedural pass.
 	cur  *funcRec
 	recs []*funcRec
-	// moduleEdges are the direct (inline) acquisition-order edges seen
-	// by this pass, keyed by module-global lock IDs.
-	moduleEdges []modEdge
+	// directEdges are the inline acquisition-order edges, keyed by
+	// program-wide lock IDs.
+	directEdges []lockEdge
 	// deferring marks walking of a deferred call: its calls record an
 	// empty held set (the locks held at the defer statement are not
 	// necessarily held when the deferred call finally runs).
@@ -347,17 +358,17 @@ func (w *walker) expr(x ast.Expr, h held) held {
 							}
 						}
 					}
-					// Module-graph bookkeeping: the acquisition itself
-					// (seed of the transitive set) and direct order
-					// edges keyed by module-global identity.
+					// Lock-order graph bookkeeping: the acquisition
+					// itself (seed of the transitive set) and direct
+					// order edges keyed by program-wide identity.
 					if w.cur != nil {
 						if _, ok := w.cur.acquires[lk.module]; !ok {
 							w.cur.acquires[lk.module] = n.Pos()
 						}
 						for otherLocal := range h {
 							if om := w.moduleOf[otherLocal]; om != "" && om != lk.module && otherLocal != lk.local {
-								w.moduleEdges = append(w.moduleEdges, modEdge{
-									first: om, second: lk.module, pos: n.Pos(), direct: true,
+								w.directEdges = append(w.directEdges, lockEdge{
+									first: om, second: lk.module, pos: n.Pos(), direct: w.pkg,
 									why: fmt.Sprintf("%s acquires %s then %s", w.curName(), om, lk.module),
 								})
 							}
@@ -406,7 +417,7 @@ func (w *walker) expr(x ast.Expr, h held) held {
 // identity (Type.field for struct mutexes) used for order checking so
 // c.sendMu in one method and a.sendMu in another compare equal, and
 // module is the package-qualified form of global used by the
-// interprocedural graph so the same field compares equal across
+// program-wide lock-order graph so the same field compares equal across
 // packages.
 type lockKey struct {
 	local  string
@@ -445,7 +456,7 @@ func (w *walker) lockOp(call *ast.CallExpr) (lockKey, string, bool) {
 		return lockKey{}, "", false
 	}
 	lk := lockKey{local: types.ExprString(sel.X), global: types.ExprString(sel.X)}
-	lk.module = w.pass.Pkg.Path() + "." + lk.global
+	lk.module = w.pkg.Path() + "." + lk.global
 	// For x.field mutexes, key the order graph by the owner's type name
 	// so the same struct field matches across methods with different
 	// receiver names (and, module-qualified, across packages).

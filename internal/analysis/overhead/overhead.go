@@ -39,18 +39,6 @@ import (
 	"github.com/bertha-net/bertha/internal/analysis"
 )
 
-// CostFact records the worst-case bytes a function prepends to each of
-// its *wire.Buf parameters, letting callers in other packages charge
-// cross-package helper calls against their own SendOverhead bound.
-type CostFact struct {
-	// Costs[i] is the worst-case prepend total applied to parameter i
-	// (receiver excluded); non-Buf positions hold zero.
-	Costs []int
-}
-
-// AFact marks CostFact as a fact type.
-func (*CostFact) AFact() {}
-
 // Analyzer is the overhead pass.
 var Analyzer = &analysis.Analyzer{
 	Name: "overhead",
@@ -65,22 +53,33 @@ type implDecl struct {
 }
 
 func run(pass *analysis.Pass) error {
-	impls := collectImpls(pass)
-	w := &walker{
-		pass:  pass,
-		ann:   analysis.CollectAnnotations(pass.Fset, pass.Files),
-		decls: map[*types.Func]*ast.FuncDecl{},
-		memo:  map[memoKey]int{},
-	}
+	ann := analysis.CollectAnnotations(pass.Fset, pass.Files)
+	decls := map[*types.Func]*ast.FuncDecl{}
 	for _, f := range pass.Files {
 		for _, d := range f.Decls {
 			if fd, ok := d.(*ast.FuncDecl); ok {
 				if fn, ok := pass.TypesInfo.Defs[fd.Name].(*types.Func); ok {
-					w.decls[fn] = fd
+					decls[fn] = fd
 				}
 			}
 		}
 	}
+	// A helper in another package is charged quietly: its own package's
+	// walk is where its prepends are judged.
+	quiet := &walker{pass: pass, ann: ann, decls: decls, memo: map[memoKey]int{}, quiet: true}
+	quiet.shared = quiet
+	for _, pkg := range pass.Pkgs {
+		w := &walker{pass: pass, pkg: pkg.Types, ann: ann, decls: decls, memo: map[memoKey]int{}, shared: quiet}
+		w.checkPackage(pkg.Files)
+	}
+	return nil
+}
+
+// checkPackage bounds every send path declared in one package's files
+// by the impls the package registers.
+func (w *walker) checkPackage(files []*ast.File) {
+	pass := w.pass
+	impls := collectImpls(pass, files)
 	// The bound every send path must respect: the largest declared
 	// SendOverhead in the package (packages register one impl today;
 	// max keeps multi-impl packages conservative rather than wrong).
@@ -90,7 +89,7 @@ func run(pass *analysis.Pass) error {
 			bound = &impls[i]
 		}
 	}
-	for _, f := range pass.Files {
+	for _, f := range files {
 		for _, d := range f.Decls {
 			fd, ok := d.(*ast.FuncDecl)
 			if !ok || fd.Body == nil || fd.Recv == nil {
@@ -135,8 +134,6 @@ func run(pass *analysis.Pass) error {
 			}
 		}
 	}
-	w.exportCosts()
-	return nil
 }
 
 // transformOverhead reports whether fd — a method named Encode — belongs
@@ -154,7 +151,7 @@ func (w *walker) transformOverhead(fd *ast.FuncDecl) (own int, pos token.Pos, ok
 	}
 	mset := types.NewMethodSet(types.NewPointer(recv))
 	method := func(name string) *types.Func {
-		if sel := mset.Lookup(w.pass.Pkg, name); sel != nil {
+		if sel := mset.Lookup(w.pkg, name); sel != nil {
 			f, _ := sel.Obj().(*types.Func)
 			return f
 		}
@@ -180,43 +177,11 @@ func (w *walker) transformOverhead(fd *ast.FuncDecl) (own int, pos token.Pos, ok
 	return own, over.Pos(), true
 }
 
-// exportCosts publishes a CostFact for every function that prepends
-// into a *wire.Buf parameter, so cross-package callers can charge the
-// call against their own bound. Costing here is quiet: packages with no
-// registered impl are not report targets (the bound check above, when
-// it ran, already reported in loud mode first).
-func (w *walker) exportCosts() {
-	w.quiet = true
-	for fn, fd := range w.decls {
-		if fd.Body == nil {
-			continue
-		}
-		sig, ok := fn.Type().(*types.Signature)
-		if !ok {
-			continue
-		}
-		costs := make([]int, sig.Params().Len())
-		any := false
-		for i := 0; i < sig.Params().Len(); i++ {
-			if !analysis.IsBufPtr(sig.Params().At(i).Type()) {
-				continue
-			}
-			if n := w.costCallee(fn, i); n > 0 {
-				costs[i] = n
-				any = true
-			}
-		}
-		if any {
-			w.pass.ExportObjectFact(fn, &CostFact{Costs: costs})
-		}
-	}
-}
-
 // collectImpls finds core.ImplInfo composite literals and folds their
 // Name and SendOverhead fields to constants.
-func collectImpls(pass *analysis.Pass) []implDecl {
+func collectImpls(pass *analysis.Pass, files []*ast.File) []implDecl {
 	var impls []implDecl
-	for _, f := range pass.Files {
+	for _, f := range files {
 		ast.Inspect(f, func(n ast.Node) bool {
 			cl, ok := n.(*ast.CompositeLit)
 			if !ok {
@@ -357,12 +322,18 @@ type memoKey struct {
 }
 
 type walker struct {
-	pass  *analysis.Pass
+	pass *analysis.Pass
+	// pkg is the package whose send paths the walker judges; its
+	// helpers are costed loudly, through this walker.
+	pkg   *types.Package
 	ann   *analysis.Annotations
 	decls map[*types.Func]*ast.FuncDecl
 	memo  map[memoKey]int
 	stack []memoKey // recursion guard
-	quiet bool      // fact-export costing: compute totals, suppress reports
+	quiet bool      // compute totals, suppress reports
+	// shared is the program-wide quiet walker that costs helpers of
+	// other packages.
+	shared *walker
 }
 
 // costFunc computes the worst-case bytes fd prepends to buf.
@@ -526,21 +497,17 @@ func (c *coster) call(call *ast.CallExpr) int {
 	} else {
 		total += c.expr(call.Fun)
 	}
-	// Call forwarding the buf: charge the callee's cost — computed
-	// directly for same-package callees, from its exported CostFact for
-	// cross-package ones.
+	// Call forwarding the buf: charge the callee's cost — loudly for
+	// same-package callees, quietly for other packages' helpers.
 	if fn := c.calleeFunc(call); fn != nil {
+		w := c.w
+		if fn.Pkg() != w.pkg {
+			w = w.shared
+		}
 		for i, arg := range call.Args {
 			if id, ok := ast.Unparen(arg).(*ast.Ident); ok {
 				if v, ok := c.w.pass.TypesInfo.Uses[id].(*types.Var); ok && c.aliases[v] {
-					if fn.Pkg() == c.w.pass.Pkg {
-						total += c.w.costCallee(fn, i)
-					} else {
-						var cf CostFact
-						if c.w.pass.ImportObjectFact(fn, &cf) && i < len(cf.Costs) {
-							total += cf.Costs[i]
-						}
-					}
+					total += w.costCallee(fn, i)
 				}
 			}
 		}
@@ -600,8 +567,8 @@ func (c *coster) calleeFunc(call *ast.CallExpr) *types.Func {
 	return nil
 }
 
-// costCallee computes (memoized) the worst-case prepend bytes a
-// same-package callee applies to its i-th argument.
+// costCallee computes (memoized) the worst-case prepend bytes a callee
+// applies to its i-th argument.
 func (w *walker) costCallee(fn *types.Func, argIndex int) int {
 	key := memoKey{fn, argIndex}
 	if n, ok := w.memo[key]; ok {

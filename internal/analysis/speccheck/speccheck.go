@@ -25,15 +25,13 @@
 //	              whose eliminate pass dedupes)
 //	too-deep      select nesting beyond spec.MaxDepth
 //
-// The evaluator follows constants, single-assignment locals, and —
-// via facts — functions that return a constant-shaped Node or Stack:
-// analyzing internal/chunnels/reliable exports a NodeFact for
-// reliable.Node, so bertha.Reliable() (which returns it) earns one
-// too, and a stack built from bertha helpers in an example package
-// evaluates fully. Registrations travel the same way: a RegistryFact
-// per package records the ImplInfo literals and resolver registrations
-// it contains, and a sink package consults every fact in its import
-// closure.
+// The evaluator follows constants, single-assignment locals, and
+// functions anywhere in the program that return a constant-shaped Node
+// or Stack: reliable.Node evaluates, so bertha.Reliable() (which
+// returns it) does too, and a stack built from bertha helpers in an
+// example package evaluates fully. A sink is checked against the
+// registrations — ImplInfo literals and resolver registrations — of the
+// packages in its import closure, the ones linked into its binary.
 package speccheck
 
 import (
@@ -45,54 +43,30 @@ import (
 	"github.com/bertha-net/bertha/internal/analysis"
 )
 
-// SpecNode is the serializable shape of one evaluated DAG node.
-type SpecNode struct {
-	// Known is false for nodes the evaluator could not resolve; such
+// specNode is the evaluated shape of one DAG node.
+type specNode struct {
+	// known is false for nodes the evaluator could not resolve; such
 	// nodes are skipped by every check rather than guessed at.
-	Known bool
-	// Type is the chunnel type name ("" only when unknown or defective).
-	Type string
-	// Scope is the numeric spec.Scope constraint (0 = ScopeAny).
-	Scope uint8
-	// Select marks a branching node; Branches holds its alternatives.
-	Select   bool
-	Branches []SpecStack
+	known bool
+	// typ is the chunnel type name ("" only when unknown or defective).
+	typ string
+	// scope is the numeric spec.Scope constraint (0 = ScopeAny).
+	scope uint8
+	// sel marks a branching node; branches holds its alternatives.
+	sel      bool
+	branches []specStack
 }
 
-// SpecStack is the serializable shape of an evaluated stack.
-type SpecStack struct {
-	Nodes []SpecNode
+// specStack is the evaluated shape of a stack.
+type specStack struct {
+	nodes []specNode
 }
 
-// NodeFact marks a function that returns a constant-shaped spec.Node.
-type NodeFact struct{ Node SpecNode }
-
-// AFact marks NodeFact as a fact type.
-func (*NodeFact) AFact() {}
-
-// StackFact marks a function that returns a constant-shaped *spec.Stack.
-type StackFact struct{ Stack SpecStack }
-
-// AFact marks StackFact as a fact type.
-func (*StackFact) AFact() {}
-
-// RegImpl records one registered implementation: its chunnel type and
-// numeric core.Location.
-type RegImpl struct {
-	Type     string
-	Location uint8
+// registry is what some packages contribute to the chunnel registry.
+type registry struct {
+	impls   map[string][]uint8 // chunnel type -> registered locations
+	selects map[string]bool    // select types with a resolver
 }
-
-// RegistryFact is the package fact summarizing the chunnel
-// implementations (core.ImplInfo literals) and select resolvers
-// (RegisterResolver calls) a package contributes to the registry.
-type RegistryFact struct {
-	Impls   []RegImpl
-	Selects []string
-}
-
-// AFact marks RegistryFact as a fact type.
-func (*RegistryFact) AFact() {}
 
 // maxDepth mirrors spec.MaxDepth, the runtime bound on select nesting.
 const maxDepth = 8
@@ -105,28 +79,37 @@ var Analyzer = &analysis.Analyzer{
 }
 
 func run(pass *analysis.Pass) error {
-	c := &checker{pass: pass}
-	c.exportRegistry()
-	c.exportBuilders()
-	c.loadRegistry()
-	for _, f := range pass.Files {
-		ast.Inspect(f, func(n ast.Node) bool {
-			call, ok := n.(*ast.CallExpr)
-			if !ok {
+	c := &checker{pass: pass, nodes: map[*types.Func]specNode{}, stacks: map[*types.Func]specStack{}}
+	c.inferBuilders()
+	regs := map[*types.Package]*registry{}
+	for _, pkg := range pass.Pkgs {
+		regs[pkg.Types] = c.scanRegistry(pkg.Files)
+	}
+	for _, pkg := range pass.Pkgs {
+		c.reg = closureRegistry(pkg.Types, regs)
+		for _, f := range pkg.Files {
+			ast.Inspect(f, func(n ast.Node) bool {
+				call, ok := n.(*ast.CallExpr)
+				if !ok {
+					return true
+				}
+				c.checkConstruction(call)
+				c.checkSink(call)
 				return true
-			}
-			c.checkConstruction(call)
-			c.checkSink(call)
-			return true
-		})
+			})
+		}
 	}
 	return nil
 }
 
 type checker struct {
-	pass    *analysis.Pass
-	impls   map[string][]uint8 // chunnel type -> registered locations
-	selects map[string]bool    // select types with a resolver
+	pass *analysis.Pass
+	// nodes and stacks hold the builder functions that return a
+	// constant-shaped spec.Node or *spec.Stack.
+	nodes  map[*types.Func]specNode
+	stacks map[*types.Func]specStack
+	// reg is the registry of the package being checked.
+	reg *registry
 	// locals caches, per enclosing function, the single-assignment
 	// local variable initializers the evaluator may follow.
 	locals map[*types.Var]ast.Expr
@@ -134,12 +117,11 @@ type checker struct {
 
 // ---- registry knowledge ----
 
-// exportRegistry scans this package for core.ImplInfo composite
-// literals and RegisterResolver calls and exports them as the package's
-// RegistryFact.
-func (c *checker) exportRegistry() {
-	var fact RegistryFact
-	for _, f := range c.pass.Files {
+// scanRegistry collects the core.ImplInfo composite literals and
+// RegisterResolver calls in files.
+func (c *checker) scanRegistry(files []*ast.File) *registry {
+	reg := &registry{impls: map[string][]uint8{}, selects: map[string]bool{}}
+	for _, f := range files {
 		ast.Inspect(f, func(n ast.Node) bool {
 			switch n := n.(type) {
 			case *ast.CompositeLit:
@@ -147,8 +129,7 @@ func (c *checker) exportRegistry() {
 				if !ok || !analysis.IsImplInfo(tv.Type) {
 					return true
 				}
-				impl := RegImpl{}
-				known := false
+				typ, loc := "", uint8(0)
 				for _, elt := range n.Elts {
 					kv, ok := elt.(*ast.KeyValueExpr)
 					if !ok {
@@ -161,16 +142,16 @@ func (c *checker) exportRegistry() {
 					switch key.Name {
 					case "Type":
 						if s, ok := c.constString(kv.Value); ok {
-							impl.Type, known = s, true
+							typ = s
 						}
 					case "Location":
 						if v, ok := c.constUint(kv.Value); ok {
-							impl.Location = v
+							loc = v
 						}
 					}
 				}
-				if known && impl.Type != "" {
-					fact.Impls = append(fact.Impls, impl)
+				if typ != "" {
+					reg.impls[typ] = append(reg.impls[typ], loc)
 				}
 			case *ast.CallExpr:
 				sel, ok := n.Fun.(*ast.SelectorExpr)
@@ -178,42 +159,40 @@ func (c *checker) exportRegistry() {
 					return true
 				}
 				if s, ok := c.constString(n.Args[0]); ok && s != "" {
-					fact.Selects = append(fact.Selects, s)
+					reg.selects[s] = true
 				}
 			}
 			return true
 		})
 	}
-	if len(fact.Impls) > 0 || len(fact.Selects) > 0 {
-		c.pass.ExportPackageFact(&fact)
-	}
+	return reg
 }
 
-// loadRegistry merges this package's registrations with every
-// RegistryFact in the import closure.
-func (c *checker) loadRegistry() {
-	c.impls = map[string][]uint8{}
-	c.selects = map[string]bool{}
-	add := func(fact *RegistryFact) {
-		for _, impl := range fact.Impls {
-			c.impls[impl.Type] = append(c.impls[impl.Type], impl.Location)
+// closureRegistry merges the registries of pkg and every analyzed
+// package it imports, directly or transitively.
+func closureRegistry(pkg *types.Package, regs map[*types.Package]*registry) *registry {
+	out := &registry{impls: map[string][]uint8{}, selects: map[string]bool{}}
+	seen := map[*types.Package]bool{}
+	var walk func(p *types.Package)
+	walk = func(p *types.Package) {
+		if seen[p] {
+			return
 		}
-		for _, s := range fact.Selects {
-			c.selects[s] = true
+		seen[p] = true
+		if reg := regs[p]; reg != nil {
+			for typ, locs := range reg.impls {
+				out.impls[typ] = append(out.impls[typ], locs...)
+			}
+			for s := range reg.selects {
+				out.selects[s] = true
+			}
 		}
-	}
-	var own RegistryFact
-	if c.pass.ImportPackageFact(c.pass.Pkg, &own) {
-		add(&own)
-	}
-	for _, pf := range c.pass.AllPackageFacts() {
-		if pf.Path == c.pass.Pkg.Path() {
-			continue
-		}
-		if rf, ok := pf.Fact.(*RegistryFact); ok {
-			add(rf)
+		for _, imp := range p.Imports() {
+			walk(imp)
 		}
 	}
+	walk(pkg)
+	return out
 }
 
 // allowedBy mirrors core.Location.AllowedBy over the numeric constant
@@ -235,13 +214,12 @@ func allowedBy(loc uint8, scope uint8) bool {
 	}
 }
 
-// ---- builder facts ----
+// ---- builders ----
 
-// exportBuilders records a NodeFact/StackFact for each function in this
-// package whose body returns a constant-shaped spec.Node or *spec.Stack,
-// iterating to a fixpoint so helpers that call other local helpers
-// resolve too.
-func (c *checker) exportBuilders() {
+// inferBuilders records every function in the program whose body
+// returns a constant-shaped spec.Node or *spec.Stack, iterating to a
+// fixpoint so helpers that call other helpers resolve too.
+func (c *checker) inferBuilders() {
 	type builder struct {
 		fn  *types.Func
 		ret ast.Expr
@@ -270,21 +248,19 @@ func (c *checker) exportBuilders() {
 			rt := b.fn.Type().(*types.Signature).Results().At(0).Type()
 			switch {
 			case isSpecNodeType(rt):
-				var have NodeFact
-				if c.pass.ImportObjectFact(b.fn, &have) {
+				if _, have := c.nodes[b.fn]; have {
 					continue
 				}
-				if node, ok := c.evalNode(b.ret); ok && node.Known {
-					c.pass.ExportObjectFact(b.fn, &NodeFact{Node: node})
+				if node, ok := c.evalNode(b.ret); ok && node.known {
+					c.nodes[b.fn] = node
 					changed = true
 				}
 			case isSpecStackPtr(rt):
-				var have StackFact
-				if c.pass.ImportObjectFact(b.fn, &have) {
+				if _, have := c.stacks[b.fn]; have {
 					continue
 				}
 				if st, ok := c.evalStack(b.ret); ok {
-					c.pass.ExportObjectFact(b.fn, &StackFact{Stack: *st})
+					c.stacks[b.fn] = *st
 					changed = true
 				}
 			}
@@ -330,7 +306,7 @@ func (c *checker) checkConstruction(call *ast.CallExpr) {
 			branches = call.Args[2:] // spec.Select(typ, args, branches...)
 		}
 		for _, b := range branches {
-			if st, ok := c.evalStack(b); ok && len(st.Nodes) == 0 {
+			if st, ok := c.evalStack(b); ok && len(st.nodes) == 0 {
 				c.pass.Reportf(b.Pos(), "empty-branch",
 					"select branch is an empty stack; negotiation cannot resolve to nothing")
 			}
@@ -388,50 +364,50 @@ func isOptimizerOption(a ast.Expr) bool {
 
 // checkStack applies the registry-dependent checks to an evaluated
 // stack reaching a sink, reporting at the sink argument's position.
-func (c *checker) checkStack(at ast.Expr, st *SpecStack, depth int, optimized bool) {
+func (c *checker) checkStack(at ast.Expr, st *specStack, depth int, optimized bool) {
 	if depth > maxDepth {
 		c.pass.Reportf(at.Pos(), "too-deep",
 			"select nesting exceeds spec.MaxDepth (%d); Validate will reject this stack", maxDepth)
 		return
 	}
 	seen := map[string]bool{}
-	for _, n := range st.Nodes {
-		if !n.Known || n.Type == "" {
+	for _, n := range st.nodes {
+		if !n.known || n.typ == "" {
 			continue
 		}
-		if !optimized && seen[n.Type] {
+		if !optimized && seen[n.typ] {
 			c.pass.Reportf(at.Pos(), "dup-type",
-				"chunnel type %q appears twice in one sequence; enable the optimizer or drop the duplicate", n.Type)
+				"chunnel type %q appears twice in one sequence; enable the optimizer or drop the duplicate", n.typ)
 		}
-		seen[n.Type] = true
-		if len(c.impls) == 0 {
+		seen[n.typ] = true
+		if len(c.reg.impls) == 0 {
 			continue // no registry knowledge loaded: stay silent
 		}
-		locs, registered := c.impls[n.Type]
-		if n.Select {
-			if !c.selects[n.Type] && !registered {
+		locs, registered := c.reg.impls[n.typ]
+		if n.sel {
+			if !c.reg.selects[n.typ] && !registered {
 				c.pass.Reportf(at.Pos(), "unknown-type",
-					"select type %q has no registered resolver", n.Type)
+					"select type %q has no registered resolver", n.typ)
 			}
 		} else if !registered {
 			c.pass.Reportf(at.Pos(), "unknown-type",
-				"chunnel type %q has no registered implementation", n.Type)
+				"chunnel type %q has no registered implementation", n.typ)
 		}
-		if registered && n.Scope != 0 {
+		if registered && n.scope != 0 {
 			any := false
 			for _, loc := range locs {
-				if allowedBy(loc, n.Scope) {
+				if allowedBy(loc, n.scope) {
 					any = true
 					break
 				}
 			}
 			if !any {
 				c.pass.Reportf(at.Pos(), "scope",
-					"scope constraint on %q excludes every registered implementation's location", n.Type)
+					"scope constraint on %q excludes every registered implementation's location", n.typ)
 			}
 		}
-		for i := range n.Branches {
-			c.checkStack(at, &n.Branches[i], depth+1, optimized)
+		for i := range n.branches {
+			c.checkStack(at, &n.branches[i], depth+1, optimized)
 		}
 	}
 }
@@ -439,8 +415,8 @@ func (c *checker) checkStack(at ast.Expr, st *SpecStack, depth int, optimized bo
 // ---- the evaluator ----
 
 // evalStack resolves expr to a stack shape when it is built from Seq /
-// Wrap / a single-assignment local / a fact-known builder call.
-func (c *checker) evalStack(expr ast.Expr) (*SpecStack, bool) {
+// Wrap / a single-assignment local / a known builder call.
+func (c *checker) evalStack(expr ast.Expr) (*specStack, bool) {
 	expr = ast.Unparen(expr)
 	switch e := expr.(type) {
 	case *ast.Ident:
@@ -458,27 +434,26 @@ func (c *checker) evalStack(expr ast.Expr) (*SpecStack, bool) {
 		}
 		if (fn.Name() == "Seq" && specPkg(fn.Pkg())) ||
 			(fn.Name() == "Wrap" && berthaPkg(fn.Pkg())) {
-			st := &SpecStack{}
+			st := &specStack{}
 			for _, a := range e.Args {
 				node, ok := c.evalNode(a)
 				if !ok {
-					node = SpecNode{} // keep position, mark unknown
+					node = specNode{} // keep position, mark unknown
 				}
-				st.Nodes = append(st.Nodes, node)
+				st.nodes = append(st.nodes, node)
 			}
 			return st, true
 		}
-		var sf StackFact
-		if c.pass.ImportObjectFact(fn, &sf) {
-			return &sf.Stack, true
+		if st, ok := c.stacks[fn]; ok {
+			return &st, true
 		}
 	}
 	return nil, false
 }
 
 // evalNode resolves expr to a node shape: spec.New / spec.Select /
-// bertha.Select / Node.WithScope / a fact-known builder call.
-func (c *checker) evalNode(expr ast.Expr) (SpecNode, bool) {
+// bertha.Select / Node.WithScope / a known builder call.
+func (c *checker) evalNode(expr ast.Expr) (specNode, bool) {
 	expr = ast.Unparen(expr)
 	switch e := expr.(type) {
 	case *ast.Ident:
@@ -488,54 +463,53 @@ func (c *checker) evalNode(expr ast.Expr) (SpecNode, bool) {
 	case *ast.CallExpr:
 		fn := calleeFunc(c.pass.TypesInfo, e)
 		if fn == nil || e.Ellipsis.IsValid() {
-			return SpecNode{}, false
+			return specNode{}, false
 		}
 		switch {
 		case fn.Name() == "New" && specPkg(fn.Pkg()) && len(e.Args) >= 1:
 			typ, ok := c.constString(e.Args[0])
 			if !ok {
-				return SpecNode{}, false
+				return specNode{}, false
 			}
-			return SpecNode{Known: true, Type: typ}, true
+			return specNode{known: true, typ: typ}, true
 		case fn.Name() == "Select" && (specPkg(fn.Pkg()) || berthaPkg(fn.Pkg())) && len(e.Args) >= 1:
 			typ, ok := c.constString(e.Args[0])
 			if !ok {
-				return SpecNode{}, false
+				return specNode{}, false
 			}
-			node := SpecNode{Known: true, Type: typ, Select: true}
+			node := specNode{known: true, typ: typ, sel: true}
 			branches := e.Args[1:]
 			if specPkg(fn.Pkg()) && len(e.Args) >= 2 {
 				branches = e.Args[2:] // skip the args parameter
 			}
 			for _, b := range branches {
 				if st, ok := c.evalStack(b); ok {
-					node.Branches = append(node.Branches, *st)
+					node.branches = append(node.branches, *st)
 				} else {
-					node.Branches = append(node.Branches, SpecStack{Nodes: []SpecNode{{}}})
+					node.branches = append(node.branches, specStack{nodes: []specNode{{}}})
 				}
 			}
 			return node, true
 		case fn.Name() == "WithScope" && specPkg(fn.Pkg()):
 			sel, ok := ast.Unparen(e.Fun).(*ast.SelectorExpr)
 			if !ok {
-				return SpecNode{}, false
+				return specNode{}, false
 			}
 			node, ok := c.evalNode(sel.X)
 			if !ok || len(e.Args) != 1 {
-				return SpecNode{}, false
+				return specNode{}, false
 			}
 			if v, ok := c.constUint(e.Args[0]); ok {
-				node.Scope = v
+				node.scope = v
 			}
 			return node, true
 		default:
-			var nf NodeFact
-			if c.pass.ImportObjectFact(fn, &nf) {
-				return nf.Node, true
+			if node, ok := c.nodes[fn]; ok {
+				return node, true
 			}
 		}
 	}
-	return SpecNode{}, false
+	return specNode{}, false
 }
 
 // localInit returns the initializer of a function-local variable that
