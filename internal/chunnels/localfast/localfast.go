@@ -134,12 +134,19 @@ func (i *ipcImpl) teardown(ctx context.Context, env *core.Env) error {
 }
 
 // acceptLoop matches arriving IPC connections (which lead with a token)
-// to the negotiation that issued the token.
+// to the negotiation that issued the token. A datagram listener hands
+// over a connection once its first datagram, the token, has arrived, so
+// the loop polls for it and matches it in place; only a connection whose
+// token is not there yet gets a goroutine to wait for it.
 func (i *ipcImpl) acceptLoop(ctx context.Context, l core.Listener) {
 	for {
 		conn, err := l.Accept(ctx)
 		if err != nil {
 			return
+		}
+		if tok, err := conn.Recv(core.Polled); err == nil {
+			i.splice(conn, tok)
+			continue
 		}
 		go func(conn core.Conn) {
 			tctx, cancel := context.WithTimeout(ctx, spliceTimeout)
@@ -149,22 +156,27 @@ func (i *ipcImpl) acceptLoop(ctx context.Context, l core.Listener) {
 				conn.Close()
 				return
 			}
-			// The entry stays until the negotiation that issued the token
-			// has looked it up (wrap removes it): a fast client gets here
-			// before the server's own wrap does.
-			i.mu.Lock()
-			ch, ok := i.waiting[string(tok)]
-			i.mu.Unlock()
-			if !ok {
-				conn.Close() // unknown token
-				return
-			}
-			select {
-			case ch <- conn:
-			default:
-				conn.Close() // the token was presented twice
-			}
+			i.splice(conn, tok)
 		}(conn)
+	}
+}
+
+// splice hands an IPC connection that presented tok to the negotiation
+// that issued tok. The entry stays until that negotiation has looked it
+// up (wrap removes it): a fast client gets here before the server's own
+// wrap does.
+func (i *ipcImpl) splice(conn core.Conn, tok []byte) {
+	i.mu.Lock()
+	ch, ok := i.waiting[string(tok)]
+	i.mu.Unlock()
+	if !ok {
+		conn.Close() // unknown token
+		return
+	}
+	select {
+	case ch <- conn:
+	default:
+		conn.Close() // the token was presented twice
 	}
 }
 

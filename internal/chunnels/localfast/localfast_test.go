@@ -2,6 +2,7 @@ package localfast_test
 
 import (
 	"context"
+	"path/filepath"
 	"testing"
 	"time"
 
@@ -130,15 +131,43 @@ func TestCrossHostUsesNetwork(t *testing.T) {
 
 func TestManySequentialConnections(t *testing.T) {
 	// The accept loop and token matching must survive many connections
-	// (the Figure 3 experiment runs 10000).
-	ctx := ctxT(t)
-	net := transport.NewPipeNetwork()
+	// (the Figure 3 experiment runs 10000), over an IPC listener that
+	// hands a connection over before its token arrives (pipe) and one
+	// that hands it over with the token queued (a unix datagram socket).
 	ipc := transport.NewPipeNetwork()
+	for _, kind := range []struct {
+		name   string
+		listen func(t *testing.T) core.Listener
+	}{
+		{"pipe", func(t *testing.T) core.Listener {
+			l, err := ipc.Listen("h", "app.sock")
+			if err != nil {
+				t.Fatal(err)
+			}
+			return l
+		}},
+		{"unix", func(t *testing.T) core.Listener {
+			l, err := transport.ListenUnix("h", filepath.Join(t.TempDir(), "app.sock"))
+			if err != nil {
+				t.Fatal(err)
+			}
+			return l
+		}},
+	} {
+		t.Run(kind.name, func(t *testing.T) {
+			manySequentialConnections(t, ipc, kind.listen(t))
+		})
+	}
+}
+
+func manySequentialConnections(t *testing.T, ipc *transport.PipeNetwork, ipcL core.Listener) {
+	ctx := ctxT(t)
+	defer ipcL.Close()
+	net := transport.NewPipeNetwork()
 	reg := core.NewRegistry()
 	localfast.Register(reg)
 
 	envS := core.NewEnv("h")
-	ipcL, _ := ipc.Listen("h", "app.sock")
 	envS.Provide(localfast.EnvListener, ipcL)
 	envS.SetDialer(&transport.MultiDialer{HostID: "h", Pipe: ipc})
 	envC := core.NewEnv("h")
@@ -178,6 +207,9 @@ func TestManySequentialConnections(t *testing.T) {
 		conn, err := cliEp.Connect(ctx, raw)
 		if err != nil {
 			t.Fatalf("connect %d: %v", i, err)
+		}
+		if got, want := conn.RemoteAddr(), ipcL.Addr(); got != want {
+			t.Fatalf("connection %d: data path %v, want the IPC listener %v", i, got, want)
 		}
 		for k := 0; k < 3; k++ { // 3 requests per connection, as in Fig. 3
 			if err := conn.Send(ctx, []byte{byte(i), byte(k)}); err != nil {

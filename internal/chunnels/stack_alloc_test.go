@@ -194,8 +194,8 @@ func TestStackBatchAllocs(t *testing.T) {
 	cli, srv := newStackPair(t)
 	go batchEchoLoop(srv)
 
-	// A deadline-free context keeps the transport's ctx watcher off the
-	// hot path; a lost datagram is covered by the suite timeout.
+	// A context that cannot be cancelled leaves a parked receive nothing
+	// to prepare; a lost datagram is covered by the suite timeout.
 	ctx := context.Background()
 	payload := make([]byte, 64)
 	headroom := core.HeadroomOf(cli)

@@ -300,7 +300,7 @@ func TestResolveSelectsDefault(t *testing.T) {
 		spec.Seq(spec.New("present"), spec.New("alsopresent")),
 	))
 	sctx := SelectContext{Available: func(t string) bool { return strings.Contains(t, "present") }}
-	nodes, err := resolveSelects(s, r, sctx)
+	nodes, err := resolveSelects(s, r.snapshot(), sctx)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -310,7 +310,7 @@ func TestResolveSelectsDefault(t *testing.T) {
 
 	// No branch available: error.
 	sctx.Available = func(string) bool { return false }
-	if _, err := resolveSelects(s, r, sctx); !errors.Is(err, ErrNoImplementation) {
+	if _, err := resolveSelects(s, r.snapshot(), sctx); !errors.Is(err, ErrNoImplementation) {
 		t.Errorf("no branch: %v", err)
 	}
 }
@@ -328,12 +328,12 @@ func TestResolveSelectsCustomResolver(t *testing.T) {
 		spec.Seq(spec.New("net")),
 	))
 	sctx := SelectContext{ClientHost: "h1", ServerHost: "h1", Available: func(string) bool { return true }}
-	nodes, _ := resolveSelects(s, r, sctx)
+	nodes, _ := resolveSelects(s, r.snapshot(), sctx)
 	if Describe(nodes) != "ipc" {
 		t.Errorf("same host: %s", Describe(nodes))
 	}
 	sctx.ServerHost = "h2"
-	nodes, _ = resolveSelects(s, r, sctx)
+	nodes, _ = resolveSelects(s, r.snapshot(), sctx)
 	if Describe(nodes) != "net" {
 		t.Errorf("cross host: %s", Describe(nodes))
 	}
@@ -344,7 +344,7 @@ func TestResolveSelectsNested(t *testing.T) {
 	inner := spec.Select("in", nil, spec.Seq(spec.New("a")), spec.Seq(spec.New("b")))
 	s := spec.Seq(spec.Select("out", nil, spec.Seq(inner, spec.New("c"))))
 	sctx := SelectContext{Available: func(t string) bool { return t != "a" }}
-	nodes, err := resolveSelects(s, r, sctx)
+	nodes, err := resolveSelects(s, r.snapshot(), sctx)
 	if err != nil {
 		t.Fatal(err)
 	}

@@ -4,8 +4,6 @@ import (
 	"context"
 	"fmt"
 	"sync"
-
-	"github.com/bertha-net/bertha/internal/wire"
 )
 
 // ConnectMulti establishes one logical connection to several peer
@@ -35,22 +33,21 @@ func (e *Endpoint) ConnectMulti(ctx context.Context, raws []Conn) (Conn, error) 
 		sh   *ServerHello
 		err  error
 	}
-	offers := e.registry.Offers(nil)
+	snap := e.registry.snapshot()
 	results := make(chan result, len(raws))
 	tagged := make([]*taggedConn, len(raws))
 	for i, raw := range raws {
 		tagged[i] = newTaggedConn(raw)
 		go func(i int) {
 			hello := &ClientHello{
-				Nonce:  newNonce(),
-				Name:   e.name,
-				Host:   hostOr(e.env.Host, raws[i].LocalAddr().Host),
-				Spec:   e.stack,
-				Offers: offers,
+				Nonce:      newNonce(),
+				Name:       e.name,
+				Host:       hostOr(e.env.Host, raws[i].LocalAddr().Host),
+				Spec:       e.stack,
+				Offers:     snap.offers,
+				offerBlock: snap.block,
 			}
-			enc := wire.NewEncoder(nil)
-			hello.Encode(enc)
-			sh, err := awaitServerHello(ctx, tagged[i], append([]byte(nil), enc.Bytes()...), hello.Nonce)
+			sh, err := awaitServerHello(ctx, tagged[i], encodeHello(hello), hello.Nonce)
 			if err == nil && sh.Err != "" {
 				err = fmt.Errorf("%w: peer %d: %s", ErrNegotiation, i, sh.Err)
 			}
@@ -85,7 +82,7 @@ func (e *Endpoint) ConnectMulti(ctx context.Context, raws []Conn) (Conn, error) 
 		}
 	}
 
-	return e.assembleMulti(ctx, tagged, hellos)
+	return e.assembleMulti(ctx, tagged, snap, hellos)
 }
 
 func sameBindings(a, b []ResolvedNode) bool {
@@ -102,7 +99,7 @@ func sameBindings(a, b []ResolvedNode) bool {
 
 // assembleMulti builds the client-side stack over the group: multi-aware
 // chunnels collapse the per-peer connections; others wrap per peer.
-func (e *Endpoint) assembleMulti(ctx context.Context, tagged []*taggedConn, hellos []*ServerHello) (Conn, error) {
+func (e *Endpoint) assembleMulti(ctx context.Context, tagged []*taggedConn, snap *regSnapshot, hellos []*ServerHello) (Conn, error) {
 	conns := make([]Conn, len(tagged))
 	for i, tc := range tagged {
 		// Per-peer base connections share one "transport" metrics entry
@@ -125,7 +122,7 @@ func (e *Endpoint) assembleMulti(ctx context.Context, tagged []*taggedConn, hell
 		if !rn.RunsAt(SideClient) {
 			continue
 		}
-		impl, ok := e.registry.Lookup(rn.ImplName)
+		impl, ok := snap.byName[rn.ImplName]
 		if !ok {
 			return fail(fmt.Errorf("%w: %q not in local registry", ErrNoImplementation, rn.ImplName))
 		}

@@ -3,6 +3,8 @@ package core
 import (
 	"context"
 	"fmt"
+	"slices"
+	"sync"
 
 	"github.com/bertha-net/bertha/internal/spec"
 	"github.com/bertha-net/bertha/internal/telemetry"
@@ -50,9 +52,15 @@ type ClientHello struct {
 	Spec *spec.Stack
 	// Offers advertises the client's locally-registered implementations.
 	Offers []ImplOffer
+
+	// offerBlock, when set, is Offers already encoded (EncodeOffers): the
+	// registry snapshot's block, which Encode copies instead of encoding
+	// the offers again.
+	offerBlock []byte
 }
 
-// Encode appends the hello to the encoder.
+// Encode appends the hello to the encoder. The offers come last, so the
+// rest of the message after the spec is the offer block.
 func (h *ClientHello) Encode(e *wire.Encoder) {
 	e.PutUint8(msgClientHello)
 	e.PutUint8(protoVersion)
@@ -60,14 +68,49 @@ func (h *ClientHello) Encode(e *wire.Encoder) {
 	e.PutString(h.Name)
 	e.PutString(h.Host)
 	h.Spec.Encode(e)
-	EncodeOffers(e, h.Offers)
+	if h.offerBlock != nil {
+		e.PutRaw(h.offerBlock)
+	} else {
+		EncodeOffers(e, h.Offers)
+	}
+}
+
+// helloEncoders recycles the encoders hellos are built in.
+var helloEncoders = sync.Pool{New: func() any { return wire.NewEncoder(nil) }}
+
+// encodeHello returns a hello's encoding in a slice of exactly its size:
+// the copy a connection keeps (to retransmit, or to replay) is its one
+// allocation.
+func encodeHello(h interface{ Encode(*wire.Encoder) }) []byte {
+	e := helloEncoders.Get().(*wire.Encoder)
+	e.Reset()
+	h.Encode(e)
+	out := slices.Clone(e.Bytes())
+	helloEncoders.Put(e)
+	return out
 }
 
 // DecodeClientHello reads a ClientHello (after the message-type byte).
 func DecodeClientHello(d *wire.Decoder) (*ClientHello, error) {
+	h, block, err := decodeHelloHead(d)
+	if err != nil {
+		return nil, err
+	}
+	od := wire.NewDecoder(block)
+	h.Offers = DecodeOffers(od)
+	if err := od.Err(); err != nil {
+		return nil, malformedHello(err)
+	}
+	return h, nil
+}
+
+// decodeHelloHead reads a ClientHello up to its offers and returns the
+// rest of the message, the offer block, undecoded: a server looks the
+// block up in its registry snapshot (regSnapshot.table) instead.
+func decodeHelloHead(d *wire.Decoder) (*ClientHello, []byte, error) {
 	if v := d.Uint8(); v != protoVersion {
 		if d.Err() == nil {
-			return nil, fmt.Errorf("%w: unsupported protocol version %d", ErrNegotiation, v)
+			return nil, nil, fmt.Errorf("%w: unsupported protocol version %d", ErrNegotiation, v)
 		}
 	}
 	h := &ClientHello{
@@ -76,11 +119,14 @@ func DecodeClientHello(d *wire.Decoder) (*ClientHello, error) {
 		Host:  d.String(),
 		Spec:  spec.DecodeStack(d),
 	}
-	h.Offers = DecodeOffers(d)
 	if err := d.Err(); err != nil {
-		return nil, fmt.Errorf("%w: malformed client hello: %v", ErrNegotiation, err)
+		return nil, nil, malformedHello(err)
 	}
-	return h, nil
+	return h, d.Raw(d.Remaining()), nil
+}
+
+func malformedHello(err error) error {
+	return fmt.Errorf("%w: malformed client hello: %v", ErrNegotiation, err)
 }
 
 // ResolvedNode is one entry in the negotiated connection stack: a concrete
@@ -246,11 +292,11 @@ func mergeSpecs(client, server *spec.Stack) (*spec.Stack, error) {
 // resolveSelects flattens select nodes into their chosen branch using the
 // registered resolver for the node's type (default: first branch all of
 // whose chunnel types have usable candidates).
-func resolveSelects(s *spec.Stack, reg *Registry, sctx SelectContext) ([]spec.Node, error) {
+func resolveSelects(s *spec.Stack, reg *regSnapshot, sctx SelectContext) ([]spec.Node, error) {
 	return resolveSelectsDepth(s, reg, sctx, 0)
 }
 
-func resolveSelectsDepth(s *spec.Stack, reg *Registry, sctx SelectContext, depth int) ([]spec.Node, error) {
+func resolveSelectsDepth(s *spec.Stack, reg *regSnapshot, sctx SelectContext, depth int) ([]spec.Node, error) {
 	if depth > spec.MaxDepth {
 		return nil, fmt.Errorf("%w: select nesting too deep", ErrNegotiation)
 	}
@@ -276,8 +322,8 @@ func resolveSelectsDepth(s *spec.Stack, reg *Registry, sctx SelectContext, depth
 	return out, nil
 }
 
-func pickBranch(n spec.Node, reg *Registry, sctx SelectContext) (int, error) {
-	if res, ok := reg.Resolver(n.Type); ok {
+func pickBranch(n spec.Node, reg *regSnapshot, sctx SelectContext) (int, error) {
+	if res, ok := reg.resolvers[n.Type]; ok {
 		return res(n.Args, n.Branches, sctx)
 	}
 	// Default: first branch that can be satisfied — every plain node's
@@ -290,7 +336,7 @@ func pickBranch(n spec.Node, reg *Registry, sctx SelectContext) (int, error) {
 	return 0, fmt.Errorf("%w: no branch of select %q is available", ErrNoImplementation, n.Type)
 }
 
-func branchAvailable(b *spec.Stack, reg *Registry, sctx SelectContext) bool {
+func branchAvailable(b *spec.Stack, reg *regSnapshot, sctx SelectContext) bool {
 	for _, n := range b.Nodes {
 		if n.IsSelect() {
 			idx, err := pickBranch(n, reg, sctx)
@@ -309,12 +355,13 @@ func branchAvailable(b *spec.Stack, reg *Registry, sctx SelectContext) bool {
 	return true
 }
 
-// decide is the server-side negotiation decision: given the client hello
-// and the server's spec/registry/policy/discovery, produce the resolved
-// stack. It performs select resolution, candidate collection, endpoint
-// feasibility filtering, policy ranking, resource claiming, and parameter
-// collection.
-func decide(ctx context.Context, ch *ClientHello, srv *negotiator) ([]ResolvedNode, error) {
+// decide is the server-side negotiation decision: given the client hello,
+// the candidate table its offer block yields against the server's
+// registry snapshot, and the server's spec/policy/discovery, produce the
+// resolved stack. It performs select resolution, candidate collection,
+// endpoint feasibility filtering, policy ranking, resource claiming, and
+// parameter collection.
+func decide(ctx context.Context, ch *ClientHello, tab *offerTable, srv *negotiator) ([]ResolvedNode, error) {
 	effective, err := mergeSpecs(ch.Spec, srv.stack)
 	if err != nil {
 		return nil, err
@@ -323,40 +370,21 @@ func decide(ctx context.Context, ch *ClientHello, srv *negotiator) ([]ResolvedNo
 		return nil, fmt.Errorf("%w: %v", ErrNegotiation, err)
 	}
 
-	// Gather candidate sets.
-	clientOffers := ch.Offers
-	serverOffers := srv.registry.Offers(nil)
-	var discovered []ImplOffer
+	// Candidates: both endpoints' offers from the table, plus what the
+	// discovery service advertises for this connection's chunnel types.
+	byType := tab.byType
 	if srv.discovery != nil {
-		discovered, err = srv.discovery.Query(ctx, effective.Types())
+		types := srv.stackTypes
+		if effective != srv.stack {
+			types = effective.Types()
+		}
+		discovered, err := srv.discovery.Query(ctx, types)
 		if err != nil {
 			return nil, fmt.Errorf("%w: discovery query: %v", ErrNegotiation, err)
 		}
-	}
-
-	byType := map[string][]Candidate{}
-	add := func(off ImplOffer, from Side, disc bool) {
-		byType[off.Type] = append(byType[off.Type], Candidate{Offer: off, From: from, Discovered: disc})
-	}
-	clientSet := map[string]bool{}
-	for _, o := range clientOffers {
-		add(o, SideClient, false)
-		clientSet[o.Name] = true
-	}
-	serverSet := map[string]bool{}
-	for _, o := range serverOffers {
-		add(o, SideServer, false)
-		serverSet[o.Name] = true
-	}
-	for _, o := range discovered {
-		// A discovered on-server offload is instantiated by whichever
-		// endpoint shares its host; default to the server for in-network
-		// devices (the server side coordinates switch configuration).
-		from := SideServer
-		if o.Host != "" && o.Host == ch.Host {
-			from = SideClient
+		if len(discovered) > 0 {
+			byType = withDiscovered(byType, discovered, ch.Host)
 		}
-		add(o, from, true)
 	}
 
 	sctx := SelectContext{
@@ -366,7 +394,7 @@ func decide(ctx context.Context, ch *ClientHello, srv *negotiator) ([]ResolvedNo
 			return len(byType[t]) > 0
 		},
 	}
-	nodes, err := resolveSelects(effective, srv.registry, sctx)
+	nodes, err := resolveSelects(effective, srv.snap, sctx)
 	if err != nil {
 		return nil, err
 	}
@@ -378,6 +406,7 @@ func decide(ctx context.Context, ch *ClientHello, srv *negotiator) ([]ResolvedNo
 		}
 	}
 
+	clientSet, serverSet := tab.clientSet, srv.snap.offered
 	resolved := make([]ResolvedNode, 0, len(nodes))
 	for _, node := range nodes {
 		rn, err := bindNode(ctx, node, byType[node.Type], ch, srv, clientSet, serverSet)
@@ -394,7 +423,7 @@ func decide(ctx context.Context, ch *ClientHello, srv *negotiator) ([]ResolvedNo
 	// directly after the mux tag byte where forwarding elements peek.
 	// A peer without the implementation silently gets an untraced stack —
 	// tracing is an observability opt-in, never a negotiation failure.
-	if srv.tracing && clientSet[TraceImplName] && serverSet[TraceImplName] {
+	if srv.tracing != nil && clientSet[TraceImplName] && serverSet[TraceImplName] {
 		resolved = append(resolved, ResolvedNode{
 			Type:     TraceChunnelType,
 			ImplName: TraceImplName,
@@ -487,12 +516,9 @@ func bindNode(ctx context.Context, node spec.Node, cands []Candidate, ch *Client
 // traceChosen records a TraceImplChosen event carrying the policy's
 // ranking inputs for the winning candidate.
 func (srv *negotiator) traceChosen(rn ResolvedNode, chosen Candidate) {
-	srv.tel.Trace().Record(telemetry.TraceEvent{
-		Endpoint: srv.name,
-		Side:     SideServer.String(),
-		Kind:     telemetry.TraceImplChosen,
-		Chunnel:  rn.Type,
-		Impl:     rn.ImplName,
+	srv.trace(SideServer, telemetry.TraceImplChosen, telemetry.TraceEvent{
+		Chunnel: rn.Type,
+		Impl:    rn.ImplName,
 		Detail: fmt.Sprintf("priority=%d location=%s from=%s discovered=%v",
 			chosen.Offer.Priority, chosen.Offer.Location, chosen.From, chosen.Discovered),
 	})
@@ -501,13 +527,10 @@ func (srv *negotiator) traceChosen(rn ResolvedNode, chosen Candidate) {
 // traceFallback records a TraceFallback event: the preferred candidate
 // was dropped and the policy re-runs over the remaining set.
 func (srv *negotiator) traceFallback(chunnelType string, dropped Candidate, why string) {
-	srv.tel.Trace().Record(telemetry.TraceEvent{
-		Endpoint: srv.name,
-		Side:     SideServer.String(),
-		Kind:     telemetry.TraceFallback,
-		Chunnel:  chunnelType,
-		Impl:     dropped.Offer.Name,
-		Detail:   why,
+	srv.trace(SideServer, telemetry.TraceFallback, telemetry.TraceEvent{
+		Chunnel: chunnelType,
+		Impl:    dropped.Offer.Name,
+		Detail:  why,
 	})
 }
 

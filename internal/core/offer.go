@@ -1,6 +1,10 @@
 package core
 
 import (
+	"bytes"
+	"maps"
+	"slices"
+
 	"github.com/bertha-net/bertha/internal/spec"
 	"github.com/bertha-net/bertha/internal/wire"
 )
@@ -118,4 +122,67 @@ func (c Candidate) usableFor(node spec.Node, clientHost, serverHost string) bool
 		}
 	}
 	return true
+}
+
+// offerTable is what a server derives from one client offer block (the
+// encoded offers that end a ClientHello) against one registry snapshot:
+// the client's offers, their names, and both endpoints' candidates by
+// chunnel type. Nobody writes a table after it is built, so connections
+// share it.
+type offerTable struct {
+	block     []byte // the client offer block it was built from
+	client    []ImplOffer
+	clientSet map[string]bool
+	byType    map[string][]Candidate // client offers first, then the server's
+}
+
+// table returns the offer table for a client offer block. It fails when
+// the block does not decode.
+//
+// A snapshot keeps the last table it built, and nothing more: a client
+// sends the same block on every connection until its registry changes, so
+// a server whose clients share one registry build decodes the block once
+// per snapshot. A block unlike the last one costs a decode and a copy of
+// the block, and replaces it.
+func (s *regSnapshot) table(block []byte) (*offerTable, error) {
+	if t := s.last.Load(); t != nil && bytes.Equal(t.block, block) {
+		return t, nil
+	}
+	d := wire.NewDecoder(block)
+	client := DecodeOffers(d)
+	if err := d.Err(); err != nil {
+		return nil, err
+	}
+	t := &offerTable{
+		block:     bytes.Clone(block),
+		client:    client,
+		clientSet: make(map[string]bool, len(client)),
+		byType:    make(map[string][]Candidate),
+	}
+	for _, o := range client {
+		t.byType[o.Type] = append(t.byType[o.Type], Candidate{Offer: o, From: SideClient})
+		t.clientSet[o.Name] = true
+	}
+	for _, o := range s.offers {
+		t.byType[o.Type] = append(t.byType[o.Type], Candidate{Offer: o, From: SideServer})
+	}
+	s.last.Store(t)
+	return t, nil
+}
+
+// withDiscovered returns a copy of byType with offers from the discovery
+// service added; byType itself (an offerTable's) stays as it is. A
+// discovered on-server offload is instantiated by whichever endpoint
+// shares its host; in-network devices default to the server, which
+// coordinates switch configuration.
+func withDiscovered(byType map[string][]Candidate, discovered []ImplOffer, clientHost string) map[string][]Candidate {
+	out := maps.Clone(byType)
+	for _, o := range discovered {
+		from := SideServer
+		if o.Host != "" && o.Host == clientHost {
+			from = SideClient
+		}
+		out[o.Type] = append(slices.Clip(out[o.Type]), Candidate{Offer: o, From: from, Discovered: true})
+	}
+	return out
 }

@@ -1,9 +1,13 @@
 package core
 
 import (
+	"cmp"
 	"fmt"
-	"sort"
+	"maps"
+	"slices"
+	"strings"
 	"sync"
+	"sync/atomic"
 
 	"github.com/bertha-net/bertha/internal/spec"
 	"github.com/bertha-net/bertha/internal/wire"
@@ -30,6 +34,10 @@ type SelectResolver func(args []wire.Value, branches []*spec.Stack, sctx SelectC
 // line 2) and any locally-known accelerated variants. It also tracks
 // select resolvers and the optimizer metadata chunnel packages declare.
 //
+// Readers of implementations and resolvers go through a snapshot (see
+// regSnapshot), rebuilt on the first read after a change, so connection
+// set-up neither sorts nor locks.
+//
 // A Registry is safe for concurrent use.
 type Registry struct {
 	mu        sync.RWMutex
@@ -38,6 +46,32 @@ type Registry struct {
 	resolvers map[string]SelectResolver // select-node type -> resolver
 	meta      map[string]TypeMeta       // chunnel type -> optimizer metadata
 	fusions   map[[2]string]string      // adjacent pair -> fused type
+	// snap is the snapshot of impls, byName and resolvers; nil after a
+	// change until the next read rebuilds it.
+	snap atomic.Pointer[regSnapshot]
+}
+
+// regSnapshot is an immutable copy of a Registry's implementations and
+// select resolvers, with what negotiation derives from them computed once:
+// the implementations of each type best first, the offers an endpoint
+// advertises, their names, and their wire encoding (the offer block a
+// ClientHello carries). A connection negotiates from the snapshot current
+// when it starts; a registration after that builds a new snapshot for the
+// connections after it.
+type regSnapshot struct {
+	byName    map[string]Impl
+	impls     map[string][]Impl // sorted by descending priority, then name
+	resolvers map[string]SelectResolver
+	types     []string // sorted
+	// offers are the endpoint's own advertisements (DiscoveryOnly
+	// implementations excluded), types in order, each type best first;
+	// offered holds their names, block their EncodeOffers encoding.
+	offers  []ImplOffer
+	offered map[string]bool
+	block   []byte
+	// last is the offer table most recently built against this snapshot
+	// (offerTable, table).
+	last atomic.Pointer[offerTable]
 }
 
 // NewRegistry returns an empty registry.
@@ -65,6 +99,7 @@ func (r *Registry) Register(impl Impl) error {
 	}
 	r.byName[info.Name] = impl
 	r.impls[info.Type] = append(r.impls[info.Type], impl)
+	r.snap.Store(nil)
 	return nil
 }
 
@@ -76,41 +111,67 @@ func (r *Registry) MustRegister(impl Impl) {
 	}
 }
 
+// snapshot returns the current snapshot, building it if a change made
+// the last one stale.
+func (r *Registry) snapshot() *regSnapshot {
+	if s := r.snap.Load(); s != nil {
+		return s
+	}
+	r.mu.Lock()
+	defer r.mu.Unlock()
+	if s := r.snap.Load(); s != nil {
+		return s
+	}
+	s := &regSnapshot{
+		byName:    maps.Clone(r.byName),
+		impls:     make(map[string][]Impl, len(r.impls)),
+		resolvers: maps.Clone(r.resolvers),
+		offered:   make(map[string]bool, len(r.byName)),
+	}
+	for t, impls := range r.impls {
+		impls = slices.Clone(impls)
+		slices.SortFunc(impls, func(a, b Impl) int {
+			ai, bi := a.Info(), b.Info()
+			if ai.Priority != bi.Priority {
+				return cmp.Compare(bi.Priority, ai.Priority)
+			}
+			return strings.Compare(ai.Name, bi.Name)
+		})
+		s.impls[t] = impls
+		s.types = append(s.types, t)
+	}
+	slices.Sort(s.types)
+	for _, t := range s.types {
+		for _, impl := range s.impls[t] {
+			if info := impl.Info(); !info.DiscoveryOnly { // discovery-only: the operator advertises it
+				s.offers = append(s.offers, OfferFromInfo(info))
+				s.offered[info.Name] = true
+			}
+		}
+	}
+	enc := wire.NewEncoder(nil)
+	EncodeOffers(enc, s.offers)
+	s.block = enc.Bytes()
+	r.snap.Store(s)
+	return s
+}
+
 // Lookup returns the implementation with the given name.
 func (r *Registry) Lookup(name string) (Impl, bool) {
-	r.mu.RLock()
-	defer r.mu.RUnlock()
-	impl, ok := r.byName[name]
+	impl, ok := r.snapshot().byName[name]
 	return impl, ok
 }
 
 // ImplsFor returns the implementations registered for a chunnel type,
 // sorted by descending priority then name (deterministic).
 func (r *Registry) ImplsFor(chunnelType string) []Impl {
-	r.mu.RLock()
-	defer r.mu.RUnlock()
-	out := append([]Impl(nil), r.impls[chunnelType]...)
-	sort.Slice(out, func(i, j int) bool {
-		a, b := out[i].Info(), out[j].Info()
-		if a.Priority != b.Priority {
-			return a.Priority > b.Priority
-		}
-		return a.Name < b.Name
-	})
-	return out
+	return slices.Clone(r.snapshot().impls[chunnelType])
 }
 
 // Types returns all chunnel types with at least one registered
 // implementation, sorted.
 func (r *Registry) Types() []string {
-	r.mu.RLock()
-	defer r.mu.RUnlock()
-	out := make([]string, 0, len(r.impls))
-	for t := range r.impls {
-		out = append(out, t)
-	}
-	sort.Strings(out)
-	return out
+	return slices.Clone(r.snapshot().types)
 }
 
 // Fallback returns the highest-priority userspace implementation for a
@@ -118,7 +179,7 @@ func (r *Registry) Types() []string {
 // have a host-fallback implementation (§2); CheckFallbacks enforces this
 // for a whole DAG.
 func (r *Registry) Fallback(chunnelType string) (Impl, error) {
-	for _, impl := range r.ImplsFor(chunnelType) {
+	for _, impl := range r.snapshot().impls[chunnelType] {
 		if impl.Info().Location == LocUserspace {
 			return impl, nil
 		}
@@ -138,29 +199,11 @@ func (r *Registry) CheckFallbacks(s *spec.Stack) error {
 	return nil
 }
 
-// Offers returns wire-encodable advertisements for every registered
-// implementation of the given chunnel types (all types when types is
-// nil), used in negotiation hellos.
-func (r *Registry) Offers(types []string) []ImplOffer {
-	var out []ImplOffer
-	if types == nil {
-		types = r.Types()
-	}
-	for _, t := range types {
-		for _, impl := range r.ImplsFor(t) {
-			if impl.Info().DiscoveryOnly {
-				continue // advertised by the operator via discovery, not by us
-			}
-			out = append(out, OfferFromInfo(impl.Info()))
-		}
-	}
-	return out
-}
-
 // RegisterResolver installs the select resolver for a select-node type.
 func (r *Registry) RegisterResolver(selectType string, res SelectResolver) {
 	r.mu.Lock()
 	r.resolvers[selectType] = res
+	r.snap.Store(nil)
 	r.mu.Unlock()
 }
 
@@ -168,9 +211,7 @@ func (r *Registry) RegisterResolver(selectType string, res SelectResolver) {
 // false when none is registered (the runtime then uses the default
 // first-available-branch rule).
 func (r *Registry) Resolver(selectType string) (SelectResolver, bool) {
-	r.mu.RLock()
-	defer r.mu.RUnlock()
-	res, ok := r.resolvers[selectType]
+	res, ok := r.snapshot().resolvers[selectType]
 	return res, ok
 }
 

@@ -6,6 +6,8 @@ import (
 	"encoding/binary"
 	"errors"
 	"fmt"
+	"slices"
+	"strings"
 	"sync"
 	"time"
 
@@ -35,17 +37,20 @@ const helloRetries = 8
 // discovery client, and a selection policy. Endpoints are created once and
 // used to establish many connections.
 type Endpoint struct {
-	name      string
-	stack     *spec.Stack
-	registry  *Registry
-	discovery DiscoveryClient
-	policy    Policy
-	env       *Env
-	optimizer *Optimizer
-	tel       *telemetry.Registry
-	coalesce  *CoalesceConfig
-	tracing   *TraceConfig
-	reactor   *ReactorConfig
+	name  string
+	stack *spec.Stack
+	// stackTypes is stack.Types(), the discovery query of every
+	// connection whose effective DAG is this endpoint's.
+	stackTypes []string
+	registry   *Registry
+	discovery  DiscoveryClient
+	policy     Policy
+	env        *Env
+	optimizer  *Optimizer
+	tel        *telemetry.Registry
+	coalesce   *CoalesceConfig
+	tracing    *TraceConfig
+	reactor    *ReactorConfig
 }
 
 // Option configures an Endpoint.
@@ -117,10 +122,11 @@ func NewEndpoint(name string, stack *spec.Stack, opts ...Option) (*Endpoint, err
 		return nil, fmt.Errorf("bertha: invalid chunnel DAG: %w", err)
 	}
 	e := &Endpoint{
-		name:     name,
-		stack:    stack,
-		registry: DefaultRegistry(),
-		policy:   DefaultPolicy,
+		name:       name,
+		stack:      stack,
+		stackTypes: stack.Types(),
+		registry:   DefaultRegistry(),
+		policy:     DefaultPolicy,
 	}
 	for _, o := range opts {
 		o(e)
@@ -151,31 +157,25 @@ func (e *Endpoint) Registry() *Registry { return e.registry }
 func (e *Endpoint) Telemetry() *telemetry.Registry { return e.tel }
 
 // negotiator bundles the server-side decision inputs for negotiate.go.
+// The endpoint's fields are its per-endpoint inputs; host and snap are
+// the connection's.
 type negotiator struct {
-	host      string
-	name      string
-	stack     *spec.Stack
-	registry  *Registry
-	policy    Policy
-	discovery DiscoveryClient
-	env       *Env
-	optimizer *Optimizer
-	tel       *telemetry.Registry
-	// tracing authorizes decide() to append the trace pseudo-chunnel to
-	// resolved stacks (both peers must also register it).
-	tracing bool
+	*Endpoint
+	host string
+	// snap is the registry snapshot this connection negotiates from.
+	snap *regSnapshot
 }
 
 // paramProvider finds the negotiation parameter source for a binding: the
 // chosen implementation when locally registered, else any local
 // implementation of the same chunnel type.
 func (n *negotiator) paramProvider(implName, chunnelType string) ParamProvider {
-	if impl, ok := n.registry.Lookup(implName); ok {
+	if impl, ok := n.snap.byName[implName]; ok {
 		if pp, ok := impl.(ParamProvider); ok {
 			return pp
 		}
 	}
-	for _, impl := range n.registry.ImplsFor(chunnelType) {
+	for _, impl := range n.snap.impls[chunnelType] {
 		if pp, ok := impl.(ParamProvider); ok {
 			return pp
 		}
@@ -186,13 +186,13 @@ func (n *negotiator) paramProvider(implName, chunnelType string) ParamProvider {
 // validateArgs checks node arguments with the chosen implementation when
 // locally registered, else with any local implementation of the type.
 func (n *negotiator) validateArgs(implName, chunnelType string, args []wire.Value) error {
-	if impl, ok := n.registry.Lookup(implName); ok {
+	if impl, ok := n.snap.byName[implName]; ok {
 		if av, ok := impl.(ArgValidator); ok {
 			return av.ValidateArgs(args)
 		}
 		return nil
 	}
-	for _, impl := range n.registry.ImplsFor(chunnelType) {
+	for _, impl := range n.snap.impls[chunnelType] {
 		if av, ok := impl.(ArgValidator); ok {
 			return av.ValidateArgs(args)
 		}
@@ -201,22 +201,7 @@ func (n *negotiator) validateArgs(implName, chunnelType string, args []wire.Valu
 }
 
 func (e *Endpoint) negotiator(localHost string) *negotiator {
-	host := e.env.Host
-	if host == "" {
-		host = localHost
-	}
-	return &negotiator{
-		host:      host,
-		name:      e.name,
-		stack:     e.stack,
-		registry:  e.registry,
-		policy:    e.policy,
-		discovery: e.discovery,
-		env:       e.env,
-		optimizer: e.optimizer,
-		tel:       e.tel,
-		tracing:   e.tracing != nil,
-	}
+	return &negotiator{Endpoint: e, host: hostOr(e.env.Host, localHost), snap: e.registry.snapshot()}
 }
 
 // trace records a negotiation event into the endpoint's telemetry ring.
@@ -232,34 +217,33 @@ func (e *Endpoint) trace(side Side, kind string, ev telemetry.TraceEvent) {
 // chunnel stack both endpoints agreed on.
 func (e *Endpoint) Connect(ctx context.Context, raw Conn) (Conn, error) {
 	tc := newTaggedConn(raw)
+	snap := e.registry.snapshot()
+	host := hostOr(e.env.Host, raw.LocalAddr().Host)
 
 	// Pre-hello discovery round trip: learn about accelerated
 	// implementations so our offers include anything we can instantiate.
-	offers := e.registry.Offers(nil)
+	// Without any, the hello carries the snapshot's offer block as is.
+	offers, block := snap.offers, snap.block
 	if e.discovery != nil && !e.stack.Empty() {
-		if disc, err := e.discovery.Query(ctx, e.stack.Types()); err == nil {
-			host := e.env.Host
-			if host == "" {
-				host = raw.LocalAddr().Host
-			}
+		if disc, err := e.discovery.Query(ctx, e.stackTypes); err == nil {
 			for _, o := range disc {
 				if o.Host != "" && o.Host == host {
-					offers = append(offers, o)
+					offers = append(slices.Clip(offers), o)
+					block = nil
 				}
 			}
 		}
 	}
 
 	hello := &ClientHello{
-		Nonce:  newNonce(),
-		Name:   e.name,
-		Host:   hostOr(e.env.Host, raw.LocalAddr().Host),
-		Spec:   e.stack,
-		Offers: offers,
+		Nonce:      newNonce(),
+		Name:       e.name,
+		Host:       host,
+		Spec:       e.stack,
+		Offers:     offers,
+		offerBlock: block,
 	}
-	enc := wire.NewEncoder(nil)
-	hello.Encode(enc)
-	helloBytes := append([]byte(nil), enc.Bytes()...)
+	helloBytes := encodeHello(hello)
 
 	e.trace(SideClient, telemetry.TraceOfferSent, telemetry.TraceEvent{
 		Detail: fmt.Sprintf("spec=%s offers=%d", e.stack, len(offers)),
@@ -290,7 +274,7 @@ func (e *Endpoint) Connect(ctx context.Context, raw Conn) (Conn, error) {
 		})
 	}
 
-	conn, err := e.assemble(ctx, tc, sh.Stack, SideClient)
+	conn, err := e.assemble(ctx, tc, snap, sh.Stack, SideClient)
 	if err != nil {
 		e.trace(SideClient, telemetry.TraceFailed, telemetry.TraceEvent{Detail: err.Error()})
 		raw.Close()
@@ -309,8 +293,14 @@ func awaitServerHello(ctx context.Context, tc *taggedConn, helloBytes []byte, no
 		if err := tc.sendTagged(ctx, tagCtrl, helloBytes); err != nil {
 			return nil, fmt.Errorf("%w: send hello: %v", ErrNegotiation, err)
 		}
-		deadline, cancel := context.WithTimeout(ctx, helloTimeout)
-		msg, err := tc.recvCtrl(deadline)
+		// Each attempt waits helloTimeout at most; a ctx that ends sooner
+		// bounds the attempt by itself, and the wait needs no timer of
+		// its own.
+		wait, cancel := ctx, context.CancelFunc(func() {})
+		if d, ok := ctx.Deadline(); !ok || time.Until(d) > helloTimeout {
+			wait, cancel = context.WithTimeout(ctx, helloTimeout)
+		}
+		msg, err := tc.recvCtrl(wait)
 		cancel()
 		if err != nil {
 			if errors.Is(err, context.DeadlineExceeded) && ctx.Err() == nil {
@@ -390,24 +380,27 @@ func (e *Endpoint) accept(ctx context.Context, raw Conn) (Conn, error) {
 	if mt := d.Uint8(); mt != msgClientHello {
 		return nil, fmt.Errorf("%w: unexpected control message %d", ErrNegotiation, mt)
 	}
-	ch, err := DecodeClientHello(d)
+	ch, block, err := decodeHelloHead(d)
 	if err != nil {
 		return nil, err
 	}
+	tab, err := neg.snap.table(block)
+	if err != nil {
+		return nil, malformedHello(err)
+	}
+	ch.Offers = tab.client
 	e.trace(SideServer, telemetry.TraceHelloRecv, telemetry.TraceEvent{
 		Detail: fmt.Sprintf("peer=%s host=%s spec=%s offers=%d", ch.Name, ch.Host, ch.Spec, len(ch.Offers)),
 	})
 
 	sh := &ServerHello{Nonce: ch.Nonce, Name: e.name, Host: neg.host}
-	resolved, derr := decide(ctx, ch, neg)
+	resolved, derr := decide(ctx, ch, tab, neg)
 	if derr != nil {
 		sh.Err = derr.Error()
 	} else {
 		sh.Stack = resolved
 	}
-	enc := wire.NewEncoder(nil)
-	sh.Encode(enc)
-	reply := append([]byte(nil), enc.Bytes()...)
+	reply := encodeHello(sh)
 	if err := tc.sendTagged(ctx, tagCtrl, reply); err != nil {
 		return nil, fmt.Errorf("%w: send server hello: %v", ErrNegotiation, err)
 	}
@@ -419,7 +412,7 @@ func (e *Endpoint) accept(ctx context.Context, raw Conn) (Conn, error) {
 	// answered with the cached reply by the tagged conn's control loop.
 	tc.setCtrlResponder(ch.Nonce, reply)
 
-	conn, err := e.assemble(ctx, tc, resolved, SideServer)
+	conn, err := e.assemble(ctx, tc, neg.snap, resolved, SideServer)
 	if err != nil {
 		e.trace(SideServer, telemetry.TraceFailed, telemetry.TraceEvent{Detail: err.Error()})
 		return nil, err
@@ -436,22 +429,30 @@ func describeStack(stack []ResolvedNode) string {
 	if len(stack) == 0 {
 		return "(empty stack)"
 	}
-	var b []byte
+	const sep = " → "
+	var b strings.Builder
+	n := len(sep) * (len(stack) - 1)
+	for _, rn := range stack {
+		n += len(rn.Type) + 1 + len(rn.ImplName)
+	}
+	b.Grow(n)
 	for i, rn := range stack {
 		if i > 0 {
-			b = append(b, " → "...)
+			b.WriteString(sep)
 		}
-		b = append(b, rn.Type...)
-		b = append(b, '=')
-		b = append(b, rn.ImplName...)
+		b.WriteString(rn.Type)
+		b.WriteByte('=')
+		b.WriteString(rn.ImplName)
 	}
-	return string(b)
+	return b.String()
 }
 
 // assemble instantiates the local side of a resolved stack: Init then Wrap
 // for every chunnel this side runs, outermost chunnel wrapped last so that
 // application sends enter the stack at the top.
-func (e *Endpoint) assemble(ctx context.Context, tc *taggedConn, stack []ResolvedNode, side Side) (Conn, error) {
+// Implementations come from snap, the snapshot the connection negotiated
+// from.
+func (e *Endpoint) assemble(ctx context.Context, tc *taggedConn, snap *regSnapshot, stack []ResolvedNode, side Side) (Conn, error) {
 	if e.env.Dialer() == nil {
 		// Provide a same-transport dialer so chunnels can open extra
 		// base connections; transports may install richer dialers.
@@ -467,7 +468,7 @@ func (e *Endpoint) assemble(ctx context.Context, tc *taggedConn, stack []Resolve
 		if !rn.RunsAt(side) {
 			continue
 		}
-		if impl, ok := e.registry.Lookup(rn.ImplName); ok {
+		if impl, ok := snap.byName[rn.ImplName]; ok {
 			headroom += impl.Info().SendOverhead
 		}
 	}
@@ -510,7 +511,7 @@ func (e *Endpoint) assemble(ctx context.Context, tc *taggedConn, stack []Resolve
 		if !rn.RunsAt(side) {
 			continue
 		}
-		impl, ok := e.registry.Lookup(rn.ImplName)
+		impl, ok := snap.byName[rn.ImplName]
 		if !ok {
 			// The peer selected an implementation we cannot instantiate.
 			teardownAll(ctx, active, e)

@@ -46,9 +46,11 @@ type ReadyListener interface {
 // sent to it, in one step.
 const serveBurst = 64
 
-// polled is a done context: a receive under it returns what is queued or
-// fails at once (ReadyListener).
-var polled = func() context.Context {
+// Polled is a done context: a receive under it returns what is already
+// queued or fails at once with context.Canceled, on a connection that
+// looks at its queue before its context (ReadyListener requires that;
+// the socket, reactor and pipe transports all do).
+var Polled = func() context.Context {
 	ctx, cancel := context.WithCancel(context.Background())
 	cancel()
 	return ctx
@@ -163,7 +165,7 @@ func (s *server) serveShard(ctx context.Context, rl ReadyListener, shard int) {
 		if err != nil {
 			return
 		}
-		err = s.step(polled, ctx, conn, &b)
+		err = s.step(Polled, ctx, conn, &b)
 		if polledEmpty := errors.Is(err, context.Canceled) && ctx.Err() == nil; err == nil || polledEmpty {
 			rl.Rearm(conn)
 		} else {

@@ -250,8 +250,9 @@ func TestServeConcurrentConnections(t *testing.T) {
 			}
 			if rl, ok := l.(core.ReadyListener); ok {
 				// Reactor goroutines, one worker per shard, Serve itself.
-				// (A client's receive may have left a cancellation watcher
-				// that is still on its way out.)
+				// (A client's receive may have left a fired cancellation
+				// wake-up, which context.AfterFunc runs in a goroutine,
+				// on its way out.)
 				max := 2*rl.Shards() + 1
 				deadline := time.Now().Add(2 * time.Second)
 				for runtime.NumGoroutine()-before > max && time.Now().Before(deadline) {

@@ -209,3 +209,55 @@ func TestUDPRecvAllocsInstrumented(t *testing.T) {
 		t.Fatalf("instrumentation recorded %+v, want ≥%d recvs", snap.Conns, runs)
 	}
 }
+
+// TestUDPParkedRecvAllocs pins the cost of a receive that parks under a
+// cancellable context, the ping-pong case: the reply comes well inside
+// the park slice, so the receive registers no wake-up and starts no
+// goroutine — it allocates nothing. A receive that set up a canceller on
+// every park paid a channel and a goroutine each time.
+func TestUDPParkedRecvAllocs(t *testing.T) {
+	if testutil.RaceEnabled {
+		t.Skip("allocation counts are inflated under -race")
+	}
+	cli, srv, err := UDPPair("a", "b")
+	if err != nil {
+		t.Fatalf("pair: %v", err)
+	}
+	defer cli.Close()
+	defer srv.Close()
+	go func() { // echo until the pair closes
+		echo := srv.(core.BufConn)
+		for {
+			b, err := echo.RecvBuf(context.Background())
+			if err != nil || echo.SendBuf(context.Background(), b) != nil {
+				return
+			}
+		}
+	}()
+	bc := cli.(core.BufConn)
+	ctx, cancel := context.WithTimeout(context.Background(), time.Minute)
+	defer cancel()
+	payload := make([]byte, 64)
+	roundTrip := func() {
+		if err := cli.Send(ctx, payload); err != nil {
+			t.Errorf("send: %v", err)
+			return
+		}
+		b, err := bc.RecvBuf(ctx)
+		if err != nil {
+			t.Errorf("recv: %v", err)
+			return
+		}
+		b.Release()
+	}
+	roundTrip() // warm the socket state and the pools
+	avg := testing.AllocsPerRun(200, roundTrip)
+	if t.Failed() {
+		t.FailNow()
+	}
+	// A reply slower than the slice (a descheduled echo goroutine) makes
+	// one receive register its wake-up; the budget absorbs a few.
+	if avg > 0.25 {
+		t.Fatalf("a parked RecvBuf allocates %.2f objects/op, want 0", avg)
+	}
+}

@@ -207,6 +207,83 @@ func TestSocketCancelWhileBlocked(t *testing.T) {
 	}
 }
 
+// TestSocketCancelWithinSlice cancels a parked receiver before its park
+// slice has run out, when it has registered no wake-up: the slice's end
+// wakes it and it returns the context's error.
+func TestSocketCancelWithinSlice(t *testing.T) {
+	a, b, err := UDPPair("a", "b")
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer a.Close()
+	defer b.Close()
+	ctx, cancel := context.WithCancel(context.Background())
+	got := make(chan error, 1)
+	go func() {
+		_, err := b.Recv(ctx)
+		got <- err
+	}()
+	time.Sleep(parkSlice / 10)
+	cancel()
+	select {
+	case err := <-got:
+		if !errors.Is(err, context.Canceled) {
+			t.Fatalf("recv under a cancelled context = %v, want context.Canceled", err)
+		}
+	case <-time.After(5 * time.Second):
+		t.Fatal("a receiver cancelled inside its park slice did not return")
+	}
+	if err := a.Send(context.Background(), []byte("after")); err != nil {
+		t.Fatal(err)
+	}
+	if m, err := b.Recv(context.Background()); err != nil || string(m) != "after" {
+		t.Fatalf("recv after the cancellation: %q, %v", m, err)
+	}
+}
+
+// TestSocketPollDoneContext receives under a context that is already
+// done: with a datagram queued the receive returns it, and with none it
+// fails with the context's error — on the linux build at once, rather
+// than parking for a slice; the portable build's poll costs a slice.
+func TestSocketPollDoneContext(t *testing.T) {
+	a, b, err := UDPPair("a", "b")
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer a.Close()
+	defer b.Close()
+	done, cancel := context.WithCancel(context.Background())
+	cancel()
+	if err := a.Send(context.Background(), []byte("queued")); err != nil {
+		t.Fatal(err)
+	}
+	deadline := time.Now().Add(5 * time.Second)
+	for { // the datagram may not have reached b's socket yet
+		m, err := b.Recv(done)
+		if err == nil {
+			if string(m) != "queued" {
+				t.Fatalf("polled %q, want the queued datagram", m)
+			}
+			break
+		}
+		if time.Now().After(deadline) {
+			t.Fatal("the queued datagram never came")
+		}
+	}
+	const polls = 100
+	start := time.Now()
+	for i := 0; i < polls; i++ {
+		if _, err := b.Recv(done); !errors.Is(err, context.Canceled) {
+			t.Fatalf("poll of an empty socket = %v, want context.Canceled", err)
+		}
+	}
+	// batchRecvSupported marks the linux build, whose receive callback
+	// sees EAGAIN and so knows a poll is about to park.
+	if took := time.Since(start); batchRecvSupported && took > polls*parkSlice/2 {
+		t.Fatalf("%d polls of an empty socket took %v: they parked", polls, took)
+	}
+}
+
 // TestSocketStickyDeadlines walks the read deadline through the cases the
 // sticky arming has to get right: a caller whose deadline is shorter than
 // the armed one times out on its own deadline, not the armed one; a

@@ -329,6 +329,59 @@ func TestUDPDemuxMultiplePeers(t *testing.T) {
 	}
 }
 
+// TestUnixListenerKeepsPeerOrder sends numbered datagrams back to back
+// from one unix peer to a listener configured for four reactor shards:
+// they must arrive in the order sent, because a unix listener runs one
+// reactor goroutine whatever it is configured with.
+func TestUnixListenerKeepsPeerOrder(t *testing.T) {
+	ctx := ctxT(t)
+	path := filepath.Join(t.TempDir(), "order.sock")
+	l, err := ListenUnix("srv", path)
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer l.Close()
+	// The ring holds every datagram, so none is dropped for a full ring.
+	const n = 2000
+	if err := l.(core.ReactorConfigurer).ConfigureReactor(core.ReactorConfig{Shards: 4, RingSize: 2 * n}); err != nil {
+		t.Fatal(err)
+	}
+	c, err := DialUnix("cli", path)
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer c.Close()
+	sent := make(chan error, 1)
+	go func() {
+		for i := 0; i < n; i++ {
+			if err := c.Send(ctx, []byte(fmt.Sprint(i))); err != nil {
+				sent <- err
+				return
+			}
+		}
+		sent <- nil
+	}()
+	srv, err := l.Accept(ctx)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if got := l.(ReactorListener).Shards(); got != 1 {
+		t.Errorf("unix listener runs %d reactor shards, want 1", got)
+	}
+	for i := 0; i < n; i++ {
+		m, err := srv.Recv(ctx)
+		if err != nil {
+			t.Fatalf("recv %d: %v", i, err)
+		}
+		if string(m) != fmt.Sprint(i) {
+			t.Fatalf("datagram %d arrived as %q: a peer's datagrams were reordered", i, m)
+		}
+	}
+	if err := <-sent; err != nil {
+		t.Fatal(err)
+	}
+}
+
 func TestMessageTooLarge(t *testing.T) {
 	ctx := ctxT(t)
 	l, _ := ListenUDP("srv", "127.0.0.1:0")

@@ -85,6 +85,9 @@ type socketConn struct {
 	rdl    stickyDeadline
 	recvmm mmsgState
 	rq     recvQueue
+	// rpark is the cancellation state of the receive in flight, also
+	// guarded by the receiver role.
+	rpark recvPark
 }
 
 // lockRecv takes the receiver role, or fails with ctx's error when ctx
@@ -140,9 +143,9 @@ func (s *socketConn) arm(dl *stickyDeadline, ctx context.Context) (d time.Time, 
 
 // staleTimeout reports whether err is a timeout the caller (whose
 // context deadline is d, if hasDeadline) should not see: an earlier
-// caller's armed deadline, or the immediate one a cancelled context left
-// behind (watch), fired. It arms the caller's own deadline, or none,
-// and the caller tries again.
+// caller's armed deadline, a park slice, or the immediate one a
+// cancelled context left behind (wake), fired. It arms the caller's own
+// deadline, or none, and the caller tries again.
 func (s *socketConn) staleTimeout(dl *stickyDeadline, err error, d time.Time, hasDeadline bool) bool {
 	if ne, ok := err.(net.Error); !ok || !ne.Timeout() {
 		return false
@@ -335,8 +338,10 @@ func (s *socketConn) fill(ctx context.Context, want int) error {
 		slots = min(slots, q.width)
 	}
 	d, hasDeadline := s.arm(&s.rdl, ctx)
+	s.rpark.start(ctx, d, hasDeadline)
+	defer s.rpark.end()
 	for {
-		err := s.receive(ctx, slots)
+		err := s.receive(slots)
 		if err == nil {
 			if q.n == q.width && q.width < burstMax {
 				q.width *= 2
@@ -368,19 +373,89 @@ func (s *socketConn) fill(ctx context.Context, want int) error {
 	}
 }
 
-// watch wakes a receiver blocked in the socket when its context is
-// cancelled: an immediate read deadline fails the read, and the receiver
-// finds its context done. The receiver closes done when it is back. The
-// wake-up can land late — after the receiver has returned, even — so it
-// touches nothing but the socket; the immediate deadline it may leave
-// behind fails a later receive once, which staleTimeout recognises.
-func (s *socketConn) watch(ctx context.Context, done <-chan struct{}) {
+// parkSlice is how long a receive parks in the socket before it pays for
+// being woken by its context's cancellation. A receive answered within
+// the slice — every ping-pong reply — registers nothing and starts no
+// goroutine: the slice's deadline bounds its park, and the receive checks
+// its context when it wakes, so it sees a cancellation at most a slice
+// late. A receive still parked when the slice ends registers a wake-up
+// with its context (context.AfterFunc) and parks again, to be woken the
+// moment the context ends.
+const parkSlice = time.Millisecond
+
+// recvPark is the receive in flight's cancellation state: its context and
+// deadline, whether a park has armed the slice, and the registered
+// wake-up. The receiver role guards it.
+type recvPark struct {
+	ctx         context.Context
+	d           time.Time
+	hasDeadline bool
+	sliced      bool
+	stop        func() bool // deregisters the wake-up; nil when none
+	wake        func()      // the socket's wake, bound once
+}
+
+func (p *recvPark) start(ctx context.Context, d time.Time, hasDeadline bool) {
+	p.ctx, p.d, p.hasDeadline, p.sliced = ctx, d, hasDeadline, false
+}
+
+func (p *recvPark) end() {
+	if p.stop != nil {
+		p.stop()
+		p.stop = nil
+	}
+	p.ctx = nil
+}
+
+// parks runs when the receive in flight is about to block in the socket
+// (the linux build's receive callback, on EAGAIN). A receive whose
+// context is already done does not park: an immediate deadline fails it
+// at once. Any other goes on to armPark. A receive that finds its
+// datagram waiting never gets here and pays nothing for being
+// cancellable. The portable build has no such callback and calls
+// armPark before every read, so its poll of an empty socket costs a
+// slice.
+func (s *socketConn) parks() {
 	select {
-	case <-ctx.Done():
-		s.conn.SetReadDeadline(time.Unix(1, 0))
-	case <-done:
+	case <-s.rpark.ctx.Done(): // a nil channel (no cancellation) is never ready
+		s.setDeadline(&s.rdl, time.Unix(1, 0))
+	default:
+		s.armPark()
 	}
 }
+
+// armPark prepares a read that may block for its context's cancellation
+// (the portable build calls it before every read, since nothing tells
+// that build when a read is about to block). The first park of a receive
+// whose context can be cancelled arms the slice — unless the context's
+// own deadline comes sooner and ends the park anyway; a park after the
+// slice has run out registers the wake-up.
+func (s *socketConn) armPark() {
+	p := &s.rpark
+	if p.stop != nil || p.ctx.Done() == nil {
+		return
+	}
+	if !p.sliced {
+		t := time.Now().Add(parkSlice)
+		if p.hasDeadline && p.d.Before(t) {
+			return
+		}
+		p.sliced = true
+		s.setDeadline(&s.rdl, t)
+		return
+	}
+	if p.wake == nil {
+		p.wake = s.wake
+	}
+	p.stop = context.AfterFunc(p.ctx, p.wake)
+}
+
+// wake fails a parked receive at once with an immediate read deadline; the
+// receive then finds its context done. The wake-up can land late — after
+// the receive has returned, even — so it touches nothing but the socket;
+// the immediate deadline it may leave behind fails a later receive once,
+// which staleTimeout recognises.
+func (s *socketConn) wake() { s.conn.SetReadDeadline(time.Unix(1, 0)) }
 
 // RecvBufs hands over the datagrams read ahead, or, when there are none,
 // blocks for one receive — on linux a recvmmsg taking up to len(into)

@@ -16,7 +16,6 @@
 package transport
 
 import (
-	"context"
 	"errors"
 	"net"
 	"syscall"
@@ -121,15 +120,10 @@ type mmsgState struct {
 	gsoFn       func(fd uintptr) bool
 	ctrl        [cmsgSegSpace]byte
 	// Recv-side callback state (a connected socket's; the buffers are the
-	// connection's recvQueue): how many slots the burst offers, the
-	// single-read callback, the receiver's context, whether the receive
-	// had to wait, and the channel that stops the cancellation watcher it
-	// then started.
+	// connection's recvQueue): how many slots the receive offers, and
+	// whether it had to wait.
 	want   int
-	oneFn  func(fd uintptr) bool
-	ctx    context.Context
 	waited bool
-	done   chan struct{}
 
 	n   int
 	err error
@@ -378,35 +372,26 @@ func (m *mmsgState) sendGSO(fd uintptr) bool {
 var errNoRawConn = errors.New("transport: socket exposes no raw connection")
 
 // receive makes one receive into the (empty) read-ahead queue, through
-// one of two RawConn.Read callbacks: recvOne, a read(2) of one datagram,
-// when slots is 1 — the ping-pong case, which must not pay for setting up
-// a burst — else recvBurst, one recvmmsg offering that many. Both are
-// non-blocking first and tell waits when they are about to park, which
-// is what a conn.Read cannot do (the portable build's receive has to wire
-// up cancellation before every read). It blocks (in the poller) only
-// until the first datagram arrives, and records in rq.ahead whether the
-// next receive should read ahead. Caller holds the receiver role.
-func (s *socketConn) receive(ctx context.Context, slots int) error {
+// the RawConn.Read callback recv, which is one of two: recvOne, a read(2)
+// of one datagram, when slots is 1 — the ping-pong case, which must not
+// pay for setting up a burst — else recvBurst, one recvmmsg offering that
+// many. Both are non-blocking first and tell waits when they are about
+// to park, which is what a conn.Read cannot do (the portable build's
+// receive has to prepare every read for parking). It blocks (in the
+// poller) only until the first datagram arrives, and records in rq.ahead
+// whether the next receive should read ahead. Caller holds the receiver
+// role.
+func (s *socketConn) receive(slots int) error {
 	m := &s.recvmm
 	if !m.tried {
-		m.initRaw(s.conn, s.recvBurst)
-		m.oneFn = s.recvOne
+		m.initRaw(s.conn, s.recv)
 	}
 	if m.raw == nil {
 		return errNoRawConn
 	}
-	m.ctx, m.want = ctx, slots
+	m.want = slots
 	m.n, m.err, m.calls, m.waited = 0, nil, 0, false
-	fn := m.oneFn
-	if slots > 1 {
-		fn = m.fn
-	}
-	err := m.raw.Read(fn)
-	if m.done != nil {
-		close(m.done)
-		m.done = nil
-	}
-	m.ctx = nil
+	err := m.raw.Read(m.fn)
 	s.tel.recvSyscalls.Add(uint64(m.calls))
 	if m.err != nil {
 		err = m.err
@@ -424,20 +409,23 @@ func (s *socketConn) receive(ctx context.Context, slots int) error {
 }
 
 // waits runs in a receive callback that found nothing queued, just before
-// the goroutine parks in the poller: from here on a cancelled context
-// must be able to wake it. A receive that finds its datagram waiting
-// never gets here and pays nothing for being cancellable.
+// the goroutine parks in the poller.
 func (s *socketConn) waits() {
-	m := &s.recvmm
-	m.waited = true
-	if m.done == nil && m.ctx.Done() != nil {
-		m.done = make(chan struct{})
-		go s.watch(m.ctx, m.done)
-	}
+	s.recvmm.waited = true
+	s.parks()
 }
 
-// recvOne is the RawConn.Read callback of the single read: one read(2)
-// into slot 0.
+// recv is the RawConn.Read callback of every receive: the single read
+// for a receive offering one slot, the burst otherwise. One callback, not
+// two, is one method value per socket.
+func (s *socketConn) recv(fd uintptr) bool {
+	if s.recvmm.want == 1 {
+		return s.recvOne(fd)
+	}
+	return s.recvBurst(fd)
+}
+
+// recvOne receives one datagram with one read(2) into slot 0.
 func (s *socketConn) recvOne(fd uintptr) bool {
 	m := &s.recvmm
 	p := s.rq.spare(0).Bytes()
@@ -463,11 +451,10 @@ func (s *socketConn) recvOne(fd uintptr) bool {
 	}
 }
 
-// recvBurst is the RawConn.Read callback of the burst receive: one
-// recvmmsg for up to m.want messages. On a non-blocking socket recvmmsg
-// returns whatever is queued without waiting once at least one datagram
-// is available, so a burst costs one syscall; EAGAIN (nothing queued)
-// parks the goroutine in the poller.
+// recvBurst receives with one recvmmsg for up to m.want messages. On a
+// non-blocking socket recvmmsg returns whatever is queued without waiting
+// once at least one datagram is available, so a burst costs one syscall;
+// EAGAIN (nothing queued) parks the goroutine in the poller.
 func (s *socketConn) recvBurst(fd uintptr) bool {
 	m := &s.recvmm
 	cnt := m.want

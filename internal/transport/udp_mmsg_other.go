@@ -8,8 +8,6 @@
 package transport
 
 import (
-	"context"
-
 	"github.com/bertha-net/bertha/internal/wire"
 )
 
@@ -28,14 +26,15 @@ func (s *socketConn) writeBurst(bs []*wire.Buf) (int, error) {
 // receive reads one datagram per call however many slots it is offered:
 // without recvmmsg the read-ahead queue never holds more than one. This
 // is the only conn.Read receive (the linux build reads through RawConn
-// callbacks). Cancellation is wired up front, since nothing tells this
-// path that the read is about to block.
-func (s *socketConn) receive(ctx context.Context, slots int) error {
-	if ctx.Done() != nil {
-		done := make(chan struct{})
-		defer close(done)
-		go s.watch(ctx, done)
-	}
+// callbacks). Every read is prepared for parking up front, since nothing
+// tells this path that the read is about to block. That includes a read
+// under an already-done context: it returns a datagram that is waiting,
+// but on an empty socket it fails only when its slice runs out. A
+// deadline already past would fail it before it looks at the socket, and
+// one just ahead costs the same millisecond, the runtime's timer
+// granularity for a parked read.
+func (s *socketConn) receive(slots int) error {
+	s.armPark()
 	q := &s.rq
 	n, err := s.conn.Read(q.spare(0).Bytes())
 	s.tel.recvSyscalls.Inc()

@@ -31,12 +31,25 @@ func ListenUnix(hostID, path string) (core.Listener, error) {
 		return nil, fmt.Errorf("transport: listen unixgram %q: %w", path, err)
 	}
 	addr := core.Addr{Net: "unix", Host: hostID, Addr: path}
-	return &unixListener{reactorListener: newDemuxListener(unixPC{pc}, addr), path: path}, nil
+	l := &unixListener{reactorListener: newDemuxListener(unixPC{pc}, addr), path: path}
+	l.cfg.Shards = 1
+	return l, nil
 }
 
+// unixListener runs one reactor goroutine, whatever the configuration
+// asks for. Several goroutines taking turns on one socket can swap two
+// datagrams a peer sent back to back, and unixgram has no kernel hash
+// that could give each of them a socket of its own; a local-fast-path
+// client's first message would then overtake its splice token.
 type unixListener struct {
 	*reactorListener
 	path string
+}
+
+// ConfigureReactor takes cfg's ring size; the shard count stays 1.
+func (l *unixListener) ConfigureReactor(cfg core.ReactorConfig) error {
+	cfg.Shards = 1
+	return l.reactorListener.ConfigureReactor(cfg)
 }
 
 func (l *unixListener) Close() error {
