@@ -246,8 +246,9 @@ func (i *ipcImpl) wrap(ctx context.Context, conn core.Conn, args, params []wire.
 		// Drain the original (network) connection while waiting and for
 		// the connection's lifetime: all data moves to the IPC path, so
 		// the only traffic here is retransmitted handshakes over a lossy
-		// network — which the tagged layer re-answers during Recv.
-		spliced := &splicedConn{orig: conn}
+		// network — which the tagged layer re-answers during Recv — and
+		// the client's close notice, which frees the peer's entry.
+		spliced := &splicedConn{orig: conn, server: true}
 		spliced.startDrain()
 		select {
 		case ipc := <-ch:
@@ -265,43 +266,72 @@ func (i *ipcImpl) wrap(ctx context.Context, conn core.Conn, args, params []wire.
 
 // splicedConn carries data on the IPC transport — every datapath method
 // is the IPC connection's own — while keeping the original network
-// connection alive (drained in the background) for handshake
-// retransmissions and close propagation.
+// connection open for handshake retransmissions and close propagation.
+//
+// Only the server drains the network leg. It answers late hellos while
+// it waits for the client's IPC dial, and it takes the close notice the
+// client sends on that leg when it closes, which frees the server's
+// per-peer entry. After the ServerHello the client has nothing to wait
+// for there, so its spliced connection starts no goroutine; its Close
+// reads what has arrived meanwhile before it sends its own notice.
 type splicedConn struct {
 	core.Datapath
 	orig   core.Conn
-	cancel context.CancelFunc
+	server bool
 	once   sync.Once
+	// drain is the server's drain goroutine, joined by Close.
+	drain sync.WaitGroup
 }
 
 func newSpliced(ipc, orig core.Conn) *splicedConn {
-	s := &splicedConn{Datapath: core.Resolve(ipc), orig: orig}
-	s.startDrain()
-	return s
+	return &splicedConn{Datapath: core.Resolve(ipc), orig: orig}
 }
 
+// startDrain reads the network leg until it closes: Close closing it
+// is what ends the drain, which therefore needs no context of its own.
 func (s *splicedConn) startDrain() {
-	ctx, cancel := context.WithCancel(context.Background())
-	s.cancel = cancel
-	go func() {
-		for {
-			if _, err := s.orig.Recv(ctx); err != nil {
-				return
-			}
-		}
-	}()
+	s.drain.Add(1)
+	go s.drainOrig()
 }
 
+func (s *splicedConn) drainOrig() {
+	defer s.drain.Done()
+	unbounded := context.Background() // Close ends the drain (startDrain)
+	s.recvOrig(unbounded)
+}
+
+// recvOrig reads the network leg until a receive under ctx fails. The
+// tagged layer handles what arrives there as it is read: it answers a
+// retransmitted hello and marks the leg closed on the peer's notice.
+func (s *splicedConn) recvOrig(ctx context.Context) {
+	rc := core.Resolve(s.orig)
+	for {
+		b, err := rc.RecvBuf(ctx)
+		if err != nil {
+			return
+		}
+		b.Release()
+	}
+}
+
+// Close closes the IPC connection and the network leg — sending the
+// close notice there — and joins the drain, if any. The client first
+// takes, without waiting, what reached its network leg: a server that
+// closed first sent its notice there, and once the client has read it
+// the client sends none. Its notice would reach a server that has
+// already freed the peer, and be taken for a new connection's first
+// datagram.
 func (s *splicedConn) Close() error {
 	var err error
 	if s.Datapath != nil {
 		err = s.Datapath.Close()
 	}
 	s.once.Do(func() {
-		if s.cancel != nil {
-			s.cancel()
+		if !s.server {
+			s.recvOrig(core.Polled)
 		}
 		s.orig.Close()
+		s.drain.Wait()
 	})
 	return err
 }

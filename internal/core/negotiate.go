@@ -519,8 +519,8 @@ func (srv *negotiator) traceChosen(rn ResolvedNode, chosen Candidate) {
 	srv.trace(SideServer, telemetry.TraceImplChosen, telemetry.TraceEvent{
 		Chunnel: rn.Type,
 		Impl:    rn.ImplName,
-		Detail: fmt.Sprintf("priority=%d location=%s from=%s discovered=%v",
-			chosen.Offer.Priority, chosen.Offer.Location, chosen.From, chosen.Discovered),
+		Deferred: telemetry.Detailf("priority=%d location=%s from=%s discovered=%t").
+			Int(chosen.Offer.Priority).Str(chosen.Offer.Location.String()).Str(chosen.From.String()).Bool(chosen.Discovered),
 	})
 }
 

@@ -246,7 +246,7 @@ func (e *Endpoint) Connect(ctx context.Context, raw Conn) (Conn, error) {
 	helloBytes := encodeHello(hello)
 
 	e.trace(SideClient, telemetry.TraceOfferSent, telemetry.TraceEvent{
-		Detail: fmt.Sprintf("spec=%s offers=%d", e.stack, len(offers)),
+		Deferred: telemetry.Detailf("spec=%v offers=%d").Value(e.stack).Int(len(offers)),
 	})
 	helloStart := time.Now()
 	sh, err := awaitServerHello(ctx, tc, helloBytes, hello.Nonce)
@@ -264,13 +264,13 @@ func (e *Endpoint) Connect(ctx context.Context, raw Conn) (Conn, error) {
 		return nil, fmt.Errorf("%w: %s", ErrNegotiation, sh.Err)
 	}
 	e.trace(SideClient, telemetry.TraceServerHello, telemetry.TraceEvent{
-		Detail: fmt.Sprintf("peer=%s stack=%d nodes", sh.Name, len(sh.Stack)),
-		Micros: float64(rtt.Nanoseconds()) / 1e3,
+		Deferred: telemetry.Detailf("peer=%s stack=%d nodes").Str(sh.Name).Int(len(sh.Stack)),
+		Micros:   float64(rtt.Nanoseconds()) / 1e3,
 	})
 	for _, rn := range sh.Stack {
 		e.trace(SideClient, telemetry.TraceImplChosen, telemetry.TraceEvent{
 			Chunnel: rn.Type, Impl: rn.ImplName,
-			Detail: fmt.Sprintf("location=%s owner=%s", rn.Location, rn.Owner),
+			Deferred: telemetry.Detailf("location=%s owner=%s").Str(rn.Location.String()).Str(rn.Owner.String()),
 		})
 	}
 
@@ -281,7 +281,7 @@ func (e *Endpoint) Connect(ctx context.Context, raw Conn) (Conn, error) {
 		return nil, err
 	}
 	e.trace(SideClient, telemetry.TraceConnected, telemetry.TraceEvent{
-		Detail: describeStack(sh.Stack),
+		Deferred: telemetry.Detailf("%v").Value((*stackDesc)(&sh.Stack)),
 	})
 	return conn, nil
 }
@@ -390,7 +390,8 @@ func (e *Endpoint) accept(ctx context.Context, raw Conn) (Conn, error) {
 	}
 	ch.Offers = tab.client
 	e.trace(SideServer, telemetry.TraceHelloRecv, telemetry.TraceEvent{
-		Detail: fmt.Sprintf("peer=%s host=%s spec=%s offers=%d", ch.Name, ch.Host, ch.Spec, len(ch.Offers)),
+		Deferred: telemetry.Detailf("peer=%s host=%s spec=%v offers=%d").
+			Str(ch.Name).Str(ch.Host).Value(ch.Spec).Int(len(ch.Offers)),
 	})
 
 	sh := &ServerHello{Nonce: ch.Nonce, Name: e.name, Host: neg.host}
@@ -418,10 +419,15 @@ func (e *Endpoint) accept(ctx context.Context, raw Conn) (Conn, error) {
 		return nil, err
 	}
 	e.trace(SideServer, telemetry.TraceConnected, telemetry.TraceEvent{
-		Detail: describeStack(resolved),
+		Deferred: telemetry.Detailf("%v").Value((*stackDesc)(&sh.Stack)),
 	})
 	return conn, nil
 }
+
+// stackDesc is a resolved stack as a trace event's deferred Detail.
+type stackDesc []ResolvedNode
+
+func (s *stackDesc) String() string { return describeStack(*s) }
 
 // describeStack renders a resolved stack as "type=impl → type=impl" for
 // trace events.
@@ -545,7 +551,7 @@ func (e *Endpoint) assemble(ctx context.Context, tc *taggedConn, snap *regSnapsh
 		vectored++
 	}
 	e.trace(side, telemetry.TraceBatchPath, telemetry.TraceEvent{
-		Detail: fmt.Sprintf("vectored %d/%d layers from the top", vectored, len(aware)),
+		Deferred: telemetry.Detailf("vectored %d/%d layers from the top").Int(vectored).Int(len(aware)),
 	})
 	if e.coalesce != nil {
 		conn = NewCoalescer(conn, *e.coalesce, e.tel)
@@ -580,8 +586,24 @@ func teardownAll(ctx context.Context, active []activeImpl, e *Endpoint) {
 
 // teardownTimeout bounds the discovery-release RPCs a closing
 // connection issues: Close has no caller context, and a dead discovery
-// service must not wedge shutdown.
+// service must not wedge shutdown. It is the only bound teardown needs —
+// no Teardown reads its context — so a connection with no claim to
+// release builds none.
 const teardownTimeout = 5 * time.Second
+
+// releasesClaims reports whether closing a connection running active
+// releases a discovery claim.
+func (e *Endpoint) releasesClaims(active []activeImpl) bool {
+	if e.discovery == nil {
+		return false
+	}
+	for _, a := range active {
+		if a.claim != 0 {
+			return true
+		}
+	}
+	return false
+}
 
 // managedConn is the top of a negotiated stack: the single place where
 // the application's Send(p) and Recv() become the Buf path (every other
@@ -663,11 +685,15 @@ func (m *managedConn) Close() error {
 		if m.openConns != nil {
 			m.openConns.Add(-1)
 		}
-		ctx, cancel := context.WithTimeout(context.Background(), teardownTimeout)
-		defer cancel()
+		ctx := context.Background()
+		if m.ep.releasesClaims(m.active) {
+			var cancel context.CancelFunc
+			ctx, cancel = context.WithTimeout(ctx, teardownTimeout)
+			defer cancel()
+		}
 		teardownAll(ctx, m.active, m.ep)
 		m.ep.trace(m.side, telemetry.TraceTeardown, telemetry.TraceEvent{
-			Detail: fmt.Sprintf("%d impls torn down", len(m.active)),
+			Deferred: telemetry.Detailf("%d impls torn down").Int(len(m.active)),
 		})
 	})
 	return err

@@ -10,9 +10,10 @@ import (
 // negotiation history of a burst of connection setups without growing.
 const DefaultTraceLen = 256
 
-// Trace event kinds, in rough lifecycle order. Negotiation is the
-// control path — it already allocates for hellos and stacks — so trace
-// recording favours structure over allocation thrift.
+// Trace event kinds, in rough lifecycle order. Every connection set-up
+// records several, so recording formats nothing: an event keeps the
+// names and counts its Detail prints (TraceDetail), and the text is
+// rendered when the event is read.
 const (
 	// TraceOfferSent: a client sent its ClientHello (offers + spec).
 	TraceOfferSent = "offer-sent"
@@ -63,10 +64,94 @@ type TraceEvent struct {
 	// Micros is an associated duration in microseconds (hello RTT), 0
 	// when not applicable.
 	Micros float64 `json:"micros,omitempty"`
+	// Deferred is Detail not yet rendered. Record keeps it as it is;
+	// Events renders it into Detail, so readers only ever see the text.
+	Deferred TraceDetail `json:"-"`
+}
+
+// TraceDetail is an event's Detail kept unformatted: a fmt layout and
+// the names, counts and flag it prints, rendered when the event is
+// read. Start one with Detailf and attach the arguments in verb order:
+// Str for each %s, Int for each %d, Bool for the %t and Value for the
+// %v, a fmt.Stringer (a pointer the recorder already holds, so storing
+// it allocates nothing).
+type TraceDetail struct {
+	format     string
+	strs       [3]string
+	ints       [2]int
+	flag       bool
+	value      fmt.Stringer
+	nstr, nint uint8
+}
+
+// Detailf starts a deferred Detail laid out by format.
+func Detailf(format string) TraceDetail { return TraceDetail{format: format} }
+
+// Str attaches the next %s argument.
+func (d TraceDetail) Str(s string) TraceDetail {
+	d.strs[d.nstr] = s
+	d.nstr++
+	return d
+}
+
+// Int attaches the next %d argument.
+func (d TraceDetail) Int(n int) TraceDetail {
+	d.ints[d.nint] = n
+	d.nint++
+	return d
+}
+
+// Bool attaches the %t argument.
+func (d TraceDetail) Bool(b bool) TraceDetail {
+	d.flag = b
+	return d
+}
+
+// Value attaches the %v argument.
+func (d TraceDetail) Value(v fmt.Stringer) TraceDetail {
+	d.value = v
+	return d
+}
+
+// String renders the detail; "" when none was set.
+func (d *TraceDetail) String() string {
+	if d.format == "" {
+		return ""
+	}
+	args := make([]any, 0, len(d.strs)+len(d.ints)+2)
+	var ns, ni int
+	for i := 0; i+1 < len(d.format); i++ {
+		if d.format[i] != '%' {
+			continue
+		}
+		i++
+		switch d.format[i] {
+		case 's':
+			args = append(args, d.strs[ns])
+			ns++
+		case 'd':
+			args = append(args, d.ints[ni])
+			ni++
+		case 't':
+			args = append(args, d.flag)
+		case 'v':
+			args = append(args, d.value)
+		}
+	}
+	return fmt.Sprintf(d.format, args...)
+}
+
+// render moves a deferred Detail into Detail.
+func (e *TraceEvent) render() {
+	if e.Detail == "" {
+		e.Detail = e.Deferred.String()
+	}
+	e.Deferred = TraceDetail{}
 }
 
 // String renders the event on one line.
 func (e TraceEvent) String() string {
+	e.render()
 	s := fmt.Sprintf("#%d %s %s/%s %s", e.Seq, e.At.Format("15:04:05.000"), e.Endpoint, e.Side, e.Kind)
 	if e.Chunnel != "" {
 		s += " " + e.Chunnel
@@ -122,7 +207,6 @@ func (t *Trace) Total() uint64 {
 // Events returns the retained events, oldest first.
 func (t *Trace) Events() []TraceEvent {
 	t.mu.Lock()
-	defer t.mu.Unlock()
 	n := uint64(len(t.buf))
 	start := uint64(0)
 	count := t.next
@@ -133,6 +217,11 @@ func (t *Trace) Events() []TraceEvent {
 	out := make([]TraceEvent, 0, count)
 	for i := uint64(0); i < count; i++ {
 		out = append(out, t.buf[(start+i)%n])
+	}
+	t.mu.Unlock()
+	// Rendering runs outside the lock: a recorder never waits on a reader.
+	for i := range out {
+		out[i].render()
 	}
 	return out
 }

@@ -5,8 +5,10 @@ import (
 	"fmt"
 	"net"
 	"net/netip"
+	"strings"
 	"sync"
 	"sync/atomic"
+	"syscall"
 	"time"
 	"unsafe"
 
@@ -136,8 +138,11 @@ func newDemuxListener(pc packetConn, addr core.Addr) *reactorListener {
 	if apc, ok := pc.(addrPortPacketConn); ok {
 		l.apc = apc
 	}
-	if u, ok := pc.(udpPC); ok {
-		l.udp = u.UDPConn
+	switch p := pc.(type) {
+	case udpPC:
+		l.sock = p.UDPConn
+	case unixPC:
+		l.sock = p.UnixConn
 	}
 	return l
 }
@@ -146,9 +151,13 @@ func newDemuxListener(pc packetConn, addr core.Addr) *reactorListener {
 // core.Conns on the sharded reactor runtime: the datagram analog of
 // accept(), scaled past goroutine-per-peer.
 type reactorListener struct {
-	pc   packetConn
-	apc  addrPortPacketConn // non-nil: allocation-free source addressing
-	udp  *net.UDPConn       // non-nil: recvmmsg burst receive on linux
+	pc  packetConn
+	apc addrPortPacketConn // non-nil: allocation-free source addressing
+	// sock is the socket's raw side (*net.UDPConn or *net.UnixConn): on
+	// linux the reactors receive from it with recvmmsg into reused
+	// sockaddr storage, and sends to a unix peer and bursts go out
+	// through it with raw sendto/sendmmsg.
+	sock syscall.Conn
 	addr core.Addr
 	tel  *netCounters
 
@@ -226,7 +235,7 @@ func (l *reactorListener) run() {
 	defer l.goroutines.Add(-1)
 	pool := wire.NewLocalPool(wire.DefaultHeadroom, MaxDatagram+1, reactorPoolCap)
 	defer pool.Drain()
-	if l.udp != nil && batchRecvSupported && l.runBurst(pool) {
+	if l.sock != nil && batchRecvSupported && l.runBurst(pool) {
 		return
 	}
 	l.runSingle(pool)
@@ -312,12 +321,18 @@ func (l *reactorListener) deliver(key peerKey, from net.Addr, b *wire.Buf, pool 
 // materialize creates (or, racing another reactor, finds) the
 // connection for a new peer and offers it to the accept queue. A full
 // backlog retracts the connection and reports nil; so does a listener
-// that is shutting down.
+// that is shutting down. A string key that comes without a net.Addr is
+// the linux unix receive loop's: it aliases that loop's sockaddr
+// storage, and the connection keeps a copy — the one allocation a unix
+// peer's addressing costs.
 func (l *reactorListener) materialize(sh *reactorShard, key peerKey, from net.Addr) *reactorConn {
 	sh.table.mu.Lock()
 	if c := sh.table.lookupLocked(key); c != nil {
 		sh.table.mu.Unlock()
 		return c
+	}
+	if key.s != "" && from == nil {
+		key.s = strings.Clone(key.s)
 	}
 	select {
 	case <-l.closed:
@@ -702,7 +717,7 @@ type reactorConn struct {
 	l             *reactorListener
 	shard         *reactorShard
 	key           peerKey
-	peer          net.Addr // non-nil only on the non-AddrPort path
+	peer          net.Addr // set only by the portable unix receive loop
 	local, remote core.Addr
 
 	ring   *connRing
@@ -727,13 +742,18 @@ func (c *reactorConn) wake(sh *reactorShard) {
 	}
 }
 
-// writeTo sends one datagram to the peer over the shared socket.
+// writeTo sends one datagram to the peer over the shared socket: by
+// AddrPort on UDP, to the net.Addr the portable receive loop saw, or —
+// a linux unix peer, keyed by its path alone — through writeUnix.
 func (c *reactorConn) writeTo(p []byte) error {
 	var err error
-	if c.l.apc != nil {
+	switch {
+	case c.l.apc != nil:
 		_, err = c.l.apc.WriteToAddrPort(p, c.key.ap)
-	} else {
+	case c.peer != nil:
 		_, err = c.l.pc.WriteTo(p, c.peer)
+	default:
+		err = c.l.writeUnix(c, p)
 	}
 	c.l.tel.sendSyscalls.Inc()
 	return err

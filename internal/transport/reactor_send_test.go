@@ -34,9 +34,10 @@ func acceptPeer(ctx context.Context, t *testing.T, l core.Listener, cli core.Con
 // TestReactorSendBufs sends fragment-shaped bursts from a reactor
 // connection to its peer over every kind of listener socket: IPv4, IPv6,
 // a dual-stack socket talking to an IPv4 peer (addressed in v4-mapped
-// form) and unixgram. Every datagram arrives byte-exact and in order; on
-// UDP sockets with kernel batch support a burst costs one sendmsg per
-// ≤52-segment chunk, elsewhere one write per datagram.
+// form) and unixgram. Every datagram arrives byte-exact and in order;
+// with kernel batch support a burst costs one UDP sendmsg per ≤52-segment
+// chunk, or one unixgram sendmmsg per ≤64 datagrams — two calls for the
+// 65-datagram burst either way — and elsewhere one write per datagram.
 func TestReactorSendBufs(t *testing.T) {
 	unixPath := filepath.Join(t.TempDir(), "srv.sock")
 	for _, tc := range []struct {
@@ -74,7 +75,7 @@ func TestReactorSendBufs(t *testing.T) {
 			sc := acceptPeer(ctx, t, l, cli)
 			defer sc.Close()
 
-			batched := tc.net == "udp" && batchRecvSupported
+			batched := batchRecvSupported
 			for _, burst := range []struct{ n, calls int }{{2, 1}, {14, 1}, {65, 2}} {
 				sent := counterValue("transport/" + tc.net + "/datagrams_sent")
 				calls := counterValue("transport/" + tc.net + "/send_syscalls")

@@ -5,6 +5,7 @@ import (
 	"context"
 	"errors"
 	"fmt"
+	"net"
 	"path/filepath"
 	"sync"
 	"testing"
@@ -379,6 +380,49 @@ func TestUnixListenerKeepsPeerOrder(t *testing.T) {
 	}
 	if err := <-sent; err != nil {
 		t.Fatal(err)
+	}
+}
+
+// TestDialUDPAddressForms dials a listener by an IPv4 literal, an IPv6
+// literal and a hostname: the literals are parsed in place, the hostname
+// is resolved, and each connection carries a datagram both ways and
+// reports its addresses as the net package prints them.
+func TestDialUDPAddressForms(t *testing.T) {
+	for _, tc := range []struct{ name, bind, host string }{
+		{"ipv4", "127.0.0.1:0", "127.0.0.1"},
+		{"ipv6", "[::1]:0", "[::1]"},
+		{"hostname", "127.0.0.1:0", "localhost"},
+	} {
+		t.Run(tc.name, func(t *testing.T) {
+			ctx := ctxT(t)
+			l, err := ListenUDP("srv", tc.bind)
+			if err != nil {
+				t.Skipf("listen: %v (address family unavailable here)", err)
+			}
+			defer l.Close()
+			_, port, _ := net.SplitHostPort(l.Addr().Addr)
+			raddr := tc.host + ":" + port
+			cli, err := DialUDP("cli", raddr)
+			if err != nil {
+				t.Skipf("dial %s: %v (name or family unavailable here)", raddr, err)
+			}
+			defer cli.Close()
+			sc := acceptPeer(ctx, t, l, cli)
+			defer sc.Close()
+			if err := sc.Send(ctx, []byte("back")); err != nil {
+				t.Fatal(err)
+			}
+			if m, err := cli.Recv(ctx); err != nil || string(m) != "back" {
+				t.Fatalf("client recv = %q, %v", m, err)
+			}
+			if got := cli.RemoteAddr().Addr; got != raddr {
+				t.Errorf("remote address %q, want %q as dialed", got, raddr)
+			}
+			want := cli.(*socketConn).conn.LocalAddr().String()
+			if got := cli.LocalAddr().Addr; got != want || got != sc.RemoteAddr().Addr {
+				t.Errorf("local address %q, want %q, which the server sees as %q", got, want, sc.RemoteAddr().Addr)
+			}
+		})
 	}
 }
 

@@ -5,6 +5,7 @@ import (
 	"errors"
 	"fmt"
 	"net"
+	"net/netip"
 	"os"
 	"sync"
 	"time"
@@ -33,19 +34,26 @@ func ListenUDP(hostID, bind string) (core.Listener, error) {
 	return newDemuxListener(udpPC{pc}, addr), nil
 }
 
-// DialUDP opens a connected datagram connection to raddr.
+// DialUDP opens a connected datagram connection to raddr. A literal
+// address ("127.0.0.1:9000", "[::1]:9000") is parsed in place; only a
+// hostname goes through the resolver.
 func DialUDP(hostID, raddr string) (core.Conn, error) {
-	ua, err := net.ResolveUDPAddr("udp", raddr)
-	if err != nil {
+	var ua *net.UDPAddr
+	if ap, err := netip.ParseAddrPort(raddr); err == nil {
+		ua = net.UDPAddrFromAddrPort(ap)
+	} else if ua, err = net.ResolveUDPAddr("udp", raddr); err != nil {
 		return nil, fmt.Errorf("transport: resolve %q: %w", raddr, err)
 	}
 	uc, err := net.DialUDP("udp", nil, ua)
 	if err != nil {
 		return nil, fmt.Errorf("transport: dial udp %q: %w", raddr, err)
 	}
+	// Formatted as the net.UDPAddr would print it: IPv4 unmapped.
+	lap := uc.LocalAddr().(*net.UDPAddr).AddrPort()
+	local := netip.AddrPortFrom(lap.Addr().Unmap(), lap.Port()).String()
 	return &socketConn{
 		conn:   uc,
-		local:  core.Addr{Net: "udp", Host: hostID, Addr: uc.LocalAddr().String()},
+		local:  core.Addr{Net: "udp", Host: hostID, Addr: local},
 		remote: core.Addr{Net: "udp", Host: "", Addr: raddr},
 		tel:    countersFor("udp"),
 		rsem:   make(chan struct{}, 1),

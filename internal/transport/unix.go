@@ -2,11 +2,14 @@ package transport
 
 import (
 	"crypto/rand"
-	"encoding/hex"
+	"encoding/binary"
 	"fmt"
 	"net"
 	"os"
-	"path/filepath"
+	"strings"
+	"sync"
+	"sync/atomic"
+	"syscall"
 
 	"github.com/bertha-net/bertha/internal/core"
 )
@@ -72,23 +75,15 @@ func (u unixPC) WriteTo(b []byte, addr net.Addr) (int, error) {
 
 // DialUnix opens a connected UNIX datagram connection to the server at
 // path. Because unixgram servers reply to the client's bound address, the
-// client binds a unique socket in the same directory (removed on Close).
+// client binds a socket of its own beside the listener (removed on
+// Close), named by clientSockPath.
 func DialUnix(hostID, path string) (core.Conn, error) {
-	var suffix [6]byte
-	if _, err := rand.Read(suffix[:]); err != nil {
-		return nil, fmt.Errorf("transport: random suffix: %w", err)
-	}
-	clientPath := filepath.Join(filepath.Dir(path),
-		fmt.Sprintf(".%s.cli.%d.%s", filepath.Base(path), os.Getpid(), hex.EncodeToString(suffix[:])))
-	laddr, err := net.ResolveUnixAddr("unixgram", clientPath)
+	clientPath, err := clientSockPath(path)
 	if err != nil {
-		return nil, fmt.Errorf("transport: resolve %q: %w", clientPath, err)
+		return nil, err
 	}
-	raddr, err := net.ResolveUnixAddr("unixgram", path)
-	if err != nil {
-		return nil, fmt.Errorf("transport: resolve %q: %w", path, err)
-	}
-	uc, err := net.DialUnix("unixgram", laddr, raddr)
+	uc, err := net.DialUnix("unixgram",
+		&net.UnixAddr{Name: clientPath, Net: "unixgram"}, &net.UnixAddr{Name: path, Net: "unixgram"})
 	if err != nil {
 		return nil, fmt.Errorf("transport: dial unixgram %q: %w", path, err)
 	}
@@ -102,6 +97,55 @@ func DialUnix(hostID, path string) (core.Conn, error) {
 		},
 		clientPath: clientPath,
 	}, nil
+}
+
+// maxUnixPath is the longest socket path a sockaddr_un holds: sun_path
+// less its terminating NUL (107 bytes on linux, 103 on the BSDs).
+const maxUnixPath = len(syscall.RawSockaddrUnix{}.Path) - 1
+
+// clientSockName is the length of a client socket's name:
+// ".<8 hex digits of the process prefix>.<8 hex digits of the count>".
+const clientSockName = 1 + 8 + 1 + 8
+
+var (
+	// clientSockPrefix tells apart the client sockets of processes that
+	// dial listeners in one directory; drawn once per process.
+	clientSockPrefix = sync.OnceValue(func() uint32 {
+		var b [4]byte
+		if _, err := rand.Read(b[:]); err != nil {
+			panic("transport: crypto/rand unavailable: " + err.Error())
+		}
+		return binary.LittleEndian.Uint32(b[:])
+	})
+	// clientSockSeq tells apart one process's client sockets.
+	clientSockSeq atomic.Uint32
+)
+
+// clientSockPath names a new client socket in the directory of the
+// listener at server: a short name that does not repeat the listener's,
+// so any directory that leaves clientSockName+1 bytes of sun_path free
+// takes it, however long the listener's own name is.
+func clientSockPath(server string) (string, error) {
+	dir := server[:strings.LastIndexByte(server, '/')+1] // "" is the working directory
+	if n := len(dir) + clientSockName; n > maxUnixPath {
+		return "", fmt.Errorf("transport: client socket beside %q needs %d bytes of path, over the %d-byte sun_path limit", server, n, maxUnixPath)
+	}
+	var b strings.Builder
+	b.Grow(len(dir) + clientSockName)
+	b.WriteString(dir)
+	b.WriteByte('.')
+	writeHex32(&b, clientSockPrefix())
+	b.WriteByte('.')
+	writeHex32(&b, clientSockSeq.Add(1))
+	return b.String(), nil
+}
+
+// writeHex32 writes v as eight lower-case hex digits.
+func writeHex32(b *strings.Builder, v uint32) {
+	const digits = "0123456789abcdef"
+	for shift := 28; shift >= 0; shift -= 4 {
+		b.WriteByte(digits[v>>uint(shift)&0xf])
+	}
 }
 
 type unixConn struct {
