@@ -353,7 +353,12 @@ func TestSplicedClientAddsNoGoroutine(t *testing.T) {
 func TestSplicedCloseJoinsDrain(t *testing.T) {
 	u := newUnixSplice(t)
 	u.lifecycle(t)
+	// The runner goroutine of the test before this one (-count) can still
+	// be on its way out: take the lowest count over a few milliseconds.
 	before := runtime.NumGoroutine()
+	for deadline := time.Now().Add(20 * time.Millisecond); time.Now().Before(deadline); time.Sleep(time.Millisecond) {
+		before = min(before, runtime.NumGoroutine())
+	}
 	for i := 0; i < 5; i++ {
 		u.lifecycle(t) // returns once the server's Close has returned
 		if n := goroutinesIn("localfast.(*splicedConn).recvOrig"); n != 0 {
@@ -375,7 +380,8 @@ func TestSplicedCloseJoinsDrain(t *testing.T) {
 // echo, both sides closed — both endpoints together. It measured 165
 // objects with the net package addressing every unix datagram, a drain
 // goroutine on the client, a teardown timeout per Close and trace
-// details formatted as they were recorded; it measures 124 now.
+// details formatted as they were recorded, and 124 while the close notice
+// went under a context.WithTimeout; it measures 119 now.
 func TestSpliceLifecycleAllocBudget(t *testing.T) {
 	if testutil.RaceEnabled {
 		t.Skip("allocation counts are inflated under -race")
@@ -384,7 +390,7 @@ func TestSpliceLifecycleAllocBudget(t *testing.T) {
 	for i := 0; i < 8; i++ { // the accept loop, pools and reactor state
 		u.lifecycle(t)
 	}
-	const budget = 140
+	const budget = 130
 	if avg := testing.AllocsPerRun(100, func() { u.lifecycle(t) }); avg > budget {
 		t.Fatalf("a spliced lifecycle allocates %.0f objects, budget is %d", avg, budget)
 	}

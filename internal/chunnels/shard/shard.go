@@ -306,8 +306,15 @@ func (p *pushConn) Recv(ctx context.Context) ([]byte, error) {
 	return b.CopyOut(), nil
 }
 
-// RecvBuf is Recv's zero-copy form.
+// RecvBuf is Recv's zero-copy form. A reply already queued is taken
+// before ctx's Done channel is asked for: a context makes it on first
+// request.
 func (p *pushConn) RecvBuf(ctx context.Context) (*wire.Buf, error) {
+	select {
+	case m := <-p.in:
+		return m, nil
+	default:
+	}
 	select {
 	case m := <-p.in:
 		return m, nil

@@ -5,6 +5,7 @@ import (
 	"errors"
 	"strings"
 	"testing"
+	"time"
 
 	"github.com/bertha-net/bertha/internal/spec"
 	"github.com/bertha-net/bertha/internal/wire"
@@ -575,5 +576,36 @@ func TestRequireAttestationPolicy(t *testing.T) {
 	}
 	if _, ok := local.Offer.Attestation(); ok {
 		t.Error("missing attestation should report false")
+	}
+}
+
+// TestLateCtx checks the close notice's context against the context
+// contract: Err is nil and Deadline set until the deadline passes, Done
+// closes then, and Err agrees with Done whichever is asked first.
+func TestLateCtx(t *testing.T) {
+	c := newLateCtx()
+	if d, ok := c.Deadline(); !ok || time.Until(d) <= 0 || time.Until(d) > lateCtrlTimeout {
+		t.Fatalf("Deadline = %v, %v; want one within %v", d, ok, lateCtrlTimeout)
+	}
+	if err := c.Err(); err != nil {
+		t.Fatalf("Err before the deadline = %v", err)
+	}
+	select {
+	case <-c.Done():
+	case <-time.After(10 * lateCtrlTimeout):
+		t.Fatal("Done not closed at the deadline")
+	}
+	if err := c.Err(); err != context.DeadlineExceeded {
+		t.Fatalf("Err after Done = %v, want DeadlineExceeded", err)
+	}
+
+	expired := &lateCtx{deadline: time.Now().Add(-time.Millisecond)}
+	if err := expired.Err(); err != context.DeadlineExceeded {
+		t.Fatalf("Err past the deadline = %v, want DeadlineExceeded", err)
+	}
+	select {
+	case <-expired.Done():
+	default:
+		t.Fatal("Done asked for past the deadline is not closed")
 	}
 }

@@ -178,9 +178,7 @@ func (s *muxSource) RecvBufs(ctx context.Context, into []*wire.Buf) (int, error)
 // per-address state promptly.
 func (s *muxSource) Close() error {
 	if !s.t.peerClosed.Load() {
-		cctx, cancel := context.WithTimeout(context.Background(), lateCtrlTimeout)
-		_ = s.t.sendTagged(cctx, tagCtrl, []byte{msgClose})
-		cancel()
+		_ = s.t.sendTagged(newLateCtx(), tagCtrl, []byte{msgClose})
 	}
 	return s.Datapath.Close()
 }
@@ -189,6 +187,62 @@ func (s *muxSource) Close() error {
 // connection makes without a caller's context: the close announcement
 // and a ServerHello replay (Decode has none to give).
 const lateCtrlTimeout = 50 * time.Millisecond
+
+// lateCtx is the context of those sends: no parent, and a deadline
+// lateCtrlTimeout after it was made. It arms no timer and makes no Done
+// channel until something asks for the channel. A datagram socket only
+// reads the deadline, and its send into a socket buffer that is not full
+// does not block, so a notice costs the one small object lateCtx is,
+// where context.WithTimeout costs four, a timer among them.
+type lateCtx struct {
+	deadline time.Time
+	mu       sync.Mutex
+	done     chan struct{} // made by Done
+}
+
+func newLateCtx() *lateCtx {
+	return &lateCtx{deadline: time.Now().Add(lateCtrlTimeout)}
+}
+
+func (c *lateCtx) Deadline() (time.Time, bool) { return c.deadline, true }
+func (c *lateCtx) Value(any) any               { return nil }
+
+// Done returns a channel closed at the deadline: already closed once it
+// has passed, else closed by a timer armed now.
+func (c *lateCtx) Done() <-chan struct{} {
+	c.mu.Lock()
+	defer c.mu.Unlock()
+	if c.done == nil {
+		done := make(chan struct{})
+		if d := time.Until(c.deadline); d > 0 {
+			time.AfterFunc(d, func() { close(done) })
+		} else {
+			close(done)
+		}
+		c.done = done
+	}
+	return c.done
+}
+
+// Err agrees with Done: without a channel it reads the clock, and a
+// channel made after the deadline is made closed.
+func (c *lateCtx) Err() error {
+	c.mu.Lock()
+	done := c.done
+	c.mu.Unlock()
+	if done == nil {
+		if time.Now().Before(c.deadline) {
+			return nil
+		}
+		return context.DeadlineExceeded
+	}
+	select {
+	case <-done:
+		return context.DeadlineExceeded
+	default:
+		return nil
+	}
+}
 
 // handleLateCtrl processes a control message on an established
 // connection: replay the cached ServerHello for retransmitted hellos of
@@ -217,9 +271,7 @@ func (t *taggedConn) handleLateCtrl(msg []byte) {
 		}
 		if got == nonce {
 			// Retransmission of this connection's hello: replay.
-			ctx, cancel := context.WithTimeout(context.Background(), lateCtrlTimeout)
-			_ = t.sendTagged(ctx, tagCtrl, reply)
-			cancel()
+			_ = t.sendTagged(newLateCtx(), tagCtrl, reply)
 			return
 		}
 		// A new connection attempt from a reused address: this

@@ -156,6 +156,12 @@ func TestKVWindowedRequestsBatch(t *testing.T) {
 			done++
 		}
 	}
+	// The server counts a reply burst when its syscall returns, which can
+	// be after the client has read the last reply: let the count land.
+	for deadline := time.Now().Add(time.Second); counter("datagrams_sent")-sent0-clientSends < total &&
+		time.Now().Before(deadline); {
+		time.Sleep(time.Millisecond)
+	}
 	replies := counter("datagrams_sent") - sent0 - clientSends
 	calls := counter("send_syscalls") - calls0 - clientSends
 	if replies < total || calls == 0 {

@@ -214,50 +214,71 @@ func TestUDPRecvAllocsInstrumented(t *testing.T) {
 // cancellable context, the ping-pong case: the reply comes well inside
 // the park slice, so the receive registers no wake-up and starts no
 // goroutine — it allocates nothing. A receive that set up a canceller on
-// every park paid a channel and a goroutine each time.
+// every park paid a channel and a goroutine each time. It runs under one
+// shared context, and under a new timeout context for every round trip,
+// as a client bounding each request gives: a receive answered within the
+// slice asks the context for its error, never for its Done channel,
+// which a fresh context would make on first request. The contexts are
+// made before the measurement.
 func TestUDPParkedRecvAllocs(t *testing.T) {
 	if testutil.RaceEnabled {
 		t.Skip("allocation counts are inflated under -race")
 	}
-	cli, srv, err := UDPPair("a", "b")
-	if err != nil {
-		t.Fatalf("pair: %v", err)
-	}
-	defer cli.Close()
-	defer srv.Close()
-	go func() { // echo until the pair closes
-		echo := srv.(core.BufConn)
-		for {
-			b, err := echo.RecvBuf(context.Background())
-			if err != nil || echo.SendBuf(context.Background(), b) != nil {
-				return
+	const runs = 200
+	for _, tc := range []struct {
+		name string
+		ctxs int // how many contexts the round trips take in turn
+	}{{"shared", 1}, {"fresh", runs + 2}} {
+		t.Run(tc.name, func(t *testing.T) {
+			cli, srv, err := UDPPair("a", "b")
+			if err != nil {
+				t.Fatalf("pair: %v", err)
 			}
-		}
-	}()
-	bc := cli.(core.BufConn)
-	ctx, cancel := context.WithTimeout(context.Background(), time.Minute)
-	defer cancel()
-	payload := make([]byte, 64)
-	roundTrip := func() {
-		if err := cli.Send(ctx, payload); err != nil {
-			t.Errorf("send: %v", err)
-			return
-		}
-		b, err := bc.RecvBuf(ctx)
-		if err != nil {
-			t.Errorf("recv: %v", err)
-			return
-		}
-		b.Release()
-	}
-	roundTrip() // warm the socket state and the pools
-	avg := testing.AllocsPerRun(200, roundTrip)
-	if t.Failed() {
-		t.FailNow()
-	}
-	// A reply slower than the slice (a descheduled echo goroutine) makes
-	// one receive register its wake-up; the budget absorbs a few.
-	if avg > 0.25 {
-		t.Fatalf("a parked RecvBuf allocates %.2f objects/op, want 0", avg)
+			defer cli.Close()
+			defer srv.Close()
+			go func() { // echo until the pair closes
+				echo := srv.(core.BufConn)
+				for {
+					b, err := echo.RecvBuf(context.Background())
+					if err != nil || echo.SendBuf(context.Background(), b) != nil {
+						return
+					}
+				}
+			}()
+			ctxs := make([]context.Context, tc.ctxs)
+			for i := range ctxs {
+				var cancel context.CancelFunc
+				ctxs[i], cancel = context.WithTimeout(context.Background(), time.Minute)
+				defer cancel()
+			}
+			bc := cli.(core.BufConn)
+			payload := make([]byte, 64)
+			next := 0
+			roundTrip := func() {
+				ctx := ctxs[next%len(ctxs)]
+				next++
+				if err := cli.Send(ctx, payload); err != nil {
+					t.Errorf("send: %v", err)
+					return
+				}
+				b, err := bc.RecvBuf(ctx)
+				if err != nil {
+					t.Errorf("recv: %v", err)
+					return
+				}
+				b.Release()
+			}
+			roundTrip() // warm the socket state and the pools
+			avg := testing.AllocsPerRun(runs, roundTrip)
+			if t.Failed() {
+				t.FailNow()
+			}
+			// A reply slower than the slice (a descheduled echo goroutine)
+			// makes one receive register its wake-up; the budget absorbs a
+			// few.
+			if avg > 0.25 {
+				t.Fatalf("a parked RecvBuf allocates %.2f objects/op, want 0", avg)
+			}
+		})
 	}
 }

@@ -233,7 +233,7 @@ func (l *reactorListener) start() {
 func (l *reactorListener) run() {
 	defer l.wg.Done()
 	defer l.goroutines.Add(-1)
-	pool := wire.NewLocalPool(wire.DefaultHeadroom, MaxDatagram+1, reactorPoolCap)
+	pool := wire.NewLocalPool(wire.DefaultHeadroom, recvSlot, reactorPoolCap)
 	defer pool.Drain()
 	if l.sock != nil && batchRecvSupported && l.runBurst(pool) {
 		return
@@ -285,29 +285,43 @@ func (l *reactorListener) runSingle(pool *wire.LocalPool) {
 		}
 		b.Truncate(n)
 		l.tel.recvd.Inc()
-		l.deliver(key, from, b, pool)
+		one := [1]*wire.Buf{b} //bertha:transfers deliver consumes every element
+		l.deliver(key, from, one[:], pool)
 	}
 }
 
-// deliver routes one received datagram to its connection's ring,
-// materializing the connection on first contact. It consumes b on every
-// path.
-func (l *reactorListener) deliver(key peerKey, from net.Addr, b *wire.Buf, pool *wire.LocalPool) {
+// deliver routes datagrams received from one peer — one, or a GRO
+// train's, oldest first — to its connection's ring, materializing the
+// connection on first contact, and wakes the connection once. It
+// consumes every element of bs on every path and leaves bs's elements
+// nil.
+func (l *reactorListener) deliver(key peerKey, from net.Addr, bs []*wire.Buf, pool *wire.LocalPool) {
 	sh := l.shards[key.hash()%uint64(len(l.shards))]
 	c := sh.table.lookup(key)
 	if c == nil {
 		c = l.materialize(sh, key, from)
 		if c == nil {
 			// No connection for this peer (the client retries).
-			pool.Put(b)
-			l.tel.dropped.Inc()
+			for i, b := range bs {
+				pool.Put(b)
+				bs[i] = nil
+			}
+			l.tel.dropped.Add(uint64(len(bs)))
 			return
 		}
 	}
-	if !c.ring.push(b) {
-		// Ring full: push released the buffer (datagram semantics).
-		l.tel.dropped.Inc()
-		l.tel.droppedQueueFull.Inc()
+	pushed := false
+	for i, b := range bs {
+		bs[i] = nil
+		if !c.ring.push(b) {
+			// Ring full: push released the buffer (datagram semantics).
+			l.tel.dropped.Inc()
+			l.tel.droppedQueueFull.Inc()
+			continue
+		}
+		pushed = true
+	}
+	if !pushed {
 		return
 	}
 	if c.closedFlag.Load() {

@@ -25,6 +25,8 @@ type reactorMMsg struct {
 	hdrs  [mmsgChunk]mmsghdr
 	iovs  [mmsgChunk]syscall.Iovec
 	names [mmsgChunk]syscall.RawSockaddrAny // large enough for every family
+	// ctrl is each message's control buffer, for a GRO segment size.
+	ctrl [mmsgChunk][cmsgSpace]byte
 
 	// scratch holds the receive buffers for the next burst, refilled
 	// from the shard-local pool each lap and retained across laps so a
@@ -32,6 +34,9 @@ type reactorMMsg struct {
 	scratch [mmsgChunk]*wire.Buf
 	// width is how many slots a burst offers (see runBurst).
 	width int
+	// segs holds a receive's datagrams — one, or a train's — between the
+	// split and their delivery, grown to the longest train seen.
+	segs []*wire.Buf
 
 	n     int
 	err   error
@@ -39,9 +44,9 @@ type reactorMMsg struct {
 }
 
 // recvChunk is the RawConn.Read callback: one recvmmsg for up to
-// m.width messages with source-address capture. The run loop pre-fills
-// the scratch buffers. EAGAIN parks the goroutine in the runtime poller
-// until the socket is readable.
+// m.width messages with source-address capture, each reporting its whole
+// size (MSG_TRUNC). The run loop pre-fills the scratch buffers. EAGAIN
+// parks the goroutine in the runtime poller until the socket is readable.
 func (m *reactorMMsg) recvChunk(fd uintptr) bool {
 	for i := 0; i < m.width; i++ {
 		p := m.scratch[i].Bytes()
@@ -51,10 +56,12 @@ func (m *reactorMMsg) recvChunk(fd uintptr) bool {
 		m.hdrs[i].hdr.Iovlen = 1
 		m.hdrs[i].hdr.Name = (*byte)(unsafe.Pointer(&m.names[i]))
 		m.hdrs[i].hdr.Namelen = syscall.SizeofSockaddrAny
+		m.hdrs[i].hdr.Control = &m.ctrl[i][0]
+		m.hdrs[i].hdr.Controllen = cmsgSpace
 	}
 	for {
 		r1, _, errno := syscall.Syscall6(sysRECVMMSG,
-			fd, uintptr(unsafe.Pointer(&m.hdrs[0])), uintptr(m.width), 0, 0, 0)
+			fd, uintptr(unsafe.Pointer(&m.hdrs[0])), uintptr(m.width), syscall.MSG_TRUNC, 0, 0)
 		switch errno {
 		case 0:
 			m.calls++
@@ -123,22 +130,26 @@ func (m *reactorMMsg) source(i int) (peerKey, bool) {
 // runBurst is the linux reactor receive loop: each lap refills the
 // scratch buffers from the shard pool, takes one recvmmsg burst off the
 // shared socket, and delivers every datagram keyed by its captured
-// source address. It reports false — without having consumed anything —
-// when the socket exposes no raw fd, sending the goroutine to the
-// portable single-read loop instead.
+// source address, a GRO train cut into its datagrams. It reports false —
+// without having consumed anything — when the socket exposes no raw fd,
+// sending the goroutine to the portable single-read loop instead.
 //
-// A UDP listener offers mmsgChunk slots from the first burst. A unix
-// listener starts at two and doubles them whenever a burst fills them:
-// every slot holds a 64 KB pooled buffer for as long as the socket is
-// quiet, and the splice it serves is mostly ping-pongs.
+// A UDP listener turns UDP_GRO on and offers mmsgChunk slots from the
+// first burst. A unix listener starts at two and doubles them whenever a
+// burst fills them: every slot holds a 64 KB pooled buffer for as long
+// as the socket is quiet, and the splice it serves is mostly ping-pongs.
 func (l *reactorListener) runBurst(pool *wire.LocalPool) bool {
 	sc, err := l.sock.SyscallConn()
 	if err != nil {
 		return false
 	}
-	m := &reactorMMsg{raw: sc, width: mmsgChunk}
+	m := &reactorMMsg{raw: sc, width: mmsgChunk, segs: make([]*wire.Buf, gsoMaxSegs)}
 	if _, ok := l.sock.(*net.UnixConn); ok {
 		m.width = 2
+	} else {
+		// A kernel that refuses UDP_GRO writes no control message: every
+		// receive then reads as a plain datagram.
+		sc.Control(func(fd uintptr) { setGRO(fd) })
 	}
 	m.fn = m.recvChunk
 	defer m.drainScratch(pool)
@@ -172,18 +183,32 @@ func (l *reactorListener) runBurst(pool *wire.LocalPool) bool {
 			b := m.scratch[i]
 			m.scratch[i] = nil
 			key, ok := m.source(i)
-			n := int(m.hdrs[i].msgLen)
-			if !ok || n > MaxDatagram {
-				// Unkeyable source or truncated-by-our-buffer oversize:
+			h := &m.hdrs[i]
+			seg := recvSeg(&h.hdr, m.ctrl[i][:])
+			k, lost := received(b, int(h.msgLen), seg)
+			if !ok {
+				k, lost = 0, k+lost
+			}
+			if lost > 0 {
+				// Unkeyable source, oversize or cut off by our buffer:
 				// malformed, not queue pressure.
+				l.tel.dropped.Add(uint64(lost))
+				l.tel.droppedMalformed.Add(uint64(lost))
+			}
+			if k == 0 {
 				pool.Put(b)
-				l.tel.dropped.Inc()
-				l.tel.droppedMalformed.Inc()
 				continue
 			}
-			b.Truncate(n)
-			l.tel.recvd.Inc()
-			l.deliver(key, nil, b, pool)
+			l.tel.recvd.Add(uint64(k))
+			if k > 1 {
+				l.tel.groTrains.Inc()
+			}
+			if cap(m.segs) < k {
+				m.segs = make([]*wire.Buf, k)
+			}
+			segs := m.segs[:k]
+			splitTrain(b, seg, segs)
+			l.deliver(key, nil, segs, pool)
 		}
 		if m.n == m.width && m.width < mmsgChunk {
 			m.width *= 2

@@ -24,8 +24,8 @@ type netCounters struct {
 	// per-connection receive ring (head-of-line pressure on a slow
 	// consumer).
 	droppedQueueFull *telemetry.Counter
-	// droppedMalformed counts datagrams the demux path rejected on
-	// sight: oversized (truncated by the receive buffer) or carrying an
+	// droppedMalformed counts datagrams the receive paths rejected on
+	// sight: oversized, truncated by the receive buffer, or carrying an
 	// unparseable source address.
 	droppedMalformed *telemetry.Counter
 	// sendSyscalls and recvSyscalls count the system calls the datagram
@@ -38,6 +38,10 @@ type netCounters struct {
 	// gsoFallbacks counts bursts whose UDP_SEGMENT sendmsg the kernel
 	// rejected and that were replayed through sendmmsg instead.
 	gsoFallbacks *telemetry.Counter
+	// groTrains counts receives that took a UDP GRO train — several
+	// datagrams in one buffer — off the socket (gro.go), so
+	// recv_syscalls against datagrams_recvd shows the receive batching.
+	groTrains *telemetry.Counter
 }
 
 var (
@@ -65,6 +69,7 @@ func countersFor(netName string) *netCounters {
 			sendSyscalls:     reg.Counter(prefix + "send_syscalls"),
 			recvSyscalls:     reg.Counter(prefix + "recv_syscalls"),
 			gsoFallbacks:     reg.Counter(prefix + "gso_fallbacks"),
+			groTrains:        reg.Counter(prefix + "gro_trains"),
 		}
 		netCountersBy[netName] = c
 	}

@@ -278,22 +278,32 @@ const readAhead = 8
 // and later calls are served from here without a syscall. Guarded by the
 // connection's receiver role.
 type recvQueue struct {
-	// slot[head:head+n] are the received datagrams, oldest first. Any
-	// other non-nil slot is a spare pooled buffer the next receive reads
-	// into; spares are kept across calls so a drained burst costs no pool
-	// round-trips, and go back to the pool on Close.
+	// slot[head:head+n] are the received datagrams, oldest first.
 	slot    [burstMax]*wire.Buf
 	head, n int
+	// in holds the receive buffers. in[next:got] are what the last
+	// receive took off the socket and the queue has not taken yet, each
+	// with the size the kernel gave it (more than the buffer holds when it
+	// was cut short) and its GRO segment size (0: no train). Every other
+	// non-nil entry is a spare the next receive reads into; spares are
+	// kept across calls so a drained burst costs no pool round-trips, and
+	// go back to the pool on Close, with anything not yet queued.
+	in        [burstMax]*wire.Buf
+	size, seg [burstMax]int32
+	next, got int
+	// ctrl is the control buffers a receive offers beside in, for the
+	// GRO segment size.
+	ctrl recvCtrl
 	// width is how many slots a burst receive offers the kernel: 2 at
 	// first, doubled whenever a burst fills it. A receive buffer has to
-	// take the largest datagram (64 KiB), so a socket holds buffers in
+	// take the largest train (64 KiB), so a socket holds buffers in
 	// proportion to the bursts it actually sees.
 	width int
 	// ahead says the next receive should be a burst: the last one took
-	// more than one datagram, or found its datagram already waiting (a
-	// backlog is building). A socket that sees one datagram per wake-up —
-	// a ping-pong — keeps the plain single read, which is cheaper than
-	// setting up a burst of one.
+	// more than one datagram or train, or found its datagram already
+	// waiting (a backlog is building). A socket that sees one datagram per
+	// wake-up — a ping-pong — keeps the single receive, which is cheaper
+	// than setting up a burst of one.
 	ahead bool
 }
 
@@ -307,36 +317,75 @@ func (q *recvQueue) pop() *wire.Buf {
 	q.head++
 	q.n--
 	if q.n == 0 {
-		q.head = 0 // receives fill from slot 0
+		q.head = 0 // take fills from slot 0
 	}
 	return b
 }
 
-// spare returns slot i's buffer for a receive to read into, taking one
-// from the pool when the slot is empty.
+// spare returns receive buffer i for a receive to read into, taking one
+// from the pool when there is none.
 func (q *recvQueue) spare(i int) *wire.Buf {
-	if q.slot[i] == nil {
-		q.slot[i] = wire.NewBuf(wire.DefaultHeadroom, MaxDatagram+1)
+	if q.in[i] == nil {
+		q.in[i] = wire.NewBuf(wire.DefaultHeadroom, recvSlot)
 	}
-	return q.slot[i]
+	return q.in[i]
 }
 
-// release returns every held buffer, queued or spare, to the pool.
-func (q *recvQueue) release() {
-	for i, b := range q.slot {
-		if b != nil {
+// take moves what the last receive got into the (empty) queue, oldest
+// first, cutting each GRO train into its datagrams, until the queue is
+// full: the rest waits in in for the next call. It drops, and counts,
+// every datagram that is malformed or that its buffer cut off, and
+// reports how many datagrams it queued.
+func (q *recvQueue) take(tel *netCounters) int {
+	for q.next < q.got && q.n < burstMax {
+		b, seg := q.in[q.next], int(q.seg[q.next])
+		k, lost := received(b, int(q.size[q.next]), seg)
+		if lost > 0 {
+			tel.dropped.Add(uint64(lost))
+			tel.droppedMalformed.Add(uint64(lost))
+		}
+		if k == 0 {
 			b.Release()
+		} else {
+			room := min(k, burstMax-q.n)
+			rest := splitTrain(b, seg, q.slot[q.n:q.n+room])
+			q.n += room
+			if rest != nil {
+				q.size[q.next] = int32(rest.Len()) // still in[next]
+				break
+			}
+		}
+		q.in[q.next] = nil
+		q.next++
+	}
+	return q.n
+}
+
+// release returns every held buffer — queued, not yet queued or spare —
+// to the pool.
+func (q *recvQueue) release() {
+	for i := range q.slot {
+		if q.slot[i] != nil {
+			q.slot[i].Release()
 			q.slot[i] = nil
 		}
+		if q.in[i] != nil {
+			q.in[i].Release()
+			q.in[i] = nil
+		}
 	}
-	q.head, q.n = 0, 0
+	q.head, q.n, q.next, q.got = 0, 0, 0, 0
 }
 
 // fill blocks until one receive has queued at least one datagram. want is
 // how many the caller can take at once. The caller holds the receiver
-// role and the queue is empty.
+// role and the queue is empty. What the last receive got that did not
+// fit the queue comes first, without a syscall.
 func (s *socketConn) fill(ctx context.Context, want int) error {
 	q := &s.rq
+	if s.queue() > 0 {
+		return nil
+	}
 	slots := want // that this receive offers the kernel
 	if want == 1 && q.ahead {
 		slots = readAhead
@@ -351,11 +400,13 @@ func (s *socketConn) fill(ctx context.Context, want int) error {
 	for {
 		err := s.receive(slots)
 		if err == nil {
-			if q.n == q.width && q.width < burstMax {
+			if q.got == q.width && q.width < burstMax {
 				q.width *= 2
 			}
-			s.tel.recvd.Add(uint64(q.n))
-			return nil
+			if s.queue() > 0 {
+				return nil
+			}
+			continue // all of it malformed
 		}
 		if slots == 1 {
 			// A connection read one datagram at a time holds no receive
@@ -379,6 +430,16 @@ func (s *socketConn) fill(ctx context.Context, want int) error {
 		}
 		return err
 	}
+}
+
+// queue fills the empty queue from what the last receive got, counting
+// the datagrams it queues, and reports how many that is.
+func (s *socketConn) queue() int {
+	n := s.rq.take(s.tel)
+	if n > 0 {
+		s.tel.recvd.Add(uint64(n))
+	}
+	return n
 }
 
 // parkSlice is how long a receive parks in the socket before it pays for
@@ -422,14 +483,14 @@ func (p *recvPark) end() {
 // datagram waiting never gets here and pays nothing for being
 // cancellable. The portable build has no such callback and calls
 // armPark before every read, so its poll of an empty socket costs a
-// slice.
+// slice. It asks the context's Err, not its Done channel, which a
+// context makes on first request.
 func (s *socketConn) parks() {
-	select {
-	case <-s.rpark.ctx.Done(): // a nil channel (no cancellation) is never ready
+	if s.rpark.ctx.Err() != nil {
 		s.setDeadline(&s.rdl, time.Unix(1, 0))
-	default:
-		s.armPark()
+		return
 	}
+	s.armPark()
 }
 
 // armPark prepares a read that may block for its context's cancellation
@@ -437,10 +498,12 @@ func (s *socketConn) parks() {
 // that build when a read is about to block). The first park of a receive
 // whose context can be cancelled arms the slice — unless the context's
 // own deadline comes sooner and ends the park anyway; a park after the
-// slice has run out registers the wake-up.
+// slice has run out registers the wake-up. A context with a deadline can
+// be cancelled; one without is asked for its Done channel, which is nil
+// for context.Background, which parks with no slice and no wake-up.
 func (s *socketConn) armPark() {
 	p := &s.rpark
-	if p.stop != nil || p.ctx.Done() == nil {
+	if p.stop != nil || !p.hasDeadline && p.ctx.Done() == nil {
 		return
 	}
 	if !p.sliced {

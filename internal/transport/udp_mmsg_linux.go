@@ -16,6 +16,7 @@
 package transport
 
 import (
+	"encoding/binary"
 	"errors"
 	"net"
 	"syscall"
@@ -53,8 +54,17 @@ const (
 	// with room for IP/UDP headers and modest encapsulation.
 	gsoMaxSeg = 1400
 
-	cmsgSegLen   = 18 // CMSG_LEN(2): cmsghdr + uint16 payload
-	cmsgSegSpace = 24 // CMSG_SPACE(2): the above, padded to cmsg alignment
+	cmsgHdrLen = 16 // sizeof(struct cmsghdr): a uint64 length, int32 level and type
+	cmsgSegLen = 18 // CMSG_LEN(2): cmsghdr + the UDP_SEGMENT uint16
+	// cmsgSpace is CMSG_SPACE(2) and CMSG_SPACE(4) alike, the payload
+	// padded to cmsg alignment: room for UDP_SEGMENT on a send and for
+	// UDP_GRO's int on a receive.
+	cmsgSpace = 24
+
+	// udpGRO is UDP_GRO (linux ≥ 5.0): set on a socket, it turns on
+	// receive offload (gro.go); on a receive, the control message
+	// carrying a train's segment size as an int.
+	udpGRO = 104
 )
 
 // GSO support is probed with the first eligible burst: kernels without
@@ -76,6 +86,41 @@ const (
 var sendmsg = func(fd, msg uintptr) syscall.Errno {
 	_, _, errno := syscall.Syscall6(syscall.SYS_SENDMSG, fd, msg, 0, 0, 0, 0)
 	return errno
+}
+
+// recvCtrl is a receive's control buffers, one per message: room for the
+// UDP_GRO control message.
+type recvCtrl [mmsgChunk][cmsgSpace]byte
+
+// setGRO turns on UDP receive offload on fd. It is a package variable so
+// tests can have the kernel refuse it, as a kernel before 5.0 does.
+var setGRO = func(fd uintptr) error {
+	return syscall.SetsockoptInt(int(fd), solUDP, udpGRO, 1)
+}
+
+// groSegSize reads a UDP_GRO segment size out of a receive's control
+// data, 0 when it carries none. Each message is a cmsghdr followed by its
+// payload, padded to 8 bytes.
+func groSegSize(ctrl []byte) int {
+	for len(ctrl) >= cmsgHdrLen {
+		n := binary.NativeEndian.Uint64(ctrl)
+		if n < cmsgHdrLen || n > uint64(len(ctrl)) {
+			return 0
+		}
+		level := int32(binary.NativeEndian.Uint32(ctrl[8:]))
+		typ := int32(binary.NativeEndian.Uint32(ctrl[12:]))
+		if level == solUDP && typ == udpGRO && n >= cmsgHdrLen+4 {
+			return max(0, int(int32(binary.NativeEndian.Uint32(ctrl[16:]))))
+		}
+		ctrl = ctrl[min((n+7)&^7, uint64(len(ctrl))):]
+	}
+	return 0
+}
+
+// recvSeg reads a received message's GRO segment size out of the
+// control data its header says the kernel wrote, 0 for a plain datagram.
+func recvSeg(h *syscall.Msghdr, ctrl []byte) int {
+	return groSegSize(ctrl[:min(int(h.Controllen), len(ctrl))])
 }
 
 // mmsghdr mirrors struct mmsghdr on linux amd64/arm64: a msghdr plus the
@@ -108,9 +153,7 @@ type mmsgState struct {
 	name    *byte
 	nameLen uint32
 	// GSO fast-path state: probe result, the segment size of the burst
-	// in flight, the pre-created sendGSO callback, and the UDP_SEGMENT
-	// control message (a struct field so it stays addressable across the
-	// syscall without allocating).
+	// in flight and the pre-created sendGSO callback.
 	gso int
 	seg int
 	// gsoFallback is set when the kernel rejected a UDP_SEGMENT sendmsg
@@ -118,12 +161,17 @@ type mmsgState struct {
 	// plain sendmmsg.
 	gsoFallback bool
 	gsoFn       func(fd uintptr) bool
-	ctrl        [cmsgSegSpace]byte
+	// ctrl is a send's UDP_SEGMENT control message (a struct field so it
+	// stays addressable across the syscall without allocating; a
+	// receive's are in its recvQueue).
+	ctrl [cmsgSpace]byte
 	// Recv-side callback state (a connected socket's; the buffers are the
-	// connection's recvQueue): how many slots the receive offers, and
-	// whether it had to wait.
-	want   int
-	waited bool
+	// connection's recvQueue): how many slots the receive offers, whether
+	// it had to wait, and whether the first receive callback has asked
+	// for UDP_GRO.
+	want     int
+	waited   bool
+	groTried bool
 
 	n   int
 	err error
@@ -330,7 +378,7 @@ func (m *mmsgState) sendGSO(fd uintptr) bool {
 			Iov:        &m.iovs[0],
 			Iovlen:     uint64(cnt),
 			Control:    &m.ctrl[0],
-			Controllen: cmsgSegSpace,
+			Controllen: cmsgSpace,
 		}
 		errno := sendmsg(fd, uintptr(unsafe.Pointer(h)))
 		if errno != syscall.EINTR && errno != syscall.EAGAIN {
@@ -371,16 +419,17 @@ func (m *mmsgState) sendGSO(fd uintptr) bool {
 // net package's datagram sockets, which are all this package wraps.
 var errNoRawConn = errors.New("transport: socket exposes no raw connection")
 
-// receive makes one receive into the (empty) read-ahead queue, through
-// the RawConn.Read callback recv, which is one of two: recvOne, a read(2)
-// of one datagram, when slots is 1 — the ping-pong case, which must not
-// pay for setting up a burst — else recvBurst, one recvmmsg offering that
-// many. Both are non-blocking first and tell waits when they are about
-// to park, which is what a conn.Read cannot do (the portable build's
-// receive has to prepare every read for parking). It blocks (in the
-// poller) only until the first datagram arrives, and records in rq.ahead
-// whether the next receive should read ahead. Caller holds the receiver
-// role.
+// receive makes one receive into the receive buffers, through the
+// RawConn.Read callback recv, which is one of two: recvOne, a recvmsg of
+// one datagram or train, when slots is 1 — the ping-pong case, which
+// must not pay for setting up a burst — else recvBurst, one recvmmsg
+// offering that many. Both are non-blocking first and tell waits when
+// they are about to park, which is what a conn.Read cannot do (the
+// portable build's receive has to prepare every read for parking). It
+// blocks (in the poller) only until the first datagram arrives, and
+// records in rq.ahead whether the next receive should read ahead. The
+// caller holds the receiver role and has queued everything the last
+// receive got.
 func (s *socketConn) receive(slots int) error {
 	m := &s.recvmm
 	if !m.tried {
@@ -400,10 +449,19 @@ func (s *socketConn) receive(slots int) error {
 		return err // deadline/closed-fd errors come from the poller
 	}
 	q := &s.rq
+	trains := 0
 	for i := 0; i < m.n; i++ {
-		q.slot[i].Truncate(int(m.hdrs[i].msgLen))
+		h := &m.hdrs[i]
+		seg := recvSeg(&h.hdr, q.ctrl[i][:])
+		q.size[i], q.seg[i] = int32(h.msgLen), int32(seg)
+		if seg > 0 && int(h.msgLen) > seg {
+			trains++
+		}
 	}
-	q.n = m.n
+	if trains > 0 {
+		s.tel.groTrains.Add(uint64(trains))
+	}
+	q.next, q.got = 0, m.n
 	q.ahead = m.n > 1 || !m.waited
 	return nil
 }
@@ -415,23 +473,50 @@ func (s *socketConn) waits() {
 	s.parks()
 }
 
-// recv is the RawConn.Read callback of every receive: the single read
+// recv is the RawConn.Read callback of every receive: the single receive
 // for a receive offering one slot, the burst otherwise. One callback, not
-// two, is one method value per socket.
+// two, is one method value per socket. The first call turns UDP_GRO on
+// for a UDP socket: here, where the fd is at hand, rather than through a
+// Control callback of its own. A kernel that refuses it writes no
+// control message, and every receive reads as a plain datagram.
 func (s *socketConn) recv(fd uintptr) bool {
-	if s.recvmm.want == 1 {
+	m := &s.recvmm
+	if !m.groTried {
+		m.groTried = true
+		if _, udp := s.conn.(*net.UDPConn); udp {
+			setGRO(fd)
+		}
+	}
+	if m.want == 1 {
 		return s.recvOne(fd)
 	}
 	return s.recvBurst(fd)
 }
 
-// recvOne receives one datagram with one read(2) into slot 0.
+// setRecvHdr points header i at receive buffer i and control buffer i.
+func (s *socketConn) setRecvHdr(i int) {
+	m := &s.recvmm
+	q := &s.rq
+	p := q.spare(i).Bytes()
+	m.iovs[i] = syscall.Iovec{Base: &p[0], Len: uint64(len(p))}
+	m.hdrs[i] = mmsghdr{}
+	h := &m.hdrs[i].hdr
+	h.Iov = &m.iovs[i]
+	h.Iovlen = 1
+	h.Control = &q.ctrl[i][0]
+	h.Controllen = cmsgSpace
+}
+
+// recvOne receives one datagram, or one GRO train, with one recvmsg(2)
+// into receive buffer 0. A read(2) would do for a datagram, but it cannot
+// tell a train from one long datagram, nor a datagram cut short by the
+// buffer: MSG_TRUNC has the kernel report the whole size.
 func (s *socketConn) recvOne(fd uintptr) bool {
 	m := &s.recvmm
-	p := s.rq.spare(0).Bytes()
+	s.setRecvHdr(0)
 	for {
-		r1, _, errno := syscall.Syscall(syscall.SYS_READ,
-			fd, uintptr(unsafe.Pointer(&p[0])), uintptr(len(p)))
+		r1, _, errno := syscall.Syscall(syscall.SYS_RECVMSG,
+			fd, uintptr(unsafe.Pointer(&m.hdrs[0].hdr)), syscall.MSG_TRUNC)
 		switch errno {
 		case 0:
 			m.calls++
@@ -454,20 +539,17 @@ func (s *socketConn) recvOne(fd uintptr) bool {
 // recvBurst receives with one recvmmsg for up to m.want messages. On a
 // non-blocking socket recvmmsg returns whatever is queued without waiting
 // once at least one datagram is available, so a burst costs one syscall;
-// EAGAIN (nothing queued) parks the goroutine in the poller.
+// EAGAIN (nothing queued) parks the goroutine in the poller. MSG_TRUNC
+// has it report each message's whole size, as recvOne does.
 func (s *socketConn) recvBurst(fd uintptr) bool {
 	m := &s.recvmm
 	cnt := m.want
 	for i := 0; i < cnt; i++ {
-		p := s.rq.spare(i).Bytes()
-		m.iovs[i] = syscall.Iovec{Base: &p[0], Len: uint64(len(p))}
-		m.hdrs[i] = mmsghdr{}
-		m.hdrs[i].hdr.Iov = &m.iovs[i]
-		m.hdrs[i].hdr.Iovlen = 1
+		s.setRecvHdr(i)
 	}
 	for {
 		r1, _, errno := syscall.Syscall6(sysRECVMMSG,
-			fd, uintptr(unsafe.Pointer(&m.hdrs[0])), uintptr(cnt), 0, 0, 0)
+			fd, uintptr(unsafe.Pointer(&m.hdrs[0])), uintptr(cnt), syscall.MSG_TRUNC, 0, 0)
 		switch errno {
 		case 0:
 			m.calls++

@@ -17,6 +17,9 @@ const batchRecvSupported = false
 // mmsgState is empty without kernel batch syscalls.
 type mmsgState struct{}
 
+// recvCtrl is empty without UDP_GRO.
+type recvCtrl struct{}
+
 // writeBurst degrades to the per-message write loop. Caller holds wmu,
 // so the burst still pays the lock and deadline management only once.
 func (s *socketConn) writeBurst(bs []*wire.Buf) (int, error) {
@@ -32,7 +35,9 @@ func (s *socketConn) writeBurst(bs []*wire.Buf) (int, error) {
 // but on an empty socket it fails only when its slice runs out. A
 // deadline already past would fail it before it looks at the socket, and
 // one just ahead costs the same millisecond, the runtime's timer
-// granularity for a parked read.
+// granularity for a parked read. This build never turns UDP_GRO on, so
+// nothing arrives as a train; a datagram longer than the buffer is cut
+// to its length, over MaxDatagram, and dropped as malformed.
 func (s *socketConn) receive(slots int) error {
 	s.armPark()
 	q := &s.rq
@@ -41,7 +46,7 @@ func (s *socketConn) receive(slots int) error {
 	if err != nil {
 		return err
 	}
-	q.slot[0].Truncate(n)
-	q.n = 1
+	q.size[0], q.seg[0] = int32(n), 0
+	q.next, q.got = 0, 1
 	return nil
 }

@@ -28,9 +28,14 @@ import (
 // the built-in chunnels (tag 1 + frame 8 + seq 9 + mcast 16 + nonce 12).
 const DefaultHeadroom = 64
 
-// bufClasses are the pooled backing-array size classes. The largest
-// covers a transport datagram (MaxDatagram+1 = 60001) with headroom.
-var bufClasses = [...]int{512, 4096, 32768, 65536}
+// MaxPooled is the largest pooled backing array: 64 KiB, eight runtime
+// pages exactly. A transport receive slot fills one whole, so that it
+// holds a UDP GRO train of up to 64 000 bytes behind DefaultHeadroom; a
+// byte more would round the allocation up to nine pages.
+const MaxPooled = 1 << 16
+
+// bufClasses are the pooled backing-array size classes.
+var bufClasses = [...]int{512, 4096, 32768, MaxPooled}
 
 var bufPools [len(bufClasses)]sync.Pool
 
