@@ -326,6 +326,9 @@ func (c *checker) copySite(x ast.Expr) {
 	if id, ok := x.(*ast.Ident); ok && id.Name == "_" {
 		return
 	}
+	if c.pass.TypesInfo.Types[x].IsType() {
+		return // a type operand, as in new(T), names the type: no value moves
+	}
 	t := c.pass.TypesInfo.TypeOf(x)
 	if t == nil {
 		return

@@ -143,6 +143,16 @@ func freshValues() *stats {
 	return &s
 }
 
+func keep(p *stats, s stats) {}
+
+// typeOperands shows that a type passed as a call argument, as to new,
+// names the type and copies nothing; a real copy beside it still is one.
+func typeOperands(s *stats) *stats {
+	p := new(stats)
+	keep(new(stats), *s) // want `atomic-copy`
+	return p
+}
+
 // fnStats carries atomic state through function-style atomics on a
 // plain field rather than a typed atomic.
 type fnStats struct {

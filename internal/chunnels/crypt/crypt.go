@@ -81,6 +81,15 @@ const DecodeDroppedCounter = "chunnel/encrypt/decode_dropped"
 
 // New wraps conn with AES-GCM encryption using the pre-shared key.
 func New(conn core.Conn, key []byte) (core.Conn, error) {
+	s, err := newSealer(key)
+	if err != nil {
+		return nil, err
+	}
+	return core.WrapTransform(conn, s, DecodeDroppedCounter), nil
+}
+
+// newSealer keys AES-GCM with the SHA-256 of key.
+func newSealer(key []byte) (*sealer, error) {
 	sum := sha256.Sum256(key)
 	block, err := aes.NewCipher(sum[:])
 	if err != nil {
@@ -90,7 +99,7 @@ func New(conn core.Conn, key []byte) (core.Conn, error) {
 	if err != nil {
 		return nil, fmt.Errorf("encrypt: %w", err)
 	}
-	return core.WrapTransform(conn, &sealer{aead: aead}, DecodeDroppedCounter), nil
+	return &sealer{aead: aead}, nil
 }
 
 // sealer is the chunnel's datapath: seal and open in place.

@@ -265,11 +265,11 @@ func batchCause(err error) error {
 // Headroom implements core.HeadroomConn.
 func (c *frameConn) Headroom() int { return headerLen + core.HeadroomOf(c.Conn) }
 
-// sendFragments splits p across maxFrame-sized frames, each in a pooled
-// buffer with headroom for the layers below, and hands them down as one
-// burst: a transport with batch support spends one syscall on the whole
-// message. The error is the message's — a burst that failed partway
-// delivered no message, so how many fragments went out is not reported.
+// sendFragments splits p across maxFrame-sized frames and hands them
+// down as one burst: a transport with batch support spends one syscall
+// on the whole message. The error is the message's — a burst that failed
+// partway delivered no message, so how many fragments went out is not
+// reported.
 func (c *frameConn) sendFragments(ctx context.Context, p []byte) error {
 	if len(p) > MaxMessage {
 		return fmt.Errorf("%w: %d bytes", core.ErrMessageTooLarge, len(p))
@@ -279,15 +279,18 @@ func (c *frameConn) sendFragments(ctx context.Context, p []byte) error {
 		return fmt.Errorf("%w: %d fragments", core.ErrMessageTooLarge, frags)
 	}
 	stream := c.nextStream.Add(1)
-	inner := core.HeadroomOf(c.Conn)
+	room := headerLen + core.HeadroomOf(c.Conn)
+	// Fragments per backing: as many as one pooled backing holds, up to
+	// the views a slab lends.
+	per := min(wire.MaxViews, max(1, wire.MaxPooled/(room+c.maxFrame)))
 	scratch := c.sendScratch.Swap(nil)
 	if scratch == nil {
 		scratch = new(fragBurst)
 	}
 	bs := scratch.bs[:0]
-	for i := 0; i < frags; i++ {
+	for i := 0; i < frags; i += per {
 		lo := i * c.maxFrame
-		bs = append(bs, newFragment(inner, p[lo:min(lo+c.maxFrame, len(p))], stream, i, frags))
+		bs = c.appendFragments(bs, p[lo:min(lo+per*c.maxFrame, len(p))], room, stream, i, frags)
 	}
 	err := core.SendBufs(ctx, c.Conn, bs)
 	for i := range bs {
@@ -298,12 +301,26 @@ func (c *frameConn) sendFragments(ctx context.Context, p []byte) error {
 	return batchCause(err)
 }
 
-// newFragment copies one fragment's payload into a pooled buffer behind
-// its frame header, leaving inner bytes of headroom for the layers below.
-func newFragment(inner int, payload []byte, stream uint32, i, frags int) *wire.Buf {
-	fb := wire.NewBufFrom(inner+headerLen, payload)
-	fillHeader(fb.Prepend(headerLen), stream, i, frags)
-	return fb
+// appendFragments lays part of a message out in one backing as its
+// fragments first, first+1, ..., each behind room bytes of headroom for
+// its frame header and the layers below, and appends them to bs as views
+// of that backing (wire.Slab): one copy of the payload and one pooled
+// backing for the lot.
+func (c *frameConn) appendFragments(bs []*wire.Buf, part []byte, room int, stream uint32, first, frags int) []*wire.Buf {
+	n := (len(part) + c.maxFrame - 1) / c.maxFrame
+	backing := wire.NewBuf(0, n*room+len(part))
+	dst := backing.Bytes()
+	s := wire.Share(backing)
+	at := 0
+	for j := 0; j < n; j++ {
+		payload := part[j*c.maxFrame : min((j+1)*c.maxFrame, len(part))]
+		end := at + room + copy(dst[at+room:], payload)
+		bs = append(bs, s.Lend(at, at+room, end))
+		fillHeader(bs[len(bs)-1].Prepend(headerLen), stream, first+j, frags)
+		at = end
+	}
+	s.Done()
+	return bs
 }
 
 func (c *frameConn) Recv(ctx context.Context) ([]byte, error) {

@@ -397,3 +397,92 @@ func FuzzProcessFrame(f *testing.F) {
 		}
 	})
 }
+
+// holdConn is a batch-aware sink that keeps every burst it is handed,
+// as a transport still sending it would, behind headroom bytes of its
+// own header space.
+type holdConn struct {
+	core.Conn
+	headroom int
+	held     []*wire.Buf
+}
+
+func (c *holdConn) Headroom() int                                      { return c.headroom }
+func (c *holdConn) RecvBuf(context.Context) (*wire.Buf, error)         { return nil, core.ErrClosed }
+func (c *holdConn) RecvBufs(context.Context, []*wire.Buf) (int, error) { return 0, core.ErrClosed }
+
+func (c *holdConn) SendBuf(ctx context.Context, b *wire.Buf) error {
+	c.held = append(c.held, b)
+	return nil
+}
+
+func (c *holdConn) SendBufs(ctx context.Context, bs []*wire.Buf) error {
+	c.held = append(c.held, bs...)
+	return nil
+}
+
+// TestFragmentBurstBackings holds a fragmented message's burst below
+// framing. A 16 KiB message's 14 fragments hold one pooled backing, and
+// a message too large for one backing spreads over as few as hold it.
+// Each fragment carries its frame header and payload, with exactly the
+// layers below's headroom in front and no tailroom, and a write into
+// that headroom leaves the other fragments unchanged. Releasing the
+// fragments gives every backing back.
+func TestFragmentBurstBackings(t *testing.T) {
+	const inner = 12
+	for _, tc := range []struct {
+		size, maxFrame, frags, backings int
+	}{
+		{16 << 10, 1200, 14, 1},
+		{200 << 10, DefaultMaxFrame, 13, 5}, // three 16 KiB fragments per 64 KiB backing
+	} {
+		sink := &holdConn{headroom: inner}
+		conn, err := New(sink, tc.maxFrame)
+		if err != nil {
+			t.Fatal(err)
+		}
+		p := make([]byte, tc.size)
+		for i := range p {
+			p[i] = byte(i*7 + i>>9)
+		}
+		base := wire.BufsOutstanding()
+		if err := conn.Send(context.Background(), p); err != nil {
+			t.Fatal(err)
+		}
+		if len(sink.held) != tc.frags {
+			t.Fatalf("%d-byte message: %d fragments, want %d", tc.size, len(sink.held), tc.frags)
+		}
+		if d := wire.BufsOutstanding() - base; d != int64(tc.backings) {
+			t.Fatalf("%d-byte message: its %d fragments hold %d pooled buffers, want %d",
+				tc.size, tc.frags, d, tc.backings)
+		}
+		want := make([][]byte, len(sink.held))
+		for i, f := range sink.held {
+			b := f.Bytes()
+			lo := i * tc.maxFrame
+			if f.Headroom() != inner || f.Tailroom() != 0 || len(b) < headerLen ||
+				binary.LittleEndian.Uint16(b[6:8]) != uint16(i) ||
+				!bytes.Equal(b[headerLen:], p[lo:min(lo+tc.maxFrame, len(p))]) {
+				t.Fatalf("fragment %d of %d: headroom %d, tailroom %d, %d bytes; want %d, 0 and its header and payload",
+					i, tc.frags, f.Headroom(), f.Tailroom(), len(b), inner)
+			}
+			want[i] = bytes.Clone(b)
+		}
+		for i, f := range sink.held {
+			h := f.Prepend(inner)
+			for j := range h {
+				h[j] = 0xee
+			}
+			want[i] = append(bytes.Repeat([]byte{0xee}, inner), want[i]...)
+			for j, o := range sink.held {
+				if !bytes.Equal(o.Bytes(), want[j]) {
+					t.Fatalf("fragment %d changed by a write into fragment %d's headroom", j, i)
+				}
+			}
+		}
+		core.ReleaseAll(sink.held)
+		if d := wire.BufsOutstanding() - base; d != 0 {
+			t.Fatalf("%d-byte message: %d pooled buffers left after its fragments were released", tc.size, d)
+		}
+	}
+}

@@ -9,7 +9,8 @@ import "github.com/bertha-net/bertha/internal/wire"
 // back into one queued datagram per segment. Off loopback, the device
 // coalesces a flow's datagrams into such trains too. The receive paths
 // cut a train back into its datagrams here, so everything above the
-// socket still sees one Buf per datagram.
+// socket still sees one Buf per datagram: a view of the train's receive
+// buffer (wire.Slab), so the cut copies nothing.
 
 // recvSlot is the payload size of a receive buffer: all of wire's
 // largest size class behind DefaultHeadroom. It holds a whole train,
@@ -50,28 +51,38 @@ func received(b *wire.Buf, size, seg int) (k, lost int) {
 
 // splitTrain cuts train, trimmed by received to whole datagrams of seg
 // bytes (0: one datagram), into its first len(out) datagrams, oldest
-// first, and fills out with them. Each is a copy in a new pooled Buf,
-// except that when out takes every datagram left, the first one stays
-// where it is: out[0] is train itself, truncated to it, and splitTrain
-// returns nil. Otherwise it returns train, holding the datagrams out did
-// not take.
+// first, and fills out with them. A lone datagram is train itself.
+// Otherwise each is a view of train's backing — the first one keeps
+// train's headroom too — and when out does not take every datagram,
+// splitTrain returns one more view, holding the rest; nil otherwise.
+// Past the views one Slab lends, datagrams are copies in pooled Bufs.
 func splitTrain(train *wire.Buf, seg int, out []*wire.Buf) (rest *wire.Buf) {
 	p := train.Bytes()
-	whole := seg <= 0 || len(out)*seg >= len(p)
-	first := 0
-	if whole {
-		first = 1
+	if seg <= 0 || seg >= len(p) {
+		out[0] = train
+		return nil
 	}
-	for i := first; i < len(out); i++ {
-		out[i] = wire.NewBufFrom(wire.DefaultHeadroom, p[i*seg:min((i+1)*seg, len(p))])
+	taken := min(len(out)*seg, len(p))
+	views := wire.MaxViews
+	if taken < len(p) {
+		views-- // one for rest
 	}
-	if !whole {
-		train.TrimFront(len(out) * seg)
-		return train
+	headroom := train.Headroom()
+	s := wire.Share(train)
+	for i := range out {
+		lo, hi := i*seg, min((i+1)*seg, len(p))
+		switch {
+		case i >= views:
+			out[i] = wire.NewBufFrom(wire.DefaultHeadroom, p[lo:hi])
+		case i == 0:
+			out[i] = s.Lend(-headroom, 0, hi)
+		default:
+			out[i] = s.Lend(lo, lo, hi)
+		}
 	}
-	if seg > 0 && seg < len(p) {
-		train.Truncate(seg)
+	if taken < len(p) {
+		rest = s.Lend(taken, taken, len(p))
 	}
-	out[0] = train
-	return nil
+	s.Done()
+	return rest
 }

@@ -90,11 +90,30 @@ func checkDatagrams(t *testing.T, got []*wire.Buf, want [][]byte) {
 	}
 }
 
+// checkHeld is checkDatagrams for a dialed socket's receive, which
+// nothing else touches meanwhile, and checks how many pooled buffers the
+// datagrams held: with GRO on, one per train, its datagrams being views
+// of the train's receive buffer; refused, one per datagram.
+func checkHeld(t *testing.T, gro bool, trains int, got []*wire.Buf, want [][]byte) {
+	t.Helper()
+	held := wire.BufsOutstanding()
+	checkDatagrams(t, got, want)
+	backings := int64(len(got))
+	if gro {
+		backings = int64(trains)
+	}
+	if d := held - wire.BufsOutstanding(); d != backings {
+		t.Errorf("%d datagrams held %d pooled buffers, want %d", len(got), d, backings)
+	}
+}
+
 // TestGROReceive sends every shape as GSO trains into each receive path:
 // the reactor listener's, a dialed socket's burst receive (RecvBufs) and
 // its single receive (RecvBuf on a socket that does not read ahead). Each
 // arrives as as many datagrams as were sent, byte-exact and in order, and
-// with UDP_GRO on one receive takes each train.
+// with UDP_GRO on one receive takes each train. At a dialed socket, a
+// train's datagrams hold one pooled buffer while they are held, not one
+// each, and give it back with the last release.
 func TestGROReceive(t *testing.T) {
 	groModes(t, func(t *testing.T, gro bool) {
 		ctx := ctxT(t)
@@ -147,7 +166,7 @@ func TestGROReceive(t *testing.T) {
 				if err := core.SendBufs(ctx, sc, bs); err != nil {
 					t.Fatal(err)
 				}
-				checkDatagrams(t, recvN(ctx, t, cli, sh.n), want)
+				checkHeld(t, gro, sh.trains, recvN(ctx, t, cli, sh.n), want)
 				checkTrainCounters(t, gro, uint64(sh.trains), trains, calls)
 			})
 
@@ -167,7 +186,7 @@ func TestGROReceive(t *testing.T) {
 						t.Fatalf("datagram %d of %d: %v", i, sh.n, err)
 					}
 				}
-				checkDatagrams(t, got, want)
+				checkHeld(t, gro, sh.trains, got, want)
 				checkTrainCounters(t, gro, uint64(sh.trains), trains, calls)
 				ping(ctx, t, cli, sc)
 				ping(ctx, t, sc, cli)
@@ -259,8 +278,8 @@ func TestGROTruncatedTrain(t *testing.T) {
 
 // TestGROTrainAllocs gates the offload's receive path at a known peer: a
 // 14-datagram train sent to the reactor listener, cut up and received,
-// allocates nothing — the segments after the first are copied into
-// pooled buffers. Also when UDP_GRO is refused.
+// allocates nothing — the datagrams are views of the train's receive
+// buffer, lent from a pooled slab. Also when UDP_GRO is refused.
 func TestGROTrainAllocs(t *testing.T) {
 	if testutil.RaceEnabled {
 		t.Skip("allocation counts are inflated under -race")
@@ -326,14 +345,46 @@ func groCmsg(seg int32) []byte {
 	return c
 }
 
+// writeEach writes into each of the datagrams in turn, as the layers
+// above do — over its front (TrimFront then Prepend) and past its end
+// (Extend) — checks that the others are unchanged, and releases them.
+func writeEach(t *testing.T, held []*wire.Buf) {
+	t.Helper()
+	want := make([][]byte, len(held))
+	for i, b := range held {
+		want[i] = bytes.Clone(b.Bytes())
+	}
+	for i, b := range held {
+		mark := byte(0xa0 + i%16)
+		n := min(b.Len(), 3)
+		b.TrimFront(n)
+		p := b.Prepend(n)
+		for j := range p {
+			p[j] = mark
+		}
+		p = b.Extend(2)
+		p[0], p[1] = mark, mark
+		want[i] = append(append(bytes.Repeat([]byte{mark}, n), want[i][n:]...), mark, mark)
+		for j, o := range held {
+			if !bytes.Equal(o.Bytes(), want[j]) {
+				t.Fatalf("datagram %d of %d changed by writes into datagram %d", j, len(held), i)
+			}
+		}
+	}
+	for _, b := range held {
+		b.Release()
+	}
+}
+
 // FuzzGROSplit cuts a train of any length and any segment size into
 // datagrams through the connected socket's queue — whose 64 slots a
 // train of more segments overflows into later calls — and reads a
 // segment size out of any control bytes. A train longer than its receive
 // buffer arrives cut off, as the kernel leaves it. Nothing panics, the
 // datagrams join back into the train's complete segments with only the
-// last one short, the rest are counted as lost, and every pooled buffer
-// is accounted for.
+// last one short, the rest are counted as lost, a write into one
+// datagram leaves the others unchanged, and every pooled buffer is
+// accounted for.
 func FuzzGROSplit(f *testing.F) {
 	f.Add(uint16(14*1209-1176), int32(1209), groCmsg(1209))
 	f.Add(uint16(62868), int32(1209), []byte{})
@@ -389,14 +440,16 @@ func FuzzGROSplit(f *testing.F) {
 		var got []byte
 		count := 0
 		for q.take(tel) > 0 {
+			var held []*wire.Buf
 			for b := q.pop(); b != nil; b = q.pop() {
 				if count+1 < k && b.Len() != s {
 					t.Fatalf("datagram %d of %d: %d bytes, want %d", count, k, b.Len(), s)
 				}
 				got = append(got, b.Bytes()...)
 				count++
-				b.Release()
+				held = append(held, b)
 			}
+			writeEach(t, held)
 		}
 		if count != k || !bytes.Equal(got, want) || tel.droppedMalformed.Value() != uint64(lost) {
 			t.Fatalf("%d bytes of %d-byte segments: %d datagrams joining to %d bytes and %d lost, want %d joining to %d and %d lost",

@@ -346,16 +346,18 @@ func (q *recvQueue) take(tel *netCounters) int {
 		}
 		if k == 0 {
 			b.Release()
-		} else {
-			room := min(k, burstMax-q.n)
-			rest := splitTrain(b, seg, q.slot[q.n:q.n+room])
-			q.n += room
-			if rest != nil {
-				q.size[q.next] = int32(rest.Len()) // still in[next]
-				break
-			}
+			q.in[q.next] = nil
+			q.next++
+			continue
 		}
-		q.in[q.next] = nil
+		room := min(k, burstMax-q.n)
+		// What the queue has no room for stays in in[next], as a view.
+		q.in[q.next] = splitTrain(b, seg, q.slot[q.n:q.n+room])
+		q.n += room
+		if rest := q.in[q.next]; rest != nil {
+			q.size[q.next] = int32(rest.Len())
+			break
+		}
 		q.next++
 	}
 	return q.n

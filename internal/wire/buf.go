@@ -16,6 +16,11 @@
 // caller that wants a plain []byte), or Detach (take the bytes out of
 // pool management). Using a Buf after ownership was given away corrupts
 // messages; the released flag catches the common cases by panicking.
+//
+// A Buf may also be a view: one of several Bufs a Slab lends out of one
+// backing (slab.go), each owning only its own region of it. A view is
+// owned like any Buf; the backing goes back to its pool when the last
+// view is released.
 package wire
 
 import (
@@ -40,24 +45,30 @@ var bufClasses = [...]int{512, 4096, 32768, MaxPooled}
 var bufPools [len(bufClasses)]sync.Pool
 
 // Buf is a pooled message buffer with headroom. The zero value is not
-// usable; obtain one with NewBuf, NewBufFrom, or WrapBuf.
+// usable; obtain one with NewBuf, NewBufFrom, WrapBuf or Slab.Lend.
+//
+// The fields are ordered to keep a Buf at 64 bytes, one cache line.
 type Buf struct {
 	store    []byte
 	off, end int
-	class    int8 // index into bufClasses, or -1 when not pooled
-	released bool
+	// slab is the Slab a view was lent by, nil for any other Buf. A view
+	// has class -1: its store is a region of the slab's backing, or one
+	// of its own after it outgrew that region.
+	slab *Slab
 
 	// Trace context riding alongside the payload (never part of the
 	// stored bytes): the tracing layer stamps sampled sends here at the
 	// top of the stack, the trace chunnel serializes the context into
 	// wire headroom at the bottom, and the receive side parses it back
 	// before the stack runs. The fields survive Prepend/Extend backing
-	// swaps (those exchange store/class only) and are cleared when a
-	// pooled buffer is reused.
+	// moves and are cleared when a pooled buffer is reused.
 	traceID   uint64
 	traceSpan uint32
-	traceHop  uint8
-	traced    bool
+
+	class    int8 // index into bufClasses, or -1 when not pooled
+	released bool
+	traceHop uint8
+	traced   bool
 }
 
 // SetTrace marks the message as sampled, attaching the trace context the
@@ -87,7 +98,8 @@ func (b *Buf) Trace() (id uint64, span uint32, hop uint8, ok bool) {
 }
 
 // bufsOutstanding counts pooled buffers currently checked out: created
-// or fetched from a pool and not yet released or detached. It is a
+// or fetched from a pool and not yet released or detached. A backing
+// lent out as views counts once, until its last view is released. It is a
 // process-health signal (a steady climb is a leak), published as a
 // telemetry gauge at snapshot time.
 var bufsOutstanding atomic.Int64
@@ -170,29 +182,17 @@ func (b *Buf) Tailroom() int { b.check(); return len(b.store) - b.end }
 
 // Prepend grows the message by n bytes at the front and returns the new
 // front section for the caller to fill. When headroom is exhausted the
-// backing is replaced by a larger pooled one (one copy) — correctness is
+// message moves to a larger backing (one copy) — correctness is
 // preserved, only the fast path is lost.
 func (b *Buf) Prepend(n int) []byte {
 	b.check()
 	if n < 0 {
 		panic("wire: negative prepend")
 	}
-	if n <= b.off {
-		b.off -= n
-		return b.store[b.off : b.off+n]
+	if n > b.off {
+		b.move(DefaultHeadroom+n+b.end-b.off, DefaultHeadroom+n)
 	}
-	cur := b.store[b.off:b.end]
-	nb := getBuf(DefaultHeadroom + n + len(cur))
-	copy(nb.store[DefaultHeadroom+n:], cur)
-	// Swap backings: b keeps its identity for the caller, nb carries the
-	// old backing home to its pool.
-	b.store, nb.store = nb.store, b.store
-	b.class, nb.class = nb.class, b.class
-	nb.released = false
-	b.off = DefaultHeadroom
-	b.end = DefaultHeadroom + n + len(cur)
-	nb.off, nb.end = 0, 0
-	nb.Release()
+	b.off -= n
 	return b.store[b.off : b.off+n]
 }
 
@@ -203,21 +203,33 @@ func (b *Buf) Extend(n int) []byte {
 	if n < 0 {
 		panic("wire: negative extend")
 	}
-	if b.end+n <= len(b.store) {
-		s := b.store[b.end : b.end+n]
-		b.end += n
-		return s
+	if b.end+n > len(b.store) {
+		b.move(b.end+n, b.off)
 	}
-	cur := b.store[b.off:b.end]
-	nb := getBuf(b.off + len(cur) + n)
-	copy(nb.store[b.off:], cur)
-	b.store, nb.store = nb.store, b.store
-	b.class, nb.class = nb.class, b.class
-	nb.released = false
-	b.end = b.off + len(cur) + n
-	nb.off, nb.end = 0, 0
-	nb.Release()
+	b.end += n
 	return b.store[b.end-n : b.end]
+}
+
+// move copies the message to a new backing of size bytes, at off, and
+// releases the old one. A pooled buffer swaps backings with a fresh
+// pooled one, so b keeps its identity for the caller and the other
+// carries the old backing home. A view never grows into its neighbours'
+// regions: it moves to a backing of its own, outside the pools, and
+// keeps its hold on the slab until it is released.
+func (b *Buf) move(size, off int) {
+	cur := b.store[b.off:b.end]
+	if b.slab != nil {
+		b.store = make([]byte, size)
+		copy(b.store[off:], cur)
+	} else {
+		nb := getBuf(size)
+		copy(nb.store[off:], cur)
+		b.store, nb.store = nb.store, b.store
+		b.class, nb.class = nb.class, b.class
+		nb.off, nb.end = 0, 0
+		nb.Release()
+	}
+	b.off, b.end = off, off+len(cur)
 }
 
 // Append grows the message by a copy of p at the end.
@@ -255,15 +267,22 @@ func (b *Buf) Truncate(n int) {
 	b.end = b.off + n
 }
 
-// Release returns the backing array to its pool. It is the terminal
-// operation for an owner that is done with the message. Releasing an
-// unpooled buffer just drops it. Release on an already-released Buf is
-// a no-op, but any access is a panic.
+// Release returns the backing array to its pool — a view's backing
+// once its last view is released. It is the terminal operation for an
+// owner that is done with the message. Releasing an unpooled buffer just
+// drops it. Release on an already-released Buf is a no-op, but any
+// access is a panic.
 func (b *Buf) Release() {
 	if b == nil || b.released {
 		return
 	}
 	b.released = true
+	if s := b.slab; s != nil {
+		// b is s's memory: done with it before s can go back to its pool.
+		b.store, b.slab = nil, nil
+		s.unref(-1)
+		return
+	}
 	if b.class < 0 {
 		b.store = nil
 		return
@@ -278,18 +297,22 @@ func (b *Buf) Release() {
 // Recv contract (caller owns the returned slice).
 func (b *Buf) CopyOut() []byte {
 	b.check()
-	p := make([]byte, b.end-b.off)
-	copy(p, b.store[b.off:b.end])
+	// append allocates without clearing what it is about to overwrite.
+	p := append([]byte{}, b.store[b.off:b.end]...)
 	b.Release()
-	return p
+	return p[:len(p):len(p)]
 }
 
 // Detach removes the message bytes from pool management and returns
 // them; the caller owns the slice indefinitely and the backing is left
 // to the garbage collector. Use when the bytes must outlive any pooling
-// discipline (e.g. a retransmission queue).
+// discipline (e.g. a retransmission queue). A view's bytes belong to
+// its slab's backing, so detaching a view copies them.
 func (b *Buf) Detach() []byte {
 	b.check()
+	if b.slab != nil {
+		return b.CopyOut()
+	}
 	p := b.store[b.off:b.end:b.end]
 	if b.class >= 0 {
 		bufsOutstanding.Add(-1)

@@ -3,6 +3,7 @@ package wire
 import (
 	"bytes"
 	"testing"
+	"unsafe"
 )
 
 func TestBufPrependTrim(t *testing.T) {
@@ -108,6 +109,25 @@ func TestBufDetach(t *testing.T) {
 	if !bytes.Equal(p, []byte("keepme")) {
 		t.Fatalf("detached bytes corrupted: %q", p)
 	}
+
+	// A view's bytes belong to its backing, which goes back to the pool
+	// with the last view: Detach copies them out first.
+	s := Share(NewBufFrom(0, []byte("neighbourkeepme")))
+	nb, v := s.Lend(0, 0, 9), s.Lend(9, 9, 15)
+	s.Done()
+	p = v.Detach()
+	nb.Release()
+	if !bytes.Equal(p, []byte("keepme")) || len(p) != cap(p) {
+		t.Fatalf("Detach of a view = %q (cap %d)", p, cap(p))
+	}
+	for i := 0; i < 64; i++ {
+		nb := NewBuf(0, 15)
+		copy(nb.Bytes(), "XXXXXXXXXXXXXXX")
+		nb.Release()
+	}
+	if !bytes.Equal(p, []byte("keepme")) {
+		t.Fatalf("bytes detached from a view corrupted by the backing's reuse: %q", p)
+	}
 }
 
 func TestBufUseAfterRelease(t *testing.T) {
@@ -166,5 +186,13 @@ func TestBufPoolReuse(t *testing.T) {
 	})
 	if allocs > 0 {
 		t.Fatalf("pooled round-trip allocates %v/op, want 0", allocs)
+	}
+}
+
+// TestBufSize holds a Buf to one cache line: a view's slab pointer took
+// the padding a field reorder freed.
+func TestBufSize(t *testing.T) {
+	if n := unsafe.Sizeof(Buf{}); n != 64 {
+		t.Fatalf("Buf is %d bytes, want 64", n)
 	}
 }
