@@ -34,7 +34,7 @@ import (
 // SuiteRevision identifies the vet-suite rule set. Bump it whenever an
 // analyzer's diagnostics change so `berthavet -version` reflects the
 // rules in force.
-const SuiteRevision = "berthavet-2026.10.1"
+const SuiteRevision = "berthavet-2026.10.2"
 
 // An Analyzer describes one static check.
 type Analyzer struct {

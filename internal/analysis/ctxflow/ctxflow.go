@@ -13,7 +13,13 @@
 //	             caller's cancellation (wrapping it in context.With* to
 //	             mint a lifecycle root is fine)
 //	timer-leak   a time.NewTimer/NewTicker whose Stop is never called
-//	             and which never escapes the function
+//	             and which never escapes the function; and, outside
+//	             main packages (and tests, which are not loaded), any
+//	             time.After or time.Tick: they return only a channel,
+//	             so nothing can stop their timer, and under the
+//	             module's go 1.22 line (pre-1.23 timer semantics) it
+//	             stays in the runtime's timer heap until it fires — or,
+//	             for Tick, forever
 //
 // Blocking operations are unguarded channel sends/receives (a select
 // with a default or a ctx.Done() case is not blocking-without-ctx),
@@ -76,18 +82,23 @@ func (fi *funcInfo) reachable(pos token.Pos) bool {
 func run(pass *analysis.Pass) error {
 	infos := map[*types.Func]*funcInfo{}
 	var order []*types.Func
-	for _, f := range pass.Files {
-		for _, d := range f.Decls {
-			fd, ok := d.(*ast.FuncDecl)
-			if !ok || fd.Body == nil {
-				continue
+	for _, pkg := range pass.Pkgs {
+		// A command may wait on an unstoppable timer: it runs once and
+		// exits. (Tests are exempt too: the loader reads no _test.go file.)
+		library := pkg.Types.Name() != "main"
+		for _, f := range pkg.Files {
+			for _, d := range f.Decls {
+				fd, ok := d.(*ast.FuncDecl)
+				if !ok || fd.Body == nil {
+					continue
+				}
+				fn, ok := pass.TypesInfo.Defs[fd.Name].(*types.Func)
+				if !ok {
+					continue
+				}
+				infos[fn] = analyzeFunc(pass, fd, library)
+				order = append(order, fn)
 			}
-			fn, ok := pass.TypesInfo.Defs[fd.Name].(*types.Func)
-			if !ok {
-				continue
-			}
-			infos[fn] = analyzeFunc(pass, fd)
-			order = append(order, fn)
 		}
 	}
 
@@ -160,8 +171,8 @@ func blockingCall(fn *types.Func, fi *funcInfo, blocks map[*types.Func]string) s
 
 // analyzeFunc computes one function's ctx parameter, ctx consumption,
 // first blocking operation, and callees. Timer leaks are reported as a
-// side effect.
-func analyzeFunc(pass *analysis.Pass, fd *ast.FuncDecl) *funcInfo {
+// side effect; library marks code held to the time.After/Tick rule.
+func analyzeFunc(pass *analysis.Pass, fd *ast.FuncDecl, library bool) *funcInfo {
 	fi := &funcInfo{decl: fd, dead: cfg.New(fd.Body).UnreachableSpans()}
 	if fd.Type.Params != nil {
 		for _, field := range fd.Type.Params.List {
@@ -174,6 +185,9 @@ func analyzeFunc(pass *analysis.Pass, fd *ast.FuncDecl) *funcInfo {
 		}
 	}
 	checkTimerLeaks(pass, fd.Body, fi)
+	if library {
+		checkUnstoppableTimers(pass, fd.Body, fi)
+	}
 	walkBody(pass, fd.Body, fi, false)
 	return fi
 }
@@ -428,6 +442,32 @@ func checkTimerLeaks(pass *analysis.Pass, body *ast.BlockStmt, fi *funcInfo) {
 	}
 }
 
+// checkUnstoppableTimers reports reachable time.After and time.Tick
+// calls: the caller gets only the channel, so the timer cannot be
+// stopped. Under the module's go 1.22 line a time.After timer stays in
+// the runtime's timer heap until it fires, however early its select
+// returned, and a time.Tick ticker is never collected; on a per-request
+// path each call adds one more entry every heap pass must walk.
+func checkUnstoppableTimers(pass *analysis.Pass, body *ast.BlockStmt, fi *funcInfo) {
+	ast.Inspect(body, func(n ast.Node) bool {
+		call, ok := n.(*ast.CallExpr)
+		if !ok || !fi.reachable(call.Pos()) {
+			return true
+		}
+		fn := calleeFunc(pass.TypesInfo, call)
+		switch {
+		case fn == nil:
+		case isPkgFunc(fn, "time", "After"):
+			pass.Reportf(call.Pos(), "timer-leak",
+				"time.After's timer cannot be stopped: under the module's go 1.22 line it stays in the runtime timer heap until it fires, after its select has returned; use time.NewTimer and defer its Stop")
+		case isPkgFunc(fn, "time", "Tick"):
+			pass.Reportf(call.Pos(), "timer-leak",
+				"time.Tick's ticker cannot be stopped: under the module's go 1.22 line it stays in the runtime timer heap for good; use time.NewTicker and defer its Stop")
+		}
+		return true
+	})
+}
+
 // timerSite is one time.NewTimer/NewTicker creation.
 type timerSite struct {
 	pos  token.Pos
@@ -460,7 +500,9 @@ func calleeFunc(info *types.Info, call *ast.CallExpr) *types.Func {
 	return nil
 }
 
-// isPkgFunc reports whether fn is <pkg>.<name> at package level.
+// isPkgFunc reports whether fn is <pkg>.<name> at package level, not a
+// method of that name (time.After, not time.Time.After).
 func isPkgFunc(fn *types.Func, pkg, name string) bool {
-	return fn.Name() == name && fn.Pkg() != nil && fn.Pkg().Path() == pkg
+	return fn.Name() == name && fn.Pkg() != nil && fn.Pkg().Path() == pkg &&
+		fn.Type().(*types.Signature).Recv() == nil
 }

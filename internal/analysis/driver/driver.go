@@ -36,7 +36,7 @@ var Analyzers = []*analysis.Analyzer{
 }
 
 // Version renders the tool version, "<module version> <suite revision>",
-// e.g. "v0.3.0 berthavet-2026.10.1". The module version is "(devel)"
+// e.g. "v0.3.0 berthavet-2026.10.2". The module version is "(devel)"
 // for plain `go build` working-tree binaries.
 func Version() string {
 	mod := "(devel)"

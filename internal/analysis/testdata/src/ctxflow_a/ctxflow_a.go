@@ -152,3 +152,37 @@ func OkEscapes() *time.Timer {
 	t := time.NewTimer(time.Second)
 	return t
 }
+
+// LeakAfter waits on time.After in library code: the timer stays heaped
+// until it fires, long after the select took ch. OkStopped is the fix.
+func LeakAfter(ch chan int) int {
+	select {
+	case v := <-ch:
+		return v
+	case <-time.After(time.Second): // want `timer-leak.*time.After.*go 1.22`
+		return 0
+	}
+}
+
+// LeakTick polls on a ticker nobody can stop.
+func LeakTick(done chan struct{}) {
+	tick := time.Tick(time.Millisecond) // want `timer-leak.*time.Tick`
+	for {
+		select {
+		case <-tick:
+		case <-done:
+			return
+		}
+	}
+}
+
+// OkTimeAfterMethod compares instants: time.Time.After arms no timer.
+func OkTimeAfterMethod(deadline time.Time) bool {
+	return time.Now().After(deadline)
+}
+
+// OkDeadAfter's time.After sits after a return and never runs.
+func OkDeadAfter() <-chan time.Time {
+	return nil
+	return time.After(time.Second)
+}

@@ -250,11 +250,17 @@ func (i *ipcImpl) wrap(ctx context.Context, conn core.Conn, args, params []wire.
 		// the client's close notice, which frees the peer's entry.
 		spliced := &splicedConn{orig: conn, server: true}
 		spliced.startDrain()
+		// The wait's timer is stopped on the way out: under the module's
+		// go 1.22 timer semantics a time.After would stay in the runtime's
+		// timer heap for the full 5 s after the dial arrived, one per
+		// lifecycle, and every heap pass would walk them all.
+		wait := time.NewTimer(spliceTimeout)
+		defer wait.Stop()
 		select {
 		case ipc := <-ch:
 			spliced.Datapath = core.Resolve(ipc)
 			return spliced, nil
-		case <-time.After(spliceTimeout):
+		case <-wait.C:
 			spliced.Close()
 			return nil, fmt.Errorf("localfast: client never dialed the IPC path")
 		case <-ctx.Done():
