@@ -17,9 +17,14 @@ var (
 	ListenUDP = itransport.ListenUDP
 	// DialUDP opens a connected UDP datagram connection.
 	DialUDP = itransport.DialUDP
-	// ListenUnix binds a UNIX datagram listener at a socket path.
+	// ListenUnix binds a UNIX datagram listener at a socket path. Its
+	// Addr().Addr is the path, followed by a NUL and the listener's
+	// network namespace where that is known.
 	ListenUnix = itransport.ListenUnix
-	// DialUnix opens a connected UNIX datagram connection.
+	// DialUnix opens a connected UNIX datagram connection to a
+	// listener's Addr().Addr or a bare socket path. A client in the
+	// listener's network namespace binds an abstract name, any other a
+	// socket file beside the listener's.
 	DialUnix = itransport.DialUnix
 )
 

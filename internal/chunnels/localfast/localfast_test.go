@@ -384,8 +384,9 @@ func TestSplicedCloseJoinsDrain(t *testing.T) {
 // echo, both sides closed — both endpoints together. It measured 165
 // objects with the net package addressing every unix datagram, a drain
 // goroutine on the client, a teardown timeout per Close and trace
-// details formatted as they were recorded, and 124 while the close notice
-// went under a context.WithTimeout; it measures 119 now.
+// details formatted as they were recorded, 124 while the close notice
+// went under a context.WithTimeout, and 119 while the client bound a
+// socket file; it measures 118 now.
 func TestSpliceLifecycleAllocBudget(t *testing.T) {
 	if testutil.RaceEnabled {
 		t.Skip("allocation counts are inflated under -race")

@@ -23,6 +23,7 @@ import (
 	"context"
 	"errors"
 	"fmt"
+	"strings"
 )
 
 // Addr identifies a connection endpoint across the transports Bertha
@@ -37,13 +38,15 @@ type Addr struct {
 	// equal non-empty Host values are host-local to each other.
 	Host string
 	// Addr is the transport-specific address string (e.g. "127.0.0.1:4242"
-	// or "/tmp/bertha.sock").
+	// or "/tmp/bertha.sock"). The transport owns its format, which may
+	// hold bytes that do not print: a unix listener's names its network
+	// namespace after a NUL, and an abstract unix name starts with one.
 	Addr string
 }
 
-// String renders the address as net://host/addr.
+// String renders the address as net://host/addr, a NUL in addr as \x00.
 func (a Addr) String() string {
-	return fmt.Sprintf("%s://%s/%s", a.Net, a.Host, a.Addr)
+	return fmt.Sprintf("%s://%s/%s", a.Net, a.Host, strings.ReplaceAll(a.Addr, "\x00", `\x00`))
 }
 
 // IsZero reports whether the address is unset.

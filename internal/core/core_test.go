@@ -529,6 +529,12 @@ func TestAddrHelpers(t *testing.T) {
 	if a.String() != "udp://h1/1.2.3.4:5" {
 		t.Errorf("String: %s", a)
 	}
+	// A unix listener's address names its network namespace after a
+	// NUL; the rendering stays printable.
+	ns := Addr{Net: "unix", Host: "h1", Addr: "/tmp/x\x00net:[4026531833]"}
+	if got := ns.String(); got != `unix://h1//tmp/x\x00net:[4026531833]` {
+		t.Errorf("String with a NUL: %q", got)
+	}
 	if SideClient.String() != "client" || SideServer.String() != "server" {
 		t.Error("side names")
 	}

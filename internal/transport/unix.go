@@ -6,6 +6,7 @@ import (
 	"fmt"
 	"net"
 	"os"
+	"runtime"
 	"strings"
 	"sync"
 	"sync/atomic"
@@ -20,13 +21,21 @@ import (
 
 // ListenUnix binds a demultiplexing UNIX datagram listener at path. The
 // socket file is removed on Close. hostID labels the listener's host.
+//
+// A socket left at path by an earlier run is removed first; anything
+// else there is left alone and fails the listen. The listener's Addr
+// carries path and, after a NUL, the identity of the network namespace
+// it runs in (netNamespace), when that is known: a NUL cannot occur in a
+// path, and DialUnix reads the identity to choose how its client binds.
 func ListenUnix(hostID, path string) (core.Listener, error) {
 	ua, err := net.ResolveUnixAddr("unixgram", path)
 	if err != nil {
 		return nil, fmt.Errorf("transport: resolve unix %q: %w", path, err)
 	}
-	// Remove a stale socket from a previous run.
-	if _, statErr := os.Stat(path); statErr == nil {
+	if fi, err := os.Lstat(path); err == nil {
+		if fi.Mode().Type() != os.ModeSocket {
+			return nil, fmt.Errorf("transport: listen unixgram %q: a file that is not a socket is in the way", path)
+		}
 		os.Remove(path)
 	}
 	pc, err := net.ListenUnixgram("unixgram", ua)
@@ -34,10 +43,30 @@ func ListenUnix(hostID, path string) (core.Listener, error) {
 		return nil, fmt.Errorf("transport: listen unixgram %q: %w", path, err)
 	}
 	addr := core.Addr{Net: "unix", Host: hostID, Addr: path}
+	if ns := netNamespace(); ns != "" {
+		addr.Addr = path + "\x00" + ns
+	}
 	l := &unixListener{reactorListener: newDemuxListener(unixPC{pc}, addr), path: path}
 	l.cfg.Shards = 1
 	return l, nil
 }
+
+// netNamespace identifies the network namespace the process runs in,
+// read once: the target of /proc/self/ns/net, such as
+// "net:[4026531833]". It is "" wherever that cannot be read, which is
+// every platform but linux. Two sockets can reach each other by an
+// abstract name only inside one network namespace, and a listener and
+// its client that both know the same identity are in one.
+var netNamespace = sync.OnceValue(func() string {
+	if runtime.GOOS != "linux" {
+		return ""
+	}
+	ns, err := os.Readlink("/proc/self/ns/net")
+	if err != nil {
+		return ""
+	}
+	return ns
+})
 
 // unixListener runs one reactor goroutine, whatever the configuration
 // asks for. Several goroutines taking turns on one socket can swap two
@@ -73,29 +102,42 @@ func (u unixPC) WriteTo(b []byte, addr net.Addr) (int, error) {
 	return u.UnixConn.WriteToUnix(b, ua)
 }
 
-// DialUnix opens a connected UNIX datagram connection to the server at
-// path. Because unixgram servers reply to the client's bound address, the
-// client binds a socket of its own beside the listener (removed on
-// Close), named by clientSockPath.
-func DialUnix(hostID, path string) (core.Conn, error) {
-	clientPath, err := clientSockPath(path)
-	if err != nil {
-		return nil, err
+// DialUnix opens a connected UNIX datagram connection to the listener
+// at addr: a listener's Addr().Addr, or a bare socket path. Because
+// unixgram servers reply to the client's bound address, the client
+// binds a socket of its own, named by clientSockPath. When addr names
+// the network namespace the client runs in, the name is abstract and no
+// file is created. Otherwise — another namespace, or none named — the
+// listener could not answer an abstract name (those are per namespace),
+// so the client's socket is a file beside the listener, removed on
+// Close. The connection's remote address is addr, as given.
+func DialUnix(hostID, addr string) (core.Conn, error) {
+	path, ns, _ := strings.Cut(addr, "\x00")
+	var name, file string
+	if ns != "" && ns == netNamespace() {
+		name = clientSockPath("\x00")
+	} else {
+		dir := path[:strings.LastIndexByte(path, '/')+1] // "" is the working directory
+		if n := len(dir) + clientSockName; n > maxUnixPath {
+			return nil, fmt.Errorf("transport: client socket beside %q needs %d bytes of path, over the %d-byte sun_path limit", path, n, maxUnixPath)
+		}
+		name = clientSockPath(dir)
+		file = name
 	}
 	uc, err := net.DialUnix("unixgram",
-		&net.UnixAddr{Name: clientPath, Net: "unixgram"}, &net.UnixAddr{Name: path, Net: "unixgram"})
+		&net.UnixAddr{Name: name, Net: "unixgram"}, &net.UnixAddr{Name: path, Net: "unixgram"})
 	if err != nil {
 		return nil, fmt.Errorf("transport: dial unixgram %q: %w", path, err)
 	}
 	return &unixConn{
 		socketConn: socketConn{
 			conn:   uc,
-			local:  core.Addr{Net: "unix", Host: hostID, Addr: clientPath},
-			remote: core.Addr{Net: "unix", Host: hostID, Addr: path},
+			local:  core.Addr{Net: "unix", Host: hostID, Addr: name},
+			remote: core.Addr{Net: "unix", Host: hostID, Addr: addr},
 			tel:    countersFor("unix"),
 			rsem:   make(chan struct{}, 1),
 		},
-		clientPath: clientPath,
+		file: file,
 	}, nil
 }
 
@@ -109,7 +151,8 @@ const clientSockName = 1 + 8 + 1 + 8
 
 var (
 	// clientSockPrefix tells apart the client sockets of processes that
-	// dial listeners in one directory; drawn once per process.
+	// dial listeners in one directory, or in one network namespace;
+	// drawn once per process.
 	clientSockPrefix = sync.OnceValue(func() uint32 {
 		var b [4]byte
 		if _, err := rand.Read(b[:]); err != nil {
@@ -121,23 +164,25 @@ var (
 	clientSockSeq atomic.Uint32
 )
 
-// clientSockPath names a new client socket in the directory of the
-// listener at server: a short name that does not repeat the listener's,
-// so any directory that leaves clientSockName+1 bytes of sun_path free
-// takes it, however long the listener's own name is.
-func clientSockPath(server string) (string, error) {
-	dir := server[:strings.LastIndexByte(server, '/')+1] // "" is the working directory
-	if n := len(dir) + clientSockName; n > maxUnixPath {
-		return "", fmt.Errorf("transport: client socket beside %q needs %d bytes of path, over the %d-byte sun_path limit", server, n, maxUnixPath)
-	}
+// clientSockPath names a new client socket: prefix, then a short name
+// that does not repeat the listener's, so any directory that leaves
+// clientSockName+1 bytes of sun_path free takes it, however long the
+// listener's own name is. A prefix of one NUL makes the name abstract,
+// which is how the listener's reactor keys the peer as well.
+//
+// The name is the process's own rather than one the kernel autobinds:
+// autobind draws 20-bit names at random, and one could come back while
+// the listener still keys a half-closed peer by it. The count does not
+// repeat within a process.
+func clientSockPath(prefix string) string {
 	var b strings.Builder
-	b.Grow(len(dir) + clientSockName)
-	b.WriteString(dir)
+	b.Grow(len(prefix) + clientSockName)
+	b.WriteString(prefix)
 	b.WriteByte('.')
 	writeHex32(&b, clientSockPrefix())
 	b.WriteByte('.')
 	writeHex32(&b, clientSockSeq.Add(1))
-	return b.String(), nil
+	return b.String()
 }
 
 // writeHex32 writes v as eight lower-case hex digits.
@@ -148,13 +193,17 @@ func writeHex32(b *strings.Builder, v uint32) {
 	}
 }
 
+// unixConn is a client connection; file is its socket's path, "" for an
+// abstract name.
 type unixConn struct {
 	socketConn
-	clientPath string
+	file string
 }
 
 func (u *unixConn) Close() error {
 	err := u.socketConn.Close()
-	os.Remove(u.clientPath)
+	if u.file != "" {
+		os.Remove(u.file)
+	}
 	return err
 }
