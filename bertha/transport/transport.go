@@ -15,7 +15,11 @@ var (
 	// ListenUDP binds a demultiplexing UDP listener ("127.0.0.1:0" for
 	// an ephemeral port). hostID labels the host for locality decisions.
 	ListenUDP = itransport.ListenUDP
-	// DialUDP opens a connected UDP datagram connection.
+	// DialUDP returns a UDP datagram connection to an address. Only the
+	// address is resolved at the dial, and a resolution error is
+	// DialUDP's; the socket is opened, and connected, on first use — the
+	// first send, receive or LocalAddr — which returns the error when
+	// that fails. A connection closed unused never opens one.
 	DialUDP = itransport.DialUDP
 	// ListenUnix binds a UNIX datagram listener at a socket path. Its
 	// Addr().Addr is the path, followed by a NUL and the listener's

@@ -539,10 +539,10 @@ func TestFixpointBudget(t *testing.T) {
 	type state = *int
 	n := 0
 	f := &Flow[state]{
-		Entry:    func() state { v := 0; return &v },
-		Clone:    func(s state) state { v := *s; return &v },
-		Merge:    func(dst, src state) bool { n++; *dst = n; return true }, // never converges
-		Transfer: func(ast.Node, state) {},
+		Entry:     func() state { v := 0; return &v },
+		Clone:     func(s state) state { v := *s; return &v },
+		Merge:     func(dst, src state) bool { n++; *dst = n; return true }, // never converges
+		Transfer:  func(ast.Node, state) {},
 		MaxVisits: 8,
 	}
 	if _, ok := f.Forward(g); ok {

@@ -3,6 +3,7 @@ package localfast_test
 import (
 	"context"
 	"errors"
+	"os"
 	"path/filepath"
 	"runtime"
 	"runtime/metrics"
@@ -13,6 +14,7 @@ import (
 	"github.com/bertha-net/bertha/internal/chunnels/localfast"
 	"github.com/bertha-net/bertha/internal/core"
 	"github.com/bertha-net/bertha/internal/spec"
+	"github.com/bertha-net/bertha/internal/telemetry"
 	"github.com/bertha-net/bertha/internal/testutil"
 	"github.com/bertha-net/bertha/internal/transport"
 )
@@ -231,14 +233,15 @@ func manySequentialConnections(t *testing.T, ipc *transport.PipeNetwork, ipcL co
 }
 
 // unixSplice is a localfast server and client on one host over a pipe
-// network, spliced onto a real unix datagram IPC listener. The server
+// network (or, from newUnixSpliceOver, any base listener and dial),
+// spliced onto a real unix datagram IPC listener. The server
 // echoes one message per connection and closes it, as connect_churn's
 // does. It signals accepted when it holds a spliced connection, and
 // closed when it has closed it. cliEp resumes every connection after its
 // first; a client from newClient holds no ticket, so its connection is
 // negotiated and spliced.
 type unixSplice struct {
-	net              *transport.PipeNetwork
+	dial             func(ctx context.Context) (core.Conn, error)
 	reg              *core.Registry
 	cliEp            *core.Endpoint
 	newClient        func() *core.Endpoint
@@ -246,6 +249,20 @@ type unixSplice struct {
 }
 
 func newUnixSplice(t *testing.T) *unixSplice {
+	t.Helper()
+	pipes := transport.NewPipeNetwork()
+	baseL, err := pipes.Listen("h", "svc")
+	if err != nil {
+		t.Fatal(err)
+	}
+	return newUnixSpliceOver(t, baseL, func(ctx context.Context) (core.Conn, error) {
+		return pipes.DialFrom(ctx, "h", core.Addr{Net: "pipe", Addr: "svc"})
+	})
+}
+
+// newUnixSpliceOver builds a unixSplice whose server listens on baseL and
+// whose clients dial it with dial.
+func newUnixSpliceOver(t *testing.T, baseL core.Listener, dial func(ctx context.Context) (core.Conn, error)) *unixSplice {
 	t.Helper()
 	ctx := ctxT(t)
 	ipcL, err := transport.ListenUnix("h", filepath.Join(t.TempDir(), "app.sock"))
@@ -265,10 +282,12 @@ func newUnixSplice(t *testing.T) *unixSplice {
 		ep, _ := core.NewEndpoint("cli", spec.Seq(), core.WithRegistry(reg), core.WithEnv(envC))
 		return ep
 	}
-	u := &unixSplice{net: transport.NewPipeNetwork(), reg: reg, cliEp: newClient(), newClient: newClient,
+	u := &unixSplice{dial: dial, reg: reg, cliEp: newClient(), newClient: newClient,
 		accepted: make(chan struct{}, 1), closed: make(chan struct{}, 1)}
-	baseL, _ := u.net.Listen("h", "svc")
-	nl, _ := srvEp.Listen(ctx, baseL)
+	nl, err := srvEp.Listen(ctx, baseL)
+	if err != nil {
+		t.Fatal(err)
+	}
 	t.Cleanup(func() { nl.Close() })
 	go func() { // one connection at a time, like the churn server's handler
 		for {
@@ -294,7 +313,7 @@ func (u *unixSplice) connect(t *testing.T, cli *core.Endpoint) core.Conn {
 }
 
 func (u *unixSplice) connectIn(t *testing.T, ctx context.Context, cli *core.Endpoint) core.Conn {
-	raw, err := u.net.DialFrom(ctx, "h", core.Addr{Net: "pipe", Addr: "svc"})
+	raw, err := u.dial(ctx)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -419,7 +438,7 @@ func TestSplicedStalledClientsDelayNoConnect(t *testing.T) {
 	for i := 0; i < stalledClients; i++ {
 		ep, _ := core.NewEndpoint("stalled", spec.Seq(), core.WithRegistry(u.reg), core.WithEnv(env))
 		go func() {
-			raw, err := u.net.DialFrom(ctx, "h", core.Addr{Net: "pipe", Addr: "svc"})
+			raw, err := u.dial(ctx)
 			if err == nil {
 				var conn core.Conn
 				if conn, err = ep.Connect(ctx, raw); err == nil {
@@ -553,6 +572,88 @@ func TestSpliceRetainsNoTimer(t *testing.T) {
 			t.Logf("%.2f heap objects retained per lifecycle", retained)
 		})
 	}
+}
+
+// TestResumedConnectOpensOneSocket: over a UDP base listener, a resumed
+// Connect makes one socket, the unix one it resumes on. The raw
+// connection it is handed, fresh from transport.DialUDP each lifecycle,
+// carries nothing and is closed unused, so it never opens a socket. The
+// test counts the process's open files (/proc/self/fd) when the Resumer
+// has dialed the unix socket, which is the most Connect holds at once,
+// again once the connection is up, and once both sides have closed it.
+// While DialUDP opened its socket at the dial, Connect held two new
+// files at the unix dial: the UDP socket and the unix one.
+func TestResumedConnectOpensOneSocket(t *testing.T) {
+	if runtime.GOOS != "linux" {
+		t.Skip("counts open files in /proc/self/fd, which is linux's")
+	}
+	base, err := transport.ListenUDP("h", "127.0.0.1:0")
+	if err != nil {
+		t.Fatal(err)
+	}
+	u := newUnixSpliceOver(t, base, func(context.Context) (core.Conn, error) {
+		return transport.DialUDP("h", base.Addr().Addr)
+	})
+	var atDial map[string]bool
+	d := &transport.MultiDialer{HostID: "h"}
+	env := core.NewEnv("h")
+	env.SetDialer(core.DialerFunc(func(ctx context.Context, addr core.Addr) (core.Conn, error) {
+		c, err := d.Dial(ctx, addr)
+		atDial = openFiles(t)
+		return c, err
+	}))
+	tel := telemetry.New()
+	cli, _ := core.NewEndpoint("cli", spec.Seq(), core.WithRegistry(u.reg), core.WithEnv(env), core.WithTelemetry(tel))
+	u.lifecycle(t, cli) // negotiated over UDP; leaves a ticket
+	ctx := ctxT(t)
+	for i := 0; i < 5; i++ {
+		resumes := tel.Counter("core/resumes").Value()
+		before := openFiles(t)
+		conn := u.connectIn(t, ctx, cli)
+		if tel.Counter("core/resumes").Value() == resumes {
+			t.Fatalf("connection %d was not resumed", i)
+		}
+		if n := newFiles(before, atDial); n != 1 {
+			t.Errorf("connection %d: %d new files open at the unix dial, want 1: the unix socket", i, n)
+		}
+		if n := newFiles(before, openFiles(t)); n != 1 {
+			t.Errorf("connection %d: %d new files open while connected, want 1", i, n)
+		}
+		u.echoAndClose(t, ctx, conn)
+		if n := newFiles(before, openFiles(t)); n != 0 {
+			t.Errorf("connection %d: %d new files open after both sides closed, want 0", i, n)
+		}
+	}
+}
+
+// openFiles lists what the process's file descriptors refer to (a
+// socket reads "socket:[inode]"). Keyed by what they refer to rather
+// than by number, a new socket is told apart from one that took the
+// number of a file another part of the process closed meanwhile.
+func openFiles(t *testing.T) map[string]bool {
+	t.Helper()
+	ents, err := os.ReadDir("/proc/self/fd")
+	if err != nil {
+		t.Fatal(err)
+	}
+	files := make(map[string]bool, len(ents))
+	for _, e := range ents {
+		if target, err := os.Readlink("/proc/self/fd/" + e.Name()); err == nil {
+			files[target] = true
+		}
+	}
+	return files
+}
+
+// newFiles counts the files open in after that were not in before.
+func newFiles(before, after map[string]bool) int {
+	n := 0
+	for f := range after {
+		if !before[f] {
+			n++
+		}
+	}
+	return n
 }
 
 // liveHeapObjects counts the heap's objects after two full collections,

@@ -249,6 +249,67 @@ func TestResumeNeedsDirectConn(t *testing.T) {
 	}
 }
 
+// recordingConn is a direct raw connection that records which of its
+// methods were called.
+type recordingConn struct {
+	core.Conn
+	mu    sync.Mutex
+	calls []string
+}
+
+func (r *recordingConn) record(m string) {
+	r.mu.Lock()
+	r.calls = append(r.calls, m)
+	r.mu.Unlock()
+}
+
+func (r *recordingConn) Direct() bool { r.record("Direct"); return true }
+
+func (r *recordingConn) Send(ctx context.Context, p []byte) error {
+	r.record("Send")
+	return r.Conn.Send(ctx, p)
+}
+
+func (r *recordingConn) Recv(ctx context.Context) ([]byte, error) {
+	r.record("Recv")
+	return r.Conn.Recv(ctx)
+}
+
+func (r *recordingConn) LocalAddr() core.Addr  { r.record("LocalAddr"); return r.Conn.LocalAddr() }
+func (r *recordingConn) RemoteAddr() core.Addr { r.record("RemoteAddr"); return r.Conn.RemoteAddr() }
+func (r *recordingConn) Close() error          { r.record("Close"); return r.Conn.Close() }
+
+// TestResumeTouchesOnlyDirectRemoteAddrClose: a resumed Connect asks its
+// raw connection whether it is direct and where it goes, and closes it.
+// It sends and receives nothing on it and asks for no local address (the
+// client's Env names its host), so a transport that opens its socket on
+// first use never opens one for a resumed connection.
+func TestResumeTouchesOnlyDirectRemoteAddrClose(t *testing.T) {
+	r := newResumeRig(t)
+	if r.lifecycle(t) {
+		t.Fatal("the first connection was resumed")
+	}
+	var rec *recordingConn
+	r.wrap = func(c core.Conn) core.Conn {
+		rec = &recordingConn{Conn: c}
+		return rec
+	}
+	if !r.lifecycle(t) {
+		t.Fatalf("the connection was not resumed: %q", lastResumeEvent(r.telC))
+	}
+	allowed := map[string]bool{"Direct": true, "RemoteAddr": true, "Close": true}
+	rec.mu.Lock()
+	defer rec.mu.Unlock()
+	for _, m := range rec.calls {
+		if !allowed[m] {
+			t.Errorf("a resumed Connect called raw's %s (calls: %v), want only Direct, RemoteAddr and Close", m, rec.calls)
+		}
+	}
+	if !slices.Contains(rec.calls, "Close") {
+		t.Errorf("a resumed Connect left raw open (calls: %v)", rec.calls)
+	}
+}
+
 // TestResumeRejectsReplayedTicket: a ticket is single use. Presented
 // again, the server rejects it, and the client gets its connection
 // negotiated cold.

@@ -230,10 +230,16 @@ func (e *Endpoint) trace(side Side, kind string, ev telemetry.TraceEvent) {
 // on the Resumer's own connection (resume.go); raw is closed then. A
 // connection to an address this endpoint holds a ticket for is resumed
 // that way without a hello when raw is a DirectConn. A resume that
-// fails falls back to negotiating on raw.
+// fails falls back to negotiating on raw. A resume touches nothing of
+// raw but Direct, RemoteAddr and Close, and asks it for no local address
+// when the endpoint's Env names its host: a transport that opens its
+// socket on first use (transport.DialUDP) then never opens one.
 func (e *Endpoint) Connect(ctx context.Context, raw Conn) (Conn, error) {
 	snap := e.registry.snapshot()
-	host := hostOr(e.env.Host, raw.LocalAddr().Host)
+	host := e.env.Host
+	if host == "" {
+		host = raw.LocalAddr().Host
+	}
 	conn, why := e.resume(ctx, raw, snap, host)
 	if conn != nil {
 		return conn, nil

@@ -8,6 +8,7 @@ import (
 	"net/netip"
 	"os"
 	"sync"
+	"sync/atomic"
 	"time"
 
 	"github.com/bertha-net/bertha/internal/core"
@@ -34,42 +35,67 @@ func ListenUDP(hostID, bind string) (core.Listener, error) {
 	return newDemuxListener(udpPC{pc}, addr), nil
 }
 
-// DialUDP opens a connected datagram connection to raddr. A literal
-// address ("127.0.0.1:9000", "[::1]:9000") is parsed in place; only a
-// hostname goes through the resolver.
+// DialUDP returns a datagram connection to raddr. A literal address
+// ("127.0.0.1:9000", "[::1]:9000") is parsed in place; only a hostname
+// goes through the resolver, and a resolution error is DialUDP's. The
+// socket is opened on first use: the first send, receive or LocalAddr
+// makes it, connects it and registers it with the poller, and returns
+// the error when that fails. A connection closed before its first use
+// never had a socket; a resumed core.Endpoint.Connect closes the raw
+// connection it was handed that way. A UDP connect(2) sends nothing, so
+// opening late changes nothing on the wire.
 func DialUDP(hostID, raddr string) (core.Conn, error) {
-	var ua *net.UDPAddr
-	if ap, err := netip.ParseAddrPort(raddr); err == nil {
-		ua = net.UDPAddrFromAddrPort(ap)
-	} else if ua, err = net.ResolveUDPAddr("udp", raddr); err != nil {
-		return nil, fmt.Errorf("transport: resolve %q: %w", raddr, err)
-	}
-	uc, err := net.DialUDP("udp", nil, ua)
+	ap, err := netip.ParseAddrPort(raddr)
 	if err != nil {
-		return nil, fmt.Errorf("transport: dial udp %q: %w", raddr, err)
+		ua, rerr := net.ResolveUDPAddr("udp", raddr)
+		if rerr != nil {
+			return nil, fmt.Errorf("transport: resolve %q: %w", raddr, rerr)
+		}
+		ap = ua.AddrPort()
 	}
-	// Formatted as the net.UDPAddr would print it: IPv4 unmapped.
-	lap := uc.LocalAddr().(*net.UDPAddr).AddrPort()
-	local := netip.AddrPortFrom(lap.Addr().Unmap(), lap.Port()).String()
 	return &socketConn{
-		conn:   uc,
-		local:  core.Addr{Net: "udp", Host: hostID, Addr: local},
+		raddr:  ap,
+		local:  core.Addr{Net: "udp", Host: hostID},
 		remote: core.Addr{Net: "udp", Host: "", Addr: raddr},
 		tel:    countersFor("udp"),
-		rsem:   make(chan struct{}, 1),
 	}, nil
 }
 
-// socketConn adapts a connected net datagram socket to core.Conn.
+// socketConn adapts a connected net datagram socket to core.Conn. The
+// socket is opened once, by the first call that needs it (ready), and
+// everything only a live socket uses is allocated then, in socketIO: a
+// connection that is closed unused is this small struct and nothing
+// else.
 type socketConn struct {
-	conn          net.Conn
+	// opened is set once the socket is open: the one atomic load every
+	// call that touches the socket makes first (ready).
+	opened atomic.Bool
+	// *socketIO is the live socket's state, nil until open makes it. It
+	// is written once, under omu and before opened is set, so a call that
+	// has seen opened reads it without a lock.
+	*socketIO
+	// omu orders open against Close. unusable, which it guards, is why
+	// the socket will not open: the error its dial returned, or
+	// core.ErrClosed once the connection was closed unopened.
+	omu      sync.Mutex
+	unusable error
+	// raddr is where a UDP connection's socket connects when it opens.
+	raddr netip.AddrPort
+	// local is complete once the socket is open: a UDP socket's port is
+	// the kernel's choice.
 	local, remote core.Addr
 	// tel is the transport kind's shared datagram counters, resolved at
 	// construction (constructors must set it).
 	tel       *netCounters
 	closeOnce sync.Once
 	closeErr  error
+}
 
+// socketIO is an open socketConn's socket and what only a live socket
+// needs: the locks, deadlines and batch scratch of both directions and
+// the read-ahead queue, some 14 KB.
+type socketIO struct {
+	conn net.Conn
 	// wmu serializes writes *and* write-deadline management: the socket
 	// has one write deadline, so concurrent senders with different
 	// context deadlines must take turns arming it (wdl).
@@ -85,9 +111,9 @@ type socketConn struct {
 	// the read-ahead queue rq and the read deadline rdl by the receiver
 	// role rsem (lockRecv), which serializes receivers: one of them at a
 	// time reads the socket, the others find what it read ahead. The role
-	// is a one-slot channel (constructors must make it), not a mutex,
-	// because its holder parks in the socket for as long as its context
-	// allows and a waiter with a shorter context must be able to give up.
+	// is a one-slot channel, not a mutex, because its holder parks in the
+	// socket for as long as its context allows and a waiter with a
+	// shorter context must be able to give up.
 	sendmm mmsgState
 	rsem   chan struct{}
 	rdl    stickyDeadline
@@ -96,6 +122,60 @@ type socketConn struct {
 	// rpark is the cancellation state of the receive in flight, also
 	// guarded by the receiver role.
 	rpark recvPark
+}
+
+// ready is the open-once fast path every call that touches the socket
+// takes first: one atomic load once the socket is open, else open.
+func (s *socketConn) ready() error {
+	if s.opened.Load() {
+		return nil
+	}
+	return s.open()
+}
+
+// open makes the connection's socket unless it is open already or will
+// not open. A failed open fails every later call with its error.
+func (s *socketConn) open() error {
+	s.omu.Lock()
+	defer s.omu.Unlock()
+	if s.opened.Load() {
+		return nil
+	}
+	if s.unusable != nil {
+		return s.unusable
+	}
+	var c net.Conn
+	var err error
+	if s.remote.Net == "unix" {
+		c, err = s.dialUnix()
+	} else {
+		c, err = s.dialUDP()
+	}
+	if err != nil {
+		s.unusable = err
+		return err
+	}
+	s.attach(c)
+	return nil
+}
+
+// dialUDP makes a UDP connection's socket, connected to raddr, and
+// completes the local address with the port the kernel bound.
+func (s *socketConn) dialUDP() (net.Conn, error) {
+	uc, err := net.DialUDP("udp", nil, net.UDPAddrFromAddrPort(s.raddr))
+	if err != nil {
+		return nil, fmt.Errorf("transport: dial udp %q: %w", s.remote.Addr, err)
+	}
+	// Formatted as the net.UDPAddr would print it: IPv4 unmapped.
+	lap := uc.LocalAddr().(*net.UDPAddr).AddrPort()
+	s.local.Addr = netip.AddrPortFrom(lap.Addr().Unmap(), lap.Port()).String()
+	return uc, nil
+}
+
+// attach makes c the connection's open socket.
+func (s *socketConn) attach(c net.Conn) {
+	s.socketIO = &socketIO{conn: c, rsem: make(chan struct{}, 1)}
+	s.opened.Store(true)
 }
 
 // lockRecv takes the receiver role, or fails with ctx's error when ctx
@@ -170,6 +250,9 @@ func (s *socketConn) staleTimeout(dl *stickyDeadline, err error, d time.Time, ha
 }
 
 func (s *socketConn) Send(ctx context.Context, p []byte) error {
+	if err := s.ready(); err != nil {
+		return err
+	}
 	if len(p) > MaxDatagram {
 		return fmt.Errorf("%w: %d bytes", core.ErrMessageTooLarge, len(p))
 	}
@@ -215,6 +298,10 @@ func (s *socketConn) SendBufs(ctx context.Context, bs []*wire.Buf) error {
 			return &core.BatchError{Sent: 0, Err: err}
 		}
 		return nil
+	}
+	if err := s.ready(); err != nil {
+		core.ReleaseAll(bs)
+		return &core.BatchError{Sent: 0, Err: err}
 	}
 	s.wmu.Lock()
 	d, hasDeadline := s.arm(&s.wdl, ctx)
@@ -537,6 +624,9 @@ func (s *socketConn) RecvBufs(ctx context.Context, into []*wire.Buf) (int, error
 	if len(into) == 0 {
 		return 0, nil
 	}
+	if err := s.ready(); err != nil {
+		return 0, err
+	}
 	if err := s.lockRecv(ctx); err != nil {
 		return 0, err
 	}
@@ -570,6 +660,9 @@ func (s *socketConn) Recv(ctx context.Context) ([]byte, error) {
 // buffer keeps the headroom a reply path needs to prepend its headers
 // without reallocating.
 func (s *socketConn) RecvBuf(ctx context.Context) (*wire.Buf, error) {
+	if err := s.ready(); err != nil {
+		return nil, err
+	}
 	if err := s.lockRecv(ctx); err != nil {
 		return nil, err
 	}
@@ -582,7 +675,13 @@ func (s *socketConn) RecvBuf(ctx context.Context) (*wire.Buf, error) {
 	return s.rq.pop(), nil
 }
 
-func (s *socketConn) LocalAddr() core.Addr  { return s.local }
+// LocalAddr opens the socket, if it is not open, to report the port it
+// is bound to.
+func (s *socketConn) LocalAddr() core.Addr {
+	s.ready()
+	return s.local
+}
+
 func (s *socketConn) RemoteAddr() core.Addr { return s.remote }
 
 // Direct implements core.DirectConn: a socket connection is the
@@ -593,9 +692,19 @@ func (s *socketConn) Direct() bool { return true }
 // nobody took and spare receive buffers — to the pool. The socket goes
 // first: that fails a receiver blocked in it out of the receiver role,
 // and no receive callback runs on a closed fd, so the queue cannot refill
-// afterwards.
+// afterwards. A connection that never opened makes no syscall, and will
+// not open after: every later call fails with core.ErrClosed.
 func (s *socketConn) Close() error {
 	s.closeOnce.Do(func() {
+		s.omu.Lock()
+		opened := s.opened.Load()
+		if !opened {
+			s.unusable = core.ErrClosed
+		}
+		s.omu.Unlock()
+		if !opened {
+			return
+		}
 		s.closeErr = s.conn.Close()
 		s.rsem <- struct{}{}
 		s.rq.release()

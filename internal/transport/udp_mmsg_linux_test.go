@@ -84,7 +84,7 @@ func rejectingConn(t *testing.T, errno syscall.Errno) (s *socketConn, peer int, 
 	}
 	t.Cleanup(func() { syscall.Close(fds[0]); syscall.Close(fds[1]) })
 
-	s = &socketConn{tel: countersFor("udp")}
+	s = &socketConn{tel: countersFor("udp"), socketIO: &socketIO{}}
 	m := &s.sendmm
 	m.tried = true // skip initRaw: drive the callbacks over the raw fd
 	m.raw = rawFD(fds[0])

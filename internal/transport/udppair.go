@@ -54,13 +54,13 @@ func udpPairOnce(hostA, hostB string) (core.Conn, core.Conn, error) {
 		return nil, nil, err
 	}
 	mk := func(c *net.UDPConn, host, peerHost string) *socketConn {
-		return &socketConn{
-			conn:   c,
+		s := &socketConn{
 			local:  core.Addr{Net: "udp", Host: host, Addr: c.LocalAddr().String()},
 			remote: core.Addr{Net: "udp", Host: peerHost, Addr: c.RemoteAddr().String()},
 			tel:    countersFor("udp"),
-			rsem:   make(chan struct{}, 1),
 		}
+		s.attach(c)
+		return s
 	}
 	return mk(ca, hostA, hostB), mk(cb, hostB, hostA), nil
 }

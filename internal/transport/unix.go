@@ -116,7 +116,8 @@ func (u unixPC) WriteTo(b []byte, addr net.Addr) (int, error) {
 // file is created. Otherwise — another namespace, or none named — the
 // listener could not answer an abstract name (those are per namespace),
 // so the client's socket is a file beside the listener, removed on
-// Close. The connection's remote address is addr, as given.
+// Close. The connection's remote address is addr, as given. Unlike
+// DialUDP's, the socket is opened here: a unix client's is used at once.
 func DialUnix(hostID, addr string) (core.Conn, error) {
 	path, ns, _ := strings.Cut(addr, "\x00")
 	var name, file string
@@ -130,21 +131,30 @@ func DialUnix(hostID, addr string) (core.Conn, error) {
 		name = clientSockPath(dir)
 		file = name
 	}
-	uc, err := net.DialUnix("unixgram",
-		&net.UnixAddr{Name: name, Net: "unixgram"}, &net.UnixAddr{Name: path, Net: "unixgram"})
-	if err != nil {
-		return nil, fmt.Errorf("transport: dial unixgram %q: %w", path, err)
-	}
-	return &unixConn{
+	u := &unixConn{
 		socketConn: socketConn{
-			conn:   uc,
 			local:  core.Addr{Net: "unix", Host: hostID, Addr: name},
 			remote: core.Addr{Net: "unix", Host: hostID, Addr: addr},
 			tel:    countersFor("unix"),
-			rsem:   make(chan struct{}, 1),
 		},
 		file: file,
-	}, nil
+	}
+	if err := u.open(); err != nil {
+		return nil, err
+	}
+	return u, nil
+}
+
+// dialUnix makes a unix client's socket, bound to its local name and
+// connected to the listener's path.
+func (s *socketConn) dialUnix() (net.Conn, error) {
+	path, _, _ := strings.Cut(s.remote.Addr, "\x00")
+	uc, err := net.DialUnix("unixgram",
+		&net.UnixAddr{Name: s.local.Addr, Net: "unixgram"}, &net.UnixAddr{Name: path, Net: "unixgram"})
+	if err != nil {
+		return nil, fmt.Errorf("transport: dial unixgram %q: %w", path, err)
+	}
+	return uc, nil
 }
 
 // maxUnixPath is the longest socket path a sockaddr_un holds: sun_path
