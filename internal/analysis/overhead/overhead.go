@@ -1,9 +1,9 @@
 // Package overhead checks that each chunnel implementation's send path
 // prepends no more bytes than its registered core.ImplInfo declares in
-// SendOverhead — the bound core/runtime's assemble sums into
-// Env.StackHeadroom. If a SendBuf prepends more than declared, the
-// stack under-allocates headroom and every send falls off the zero-copy
-// fast path (or worse, reallocates mid-stack).
+// SendOverhead — the figure its connection's Headroom adds to the layer
+// below's. If a SendBuf prepends more than declared, the stack
+// under-allocates headroom and every send falls off the zero-copy fast
+// path (or worse, reallocates mid-stack).
 //
 // Diagnostic categories:
 //

@@ -15,7 +15,6 @@ package lb
 import (
 	"context"
 	"fmt"
-	"sync"
 	"sync/atomic"
 
 	"github.com/bertha-net/bertha/internal/chunnels/base"
@@ -85,88 +84,29 @@ func RegisterServer(reg *core.Registry) {
 	})
 }
 
-// wrapClient: the client dials every backend and round-robins requests.
+// wrapClient: the client dials every backend and round-robins requests;
+// replies come back on any of them, or on the canonical connection.
 func wrapClient(ctx context.Context, conn core.Conn, args, params []wire.Value, side core.Side, env *core.Env) (core.Conn, error) {
 	backends, err := decodeBackends(args)
 	if err != nil {
 		return nil, err
 	}
-	d := env.Dialer()
-	if d == nil {
-		return nil, fmt.Errorf("lb: no dialer in environment")
+	conns, err := core.DialAll(ctx, env, backends)
+	if err != nil {
+		return nil, fmt.Errorf("lb: %w", err)
 	}
-	conns := make([]core.Conn, len(backends))
-	for i, a := range backends {
-		c, err := d.Dial(ctx, a)
-		if err != nil {
-			for _, open := range conns[:i] {
-				open.Close()
-			}
-			return nil, fmt.Errorf("lb: dial backend %d (%s): %w", i, a, err)
-		}
-		conns[i] = c
-	}
-	bc := &balancedConn{canonical: conn, backends: conns, in: make(chan []byte, 1024)}
-	bc.ctx, bc.cancel = context.WithCancel(context.Background())
-	for _, c := range conns {
-		go bc.fanIn(c)
-	}
-	return bc, nil
+	return &balancedConn{FanIn: core.NewFanIn(append([]core.Conn{conn}, conns...)), backends: conns}, nil
 }
 
 type balancedConn struct {
-	canonical core.Conn
-	backends  []core.Conn
-	rr        atomic.Uint64
-	in        chan []byte
-
-	ctx    context.Context
-	cancel context.CancelFunc
-	once   sync.Once
-}
-
-func (b *balancedConn) fanIn(c core.Conn) {
-	for {
-		m, err := c.Recv(b.ctx)
-		if err != nil {
-			return
-		}
-		select {
-		case b.in <- m:
-		case <-b.ctx.Done():
-			return
-		}
-	}
+	*core.FanIn
+	backends []core.Conn
+	rr       atomic.Uint64
 }
 
 func (b *balancedConn) Send(ctx context.Context, p []byte) error {
 	i := int(b.rr.Add(1)-1) % len(b.backends)
 	return b.backends[i].Send(ctx, p)
-}
-
-func (b *balancedConn) Recv(ctx context.Context) ([]byte, error) {
-	select {
-	case m := <-b.in:
-		return m, nil
-	case <-b.ctx.Done():
-		return nil, core.ErrClosed
-	case <-ctx.Done():
-		return nil, ctx.Err()
-	}
-}
-
-func (b *balancedConn) LocalAddr() core.Addr  { return b.canonical.LocalAddr() }
-func (b *balancedConn) RemoteAddr() core.Addr { return b.canonical.RemoteAddr() }
-
-func (b *balancedConn) Close() error {
-	b.once.Do(func() {
-		b.cancel()
-		for _, c := range b.backends {
-			c.Close()
-		}
-		b.canonical.Close()
-	})
-	return nil
 }
 
 // wrapServer: an L7 proxy at the server relays requests round-robin and
@@ -176,71 +116,22 @@ func wrapServer(ctx context.Context, conn core.Conn, args, params []wire.Value, 
 	if err != nil {
 		return nil, err
 	}
-	d := env.Dialer()
-	if d == nil {
-		return nil, fmt.Errorf("lb: no dialer in environment")
+	fwd, err := core.DialAll(ctx, env, backends)
+	if err != nil {
+		return nil, fmt.Errorf("lb: %w", err)
 	}
-	fwd := make([]core.Conn, len(backends))
-	for i, a := range backends {
-		c, err := d.Dial(ctx, a)
-		if err != nil {
-			for _, open := range fwd[:i] {
-				open.Close()
-			}
-			return nil, fmt.Errorf("lb: dial backend %d (%s): %w", i, a, err)
-		}
-		fwd[i] = c
+	c := core.NewCaptive(conn, fwd...)
+	for _, f := range fwd {
+		c.Go(func(ctx context.Context) { core.Relay(ctx, f, conn) })
 	}
-	pctx, cancel := context.WithCancel(context.Background())
-	for _, c := range fwd {
-		go func(c core.Conn) {
-			for {
-				m, err := c.Recv(pctx)
-				if err != nil {
-					return
-				}
-				if err := conn.Send(pctx, m); err != nil {
-					return
-				}
-			}
-		}(c)
-	}
-	var rr atomic.Uint64
-	go func() {
-		for {
-			m, err := conn.Recv(pctx)
+	c.Go(func(ctx context.Context) {
+		for rr := 0; ; rr++ {
+			m, err := conn.Recv(ctx)
 			if err != nil {
 				return
 			}
-			i := int(rr.Add(1)-1) % len(fwd)
-			_ = fwd[i].Send(pctx, m)
+			_ = fwd[rr%len(fwd)].Send(ctx, m)
 		}
-	}()
-	return &proxyConn{conn: conn, cancel: cancel, fwd: fwd}, nil
-}
-
-// proxyConn is the captive server-side view of a proxied connection.
-type proxyConn struct {
-	conn   core.Conn
-	cancel context.CancelFunc
-	fwd    []core.Conn
-	once   sync.Once
-}
-
-func (p *proxyConn) Send(ctx context.Context, b []byte) error { return p.conn.Send(ctx, b) }
-func (p *proxyConn) Recv(ctx context.Context) ([]byte, error) {
-	<-ctx.Done()
-	return nil, ctx.Err()
-}
-func (p *proxyConn) LocalAddr() core.Addr  { return p.conn.LocalAddr() }
-func (p *proxyConn) RemoteAddr() core.Addr { return p.conn.RemoteAddr() }
-func (p *proxyConn) Close() error {
-	p.once.Do(func() {
-		p.cancel()
-		for _, c := range p.fwd {
-			c.Close()
-		}
-		p.conn.Close()
 	})
-	return nil
+	return c, nil
 }

@@ -9,6 +9,7 @@ import (
 	"github.com/bertha-net/bertha/internal/chunnels/lb"
 	"github.com/bertha-net/bertha/internal/core"
 	"github.com/bertha-net/bertha/internal/spec"
+	"github.com/bertha-net/bertha/internal/testutil"
 	"github.com/bertha-net/bertha/internal/transport"
 )
 
@@ -166,5 +167,46 @@ func TestEmptyBackendsRejected(t *testing.T) {
 	raw, _ := pn.Dial(ctx, core.Addr{Net: "pipe", Addr: "empty"})
 	if _, err := cliEp.Connect(ctx, raw); err == nil {
 		t.Error("empty backend list should fail negotiation")
+	}
+}
+
+// TestProxyCloseJoins: the server proxy's captive joins its reply relays
+// and its ingress loop: none is left when Close returns.
+func TestProxyCloseJoins(t *testing.T) {
+	ctx := ctxT(t)
+	pn := transport.NewPipeNetwork()
+	addrs := backends(t, pn, 2)
+	reg := core.NewRegistry()
+	lb.RegisterServer(reg)
+	impl, _ := reg.Lookup(lb.ImplServer)
+	env := core.NewEnv("srvhost")
+	env.SetDialer(pn.Dialer("srvhost"))
+	a := core.Addr{Net: "pipe", Host: "srvhost", Addr: "svc"}
+	conn, peer := transport.Pipe(a, a, 16)
+	defer peer.Close()
+	var proxy core.Conn
+	var err error
+	running := testutil.Track(ctx, func() {
+		proxy, err = impl.Wrap(ctx, conn, lb.Node(addrs).Args, nil, core.SideServer, env)
+	})
+	if err != nil {
+		t.Fatal(err)
+	}
+	// One request through the proxy and its reply back: every loop runs.
+	if err := peer.Send(ctx, []byte("q")); err != nil {
+		t.Fatal(err)
+	}
+	if m, err := peer.Recv(ctx); err != nil || len(m) != 2 {
+		t.Fatalf("reply %q, %v", m, err)
+	}
+	const fn = "lb.wrapServer.func"
+	for deadline := time.Now().Add(2 * time.Second); running(fn) < 3; time.Sleep(time.Millisecond) {
+		if time.Now().After(deadline) {
+			t.Fatalf("%d of the proxy's 3 goroutines running", running(fn))
+		}
+	}
+	proxy.Close()
+	if n := running(fn); n != 0 {
+		t.Errorf("%d of the proxy's goroutines left when Close returned", n)
 	}
 }

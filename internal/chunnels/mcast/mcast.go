@@ -230,7 +230,18 @@ func (im *Impl) params(ctx context.Context, env *core.Env, args []wire.Value) ([
 // on the shared group services, so the negotiated connection is captive.
 func (im *Impl) wrap(ctx context.Context, conn core.Conn, args, params []wire.Value, side core.Side, env *core.Env) (core.Conn, error) {
 	if side == core.SideServer {
-		return newCaptive(conn), nil
+		// Nothing arrives here but retransmitted handshakes over lossy
+		// links, which the tagged layer re-answers during the drain's
+		// receives.
+		c := core.NewCaptive(conn)
+		c.Go(func(ctx context.Context) {
+			for {
+				if _, err := conn.Recv(ctx); err != nil {
+					return
+				}
+			}
+		})
+		return c, nil
 	}
 	// Single-peer client connect: treat as a group of one.
 	return im.WrapMulti(ctx, []core.Conn{conn}, args, params, side, env)
@@ -307,42 +318,6 @@ func (c *clientConn) Close() error {
 		}
 	})
 	return nil
-}
-
-// captive is the server-side per-connection placeholder. It drains the
-// underlying connection in the background: ordered-multicast data flows
-// through the group ingest service, so nothing arrives here except
-// retransmitted handshakes over lossy links, which the tagged layer
-// re-answers during the drain's Recv calls.
-type captive struct {
-	conn   core.Conn
-	cancel context.CancelFunc
-	once   sync.Once
-}
-
-func newCaptive(conn core.Conn) *captive {
-	ctx, cancel := context.WithCancel(context.Background())
-	c := &captive{conn: conn, cancel: cancel}
-	go func() {
-		for {
-			if _, err := conn.Recv(ctx); err != nil {
-				return
-			}
-		}
-	}()
-	return c
-}
-
-func (c *captive) Send(ctx context.Context, p []byte) error { return c.conn.Send(ctx, p) }
-func (c *captive) Recv(ctx context.Context) ([]byte, error) {
-	<-ctx.Done()
-	return nil, ctx.Err()
-}
-func (c *captive) LocalAddr() core.Addr  { return c.conn.LocalAddr() }
-func (c *captive) RemoteAddr() core.Addr { return c.conn.RemoteAddr() }
-func (c *captive) Close() error {
-	c.once.Do(c.cancel)
-	return c.conn.Close()
 }
 
 func putU64(b []byte, off int, v uint64) { binary.LittleEndian.PutUint64(b[off:off+8], v) }

@@ -11,6 +11,8 @@ import (
 	"github.com/bertha-net/bertha/internal/core"
 	"github.com/bertha-net/bertha/internal/simnet"
 	"github.com/bertha-net/bertha/internal/spec"
+	"github.com/bertha-net/bertha/internal/testutil"
+	"github.com/bertha-net/bertha/internal/transport"
 )
 
 func ctxT(t *testing.T) context.Context {
@@ -358,4 +360,32 @@ func TestHostFallbackWorksWithoutSwitchEnv(t *testing.T) {
 		}
 	}
 	sameOrder(t, d, 5)
+}
+
+// TestReplicaCaptiveCloseJoins: a replica's per-connection captive joins
+// the goroutine that drains it: none is left when Close returns.
+func TestReplicaCaptiveCloseJoins(t *testing.T) {
+	ctx := ctxT(t)
+	im := mcast.RegisterHost(core.NewRegistry())
+	a := core.Addr{Net: "pipe", Host: "r1", Addr: "r1"}
+	conn, peer := transport.Pipe(a, a, 16)
+	defer peer.Close()
+	var c core.Conn
+	var err error
+	running := testutil.Track(ctx, func() {
+		c, err = im.Wrap(ctx, conn, mcast.Node(gid, replicaHosts).Args, nil, core.SideServer, core.NewEnv("r1"))
+	})
+	if err != nil {
+		t.Fatal(err)
+	}
+	const fn = "mcast.(*Impl).wrap.func"
+	for deadline := time.Now().Add(2 * time.Second); running(fn) < 1; time.Sleep(time.Millisecond) {
+		if time.Now().After(deadline) {
+			t.Fatal("the captive's drain is not running")
+		}
+	}
+	c.Close()
+	if n := running(fn); n != 0 {
+		t.Errorf("%d of the captive's goroutines left when Close returned", n)
+	}
 }

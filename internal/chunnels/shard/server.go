@@ -74,9 +74,11 @@ func (s *serverImpl) wrap(ctx context.Context, conn core.Conn, args, params []wi
 	if err != nil {
 		return nil, err
 	}
-	d := env.Dialer()
-	if d == nil {
-		return nil, fmt.Errorf("shard: no dialer in environment")
+	// One forwarding connection per (client, shard) so replies route
+	// back to the right client without protocol changes.
+	fwd, err := core.DialAll(ctx, env, addrs)
+	if err != nil {
+		return nil, fmt.Errorf("shard: %w", err)
 	}
 	s.mu.Lock()
 	if !s.started {
@@ -85,85 +87,24 @@ func (s *serverImpl) wrap(ctx context.Context, conn core.Conn, args, params []wi
 	}
 	s.mu.Unlock()
 
-	// One forwarding connection per (client, shard) so replies route
-	// back to the right client without protocol changes.
-	fwd := make([]core.Conn, len(addrs))
-	for i, a := range addrs {
-		c, err := d.Dial(ctx, a)
-		if err != nil {
-			for _, open := range fwd[:i] {
-				open.Close()
-			}
-			return nil, fmt.Errorf("shard: dial shard %d (%s): %w", i, a, err)
-		}
-		fwd[i] = c
-	}
-
-	pctx, cancel := context.WithCancel(context.Background())
+	c := core.NewCaptive(conn, fwd...)
 	// Reply pumps: shard worker responses relay back to the client.
-	for _, c := range fwd {
-		go func(c core.Conn) {
-			for {
-				m, err := c.Recv(pctx)
-				if err != nil {
-					return
-				}
-				if err := conn.Send(pctx, m); err != nil {
-					return
-				}
-			}
-		}(c)
+	for _, f := range fwd {
+		c.Go(func(ctx context.Context) { core.Relay(ctx, f, conn) })
 	}
 	// Ingress pump: client requests go to the shared steering worker.
-	go func() {
+	c.Go(func(ctx context.Context) {
 		for {
-			m, err := conn.Recv(pctx)
+			m, err := conn.Recv(ctx)
 			if err != nil {
 				return
 			}
-			item := steerItem{payload: m, fwd: fwd[fh.Apply(m)]}
 			select {
-			case s.steerCh <- item:
-			case <-pctx.Done():
+			case s.steerCh <- steerItem{payload: m, fwd: fwd[fh.Apply(m)]}:
+			case <-ctx.Done():
 				return
 			}
 		}
-	}()
-
-	return &captiveConn{conn: conn, cancel: cancel, extra: fwd}, nil
-}
-
-// captiveConn is handed to the server application when a steering
-// implementation consumes the connection's traffic: the application
-// holds it (and closes it), but data flows through the shard workers.
-type captiveConn struct {
-	conn   core.Conn
-	cancel context.CancelFunc
-	extra  []core.Conn
-	once   sync.Once
-}
-
-func (c *captiveConn) Send(ctx context.Context, p []byte) error {
-	return c.conn.Send(ctx, p)
-}
-
-// Recv blocks until the connection closes: steered traffic is delivered
-// to the shard workers, not the accepting application loop.
-func (c *captiveConn) Recv(ctx context.Context) ([]byte, error) {
-	<-ctx.Done()
-	return nil, ctx.Err()
-}
-
-func (c *captiveConn) LocalAddr() core.Addr  { return c.conn.LocalAddr() }
-func (c *captiveConn) RemoteAddr() core.Addr { return c.conn.RemoteAddr() }
-
-func (c *captiveConn) Close() error {
-	c.once.Do(func() {
-		c.cancel()
-		for _, e := range c.extra {
-			e.Close()
-		}
-		c.conn.Close()
 	})
-	return nil
+	return c, nil
 }

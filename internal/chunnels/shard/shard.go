@@ -28,7 +28,6 @@ package shard
 import (
 	"context"
 	"fmt"
-	"sync"
 
 	"github.com/bertha-net/bertha/internal/chunnels/base"
 	"github.com/bertha-net/bertha/internal/core"
@@ -144,86 +143,23 @@ func wrapClientPush(ctx context.Context, conn core.Conn, args, params []wire.Val
 	if err != nil {
 		return nil, err
 	}
-	d := env.Dialer()
-	if d == nil {
-		return nil, fmt.Errorf("shard: no dialer in environment")
-	}
-	conns := make([]core.Conn, len(addrs))
-	for i, a := range addrs {
-		c, err := d.Dial(ctx, a)
-		if err != nil {
-			for _, open := range conns[:i] {
-				open.Close()
-			}
-			return nil, fmt.Errorf("shard: dial shard %d (%s): %w", i, a, err)
-		}
-		conns[i] = c
+	conns, err := core.DialAll(ctx, env, addrs)
+	if err != nil {
+		return nil, fmt.Errorf("shard: %w", err)
 	}
 	return newPushConn(conn, conns, fh), nil
 }
 
-// pushConn routes sends to per-shard connections and fans replies in.
+// pushConn routes sends to per-shard connections; replies come back on
+// any of them, or on the canonical connection, through one fan-in.
 type pushConn struct {
-	canonical core.Conn
-	shards    []core.Conn
-	fh        xdp.FieldHash
-	in        chan *wire.Buf
-
-	ctx    context.Context
-	cancel context.CancelFunc
-	fanIns sync.WaitGroup
-	once   sync.Once
+	*core.FanIn
+	shards []core.Conn
+	fh     xdp.FieldHash
 }
 
-// newPushConn starts one fan-in worker per shard connection; Close joins
-// them.
 func newPushConn(canonical core.Conn, shards []core.Conn, fh xdp.FieldHash) *pushConn {
-	p := &pushConn{
-		canonical: canonical,
-		shards:    shards,
-		fh:        fh,
-		in:        make(chan *wire.Buf, 1024),
-	}
-	p.ctx, p.cancel = context.WithCancel(context.Background())
-	for _, c := range shards {
-		p.startFanIn(c)
-	}
-	p.startFanIn(canonical) // canonical address may also carry replies
-	return p
-}
-
-func (p *pushConn) startFanIn(c core.Conn) {
-	p.fanIns.Add(1)
-	go func() {
-		defer p.fanIns.Done()
-		p.fanIn(c)
-	}()
-}
-
-// fanInBurst is how many replies a fan-in worker takes off its
-// connection per receive.
-const fanInBurst = 8
-
-// fanIn forwards one connection's replies, a receive burst at a time: a
-// shard answers a pipelining client's requests together, and they are
-// taken off the socket together.
-func (p *pushConn) fanIn(c core.Conn) {
-	var burst [fanInBurst]*wire.Buf
-	for {
-		n, err := core.RecvBufs(p.ctx, c, burst[:])
-		if err != nil {
-			return
-		}
-		for i, m := range burst[:n] {
-			select {
-			case p.in <- m:
-				burst[i] = nil
-			case <-p.ctx.Done():
-				core.ReleaseAll(burst[i:n])
-				return
-			}
-		}
-	}
+	return &pushConn{FanIn: core.NewFanIn(append([]core.Conn{canonical}, shards...)), shards: shards, fh: fh}
 }
 
 func (p *pushConn) Send(ctx context.Context, b []byte) error {
@@ -262,30 +198,6 @@ func (p *pushConn) SendBufs(ctx context.Context, bs []*wire.Buf) error {
 	return nil
 }
 
-// RecvBufs blocks for the first fanned-in reply, then drains whatever
-// the fan-in workers have already queued.
-func (p *pushConn) RecvBufs(ctx context.Context, into []*wire.Buf) (int, error) {
-	if len(into) == 0 {
-		return 0, nil
-	}
-	b, err := p.RecvBuf(ctx)
-	if err != nil {
-		return 0, err
-	}
-	into[0] = b
-	n := 1
-	for n < len(into) {
-		select {
-		case m := <-p.in:
-			into[n] = m
-			n++
-		default:
-			return n, nil
-		}
-	}
-	return n, nil
-}
-
 // Headroom reports the worst case across shard connections, so one
 // buffer suffices whichever shard the message hashes to.
 func (p *pushConn) Headroom() int {
@@ -296,56 +208,4 @@ func (p *pushConn) Headroom() int {
 		}
 	}
 	return max
-}
-
-func (p *pushConn) Recv(ctx context.Context) ([]byte, error) {
-	b, err := p.RecvBuf(ctx)
-	if err != nil {
-		return nil, err
-	}
-	return b.CopyOut(), nil
-}
-
-// RecvBuf is Recv's zero-copy form. A reply already queued is taken
-// before ctx's Done channel is asked for: a context makes it on first
-// request.
-func (p *pushConn) RecvBuf(ctx context.Context) (*wire.Buf, error) {
-	select {
-	case m := <-p.in:
-		return m, nil
-	default:
-	}
-	select {
-	case m := <-p.in:
-		return m, nil
-	case <-p.ctx.Done():
-		return nil, core.ErrClosed
-	case <-ctx.Done():
-		return nil, ctx.Err()
-	}
-}
-
-func (p *pushConn) LocalAddr() core.Addr  { return p.canonical.LocalAddr() }
-func (p *pushConn) RemoteAddr() core.Addr { return p.canonical.RemoteAddr() }
-
-// Close stops and joins the fan-in workers, then releases the replies
-// they queued that no receive took.
-func (p *pushConn) Close() error {
-	p.once.Do(func() {
-		p.cancel()
-		for _, c := range p.shards {
-			c.Close()
-		}
-		p.canonical.Close()
-		p.fanIns.Wait()
-		for {
-			select {
-			case m := <-p.in:
-				m.Release()
-			default:
-				return
-			}
-		}
-	})
-	return nil
 }

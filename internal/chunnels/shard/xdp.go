@@ -101,13 +101,16 @@ func (x *XDPImpl) wrap(ctx context.Context, conn core.Conn, args, params []wire.
 		return nil, fmt.Errorf("shard: %d queues for %d shards", len(queues), len(addrs))
 	}
 
-	pctx, cancel := context.WithCancel(context.Background())
 	sc := &steeredConn{conn: conn, headroom: core.HeadroomOf(conn)}
-	go x.pump(pctx, sc, queues)
-	return &captiveConn{conn: conn, cancel: func() {
-		cancel()
+	c := core.NewCaptive(conn)
+	c.Go(func(ctx context.Context) {
+		x.pump(ctx, sc, queues)
+		// Replies are taken until the connection closes, and the parked
+		// ones released then.
+		<-ctx.Done()
 		sc.close()
-	}}, nil
+	})
+	return c, nil
 }
 
 // pump is the simulated NIC->XDP path of one connection: it takes the

@@ -54,3 +54,7 @@ const (
 	ResumesCounter        = resumesCounter
 	ResumeRejectedCounter = resumeRejectedCounter
 )
+
+// FanInQueued returns how many messages f holds that no receive has
+// taken, and how many it can hold.
+func FanInQueued(f *FanIn) (n, capacity int) { return len(f.in), cap(f.in) }

@@ -124,11 +124,10 @@ type ImplInfo struct {
 	// registering (or withdrawing) the advertisement.
 	DiscoveryOnly bool
 	// SendOverhead is the number of header bytes this implementation
-	// prepends to each message on Send. The runtime sums it over the
-	// resolved stack at assembly time so the outermost layer can
-	// allocate one buffer with enough headroom for every layer below
-	// (Env.StackHeadroom). It is a local property of the implementation
-	// and is not exchanged during negotiation.
+	// prepends to each message on Send: the figure its connection's
+	// Headroom adds to the layer below's, which berthavet's overhead
+	// analyzer checks the send path against. It is a local property of
+	// the implementation and is not exchanged during negotiation.
 	SendOverhead int
 }
 
@@ -226,7 +225,6 @@ type Env struct {
 	dialer    Dialer
 	resources map[string]any
 	log       []ConfigAction
-	headroom  int
 }
 
 // NewEnv returns an Env for the given host identity.
@@ -264,25 +262,6 @@ func (e *Env) Lookup(name string) (any, bool) {
 	defer e.mu.Unlock()
 	v, ok := e.resources[name]
 	return v, ok
-}
-
-// SetStackHeadroom records the total send headroom (summed chunnel
-// SendOverhead) of the most recently assembled stack. The runtime calls
-// this during stack assembly.
-func (e *Env) SetStackHeadroom(n int) {
-	e.mu.Lock()
-	e.headroom = n
-	e.mu.Unlock()
-}
-
-// StackHeadroom returns the capacity hint recorded by the last stack
-// assembly: the headroom an application (or outermost chunnel) should
-// reserve in buffers it sends so no layer below reallocates. Returns 0
-// when no stack has been assembled through this Env.
-func (e *Env) StackHeadroom() int {
-	e.mu.Lock()
-	defer e.mu.Unlock()
-	return e.headroom
 }
 
 // Configure appends a configuration action to the log.

@@ -367,7 +367,7 @@ func (e *Endpoint) present(ctx context.Context, addr string, ct clientTicket) (C
 	if err != nil || !ok {
 		return fail("resume rejected")
 	}
-	conn, err := e.assemble(ctx, base, ct.snap, ct.stack, SideClient, true)
+	conn, err := e.assemble(ctx, ct.snap, ct.stack, SideClient, true, base)
 	if err != nil {
 		return fail("resumed stack not assembled")
 	}
@@ -384,11 +384,13 @@ func (e *Endpoint) present(ctx context.Context, addr string, ct clientTicket) (C
 func (e *Endpoint) takeResume(conn Conn, req []byte) {
 	ctx := newLateCtx(helloTimeout)
 	reject := func(why string) {
-		_ = conn.Send(newLateCtx(lateCtrlTimeout), encodeResumeAnswer(false, ticket{}, false))
-		conn.Close()
+		// Traced before it is answered: a client that reads the trace
+		// after its rejection finds the reason there.
 		e.trace(SideServer, telemetry.TraceResume, telemetry.TraceEvent{
 			Deferred: telemetry.Detailf("rejected: %s").Str(why),
 		})
+		_ = conn.Send(newLateCtx(lateCtrlTimeout), encodeResumeAnswer(false, ticket{}, false))
+		conn.Close()
 	}
 	t, err := decodeResume(req)
 	if err != nil {
@@ -414,7 +416,7 @@ func (e *Endpoint) takeResume(conn Conn, req []byte) {
 		reject(why)
 		return
 	}
-	c, err := e.assemble(ctx, conn, st.snap, st.stack, SideServer, true)
+	c, err := e.assemble(ctx, st.snap, st.stack, SideServer, true, conn)
 	if err != nil {
 		reject("stack not assembled")
 		return

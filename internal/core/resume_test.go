@@ -431,6 +431,38 @@ func TestSpliceRendezvousNoDeadOnArrival(t *testing.T) {
 	}
 }
 
+// TestConnectMultiRefusesSplice: a group's data path is the network
+// one, so a group whose peers answer with a rendezvous ticket (two
+// same-host localfast servers) fails with ErrNegotiation and closes
+// every raw connection, instead of returning a connection no server
+// ever accepts.
+func TestConnectMultiRefusesSplice(t *testing.T) {
+	ctx := ctxT(t)
+	r1, r2 := newResumeRig(t), newResumeRig(t)
+	var raws []core.Conn
+	for _, r := range []*resumeRig{r1, r2} {
+		r.acceptOne(t) // starts the listener's loop
+		raw, err := r.net.DialFrom(ctx, "h", core.Addr{Net: "pipe", Addr: "svc"})
+		if err != nil {
+			t.Fatal(err)
+		}
+		raws = append(raws, raw)
+	}
+	conn, err := r1.cli.ConnectMulti(ctx, raws)
+	if err == nil {
+		conn.Close()
+		t.Fatal("ConnectMulti returned a connection over two spliced peers")
+	}
+	if !errors.Is(err, core.ErrNegotiation) {
+		t.Errorf("ConnectMulti failed with %v, want an ErrNegotiation", err)
+	}
+	for i, raw := range raws {
+		if err := raw.Send(ctx, []byte("x")); err == nil {
+			t.Errorf("raw connection %d is open after the failed ConnectMulti", i)
+		}
+	}
+}
+
 // TestNoTicketWithoutResumer: a stack whose innermost node has no
 // Resumer gets no ticket, so every connection is negotiated.
 func TestNoTicketWithoutResumer(t *testing.T) {

@@ -245,16 +245,41 @@ func (e *Endpoint) Connect(ctx context.Context, raw Conn) (Conn, error) {
 		return conn, nil
 	}
 	tc := newTaggedConn(raw)
-
 	// Pre-hello discovery round trip: learn about accelerated
 	// implementations so our offers include anything we can instantiate.
-	// Without any, the hello carries the snapshot's offer block as is.
-	offers, block := snap.offers, snap.block
 	discovered := e.discoveredOffers(ctx, host)
+	sh, err := e.hello(ctx, tc, snap, host, discovered)
+	if err != nil {
+		raw.Close()
+		return nil, err
+	}
+	if len(sh.Ticket) > 0 {
+		raw.Close() // the connection goes on at the rendezvous
+		conn, err = e.rendezvous(ctx, raw.RemoteAddr().Addr, snap, sh, discovered)
+	} else if conn, err = e.assemble(ctx, snap, sh.Stack, SideClient, false, tc.dataConn()); err != nil {
+		raw.Close()
+	}
+	if err != nil {
+		e.trace(SideClient, telemetry.TraceFailed, telemetry.TraceEvent{Detail: err.Error()})
+		return nil, err
+	}
+	e.trace(SideClient, telemetry.TraceConnected, telemetry.TraceEvent{
+		Deferred: telemetry.Detailf("%v").Value((*stackDesc)(&sh.Stack)),
+	})
+	e.traceCold(SideClient, why)
+	return conn, nil
+}
+
+// hello runs the client half of the handshake on tc: it offers the
+// snapshot's implementations and the discovered ones, and returns the
+// server's answer. Every outcome is traced, and a refusal is an error.
+func (e *Endpoint) hello(ctx context.Context, tc *taggedConn, snap *regSnapshot, host string, discovered []ImplOffer) (*ServerHello, error) {
+	// Without discovered offers, the hello carries the snapshot's offer
+	// block as is.
+	offers, block := snap.offers, snap.block
 	if len(discovered) > 0 {
 		offers, block = append(slices.Clip(offers), discovered...), nil
 	}
-
 	hello := &ClientHello{
 		Nonce:      newNonce(),
 		Name:       e.name,
@@ -263,24 +288,20 @@ func (e *Endpoint) Connect(ctx context.Context, raw Conn) (Conn, error) {
 		Offers:     offers,
 		offerBlock: block,
 	}
-	helloBytes := encodeHello(hello)
-
 	e.trace(SideClient, telemetry.TraceOfferSent, telemetry.TraceEvent{
 		Deferred: telemetry.Detailf("spec=%v offers=%d").Value(e.stack).Int(len(offers)),
 	})
 	helloStart := time.Now()
-	sh, err := awaitServerHello(ctx, tc, helloBytes, hello.Nonce)
+	sh, err := awaitServerHello(ctx, tc, encodeHello(hello), hello.Nonce)
 	rtt := time.Since(helloStart)
 	if err != nil {
 		e.trace(SideClient, telemetry.TraceFailed, telemetry.TraceEvent{Detail: err.Error()})
-		raw.Close()
 		return nil, err
 	}
 	if sh.Err != "" {
 		e.trace(SideClient, telemetry.TraceFailed, telemetry.TraceEvent{
 			Detail: sh.Err, Micros: float64(rtt.Nanoseconds()) / 1e3,
 		})
-		raw.Close()
 		return nil, fmt.Errorf("%w: %s", ErrNegotiation, sh.Err)
 	}
 	e.trace(SideClient, telemetry.TraceServerHello, telemetry.TraceEvent{
@@ -293,22 +314,7 @@ func (e *Endpoint) Connect(ctx context.Context, raw Conn) (Conn, error) {
 			Deferred: telemetry.Detailf("location=%s owner=%s").Str(rn.Location.String()).Str(rn.Owner.String()),
 		})
 	}
-
-	if len(sh.Ticket) > 0 {
-		raw.Close() // the connection goes on at the rendezvous
-		conn, err = e.rendezvous(ctx, raw.RemoteAddr().Addr, snap, sh, discovered)
-	} else if conn, err = e.assemble(ctx, tc.dataConn(), snap, sh.Stack, SideClient, false); err != nil {
-		raw.Close()
-	}
-	if err != nil {
-		e.trace(SideClient, telemetry.TraceFailed, telemetry.TraceEvent{Detail: err.Error()})
-		return nil, err
-	}
-	e.trace(SideClient, telemetry.TraceConnected, telemetry.TraceEvent{
-		Deferred: telemetry.Detailf("%v").Value((*stackDesc)(&sh.Stack)),
-	})
-	e.traceCold(SideClient, why)
-	return conn, nil
+	return sh, nil
 }
 
 // traceCold records that a connection was negotiated cold, and why a
@@ -631,7 +637,7 @@ func (e *Endpoint) accept(ctx context.Context, raw Conn, l *negotiatedListener) 
 	// answered with the cached reply by the tagged conn's control loop.
 	tc.setCtrlResponder(ch.Nonce, reply)
 
-	conn, err := e.assemble(ctx, tc.dataConn(), neg.snap, resolved, SideServer, false)
+	conn, err := e.assemble(ctx, neg.snap, resolved, SideServer, false, tc.dataConn())
 	if err != nil {
 		e.trace(SideServer, telemetry.TraceFailed, telemetry.TraceEvent{Detail: err.Error()})
 		return nil, err
@@ -672,38 +678,17 @@ func describeStack(stack []ResolvedNode) string {
 	return b.String()
 }
 
-// assemble instantiates the local side of a resolved stack over base:
-// Init then Wrap for every chunnel this side runs, outermost chunnel
-// wrapped last so that application sends enter the stack at the top.
-// Implementations come from snap, the snapshot the connection negotiated
-// from. base is the mux's data channel on a negotiated connection, and
-// the Resumer's connection on a spliced or resumed one, whose innermost
-// node is not wrapped: base already is what its Wrap would return.
-func (e *Endpoint) assemble(ctx context.Context, base Conn, snap *regSnapshot, stack []ResolvedNode, side Side, resumed bool) (Conn, error) {
-	if e.env.Dialer() == nil {
-		// Provide a same-transport dialer so chunnels can open extra
-		// base connections; transports may install richer dialers.
-		e.env.SetDialer(DialerFunc(func(ctx context.Context, addr Addr) (Conn, error) {
-			return nil, fmt.Errorf("bertha: no dialer available for %s", addr)
-		}))
-	}
-	// Capacity hint: sum the header overhead of every layer this side
-	// will run (plus the mux tag byte) so the application can allocate
-	// send buffers once, with headroom for the whole negotiated stack.
-	headroom := 1 // sendTagged's tag byte
-	if resumed {
-		headroom = 0
-	}
-	for _, rn := range stack {
-		if !rn.RunsAt(side) {
-			continue
-		}
-		if impl, ok := snap.byName[rn.ImplName]; ok {
-			headroom += impl.Info().SendOverhead
-		}
-	}
-	e.env.SetStackHeadroom(headroom)
-
+// assemble instantiates the local side of a resolved stack over one base
+// connection or several (a group): Init then Wrap for every chunnel this
+// side runs, outermost chunnel wrapped last so that application sends
+// enter the stack at the top. Implementations come from snap, the
+// snapshot the connection negotiated from. A base is the mux's data
+// channel on a negotiated connection, and the Resumer's connection on a
+// spliced or resumed one, whose innermost node is not wrapped: base
+// already is what its Wrap would return. Over a group, a node wraps
+// every base, or, when it is a MultiWrapper, collapses them into one;
+// a group that nothing collapsed receives through a FanIn.
+func (e *Endpoint) assemble(ctx context.Context, snap *regSnapshot, stack []ResolvedNode, side Side, resumed bool, bases ...Conn) (Conn, error) {
 	// When negotiation put the trace chunnel into the stack, enable the
 	// per-registry span ring. Handles minted from a nil ring are inert,
 	// so the untraced path needs no branches below.
@@ -719,22 +704,35 @@ func (e *Endpoint) assemble(ctx context.Context, base Conn, snap *regSnapshot, s
 	// The base of the instrumented stack: the mux data channel, recorded
 	// under the pseudo-chunnel type "transport" so readouts attribute
 	// wire time separately from every chunnel above it.
-	baseNet := base.LocalAddr().Net
+	conns := bases
+	baseNet := conns[0].LocalAddr().Net
 	baseMetrics := e.tel.Conn("transport", baseNet)
-	var conn Conn = InstrumentTraced(base, baseMetrics, spanRing.Handle("transport", baseNet))
-	// layerMetrics collects each instrumented layer innermost-first; the
-	// managedConn derives per-hop exclusive latency (HopStats) from
-	// adjacent layers' inclusive histograms.
-	layerMetrics := []*telemetry.ConnMetrics{baseMetrics}
-	var active []activeImpl
 	// Batch-awareness bookkeeping: a SendBufs burst entering the top of
 	// the stack stays vectored only while every layer on the way down
 	// implements BatchConn natively; the first per-message layer breaks
 	// it into a SendBuf loop. The instrumented wrappers forward the
 	// vectored path transparently, so awareness is judged on the chunnel
 	// connections themselves (before instrumentation), innermost first.
-	_, baseAware := base.(BatchConn)
+	_, baseAware := conns[0].(BatchConn)
 	aware := append(make([]bool, 0, len(stack)+1), baseAware)
+	instrument(conns, baseMetrics, spanRing.Handle("transport", baseNet))
+	// layerMetrics collects each instrumented layer innermost-first; the
+	// managedConn derives per-hop exclusive latency (HopStats) from
+	// adjacent layers' inclusive histograms.
+	layerMetrics := []*telemetry.ConnMetrics{baseMetrics}
+	var active []activeImpl
+	// A failure closes what the stack has wrapped, as the connection's
+	// Close would; the bases alone are the caller's to close.
+	wrapped := false
+	fail := func(err error) (Conn, error) {
+		if wrapped {
+			for _, c := range conns {
+				c.Close()
+			}
+		}
+		teardownAll(ctx, active, e)
+		return nil, err
+	}
 	for i := len(stack) - 1; i >= 0; i-- {
 		rn := stack[i]
 		if !rn.RunsAt(side) {
@@ -743,32 +741,48 @@ func (e *Endpoint) assemble(ctx context.Context, base Conn, snap *regSnapshot, s
 		impl, ok := snap.byName[rn.ImplName]
 		if !ok {
 			// The peer selected an implementation we cannot instantiate.
-			teardownAll(ctx, active, e)
-			return nil, fmt.Errorf("%w: %q not in local registry", ErrNoImplementation, rn.ImplName)
+			return fail(fmt.Errorf("%w: %q not in local registry", ErrNoImplementation, rn.ImplName))
 		}
 		if err := impl.Init(ctx, e.env, rn.Args); err != nil {
-			teardownAll(ctx, active, e)
-			return nil, fmt.Errorf("bertha: init %q: %w", rn.ImplName, err)
+			return fail(fmt.Errorf("bertha: init %q: %w", rn.ImplName, err))
 		}
 		if resumed && i == len(stack)-1 {
 			active = append(active, activeImpl{impl: impl, claim: rn.ClaimID})
 			continue
 		}
-		wrapped, err := impl.Wrap(ctx, conn, rn.Args, rn.Params, side, e.env)
+		var c Conn
+		var err error
+		if mw, ok := impl.(MultiWrapper); ok && len(conns) > 1 {
+			if c, err = mw.WrapMulti(ctx, slices.Clone(conns), rn.Args, rn.Params, side, e.env); err == nil {
+				conns = append(conns[:0], c)
+			}
+		} else {
+			for ci := 0; ci < len(conns) && err == nil; ci++ {
+				if c, err = impl.Wrap(ctx, conns[ci], rn.Args, rn.Params, side, e.env); err == nil {
+					conns[ci], wrapped = c, true
+				}
+			}
+		}
 		if err != nil {
 			impl.Teardown(ctx, e.env)
-			teardownAll(ctx, active, e)
-			return nil, fmt.Errorf("bertha: wrap %q: %w", rn.ImplName, err)
+			return fail(fmt.Errorf("bertha: wrap %q: %w", rn.ImplName, err))
 		}
-		_, isAware := wrapped.(BatchConn)
+		wrapped = true
+		_, isAware := conns[0].(BatchConn)
 		aware = append(aware, isAware)
 		// Each resolved node gets an instrumented wrapper above it,
 		// preallocated per (type, impl) pair: sends/recvs/bytes/errors
 		// and inclusive latency, at zero allocations per message.
 		layerM := e.tel.Conn(rn.Type, rn.ImplName)
-		conn = InstrumentTraced(wrapped, layerM, spanRing.Handle(rn.Type, rn.ImplName))
+		instrument(conns, layerM, spanRing.Handle(rn.Type, rn.ImplName))
 		layerMetrics = append(layerMetrics, layerM)
 		active = append(active, activeImpl{impl: impl, claim: rn.ClaimID})
+	}
+	conn := conns[0]
+	if len(conns) > 1 {
+		// The fan layer sends every message to each peer in turn.
+		conn = fanConn{NewFanIn(slices.Clone(conns))}
+		aware = append(aware, false)
 	}
 	// The vectored segment is the contiguous batch-aware run from the
 	// top of the stack down: that is how deep an application burst
@@ -795,6 +809,14 @@ func (e *Endpoint) assemble(ctx context.Context, base Conn, snap *regSnapshot, s
 		Datapath: Resolve(conn), ep: e, side: side, active: active,
 		layers: layerMetrics, openConns: openConns,
 	}, nil
+}
+
+// instrument puts an instrumented wrapper over every connection of
+// conns, in place.
+func instrument(conns []Conn, m *telemetry.ConnMetrics, h tracing.Handle) {
+	for i, c := range conns {
+		conns[i] = InstrumentTraced(c, m, h)
+	}
 }
 
 type activeImpl struct {
