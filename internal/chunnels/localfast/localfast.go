@@ -10,10 +10,11 @@
 // parameter. The splice implementation is a core.Resumer, so the
 // network leg ends with the ServerHello, whose ticket the client
 // presents on a fresh dial of that address (core's resume.go, the
-// splice rendezvous); the same dial and a single-use ticket resume the
-// client's later connections to that server without a hello. The IPC
-// accept loop hands every connection, with its first message, to the
-// server endpoint's core.EnvResume sink.
+// splice rendezvous); a single-use ticket resumes the client's later
+// connections to that server without a hello, on the socket the client
+// kept from its previous connection. The IPC accept loop hands every
+// connection, with its first message, to the server endpoint's
+// core.EnvResume sink.
 package localfast
 
 import (
@@ -165,9 +166,9 @@ func dispatch(conn core.Conn, first []byte, env *core.Env) {
 	conn.Close() // nothing listens for resumes
 }
 
-// ResumeDial implements core.Resumer: a spliced or resumed connection
-// runs on a fresh dial of the IPC address the server published,
-// params[0].
+// ResumeDial implements core.Resumer: a spliced connection, and a
+// resumed one whose client kept no socket, runs on a fresh dial of the
+// IPC address the server published, params[0].
 func (i *ipcImpl) ResumeDial(ctx context.Context, params []wire.Value, env *core.Env) (core.Conn, error) {
 	if len(params) < 1 {
 		return nil, fmt.Errorf("localfast: missing negotiation params")

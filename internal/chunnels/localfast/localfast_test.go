@@ -11,6 +11,7 @@ import (
 	"testing"
 	"time"
 
+	"github.com/bertha-net/bertha/internal/chunnels/base"
 	"github.com/bertha-net/bertha/internal/chunnels/localfast"
 	"github.com/bertha-net/bertha/internal/core"
 	"github.com/bertha-net/bertha/internal/spec"
@@ -473,7 +474,9 @@ func TestSplicedStalledClientsDelayNoConnect(t *testing.T) {
 // details formatted as they were recorded, 124 while the close notice
 // went under a context.WithTimeout, 119 while the client bound a socket
 // file, 118 before connections were resumed, and 126 while the server
-// waited for a splice token and drained the network leg (114 since).
+// waited for a splice token and drained the network leg (114–115 since,
+// and 118 since both sides run the connection on a lease and the answer
+// names its ticket).
 // Each lifecycle is a new client's, made before the count, so none is
 // resumed.
 func TestSpliceLifecycleAllocBudget(t *testing.T) {
@@ -505,7 +508,8 @@ func TestSpliceLifecycleAllocBudget(t *testing.T) {
 // ticket presented on the unix socket, the stack rebuilt on both sides
 // from the one negotiated before, one echo, both sides closed — both
 // endpoints together. One client makes every connection, so each after
-// its first is resumed.
+// its first is resumed. It measured 81 objects while each resume dialed
+// the unix socket it ran on, and 66 since the client keeps it.
 func TestResumeLifecycleAllocBudget(t *testing.T) {
 	if testutil.RaceEnabled {
 		t.Skip("allocation counts are inflated under -race")
@@ -514,7 +518,7 @@ func TestResumeLifecycleAllocBudget(t *testing.T) {
 	for i := 0; i < 8; i++ { // the first is negotiated; pools and reactor state
 		u.lifecycle(t, u.cliEp)
 	}
-	const budget = 95
+	const budget = 80
 	avg := testing.AllocsPerRun(100, func() { u.lifecycle(t, u.cliEp) })
 	if avg > budget {
 		t.Fatalf("a resumed lifecycle allocates %.0f objects, budget is %d", avg, budget)
@@ -574,25 +578,29 @@ func TestSpliceRetainsNoTimer(t *testing.T) {
 	}
 }
 
-// TestResumedConnectOpensOneSocket: over a UDP base listener, a resumed
-// Connect makes one socket, the unix one it resumes on. The raw
-// connection it is handed, fresh from transport.DialUDP each lifecycle,
-// carries nothing and is closed unused, so it never opens a socket. The
-// test counts the process's open files (/proc/self/fd) when the Resumer
-// has dialed the unix socket, which is the most Connect holds at once,
-// again once the connection is up, and once both sides have closed it.
-// While DialUDP opened its socket at the dial, Connect held two new
-// files at the unix dial: the UDP socket and the unix one.
-func TestResumedConnectOpensOneSocket(t *testing.T) {
+// TestResumedConnectOpensNoSocket: over a UDP base listener, a resumed
+// Connect makes no socket. The raw connection it is handed, fresh from
+// transport.DialUDP each lifecycle, carries nothing and is closed unused,
+// so it never opens one; and the unix socket the client's previous
+// connection ran on is kept with the ticket, which the client presents on
+// it, so nothing is dialed. The test counts the process's open files
+// (/proc/self/fd) at the Resumer's dial, if there is one, once the
+// connection is up, and once both sides have closed it; and once the
+// held ticket is dropped (a registry change sends the next Connect down
+// the cold path), the kept socket's file is gone. While each resumed
+// Connect dialed the unix socket it ran on, it held one new file from
+// that dial until it closed; while DialUDP opened its socket at the dial,
+// two.
+func TestResumedConnectOpensNoSocket(t *testing.T) {
 	if runtime.GOOS != "linux" {
 		t.Skip("counts open files in /proc/self/fd, which is linux's")
 	}
-	base, err := transport.ListenUDP("h", "127.0.0.1:0")
+	udpL, err := transport.ListenUDP("h", "127.0.0.1:0")
 	if err != nil {
 		t.Fatal(err)
 	}
-	u := newUnixSpliceOver(t, base, func(context.Context) (core.Conn, error) {
-		return transport.DialUDP("h", base.Addr().Addr)
+	u := newUnixSpliceOver(t, udpL, func(context.Context) (core.Conn, error) {
+		return transport.DialUDP("h", udpL.Addr().Addr)
 	})
 	var atDial map[string]bool
 	d := &transport.MultiDialer{HostID: "h"}
@@ -603,26 +611,73 @@ func TestResumedConnectOpensOneSocket(t *testing.T) {
 		return c, err
 	}))
 	tel := telemetry.New()
-	cli, _ := core.NewEndpoint("cli", spec.Seq(), core.WithRegistry(u.reg), core.WithEnv(env), core.WithTelemetry(tel))
-	u.lifecycle(t, cli) // negotiated over UDP; leaves a ticket
+	reg := core.NewRegistry()
+	localfast.Register(reg)
+	cli, _ := core.NewEndpoint("cli", spec.Seq(), core.WithRegistry(reg), core.WithEnv(env), core.WithTelemetry(tel))
+	first := openFiles(t)
+	u.lifecycle(t, cli) // negotiated over UDP; leaves a ticket and the socket
 	ctx := ctxT(t)
 	for i := 0; i < 5; i++ {
 		resumes := tel.Counter("core/resumes").Value()
 		before := openFiles(t)
+		atDial = nil
 		conn := u.connectIn(t, ctx, cli)
 		if tel.Counter("core/resumes").Value() == resumes {
 			t.Fatalf("connection %d was not resumed", i)
 		}
-		if n := newFiles(before, atDial); n != 1 {
-			t.Errorf("connection %d: %d new files open at the unix dial, want 1: the unix socket", i, n)
+		if atDial != nil {
+			t.Errorf("connection %d: the Resumer dialed, with %d new files open, want no dial", i, newFiles(before, atDial))
 		}
-		if n := newFiles(before, openFiles(t)); n != 1 {
-			t.Errorf("connection %d: %d new files open while connected, want 1", i, n)
+		if n := newFiles(before, openFiles(t)); n != 0 {
+			t.Errorf("connection %d: %d new files open while connected, want 0", i, n)
 		}
 		u.echoAndClose(t, ctx, conn)
 		if n := newFiles(before, openFiles(t)); n != 0 {
 			t.Errorf("connection %d: %d new files open after both sides closed, want 0", i, n)
 		}
+	}
+	var kept []string
+	for f := range openFiles(t) {
+		if !first[f] {
+			kept = append(kept, f)
+		}
+	}
+	if len(kept) != 1 {
+		t.Fatalf("%d files open that were not before the first connection, want 1: the socket kept with the ticket", len(kept))
+	}
+	// A registry change drops the held ticket at the next Connect.
+	reg.MustRegister(&base.Impl{ImplInfo: core.ImplInfo{Name: "mark/nop", Type: "mark", Endpoint: spec.EndpointBoth}})
+	u.lifecycle(t, cli)
+	if openFiles(t)[kept[0]] {
+		t.Errorf("%s is still open after the ticket it was kept with was dropped", kept[0])
+	}
+}
+
+// TestResumedLifecyclesOpenNoSocket: the socket counters agree with the
+// file count above, off /proc: 50 resumed lifecycles open and close no
+// unix socket, and the server makes at most one reactor peer for each.
+func TestResumedLifecyclesOpenNoSocket(t *testing.T) {
+	u := newUnixSplice(t)
+	u.lifecycle(t, u.cliEp) // spliced; leaves a ticket and the socket
+	reg := telemetry.Default()
+	counter := func(name string) uint64 { return reg.Counter("transport/unix/" + name).Value() }
+	opened, closed, peers := counter("sockets_opened"), counter("sockets_closed"), counter("peers_opened")
+	resumes := reg.Counter("core/resumes").Value()
+	const n = 50
+	for i := 0; i < n; i++ {
+		u.lifecycle(t, u.cliEp)
+	}
+	if got := reg.Counter("core/resumes").Value() - resumes; got != n {
+		t.Fatalf("%d of %d lifecycles resumed", got, n)
+	}
+	if got := counter("sockets_opened") - opened; got != 0 {
+		t.Errorf("%d resumed lifecycles opened %d unix sockets, want 0", n, got)
+	}
+	if got := counter("sockets_closed") - closed; got != 0 {
+		t.Errorf("%d resumed lifecycles closed %d unix sockets, want 0", n, got)
+	}
+	if got := counter("peers_opened") - peers; got > n {
+		t.Errorf("%d resumed lifecycles made %d server peers, want at most one each", n, got)
 	}
 }
 

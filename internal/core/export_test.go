@@ -1,6 +1,7 @@
 package core
 
 import (
+	"fmt"
 	"maps"
 	"time"
 )
@@ -58,3 +59,62 @@ const (
 // FanInQueued returns how many messages f holds that no receive has
 // taken, and how many it can hold.
 func FanInQueued(f *FanIn) (n, capacity int) { return len(f.in), cap(f.in) }
+
+// HoldDeliver makes every resumed connection's delivery run hold after
+// its answer is sent and before it is queued, until restore.
+func HoldDeliver(hold func()) (restore func()) {
+	deliverHook.Store(&hold)
+	return func() { deliverHook.Store(nil) }
+}
+
+// KeptSockets counts the tickets e holds as a client that keep the
+// socket of the connection they came with.
+func KeptSockets(e *Endpoint) int {
+	e.held.mu.Lock()
+	defer e.held.mu.Unlock()
+	n := 0
+	for _, en := range e.held.m {
+		if en.v.sock != nil {
+			n++
+		}
+	}
+	return n
+}
+
+// ExpireHeldTickets, EvictHeldTickets, ReplaceHeldTickets and
+// DropHeldTickets are the ways the tickets e holds as a client leave its
+// store other than by being presented: each lets every held ticket go.
+// An expired one is found and dropped at the next Connect.
+func ExpireHeldTickets(e *Endpoint) {
+	e.held.mu.Lock()
+	defer e.held.mu.Unlock()
+	for k, en := range e.held.m {
+		en.expires = time.Time{}
+		e.held.m[k] = en
+	}
+}
+
+// EvictHeldTickets puts maxTickets tickets for other addresses.
+func EvictHeldTickets(e *Endpoint) {
+	for i := 0; i < maxTickets; i++ {
+		e.held.put(fmt.Sprintf("evict-%d", i), clientTicket{}, time.Now())
+	}
+}
+
+// ReplaceHeldTickets puts another ticket under each one's address.
+func ReplaceHeldTickets(e *Endpoint) {
+	var addrs []string
+	e.held.mu.Lock()
+	for a := range e.held.m {
+		addrs = append(addrs, a)
+	}
+	e.held.mu.Unlock()
+	for _, a := range addrs {
+		e.held.put(a, clientTicket{}, time.Now())
+	}
+}
+
+// DropHeldTickets drops them all.
+func DropHeldTickets(e *Endpoint) {
+	e.held.dropIf(func(clientTicket) bool { return true })
+}

@@ -2,9 +2,11 @@ package core
 
 import (
 	"bytes"
+	"context"
 	"testing"
 
 	"github.com/bertha-net/bertha/internal/spec"
+	"github.com/bertha-net/bertha/internal/telemetry"
 	"github.com/bertha-net/bertha/internal/wire"
 )
 
@@ -74,26 +76,78 @@ func FuzzServerHello(f *testing.F) {
 // the client's of the server's answer. Malformed input fails without a
 // panic, and what decodes re-encodes to the same bytes.
 func FuzzResume(f *testing.F) {
-	var t ticket
+	var t, next ticket
 	for i := range t {
-		t[i] = byte(i)
+		t[i], next[i] = byte(i), byte(100+i)
 	}
 	f.Add(encodeResume(t))
-	f.Add(encodeResumeAnswer(true, t, true))
-	f.Add(encodeResumeAnswer(true, t, false))
-	f.Add(encodeResumeAnswer(false, t, false))
+	f.Add(encodeResume(next)) // ends a server's view
+	f.Add(resumeAnswer{presented: t, ok: true, next: next, issued: true}.encode())
+	f.Add(resumeAnswer{presented: t, ok: true}.encode())
+	f.Add(resumeAnswer{presented: t}.encode())
+	f.Add([]byte{tagCtrl, msgResumeOK})       // the answer before it named its ticket
 	f.Add([]byte("00112233445566778899aabb")) // printable, not led by a 0 byte
 	f.Add([]byte{tagCtrl})
+	srv, err := NewEndpoint("srv", nil, WithRegistry(NewRegistry()), WithTelemetry(telemetry.New()))
+	if err != nil {
+		f.Fatal(err)
+	}
 	f.Fuzz(func(tt *testing.T, msg []byte) {
-		if got, err := decodeResume(msg); err == nil && !bytes.Equal(encodeResume(got), msg) {
+		got, err := decodeResume(msg)
+		if err == nil && !bytes.Equal(encodeResume(got), msg) {
 			tt.Fatalf("request %x decodes to ticket %x, which encodes to %x", msg, got, encodeResume(got))
 		}
-		ok, next, issued, err := decodeResumeAnswer(msg)
+		// A server's view ends exactly at the request for its next
+		// ticket: the same bytes, and nothing else.
+		if isResume(msg, next) != bytes.Equal(msg, encodeResume(next)) {
+			tt.Fatalf("isResume(%x, %x) = %t, want it only for the request's own bytes", msg, next, isResume(msg, next))
+		}
+		if err == nil && !isResume(msg, got) {
+			tt.Fatalf("request %x does not present the ticket %x it decodes to", msg, got)
+		}
+		// And so does a server's lease: msg received on it is handed to
+		// the endpoint's resume sink (which rejects the unknown ticket on
+		// the base and closes it), and the view ends, exactly when msg is
+		// that request; otherwise the application receives msg.
+		base := &queuedConn{sinkConn: &sinkConn{}, msg: msg}
+		l := newLease(base, srv, SideServer, next, "")
+		b, rerr := l.RecvBuf(context.Background())
+		rejected := resumeAnswer{presented: next}.encode()
+		if bytes.Equal(msg, encodeResume(next)) {
+			if rerr != ErrClosed || !base.closed || len(base.msgs) != 1 || !bytes.Equal(base.msgs[0], rejected) {
+				tt.Fatalf("the request for the next ticket: receive %v, base closed %t, sent %x; want ErrClosed, the base handed on and rejected", rerr, base.closed, base.msgs)
+			}
+			if err := l.Send(context.Background(), []byte("late")); err != ErrClosed {
+				tt.Fatalf("a send on the ended view returned %v, want ErrClosed", err)
+			}
+		} else {
+			if rerr != nil || !bytes.Equal(b.Bytes(), msg) || base.closed {
+				tt.Fatalf("%x received on a lease for %x: %v, base closed %t; want it delivered", msg, next, rerr, base.closed)
+			}
+			b.Release()
+		}
+		a, err := decodeResumeAnswer(msg)
 		if err != nil {
 			return
 		}
-		if again := encodeResumeAnswer(ok, next, issued); !bytes.Equal(again, msg) {
-			tt.Fatalf("answer %x decodes to (%t, %x, %t), which encodes to %x", msg, ok, next, issued, again)
+		if again := a.encode(); !bytes.Equal(again, msg) {
+			tt.Fatalf("answer %x decodes to %+v, which encodes to %x", msg, a, again)
 		}
 	})
+}
+
+// queuedConn receives msg once, then ErrClosed; what is sent on it is
+// recorded.
+type queuedConn struct {
+	*sinkConn
+	msg []byte
+}
+
+func (q *queuedConn) RecvBuf(ctx context.Context) (*wire.Buf, error) {
+	if q.msg == nil {
+		return nil, ErrClosed
+	}
+	b := wire.NewBufFrom(0, q.msg)
+	q.msg = nil
+	return b, nil
 }

@@ -3,6 +3,7 @@ package core
 import (
 	"context"
 	"crypto/rand"
+	"errors"
 	"fmt"
 	"slices"
 	"sync"
@@ -22,14 +23,16 @@ import (
 //	  |--- [ctrl, msgResume, ticket] -------->|  take the ticket (and, for
 //	  |                                        |  a resume, check the
 //	  |                                        |  registry and discovery)
-//	  |<-- [ctrl, msgResumeOK, next ticket] --|  queue for Accept
+//	  |<-- [ctrl, msgResumeOK, ticket, next] -|  queue for Accept
 //
 // and both sides assemble the stack over that connection. The next
 // ticket, issued when the stack holds no discovery claim, lets the
 // client's next Connect to the same address resume the stack the same
-// way without a hello. A rejection ([ctrl, msgResumeRejected]), a
-// timeout or a failed dial fails a spliced Connect, and sends a resume
-// down the cold path on the raw connection.
+// way without a hello, on the same connection: the client keeps it with
+// the ticket (lease.go, the standing association). A rejection ([ctrl,
+// msgResumeRejected, ticket]), a timeout or a failed dial fails a
+// spliced Connect, and sends a resume down the cold path on the raw
+// connection.
 
 // Resume control messages. They travel on the Resumer's connection,
 // whose first message is always a resume request.
@@ -75,7 +78,8 @@ func newTicket() ticket {
 type Resumer interface {
 	// ResumeDial opens, on the client, the connection a spliced or
 	// resumed connection runs on, from the parameters the node
-	// negotiated.
+	// negotiated. The client keeps that connection for its next resume
+	// to the same server, and dials again only when it kept none.
 	ResumeDial(ctx context.Context, params []wire.Value, env *Env) (Conn, error)
 }
 
@@ -112,8 +116,13 @@ const EnvResume = "core:resume"
 type ResumeSink func(conn Conn, req []byte)
 
 // On the Resumer's connection a resume request is [tagCtrl, msgResume,
-// ticket], and the server's answer [tagCtrl, msgResumeRejected] or
-// [tagCtrl, msgResumeOK] followed by the next ticket when one was issued.
+// ticket], and the server's answer [tagCtrl, msgResumeRejected, ticket]
+// or [tagCtrl, msgResumeOK, ticket] followed by the next ticket when one
+// was issued. The answer names the ticket it answers: a socket kept from
+// one connection to the next can still hold the previous connection's
+// messages, or a rejection of a stray datagram, and on a resumed
+// connection application data is untagged, so two bytes of it could
+// read as an answer.
 
 // encodeResume is the request a client presents its ticket in.
 func encodeResume(t ticket) []byte {
@@ -130,33 +139,47 @@ func decodeResume(msg []byte) (ticket, error) {
 	return t, nil
 }
 
-// encodeResumeAnswer is the server's answer: a rejection, or an
-// acceptance carrying next when issued.
-func encodeResumeAnswer(ok bool, next ticket, issued bool) []byte {
-	switch {
-	case !ok:
-		return []byte{tagCtrl, msgResumeRejected}
-	case !issued:
-		return []byte{tagCtrl, msgResumeOK}
-	}
-	return append([]byte{tagCtrl, msgResumeOK}, next[:]...)
+// resumeAnswer is the server's answer to the request that presented
+// ticket: whether it resumed the connection, and the next ticket if it
+// issued one.
+type resumeAnswer struct {
+	presented ticket
+	ok        bool
+	next      ticket
+	issued    bool
 }
 
-// decodeResumeAnswer reads the server's answer: whether it resumed the
-// connection, and the next ticket if it issued one.
-func decodeResumeAnswer(msg []byte) (ok bool, next ticket, issued bool, err error) {
-	if len(msg) >= 2 && msg[0] == tagCtrl {
+func (a resumeAnswer) encode() []byte {
+	mt := byte(msgResumeRejected)
+	if a.ok {
+		mt = msgResumeOK
+	}
+	msg := make([]byte, 0, 2+2*ticketLen)
+	msg = append(append(msg, tagCtrl, mt), a.presented[:]...)
+	if a.ok && a.issued {
+		msg = append(msg, a.next[:]...)
+	}
+	return msg
+}
+
+// decodeResumeAnswer reads the server's answer.
+func decodeResumeAnswer(msg []byte) (resumeAnswer, error) {
+	var a resumeAnswer
+	if len(msg) >= 2+ticketLen && msg[0] == tagCtrl {
+		copy(a.presented[:], msg[2:])
 		switch {
-		case len(msg) == 2 && msg[1] == msgResumeRejected:
-			return false, next, false, nil
-		case len(msg) == 2 && msg[1] == msgResumeOK:
-			return true, next, false, nil
+		case len(msg) == 2+ticketLen && msg[1] == msgResumeRejected:
+			return a, nil
 		case len(msg) == 2+ticketLen && msg[1] == msgResumeOK:
-			copy(next[:], msg[2:])
-			return true, next, true, nil
+			a.ok = true
+			return a, nil
+		case len(msg) == 2+2*ticketLen && msg[1] == msgResumeOK:
+			a.ok, a.issued = true, true
+			copy(a.next[:], msg[2+ticketLen:])
+			return a, nil
 		}
 	}
-	return false, next, false, fmt.Errorf("%w: malformed resume answer", ErrNegotiation)
+	return resumeAnswer{}, fmt.Errorf("%w: malformed resume answer", ErrNegotiation)
 }
 
 // ticketStore holds values by key, each until ticketTTL after it was
@@ -164,12 +187,16 @@ func decodeResumeAnswer(msg []byte) (ok bool, next ticket, issued bool, err erro
 // keys of the last maxTickets puts, and a put overwrites the oldest.
 // The TTL is constant, so the oldest put is also the nearest expiry: a
 // put never fails, and nothing scans the store or runs on a timer.
+// onDrop, when set, is given every value the store itself lets go of: one
+// a put overwrote or evicted, or one dropIf removed. A value take
+// returns is the caller's.
 type ticketStore[K comparable, V any] struct {
 	mu sync.Mutex
 	m  map[K]ticketEntry[V]
 	// ring[n%maxTickets] is the key of put number n; puts counts them.
-	ring []K
-	puts uint64
+	ring   []K
+	puts   uint64
+	onDrop func(V)
 }
 
 type ticketEntry[V any] struct {
@@ -182,8 +209,9 @@ type ticketEntry[V any] struct {
 // full. That one is gone already if it was taken, or if its key was put
 // again since.
 func (s *ticketStore[K, V]) put(k K, v V, now time.Time) {
+	var gone [2]V
+	n := 0
 	s.mu.Lock()
-	defer s.mu.Unlock()
 	if s.m == nil {
 		s.m = make(map[K]ticketEntry[V])
 	}
@@ -193,11 +221,27 @@ func (s *ticketStore[K, V]) put(k K, v V, now time.Time) {
 		slot := &s.ring[s.puts%maxTickets]
 		if e, ok := s.m[*slot]; ok && e.put == s.puts-maxTickets {
 			delete(s.m, *slot)
+			gone[n], n = e.v, n+1
 		}
 		*slot = k
 	}
+	if e, ok := s.m[k]; ok {
+		gone[n], n = e.v, n+1
+	}
 	s.m[k] = ticketEntry[V]{v: v, expires: now.Add(ticketTTL), put: s.puts}
 	s.puts++
+	s.mu.Unlock()
+	s.dropped(gone[:n])
+}
+
+// dropped gives vs to onDrop, outside the lock.
+func (s *ticketStore[K, V]) dropped(vs []V) {
+	if s.onDrop == nil {
+		return
+	}
+	for _, v := range vs {
+		s.onDrop(v)
+	}
 }
 
 // take removes and returns the value under k. found reports whether
@@ -213,15 +257,31 @@ func (s *ticketStore[K, V]) take(k K, now time.Time) (v V, found, live bool) {
 	return e.v, true, now.Before(e.expires)
 }
 
-// dropIf removes every value drop reports true for.
-func (s *ticketStore[K, V]) dropIf(drop func(V) bool) {
+// update applies f to the value under k, if there is one, and reports
+// what f reports.
+func (s *ticketStore[K, V]) update(k K, f func(*V) bool) bool {
 	s.mu.Lock()
 	defer s.mu.Unlock()
+	e, ok := s.m[k]
+	if !ok || !f(&e.v) {
+		return false
+	}
+	s.m[k] = e
+	return true
+}
+
+// dropIf removes every value drop reports true for.
+func (s *ticketStore[K, V]) dropIf(drop func(V) bool) {
+	var gone []V
+	s.mu.Lock()
 	for k, e := range s.m {
 		if drop(e.v) {
 			delete(s.m, k)
+			gone = append(gone, e.v)
 		}
 	}
+	s.mu.Unlock()
+	s.dropped(gone)
 }
 
 // serverTicket is what a server remembers with a ticket: everything the
@@ -248,6 +308,31 @@ type clientTicket struct {
 	// discovered is what the client's own discovery query added to its
 	// offers (discoveredOffers), which a resume asks again.
 	discovered []ImplOffer
+	// sock is the Resumer's connection the ticket's connection ran on,
+	// kept to present the ticket on (the standing association); nil
+	// while that connection is open, or when it did not keep it. It
+	// lives as long as the ticket: whatever takes the ticket from the
+	// store owns it, and the store closes it when it lets the ticket go.
+	sock Conn
+}
+
+// drop closes the socket ct keeps, if any.
+func (ct clientTicket) drop() {
+	if ct.sock != nil {
+		ct.sock.Close()
+	}
+}
+
+// keepSocket gives sock to the ticket held for addr when that is t and
+// keeps none yet, and reports whether it did.
+func (e *Endpoint) keepSocket(addr string, t ticket, sock Conn) bool {
+	return e.held.update(addr, func(ct *clientTicket) bool {
+		if ct.t != t || ct.sock != nil {
+			return false
+		}
+		ct.sock = sock
+		return true
+	})
 }
 
 // resumerOf returns the Resumer of a resolved stack's innermost node: its
@@ -300,15 +385,20 @@ func (e *Endpoint) resume(ctx context.Context, raw Conn, snap *regSnapshot, host
 	}
 	addr := raw.RemoteAddr().Addr
 	ct, found, live := e.held.take(addr, time.Now())
+	why := ""
 	switch {
 	case !found:
 		return nil, ""
 	case !live:
-		return nil, "ticket expired"
+		why = "ticket expired"
 	case ct.snap != snap:
-		return nil, "registry changed"
+		why = "registry changed"
 	case !slices.Equal(e.discoveredOffers(ctx, host), ct.discovered):
-		return nil, "discovery changed"
+		why = "discovery changed"
+	}
+	if why != "" {
+		ct.drop()
+		return nil, why
 	}
 	conn, why := e.present(ctx, addr, ct)
 	if conn == nil {
@@ -339,43 +429,75 @@ func (e *Endpoint) rendezvous(ctx context.Context, addr string, snap *regSnapsho
 	return conn, nil
 }
 
-// present dials the Resumer's connection, presents ct's ticket there
-// and, once the server accepts it, assembles ct's stack over that
-// connection and keeps the next ticket for addr if one was issued. It
-// returns nil and why when the connection was not established.
+// present presents ct's ticket on the connection ct keeps, or on a new
+// dial of the Resumer's when it keeps none, and, once the server accepts
+// it, assembles ct's stack over that connection and keeps the next ticket
+// for addr if one was issued. It returns nil and why when the connection
+// was not established. A kept connection whose server end is gone (the
+// request cannot be sent, or the connection reports itself closed before
+// an answer) is closed, and the ticket presented once more on a new dial:
+// a ticket is single use, so a server that did take it rejects it there.
 func (e *Endpoint) present(ctx context.Context, addr string, ct clientTicket) (Conn, string) {
+	if ct.sock != nil {
+		conn, why, gone := e.presentOn(ctx, addr, ct, ct.sock)
+		if !gone {
+			return conn, why
+		}
+		ct.sock = nil
+	}
 	base, err := ct.resumer.ResumeDial(ctx, ct.stack[len(ct.stack)-1].Params, e.env)
 	if err != nil {
 		return nil, "resume dial failed"
 	}
-	fail := func(why string) (Conn, string) {
-		base.Close()
-		return nil, why
-	}
+	conn, why, _ := e.presentOn(ctx, addr, ct, base)
+	return conn, why
+}
+
+// presentOn presents ct's ticket on base. It reads until the answer that
+// names the ticket, within one hello attempt, and releases what it skips.
+// It closes base when the connection is not established; gone reports
+// that base was ct's kept connection and its server end is gone.
+func (e *Endpoint) presentOn(ctx context.Context, addr string, ct clientTicket, base Conn) (conn Conn, why string, gone bool) {
+	kept := base == ct.sock
 	dp := Resolve(base)
 	if err := dp.SendBuf(ctx, wire.NewBufFrom(0, encodeResume(ct.t))); err != nil {
-		return fail("resume request not sent")
+		base.Close()
+		return nil, "resume request not sent", kept
 	}
 	wait, cancel := attemptCtx(ctx)
-	b, err := dp.RecvBuf(wait)
-	cancel()
+	defer cancel()
+	var a resumeAnswer
+	for {
+		b, err := dp.RecvBuf(wait)
+		if err != nil {
+			base.Close()
+			return nil, "resume not answered", kept && errors.Is(err, ErrClosed)
+		}
+		a, err = decodeResumeAnswer(b.Bytes())
+		b.Release()
+		if err == nil && a.presented == ct.t {
+			break
+		}
+		// The previous connection's, or an answer to a stray datagram.
+	}
+	if !a.ok {
+		base.Close()
+		return nil, "resume rejected", false
+	}
+	leased := base
+	if a.issued {
+		leased = newLease(base, e, SideClient, a.next, addr)
+	}
+	conn, err := e.assemble(ctx, ct.snap, ct.stack, SideClient, true, leased)
 	if err != nil {
-		return fail("resume not answered")
+		base.Close()
+		return nil, "resumed stack not assembled", false
 	}
-	ok, next, issued, err := decodeResumeAnswer(b.Bytes())
-	b.Release()
-	if err != nil || !ok {
-		return fail("resume rejected")
-	}
-	conn, err := e.assemble(ctx, ct.snap, ct.stack, SideClient, true, base)
-	if err != nil {
-		return fail("resumed stack not assembled")
-	}
-	if issued {
-		ct.t = next
+	if a.issued {
+		ct.t, ct.sock = a.next, nil
 		e.held.put(addr, ct, time.Now())
 	}
-	return conn, ""
+	return conn, "", false
 }
 
 // takeResume is the endpoint's ResumeSink. It runs on the Resumer's
@@ -383,16 +505,16 @@ func (e *Endpoint) present(ctx context.Context, addr string, ct clientTicket) (C
 // one hello attempt.
 func (e *Endpoint) takeResume(conn Conn, req []byte) {
 	ctx := newLateCtx(helloTimeout)
+	t, err := decodeResume(req) // t is zero when malformed
 	reject := func(why string) {
 		// Traced before it is answered: a client that reads the trace
 		// after its rejection finds the reason there.
 		e.trace(SideServer, telemetry.TraceResume, telemetry.TraceEvent{
 			Deferred: telemetry.Detailf("rejected: %s").Str(why),
 		})
-		_ = conn.Send(newLateCtx(lateCtrlTimeout), encodeResumeAnswer(false, ticket{}, false))
+		_ = conn.Send(newLateCtx(lateCtrlTimeout), resumeAnswer{presented: t}.encode())
 		conn.Close()
 	}
-	t, err := decodeResume(req)
 	if err != nil {
 		reject("malformed request")
 		return
@@ -416,20 +538,25 @@ func (e *Endpoint) takeResume(conn Conn, req []byte) {
 		reject(why)
 		return
 	}
-	c, err := e.assemble(ctx, st.snap, st.stack, SideServer, true, conn)
+	// With a next ticket, the connection runs on a lease that ends at
+	// the request presenting it: the client's next connection, on the
+	// socket it keeps.
+	spliced := st.rendezvous
+	a := resumeAnswer{presented: t, ok: true, issued: resumable(st.stack)}
+	leased := conn
+	if a.issued {
+		st.rendezvous = false
+		a.next = e.storeTicket(st)
+		leased = newLease(conn, e, SideServer, a.next, "")
+	}
+	c, err := e.assemble(ctx, st.snap, st.stack, SideServer, true, leased)
 	if err != nil {
+		e.issued.take(a.next, time.Now()) // none when not issued
 		reject("stack not assembled")
 		return
 	}
-	spliced := st.rendezvous
-	var next ticket
-	issued := resumable(st.stack)
-	if issued {
-		st.rendezvous = false
-		next = e.storeTicket(st)
-	}
-	if !st.l.deliver(c, conn, encodeResumeAnswer(true, next, issued)) {
-		e.issued.take(next, time.Now()) // none when not issued
+	if !st.l.deliver(c, conn, a.encode()) {
+		e.issued.take(a.next, time.Now()) // none when not issued
 		reject("listener closed or full")
 		c.Close() // its implementations' teardown
 		return

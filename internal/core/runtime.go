@@ -9,6 +9,7 @@ import (
 	"slices"
 	"strings"
 	"sync"
+	"sync/atomic"
 	"time"
 
 	"github.com/bertha-net/bertha/internal/spec"
@@ -133,6 +134,7 @@ func NewEndpoint(name string, stack *spec.Stack, opts ...Option) (*Endpoint, err
 		registry:   DefaultRegistry(),
 		policy:     DefaultPolicy,
 	}
+	e.held.onDrop = clientTicket.drop
 	for _, o := range opts {
 		o(e)
 	}
@@ -419,11 +421,15 @@ type negotiatedListener struct {
 
 	// mu orders what is put on conns against Close: nothing is put
 	// once closed is set. reserved counts places on conns held for
-	// resumed connections whose answer is being sent (deliver).
-	mu       sync.Mutex
-	closed   bool
-	reserved int
-	cancel   context.CancelFunc // ends the loop's handshake in progress
+	// resumed connections whose answer is being sent (deliver), and
+	// delivering holds each such delivery until its connection is
+	// queued or closed; Close waits for it. Its Add happens under mu
+	// while closed is unset, so before Close's Wait.
+	mu         sync.Mutex
+	closed     bool
+	reserved   int
+	delivering sync.WaitGroup
+	cancel     context.CancelFunc // ends the loop's handshake in progress
 }
 
 func (l *negotiatedListener) Accept(ctx context.Context) (Conn, error) {
@@ -521,38 +527,54 @@ func (l *negotiatedListener) put(c Conn) {
 // deliver queues a resumed connection c after sending answer on its
 // base connection: the answer goes first, so that it reaches the client
 // before anything the application sends on c. It reserves c's place
-// before it sends, and reports false, having queued nothing, when there
-// is no room, the listener is closed, or the answer was not sent.
+// before it sends, and reports false, having sent and queued nothing,
+// when there is no room or the listener is closed. Once it has sent, c
+// is queued, or closed when the send failed or Close came first, and
+// only then does the delivery end: a Close that waits for the
+// deliveries returns after c is closed.
 func (l *negotiatedListener) deliver(c, base Conn, answer []byte) bool {
 	l.mu.Lock()
 	ok := !l.closed && len(l.conns)+l.reserved < cap(l.conns)
 	if ok {
 		l.reserved++
+		l.delivering.Add(1)
 	}
 	l.mu.Unlock()
 	if !ok {
 		return false
 	}
+	defer l.delivering.Done()
 	sent := base.Send(newLateCtx(lateCtrlTimeout), answer) == nil
+	if hook := deliverHook.Load(); hook != nil {
+		(*hook)()
+	}
+	queued := false
 	l.mu.Lock()
-	defer l.mu.Unlock()
 	l.reserved--
 	if sent && !l.closed {
 		select {
 		case l.conns <- c: // the reservation kept its place
-			return true
+			queued = true
 		default:
 		}
 	}
-	l.signalRoom() // the place is free again
-	return false
+	l.mu.Unlock()
+	if !queued {
+		c.Close()
+		l.signalRoom() // the place is free again
+	}
+	return true
 }
+
+// deliverHook, when set, runs in deliver between the answer and the
+// queueing. Tests hold a delivery there.
+var deliverHook atomic.Pointer[func()]
 
 func (l *negotiatedListener) Addr() Addr { return l.base.Addr() }
 
-// Close stops accepting, joins the cold loop, closes the connections
-// negotiated and not yet accepted, and forgets the tickets issued
-// through this listener.
+// Close stops accepting, joins the cold loop, waits for the resumed
+// connections being delivered, closes the connections negotiated and not
+// yet accepted, and forgets the tickets issued through this listener.
 func (l *negotiatedListener) Close() error {
 	var err error
 	l.close.Do(func() {
@@ -566,6 +588,7 @@ func (l *negotiatedListener) Close() error {
 			cancel()
 		}
 		l.loop.Wait()
+		l.delivering.Wait()
 		for drained := false; !drained; {
 			select {
 			case c := <-l.conns:

@@ -93,7 +93,7 @@ func TestPeerTableGrowthUnderLookups(t *testing.T) {
 		t.Errorf("%d inserts used %d table generations, want several grows", first, len(gens))
 	}
 	for i := 0; i < first; i += 2 {
-		tbl.remove(conns[i].key)
+		tbl.remove(conns[i])
 	}
 	tbl.mu.Lock()
 	if tbl.live != first/2 || tbl.used-tbl.live != first/2 {

@@ -183,6 +183,11 @@ type reactorListener struct {
 	sendMu sync.Mutex
 	send   *reactorSend
 
+	// reoffer is set on a unix listener: a closing peer's unread
+	// datagrams become a new peer instead of being released
+	// (reofferUnread).
+	reoffer bool
+
 	goroutines atomic.Int64
 }
 
@@ -341,7 +346,11 @@ func (l *reactorListener) deliver(key peerKey, from net.Addr, bs []*wire.Buf, po
 	}
 	if c.closedFlag.Load() {
 		// The push raced Close's drain; sweep what it may have missed.
-		c.drain()
+		if l.reoffer {
+			l.reofferUnread(c)
+		} else {
+			c.drain()
+		}
 		return
 	}
 	c.wake(sh)
@@ -363,17 +372,31 @@ func (l *reactorListener) materialize(sh *reactorShard, key peerKey, from net.Ad
 	if key.s != "" && from == nil {
 		key.s = strings.Clone(key.s)
 	}
+	c := l.newPeerLocked(sh, key, from)
+	if c != nil {
+		sh.table.insertLocked(key, c)
+	}
+	sh.table.mu.Unlock()
+	if c == nil || !l.offer(c) {
+		return nil
+	}
+	return c
+}
+
+// newPeerLocked makes the connection for a peer, or returns nil when the
+// listener is shutting down: shutdown empties the table under sh's lock,
+// which the caller holds, after closing l.closed, so a connection
+// inserted now would never be closed, and the datagrams of a burst still
+// being delivered would sit in its ring for good.
+func (l *reactorListener) newPeerLocked(sh *reactorShard, key peerKey, from net.Addr) *reactorConn {
 	select {
 	case <-l.closed:
-		// shutdown empties the table under this lock, after closing
-		// l.closed: a connection inserted now would never be closed, and
-		// the datagrams of a burst still being delivered would sit in its
-		// ring for good.
-		sh.table.mu.Unlock()
 		return nil
 	default:
 	}
-	c := &reactorConn{
+	sh.conns.Add(1)
+	l.tel.peersOpened.Inc()
+	return &reactorConn{
 		l:      l,
 		shard:  sh,
 		key:    key,
@@ -384,17 +407,77 @@ func (l *reactorListener) materialize(sh *reactorShard, key peerKey, from net.Ad
 		notify: make(chan struct{}, 1),
 		closed: make(chan struct{}),
 	}
-	sh.table.insertLocked(key, c)
-	sh.table.mu.Unlock()
-	sh.conns.Add(1)
+}
+
+// offer puts a connection the table already holds on the accept queue.
+// A full backlog retracts it, releasing what it holds, and reports
+// false.
+func (l *reactorListener) offer(c *reactorConn) bool {
 	select {
 	case l.accept <- c:
-		return c
+		return true
 	default:
-		c.Close()
+		c.discard()
 		l.tel.acceptDropped.Inc()
-		return nil
+		return false
 	}
+}
+
+// reofferUnread takes a closed unix peer out of the table and offers
+// what its ring still holds — datagrams nobody read, and pushes that
+// raced its Close — as a new peer with the same address, on the accept
+// queue. A local-fast-path client keeps its socket from one connection
+// to the next, so what a server connection holds unread when it closes
+// is the start of the client's next connection: its resume request. The
+// datagrams go after what the peer the table now holds for the address
+// has, when there is one (an earlier call's), so their order is kept:
+// the listener's one reactor goroutine pushes nothing newer for that
+// address until its own call for the push that raced Close is done.
+// They are released when the accept queue is full or the listener is
+// shutting down.
+func (l *reactorListener) reofferUnread(c *reactorConn) {
+	sh := c.shard
+	sh.table.mu.Lock()
+	c.popMu.Lock()
+	b := c.ring.pop()
+	if b == nil {
+		// A push still under way sees c closed when it is done, and
+		// comes back here.
+		c.popMu.Unlock()
+		sh.table.replaceLocked(c, nil)
+		sh.table.mu.Unlock()
+		return
+	}
+	to := sh.table.lookupLocked(c.key)
+	fresh := to == nil || to == c
+	if fresh {
+		to = l.newPeerLocked(sh, c.key, c.peer)
+	}
+	if to == nil { // shutting down
+		c.popMu.Unlock()
+		sh.table.replaceLocked(c, nil)
+		sh.table.mu.Unlock()
+		b.Release()
+		c.drain()
+		return
+	}
+	// Moved before a new peer is in the table, where the reactor would
+	// find it and push what came later.
+	for ; b != nil; b = c.ring.pop() {
+		if !to.ring.push(b) {
+			l.tel.dropped.Inc()
+			l.tel.droppedQueueFull.Inc()
+		}
+	}
+	c.popMu.Unlock()
+	if fresh {
+		sh.table.replaceLocked(c, to)
+	}
+	sh.table.mu.Unlock()
+	if fresh && !l.offer(to) {
+		return
+	}
+	to.wake(sh)
 }
 
 func (l *reactorListener) Accept(ctx context.Context) (core.Conn, error) {
@@ -643,26 +726,40 @@ func (t *peerTable) insertLocked(key peerKey, c *reactorConn) {
 	}
 }
 
-// remove tombstones key's slot.
-func (t *peerTable) remove(key peerKey) {
+// remove tombstones c's slot, if c is still in the table.
+func (t *peerTable) remove(c *reactorConn) {
 	t.mu.Lock()
 	defer t.mu.Unlock()
+	t.replaceLocked(c, nil)
+}
+
+// replaceLocked puts by in c's slot, or a tombstone when by is nil; by
+// has c's key. It does nothing when c is not in the table. The caller
+// holds mu.
+func (t *peerTable) replaceLocked(c, by *reactorConn) {
 	s := t.slots.Load()
 	if s == nil {
 		return
 	}
-	h := key.hash()
+	h := c.key.hash()
 	for probe := uint64(0); probe <= s.mask; probe++ {
 		e := &s.entries[(h+probe)&s.mask]
-		c := e.c.Load()
-		if c == nil {
+		cur := e.c.Load()
+		if cur == nil {
+			break
+		}
+		if cur == c {
+			if by == nil {
+				e.c.Store(tombstone)
+				t.live--
+			} else {
+				e.c.Store(by)
+			}
 			return
 		}
-		if c != tombstone && c.key == key {
-			e.c.Store(tombstone)
-			t.live--
-			return
-		}
+	}
+	if by != nil {
+		t.insertLocked(by.key, by)
 	}
 }
 
@@ -914,16 +1011,30 @@ func (c *reactorConn) Direct() bool { return true }
 
 // Close detaches the peer connection from the listener. The listener's
 // socket stays open for other peers; a reused source address
-// materializes a fresh connection.
+// materializes a fresh connection. On a unix listener, what the
+// connection holds unread is offered again as a new peer
+// (reofferUnread); elsewhere it is released.
 func (c *reactorConn) Close() error {
+	c.close(c.l.reoffer)
+	return nil
+}
+
+// discard closes the connection and releases what it holds, on every
+// listener: the accept queue had no room for it.
+func (c *reactorConn) discard() { c.close(false) }
+
+func (c *reactorConn) close(reoffer bool) {
 	c.once.Do(func() {
 		c.closedFlag.Store(true)
 		close(c.closed)
-		c.shard.table.remove(c.key)
 		c.shard.conns.Add(-1)
+		if reoffer {
+			c.l.reofferUnread(c)
+			return
+		}
+		c.shard.table.remove(c)
 		c.drain()
 	})
-	return nil
 }
 
 // closePeer closes the conn on listener shutdown; the table is being

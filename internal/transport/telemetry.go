@@ -42,6 +42,13 @@ type netCounters struct {
 	// datagrams in one buffer — off the socket (gro.go), so
 	// recv_syscalls against datagrams_recvd shows the receive batching.
 	groTrains *telemetry.Counter
+	// socketsOpened and socketsClosed count the sockets a dialed
+	// connection opens and closes (socketConn), and peersOpened the
+	// connections a listener's reactor makes for a new peer, so a test
+	// can hold a unit of work to the kernel objects it costs.
+	socketsOpened *telemetry.Counter
+	socketsClosed *telemetry.Counter
+	peersOpened   *telemetry.Counter
 }
 
 var (
@@ -70,6 +77,9 @@ func countersFor(netName string) *netCounters {
 			recvSyscalls:     reg.Counter(prefix + "recv_syscalls"),
 			gsoFallbacks:     reg.Counter(prefix + "gso_fallbacks"),
 			groTrains:        reg.Counter(prefix + "gro_trains"),
+			socketsOpened:    reg.Counter(prefix + "sockets_opened"),
+			socketsClosed:    reg.Counter(prefix + "sockets_closed"),
+			peersOpened:      reg.Counter(prefix + "peers_opened"),
 		}
 		netCountersBy[netName] = c
 	}

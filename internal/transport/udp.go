@@ -176,6 +176,7 @@ func (s *socketConn) dialUDP() (net.Conn, error) {
 func (s *socketConn) attach(c net.Conn) {
 	s.socketIO = &socketIO{conn: c, rsem: make(chan struct{}, 1)}
 	s.opened.Store(true)
+	s.tel.socketsOpened.Inc()
 }
 
 // lockRecv takes the receiver role, or fails with ctx's error when ctx
@@ -706,6 +707,7 @@ func (s *socketConn) Close() error {
 			return
 		}
 		s.closeErr = s.conn.Close()
+		s.tel.socketsClosed.Inc()
 		s.rsem <- struct{}{}
 		s.rq.release()
 		<-s.rsem

@@ -54,6 +54,7 @@ func ListenUnix(hostID, path string) (core.Listener, error) {
 	}
 	l := &unixListener{reactorListener: newDemuxListener(unixPC{pc}, addr), path: path}
 	l.cfg.Shards = 1
+	l.reoffer = true
 	return l, nil
 }
 
@@ -78,7 +79,9 @@ var netNamespace = sync.OnceValue(func() string {
 // asks for. Several goroutines taking turns on one socket can swap two
 // datagrams a peer sent back to back, and unixgram has no kernel hash
 // that could give each of them a socket of its own; a local-fast-path
-// client's data would then overtake its resume request.
+// client's data would then overtake its resume request. The re-offer of
+// what a closing peer held unread (reofferUnread) keeps order on that
+// one goroutine too.
 type unixListener struct {
 	*reactorListener
 	path string
