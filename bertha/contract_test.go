@@ -14,13 +14,14 @@ import (
 )
 
 // TestServerWrapDoesNotWaitOnPeer is DESIGN §10's contract: a
-// server-side Wrap does not wait on its peer. The listener negotiates
-// cold handshakes one at a time, so a Wrap that waited would hold every
-// other client's handshake behind this one's peer. Every implementation
-// RegisterStandard installs that runs on the server is initialized and
-// wrapped over a pipe whose peer never sends, with its chunnel
-// constructor's arguments and the parameters its own NegotiateParams
-// publishes; each Wrap returns within one hello attempt (250 ms).
+// server-side Wrap does not wait on its peer. Every admission holds one
+// of the listener's places until its connection is queued, so Wraps that
+// waited would hold every other client's handshake behind their peers.
+// Every implementation RegisterStandard installs that runs on the server
+// is initialized and wrapped over a pipe whose peer never sends, with its
+// chunnel constructor's arguments and the parameters its own
+// NegotiateParams publishes; each Wrap returns within one hello attempt
+// (250 ms).
 func TestServerWrapDoesNotWaitOnPeer(t *testing.T) {
 	ctx := ctxT(t)
 	reg := bertha.NewRegistry()

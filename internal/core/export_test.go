@@ -60,11 +60,11 @@ const (
 // taken, and how many it can hold.
 func FanInQueued(f *FanIn) (n, capacity int) { return len(f.in), cap(f.in) }
 
-// HoldDeliver makes every resumed connection's delivery run hold after
-// its answer is sent and before it is queued, until restore.
+// HoldDeliver makes every admission, cold or by ticket, run hold after
+// its answer is sent and before its connection is queued, until restore.
 func HoldDeliver(hold func()) (restore func()) {
-	deliverHook.Store(&hold)
-	return func() { deliverHook.Store(nil) }
+	queueHook.Store(&hold)
+	return func() { queueHook.Store(nil) }
 }
 
 // KeptSockets counts the tickets e holds as a client that keep the

@@ -501,8 +501,11 @@ func (e *Endpoint) presentOn(ctx context.Context, addr string, ct clientTicket, 
 }
 
 // takeResume is the endpoint's ResumeSink. It runs on the Resumer's
-// accept loop, which has no context to give: the resume is bounded like
-// one hello attempt.
+// accept loop, or on the lease that hands a returning client's socket
+// on, which have no context to give: the resume is bounded like one
+// hello attempt. Once the ticket names its listener, it takes a place
+// there (admit) before it assembles anything, and ends in the listener's
+// queueOrClose.
 func (e *Endpoint) takeResume(conn Conn, req []byte) {
 	ctx := newLateCtx(helloTimeout)
 	t, err := decodeResume(req) // t is zero when malformed
@@ -538,6 +541,11 @@ func (e *Endpoint) takeResume(conn Conn, req []byte) {
 		reject(why)
 		return
 	}
+	l := st.l
+	if !l.admit() {
+		reject("listener closed or full")
+		return
+	}
 	// With a next ticket, the connection runs on a lease that ends at
 	// the request presenting it: the client's next connection, on the
 	// socket it keeps.
@@ -553,14 +561,13 @@ func (e *Endpoint) takeResume(conn Conn, req []byte) {
 	if err != nil {
 		e.issued.take(a.next, time.Now()) // none when not issued
 		reject("stack not assembled")
+		l.queueOrClose(nil, false)
 		return
 	}
-	if !st.l.deliver(c, conn, a.encode()) {
-		e.issued.take(a.next, time.Now()) // none when not issued
-		reject("listener closed or full")
-		c.Close() // its implementations' teardown
-		return
-	}
+	// The answer goes first, so that it reaches the client before
+	// anything the application sends on c.
+	sent := conn.Send(newLateCtx(lateCtrlTimeout), a.encode()) == nil
+	l.queueOrClose(c, sent)
 	if spliced {
 		stack := stackDesc(st.stack)
 		e.trace(SideServer, telemetry.TraceConnected, telemetry.TraceEvent{

@@ -377,17 +377,21 @@ func (e *Endpoint) Listen(ctx context.Context, base Listener) (Listener, error) 
 		}
 	}
 	e.env.Provide(EnvResume, ResumeSink(e.takeResume))
-	return &negotiatedListener{
+	l := &negotiatedListener{
 		ep: e, base: base,
 		conns:  make(chan Conn, acceptBacklog),
-		room:   make(chan struct{}, 1),
+		slots:  make(chan struct{}, acceptBacklog),
 		done:   make(chan struct{}),
 		failed: make(chan struct{}),
-	}, nil
+	}
+	l.ctx, l.cancel = context.WithCancel(context.Background())
+	l.turn = l.run
+	return l, nil
 }
 
-// acceptBacklog bounds the negotiated connections a listener holds for
-// Accept: the cold loop waits for room, and a ticket presented when
+// acceptBacklog bounds a listener's admissions: the connections it is
+// negotiating or resuming and those it holds for Accept. A cold hello
+// waits for a place before it is answered, and a ticket presented when
 // there is none is rejected (a resume goes cold, a splice fails). It is
 // room for a burst of connecting clients while the application is
 // between two Accepts, without holding more than a small fixed number
@@ -396,40 +400,49 @@ const acceptBacklog = 64
 
 // handshakeBudget bounds one cold handshake on the server: the client
 // gives up after as long (helloRetries attempts of helloTimeout), so no
-// peer holds the listener's loop any longer.
+// peer holds its admission's place any longer.
 const handshakeBudget = helloRetries * helloTimeout
 
 // negotiatedListener returns negotiated connections from two sources:
-// cold handshakes, run one at a time on one goroutine that the first
-// Accept starts and Close joins, and connections established by a
-// ticket (a splice's or a resume's), which the endpoint's ResumeSink
-// delivers. No handshake waits on a peer past its ServerHello.
+// cold handshakes, each admitted on a goroutine of its own by a turn of
+// the accept loop that the first Accept starts, and connections
+// established by a ticket (a splice's or a resume's), which the
+// endpoint's ResumeSink admits on its caller's goroutine. Every
+// admission takes a place in slots before it answers, and ends in
+// queueOrClose: its connection is queued for Accept, or closed and its
+// place given back. Close joins the loop and every admission. No
+// admission waits on a peer past its answer.
 type negotiatedListener struct {
 	ep   *Endpoint
 	base Listener
 
 	conns chan Conn     // negotiated, not yet accepted
-	room  chan struct{} // signalled when Accept takes a connection
+	slots chan struct{} // a place per admission in progress or connection queued
 	done  chan struct{} // closed by Close
 	// failed is closed when the base listener's Accept failed with err.
 	failed chan struct{}
 	err    error
 
+	// ctx bounds every admission; Close cancels it.
+	ctx    context.Context
+	cancel context.CancelFunc
+	// turn is run, made once: a go statement that calls it starts a
+	// turn without allocating.
+	turn func()
+
 	start sync.Once
-	loop  sync.WaitGroup
 	close sync.Once
 
-	// mu orders what is put on conns against Close: nothing is put
-	// once closed is set. reserved counts places on conns held for
-	// resumed connections whose answer is being sent (deliver), and
-	// delivering holds each such delivery until its connection is
-	// queued or closed; Close waits for it. Its Add happens under mu
-	// while closed is unset, so before Close's Wait.
+	// mu orders what is put on conns, and every admission's start,
+	// against Close: nothing starts and nothing is queued once closed is
+	// set. admissions counts each turn of the accept loop until it has
+	// queued or closed what it accepted, and each admission by ticket
+	// until it has queued or closed its connection. The first turn and
+	// every admission by ticket are added under mu while closed is unset;
+	// every later turn by the turn before it, while that one is counted.
 	mu         sync.Mutex
 	closed     bool
-	reserved   int
-	delivering sync.WaitGroup
-	cancel     context.CancelFunc // ends the loop's handshake in progress
+	admissions sync.WaitGroup
 }
 
 func (l *negotiatedListener) Accept(ctx context.Context) (Conn, error) {
@@ -437,13 +450,13 @@ func (l *negotiatedListener) Accept(ctx context.Context) (Conn, error) {
 	// A queued connection goes out before the base listener's failure.
 	select {
 	case c := <-l.conns:
-		l.signalRoom()
+		<-l.slots
 		return c, nil
 	default:
 	}
 	select {
 	case c := <-l.conns:
-		l.signalRoom()
+		<-l.slots
 		return c, nil
 	case <-l.done:
 		return nil, ErrClosed
@@ -454,141 +467,123 @@ func (l *negotiatedListener) Accept(ctx context.Context) (Conn, error) {
 	}
 }
 
-// signalRoom tells a cold loop waiting for room on conns that there is
-// some.
-func (l *negotiatedListener) signalRoom() {
-	select {
-	case l.room <- struct{}{}:
-	default:
-	}
-}
-
 func (l *negotiatedListener) startLoop() {
 	l.mu.Lock()
 	defer l.mu.Unlock()
-	if l.closed {
-		return
+	if !l.closed {
+		l.admissions.Add(1)
+		go l.turn()
 	}
-	ctx, cancel := context.WithCancel(context.Background())
-	l.cancel = cancel
-	l.loop.Add(1)
-	go l.run(ctx)
 }
 
-// run accepts base connections and negotiates them one at a time until
-// the base listener fails. A failed handshake poisons only that peer
-// connection (the failure was already reported to the peer in the
-// ServerHello when possible).
-func (l *negotiatedListener) run(ctx context.Context) {
-	defer l.loop.Done()
+// run is the accept loop until it takes up a hello, and then that
+// hello's admission. It accepts a base connection and waits for the
+// connection's first message within the handshake budget. Its first
+// datagram must be a control message: anything else (late data after
+// the peer was freed, a stray datagram), or none, drops the peer and the
+// loop goes on. With one, it waits for a place within the same budget,
+// starts the loop's next turn, and admits the connection itself: it
+// negotiates it and queues what it assembled. Waiting for the first
+// message on the loop costs nothing on a datagram listener, which hands
+// a connection over with its first datagram, and leaves a connection
+// that never speaks without a place. The loop ends when the base
+// listener fails. A failed handshake poisons only that peer connection
+// (the failure was already reported to the peer in the ServerHello when
+// possible).
+func (l *negotiatedListener) run() {
 	for {
-		raw, err := l.base.Accept(ctx)
+		raw, err := l.base.Accept(l.ctx)
 		if err != nil {
 			l.err = err
 			close(l.failed)
+			l.admissions.Done()
 			return
 		}
-		hctx, cancel := context.WithTimeout(ctx, handshakeBudget)
-		conn, err := l.ep.accept(hctx, raw, l)
-		cancel()
-		if err != nil || conn == nil {
-			raw.Close() // failed, or it goes on at the rendezvous
-			continue
-		}
-		l.put(conn)
-	}
-}
-
-// put queues a cold connection, waiting for room.
-func (l *negotiatedListener) put(c Conn) {
-	for {
-		l.mu.Lock()
-		if l.closed {
-			l.mu.Unlock()
-			c.Close()
-			return
-		}
-		if len(l.conns)+l.reserved < cap(l.conns) {
+		ctx, cancel := context.WithTimeout(l.ctx, handshakeBudget)
+		tc := newTaggedConn(raw)
+		if msg, err := tc.firstCtrl(ctx); err == nil {
 			select {
-			case l.conns <- c:
-				l.mu.Unlock()
+			case l.slots <- struct{}{}:
+				l.admissions.Add(1)
+				go l.turn()
+				conn, err := l.ep.accept(ctx, tc, msg, l)
+				cancel()
+				if err != nil || conn == nil {
+					raw.Close() // failed, or it goes on at the rendezvous
+				}
+				l.queueOrClose(conn, conn != nil)
 				return
-			default:
+			case <-ctx.Done(): // the client gave up, or Close
 			}
 		}
-		l.mu.Unlock()
-		select {
-		case <-l.room:
-		case <-l.done:
-		}
+		cancel()
+		raw.Close()
 	}
 }
 
-// deliver queues a resumed connection c after sending answer on its
-// base connection: the answer goes first, so that it reaches the client
-// before anything the application sends on c. It reserves c's place
-// before it sends, and reports false, having sent and queued nothing,
-// when there is no room or the listener is closed. Once it has sent, c
-// is queued, or closed when the send failed or Close came first, and
-// only then does the delivery end: a Close that waits for the
-// deliveries returns after c is closed.
-func (l *negotiatedListener) deliver(c, base Conn, answer []byte) bool {
+// admit takes a place for an admission by ticket, without waiting. It
+// reports false when the listener is closed or has no place.
+func (l *negotiatedListener) admit() bool {
 	l.mu.Lock()
-	ok := !l.closed && len(l.conns)+l.reserved < cap(l.conns)
-	if ok {
-		l.reserved++
-		l.delivering.Add(1)
-	}
-	l.mu.Unlock()
-	if !ok {
+	defer l.mu.Unlock()
+	if l.closed {
 		return false
 	}
-	defer l.delivering.Done()
-	sent := base.Send(newLateCtx(lateCtrlTimeout), answer) == nil
-	if hook := deliverHook.Load(); hook != nil {
+	select {
+	case l.slots <- struct{}{}:
+		l.admissions.Add(1)
+		return true
+	default:
+		return false
+	}
+}
+
+// queueOrClose ends an admission: when ok, it queues c for Accept in the
+// place the admission took, unless the listener is closed; otherwise it
+// closes c, if there is one, and gives the place back.
+func (l *negotiatedListener) queueOrClose(c Conn, ok bool) {
+	defer l.admissions.Done()
+	if hook := queueHook.Load(); hook != nil && ok {
 		(*hook)()
 	}
 	queued := false
 	l.mu.Lock()
-	l.reserved--
-	if sent && !l.closed {
+	if ok && !l.closed {
 		select {
-		case l.conns <- c: // the reservation kept its place
+		case l.conns <- c: // its place keeps room
 			queued = true
 		default:
 		}
 	}
 	l.mu.Unlock()
 	if !queued {
-		c.Close()
-		l.signalRoom() // the place is free again
+		if c != nil {
+			c.Close()
+		}
+		<-l.slots
 	}
-	return true
 }
 
-// deliverHook, when set, runs in deliver between the answer and the
-// queueing. Tests hold a delivery there.
-var deliverHook atomic.Pointer[func()]
+// queueHook, when set, runs in queueOrClose before a connection is
+// queued, after its answer (a ServerHello or a resume answer). Tests
+// hold an admission there.
+var queueHook atomic.Pointer[func()]
 
 func (l *negotiatedListener) Addr() Addr { return l.base.Addr() }
 
-// Close stops accepting, joins the cold loop, waits for the resumed
-// connections being delivered, closes the connections negotiated and not
-// yet accepted, and forgets the tickets issued through this listener.
+// Close stops accepting, cancels and joins the accept loop and every
+// admission, closes the connections negotiated and not yet accepted, and
+// forgets the tickets issued through this listener.
 func (l *negotiatedListener) Close() error {
 	var err error
 	l.close.Do(func() {
 		l.mu.Lock()
 		l.closed = true
-		cancel := l.cancel
 		l.mu.Unlock()
 		close(l.done)
 		err = l.base.Close()
-		if cancel != nil {
-			cancel()
-		}
-		l.loop.Wait()
-		l.delivering.Wait()
+		l.cancel()
+		l.admissions.Wait()
 		for drained := false; !drained; {
 			select {
 			case c := <-l.conns:
@@ -602,21 +597,14 @@ func (l *negotiatedListener) Close() error {
 	return err
 }
 
-// accept performs the server half of negotiation on one accepted base
-// connection, which came through l. Its first datagram must be a
-// ClientHello: anything else (late data after the peer was freed, a
-// close notice, a stray datagram) drops the peer at once. When the
-// ServerHello carries a rendezvous ticket, the handshake ends with it:
-// accept returns no connection and no error, and the connection reaches
-// Accept through the ResumeSink.
-func (e *Endpoint) accept(ctx context.Context, raw Conn, l *negotiatedListener) (Conn, error) {
-	tc := newTaggedConn(raw)
-	neg := e.negotiator(raw.LocalAddr().Host)
-
-	msg, err := tc.firstCtrl(ctx)
-	if err != nil {
-		return nil, fmt.Errorf("%w: awaiting client hello: %v", ErrNegotiation, err)
-	}
+// accept performs the server half of negotiation on tc, whose first
+// message, msg, is a control message, and which came through l. Any
+// message but a ClientHello fails it. When the ServerHello carries a
+// rendezvous ticket, the handshake ends with it: accept returns no
+// connection and no error, and the connection reaches Accept through the
+// ResumeSink.
+func (e *Endpoint) accept(ctx context.Context, tc *taggedConn, msg []byte, l *negotiatedListener) (Conn, error) {
+	neg := e.negotiator(tc.raw.LocalAddr().Host)
 	d := wire.NewDecoder(msg)
 	if mt := d.Uint8(); mt != msgClientHello {
 		return nil, fmt.Errorf("%w: unexpected control message %d", ErrNegotiation, mt)
