@@ -139,14 +139,14 @@ func acceptLoop(l core.Listener, env *core.Env) {
 		if err != nil {
 			return
 		}
-		if first, err := conn.Recv(core.Polled); err == nil {
+		if first, err := core.RecvBuf(core.Polled, conn); err == nil {
 			dispatch(conn, first, env)
 			continue
 		}
 		go func(conn core.Conn) {
 			tctx, cancel := context.WithTimeout(ctx, firstMessageTimeout)
 			defer cancel()
-			first, err := conn.Recv(tctx)
+			first, err := core.RecvBuf(tctx, conn)
 			if err != nil {
 				conn.Close()
 				return
@@ -156,11 +156,13 @@ func acceptLoop(l core.Listener, env *core.Env) {
 	}
 }
 
-// dispatch hands an IPC connection to the endpoint's resume sink.
-func dispatch(conn core.Conn, first []byte, env *core.Env) {
+// dispatch hands an IPC connection to the endpoint's resume sink, and
+// releases its first message once the sink has read it.
+func dispatch(conn core.Conn, first *wire.Buf, env *core.Env) {
+	defer first.Release()
 	v, _ := env.Lookup(core.EnvResume)
 	if sink, ok := v.(core.ResumeSink); ok {
-		sink(conn, first)
+		sink(conn, first.Bytes())
 		return
 	}
 	conn.Close() // nothing listens for resumes

@@ -476,7 +476,9 @@ func TestSplicedStalledClientsDelayNoConnect(t *testing.T) {
 // file, 118 before connections were resumed, and 126 while the server
 // waited for a splice token and drained the network leg (114–115 since,
 // and 118 since both sides run the connection on a lease and the answer
-// names its ticket).
+// names its ticket). It reads 100 since a connection's lease, base
+// wrapper and bookkeeping live in its one managedConn, the resume
+// messages go in pooled Bufs, and a reactor peer is three objects.
 // Each lifecycle is a new client's, made before the count, so none is
 // resumed.
 func TestSpliceLifecycleAllocBudget(t *testing.T) {
@@ -493,12 +495,12 @@ func TestSpliceLifecycleAllocBudget(t *testing.T) {
 		clients[i] = u.newClient()
 	}
 	next := 0
-	const budget = 130
+	budget := lifecycleBudget(105, 113)
 	avg := testing.AllocsPerRun(runs, func() {
 		u.lifecycle(t, clients[next])
 		next++
 	})
-	if avg > budget {
+	if avg > float64(budget) {
 		t.Fatalf("a spliced lifecycle allocates %.0f objects, budget is %d", avg, budget)
 	}
 	t.Logf("%.1f objects per spliced lifecycle", avg)
@@ -509,7 +511,10 @@ func TestSpliceLifecycleAllocBudget(t *testing.T) {
 // from the one negotiated before, one echo, both sides closed — both
 // endpoints together. One client makes every connection, so each after
 // its first is resumed. It measured 81 objects while each resume dialed
-// the unix socket it ran on, and 66 since the client keeps it.
+// the unix socket it ran on, 66 since the client keeps it (63 later),
+// and 38 since each side's connection is one allocation, the resume
+// messages and tickets allocate nothing, a reactor peer is three objects
+// and a pipe dial closed unused never reaches the base listener.
 func TestResumeLifecycleAllocBudget(t *testing.T) {
 	if testutil.RaceEnabled {
 		t.Skip("allocation counts are inflated under -race")
@@ -518,12 +523,25 @@ func TestResumeLifecycleAllocBudget(t *testing.T) {
 	for i := 0; i < 8; i++ { // the first is negotiated; pools and reactor state
 		u.lifecycle(t, u.cliEp)
 	}
-	const budget = 80
+	budget := lifecycleBudget(43, 53)
 	avg := testing.AllocsPerRun(100, func() { u.lifecycle(t, u.cliEp) })
-	if avg > budget {
+	if avg > float64(budget) {
 		t.Fatalf("a resumed lifecycle allocates %.0f objects, budget is %d", avg, budget)
 	}
 	t.Logf("%.1f objects per resumed lifecycle", avg)
+}
+
+// lifecycleBudget picks a lifecycle's allocation budget for the unix
+// listener's receive loop: fast for linux amd64 and arm64's, which reads
+// a peer's address in place, portable for the net package's ReadFrom
+// elsewhere, which makes a net.Addr and a name for every datagram (it
+// reads 108 spliced and 48 resumed there, 125 and 71 before a resumed
+// connection was one allocation per side).
+func lifecycleBudget(fast, portable int) int {
+	if runtime.GOOS == "linux" && (runtime.GOARCH == "amd64" || runtime.GOARCH == "arm64") {
+		return fast
+	}
+	return portable
 }
 
 // TestSpliceRetainsNoTimer: once both sides of a spliced connection have

@@ -3,6 +3,7 @@ package core
 import (
 	"fmt"
 	"maps"
+	"math"
 	"time"
 )
 
@@ -20,7 +21,7 @@ func ExpireIssuedTickets(e *Endpoint) {
 	e.issued.mu.Lock()
 	defer e.issued.mu.Unlock()
 	for k, st := range e.issued.m {
-		st.expires = time.Time{}
+		st.expires = math.MinInt64
 		e.issued.m[k] = st
 	}
 }
@@ -89,7 +90,7 @@ func ExpireHeldTickets(e *Endpoint) {
 	e.held.mu.Lock()
 	defer e.held.mu.Unlock()
 	for k, en := range e.held.m {
-		en.expires = time.Time{}
+		en.expires = math.MinInt64
 		e.held.m[k] = en
 	}
 }

@@ -21,6 +21,9 @@ import (
 // request. From then on every call answers ErrClosed, though the socket
 // lives on. Sends in flight when it ends finish first, so nothing the
 // view sent follows what the next connection sends.
+//
+// A lease lives in the managedConn of the connection it is the view of
+// (assemble), not in an allocation of its own.
 type lease struct {
 	Datapath // the base, resolved
 	base     Conn
@@ -44,10 +47,6 @@ const (
 	leaseRecv  = 1 << 31
 	leaseEnded = 1 << 62
 )
-
-func newLease(base Conn, ep *Endpoint, side Side, next ticket, addr string) *lease {
-	return &lease{Datapath: Resolve(base), base: base, ep: ep, side: side, next: next, addr: addr}
-}
 
 // enter counts a call of kind k in flight, or reports false when the
 // view has ended.

@@ -81,7 +81,7 @@ func (e *Endpoint) ConnectMulti(ctx context.Context, raws []Conn) (Conn, error) 
 			}
 		}
 	}
-	conn, err := e.assemble(ctx, snap, stack, SideClient, false, bases...)
+	conn, err := e.assemble(ctx, snap, stack, SideClient, nil, bases...)
 	if err != nil {
 		return fail(err)
 	}

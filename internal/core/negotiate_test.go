@@ -110,7 +110,7 @@ func FuzzResume(f *testing.F) {
 		// the base and closes it), and the view ends, exactly when msg is
 		// that request; otherwise the application receives msg.
 		base := &queuedConn{sinkConn: &sinkConn{}, msg: msg}
-		l := newLease(base, srv, SideServer, next, "")
+		l := &lease{Datapath: Resolve(base), base: base, ep: srv, side: SideServer, next: next}
 		b, rerr := l.RecvBuf(context.Background())
 		rejected := resumeAnswer{presented: next}.encode()
 		if bytes.Equal(msg, encodeResume(next)) {
@@ -135,6 +135,12 @@ func FuzzResume(f *testing.F) {
 		}
 	})
 }
+
+// encodeResume is the request that presents t, as bytes.
+func encodeResume(t ticket) []byte { return resumeRequest(t).CopyOut() }
+
+// encode is a as bytes.
+func (a resumeAnswer) encode() []byte { return a.buf().CopyOut() }
 
 // queuedConn receives msg once, then ErrClosed; what is sent on it is
 // recorded.

@@ -112,7 +112,8 @@ const EnvResume = "core:resume"
 // ResumeSink takes a connection whose first message, req, should be a
 // resume request. It owns conn from then on: it queues the connection
 // for the listener the ticket came through, or answers with a rejection
-// and closes it.
+// and closes it. It does not keep req, which the caller may reuse once
+// the sink returns.
 type ResumeSink func(conn Conn, req []byte)
 
 // On the Resumer's connection a resume request is [tagCtrl, msgResume,
@@ -124,9 +125,14 @@ type ResumeSink func(conn Conn, req []byte)
 // connection application data is untagged, so two bytes of it could
 // read as an answer.
 
-// encodeResume is the request a client presents its ticket in.
-func encodeResume(t ticket) []byte {
-	return append([]byte{tagCtrl, msgResume}, t[:]...)
+// resumeRequest is the request a client presents its ticket in, in a
+// pooled Buf.
+func resumeRequest(t ticket) *wire.Buf {
+	b := wire.NewBuf(0, 2+ticketLen)
+	p := b.Bytes()
+	p[0], p[1] = tagCtrl, msgResume
+	copy(p[2:], t[:])
+	return b
 }
 
 // decodeResume reads a resume request.
@@ -149,17 +155,23 @@ type resumeAnswer struct {
 	issued    bool
 }
 
-func (a resumeAnswer) encode() []byte {
-	mt := byte(msgResumeRejected)
-	if a.ok {
-		mt = msgResumeOK
-	}
-	msg := make([]byte, 0, 2+2*ticketLen)
-	msg = append(append(msg, tagCtrl, mt), a.presented[:]...)
+// buf encodes a in a pooled Buf.
+func (a resumeAnswer) buf() *wire.Buf {
+	n := 2 + ticketLen
 	if a.ok && a.issued {
-		msg = append(msg, a.next[:]...)
+		n += ticketLen
 	}
-	return msg
+	b := wire.NewBuf(0, n)
+	p := b.Bytes()
+	p[0], p[1] = tagCtrl, msgResumeRejected
+	if a.ok {
+		p[1] = msgResumeOK
+	}
+	copy(p[2:], a.presented[:])
+	if a.ok && a.issued {
+		copy(p[2+ticketLen:], a.next[:])
+	}
+	return b
 }
 
 // decodeResumeAnswer reads the server's answer.
@@ -189,7 +201,9 @@ func decodeResumeAnswer(msg []byte) (resumeAnswer, error) {
 // put never fails, and nothing scans the store or runs on a timer.
 // onDrop, when set, is given every value the store itself lets go of: one
 // a put overwrote or evicted, or one dropIf removed. A value take
-// returns is the caller's.
+// returns is the caller's. None of put, take and update allocates once
+// the map has room, as long as an entry fits the 128 bytes a Go map
+// holds in place (a client ticket's is 120).
 type ticketStore[K comparable, V any] struct {
 	mu sync.Mutex
 	m  map[K]ticketEntry[V]
@@ -201,9 +215,16 @@ type ticketStore[K comparable, V any] struct {
 
 type ticketEntry[V any] struct {
 	v       V
-	expires time.Time
+	expires int64  // on the stores' clock (sinceEpoch)
 	put     uint64 // the number of the put that stored it
 }
+
+// epoch is the origin of the stores' clock. An expiry is kept as an
+// offset from it, a word where a time.Time takes three.
+var epoch = time.Now()
+
+// sinceEpoch reads t on the stores' clock: monotonic when t is.
+func sinceEpoch(t time.Time) int64 { return int64(t.Sub(epoch)) }
 
 // put stores v under k, in place of the oldest put when the ring is
 // full. That one is gone already if it was taken, or if its key was put
@@ -228,7 +249,7 @@ func (s *ticketStore[K, V]) put(k K, v V, now time.Time) {
 	if e, ok := s.m[k]; ok {
 		gone[n], n = e.v, n+1
 	}
-	s.m[k] = ticketEntry[V]{v: v, expires: now.Add(ticketTTL), put: s.puts}
+	s.m[k] = ticketEntry[V]{v: v, expires: sinceEpoch(now) + int64(ticketTTL), put: s.puts}
 	s.puts++
 	s.mu.Unlock()
 	s.dropped(gone[:n])
@@ -254,20 +275,24 @@ func (s *ticketStore[K, V]) take(k K, now time.Time) (v V, found, live bool) {
 		return v, false, false
 	}
 	delete(s.m, k)
-	return e.v, true, now.Before(e.expires)
+	return e.v, true, sinceEpoch(now) < e.expires
 }
 
-// update applies f to the value under k, if there is one, and reports
-// what f reports.
-func (s *ticketStore[K, V]) update(k K, f func(*V) bool) bool {
+// update replaces the value under k, if there is one, with what f makes
+// of it, unless f reports false, and reports whether it did. f takes and
+// gives the value, not a pointer into the entry, which would move the
+// entry to the heap.
+func (s *ticketStore[K, V]) update(k K, f func(V) (V, bool)) bool {
 	s.mu.Lock()
 	defer s.mu.Unlock()
 	e, ok := s.m[k]
-	if !ok || !f(&e.v) {
+	if !ok {
 		return false
 	}
-	s.m[k] = e
-	return true
+	if e.v, ok = f(e.v); ok {
+		s.m[k] = e
+	}
+	return ok
 }
 
 // dropIf removes every value drop reports true for.
@@ -326,12 +351,12 @@ func (ct clientTicket) drop() {
 // keepSocket gives sock to the ticket held for addr when that is t and
 // keeps none yet, and reports whether it did.
 func (e *Endpoint) keepSocket(addr string, t ticket, sock Conn) bool {
-	return e.held.update(addr, func(ct *clientTicket) bool {
+	return e.held.update(addr, func(ct clientTicket) (clientTicket, bool) {
 		if ct.t != t || ct.sock != nil {
-			return false
+			return ct, false
 		}
 		ct.sock = sock
-		return true
+		return ct, true
 	})
 }
 
@@ -460,7 +485,7 @@ func (e *Endpoint) present(ctx context.Context, addr string, ct clientTicket) (C
 func (e *Endpoint) presentOn(ctx context.Context, addr string, ct clientTicket, base Conn) (conn Conn, why string, gone bool) {
 	kept := base == ct.sock
 	dp := Resolve(base)
-	if err := dp.SendBuf(ctx, wire.NewBufFrom(0, encodeResume(ct.t))); err != nil {
+	if err := dp.SendBuf(ctx, resumeRequest(ct.t)); err != nil {
 		base.Close()
 		return nil, "resume request not sent", kept
 	}
@@ -484,11 +509,7 @@ func (e *Endpoint) presentOn(ctx context.Context, addr string, ct clientTicket, 
 		base.Close()
 		return nil, "resume rejected", false
 	}
-	leased := base
-	if a.issued {
-		leased = newLease(base, e, SideClient, a.next, addr)
-	}
-	conn, err := e.assemble(ctx, ct.snap, ct.stack, SideClient, true, leased)
+	conn, err := e.assemble(ctx, ct.snap, ct.stack, SideClient, &resumption{issued: a.issued, next: a.next, addr: addr}, base)
 	if err != nil {
 		base.Close()
 		return nil, "resumed stack not assembled", false
@@ -502,12 +523,13 @@ func (e *Endpoint) presentOn(ctx context.Context, addr string, ct clientTicket, 
 
 // takeResume is the endpoint's ResumeSink. It runs on the Resumer's
 // accept loop, or on the lease that hands a returning client's socket
-// on, which have no context to give: the resume is bounded like one
-// hello attempt. Once the ticket names its listener, it takes a place
-// there (admit) before it assembles anything, and ends in the listener's
-// queueOrClose.
+// on, which have no context to give: the resume, its answer included, is
+// bounded like one hello attempt. Once the ticket names its listener, it
+// takes a place there (admit) before it assembles anything, and ends in
+// the listener's queueOrClose.
 func (e *Endpoint) takeResume(conn Conn, req []byte) {
 	ctx := newLateCtx(helloTimeout)
+	dp := Resolve(conn)
 	t, err := decodeResume(req) // t is zero when malformed
 	reject := func(why string) {
 		// Traced before it is answered: a client that reads the trace
@@ -515,7 +537,7 @@ func (e *Endpoint) takeResume(conn Conn, req []byte) {
 		e.trace(SideServer, telemetry.TraceResume, telemetry.TraceEvent{
 			Deferred: telemetry.Detailf("rejected: %s").Str(why),
 		})
-		_ = conn.Send(newLateCtx(lateCtrlTimeout), resumeAnswer{presented: t}.encode())
+		_ = dp.SendBuf(ctx, resumeAnswer{presented: t}.buf())
 		conn.Close()
 	}
 	if err != nil {
@@ -551,13 +573,11 @@ func (e *Endpoint) takeResume(conn Conn, req []byte) {
 	// socket it keeps.
 	spliced := st.rendezvous
 	a := resumeAnswer{presented: t, ok: true, issued: resumable(st.stack)}
-	leased := conn
 	if a.issued {
 		st.rendezvous = false
 		a.next = e.storeTicket(st)
-		leased = newLease(conn, e, SideServer, a.next, "")
 	}
-	c, err := e.assemble(ctx, st.snap, st.stack, SideServer, true, leased)
+	c, err := e.assemble(ctx, st.snap, st.stack, SideServer, &resumption{issued: a.issued, next: a.next}, conn)
 	if err != nil {
 		e.issued.take(a.next, time.Now()) // none when not issued
 		reject("stack not assembled")
@@ -566,7 +586,7 @@ func (e *Endpoint) takeResume(conn Conn, req []byte) {
 	}
 	// The answer goes first, so that it reaches the client before
 	// anything the application sends on c.
-	sent := conn.Send(newLateCtx(lateCtrlTimeout), a.encode()) == nil
+	sent := dp.SendBuf(ctx, a.buf()) == nil
 	l.queueOrClose(c, sent)
 	if spliced {
 		stack := stackDesc(st.stack)
@@ -577,6 +597,16 @@ func (e *Endpoint) takeResume(conn Conn, req []byte) {
 		return
 	}
 	e.trace(SideServer, telemetry.TraceResume, telemetry.TraceEvent{Detail: "resumed"})
+}
+
+// resumption is how a ticket established a connection: over the
+// Resumer's connection, and, when the server issued a next ticket, on a
+// lease of it for that ticket (lease.go).
+type resumption struct {
+	issued bool
+	next   ticket
+	// addr, on a client, is the server address next resumes.
+	addr string
 }
 
 // discoveredOffers is what a client's discovery query adds to its

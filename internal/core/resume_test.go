@@ -9,6 +9,7 @@ import (
 	"slices"
 	"strings"
 	"sync"
+	"sync/atomic"
 	"testing"
 	"time"
 
@@ -31,6 +32,9 @@ type resumeRig struct {
 	telS, telC *telemetry.Registry
 	disc       *answerDiscovery
 	nl         core.Listener
+	// baseAccepts counts the connections the server's base (pipe)
+	// listener handed to the negotiated listener.
+	baseAccepts atomic.Int64
 	// wrap, when set, decorates each raw connection the client dials.
 	wrap func(core.Conn) core.Conn
 }
@@ -64,7 +68,7 @@ func newResumeRig(t *testing.T) *resumeRig {
 	if err != nil {
 		t.Fatal(err)
 	}
-	r.nl, err = r.srv.Listen(ctxT(t), base)
+	r.nl, err = r.srv.Listen(ctxT(t), &countedListener{Listener: base, n: &r.baseAccepts})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -146,6 +150,42 @@ func lastResumeEvent(tel *telemetry.Registry) string {
 		return details[n-2]
 	}
 	return details[n-1]
+}
+
+// countedListener counts the connections its Listener accepts.
+type countedListener struct {
+	core.Listener
+	n *atomic.Int64
+}
+
+func (l *countedListener) Accept(ctx context.Context) (core.Conn, error) {
+	c, err := l.Listener.Accept(ctx)
+	if err == nil {
+		l.n.Add(1)
+	}
+	return c, err
+}
+
+// TestResumedConnectLeavesBaseListenerAlone: a resumed Connect closes
+// its raw connection unused, and a pipe dial hands its server end to
+// the listener only at its first send or receive, so the base listener
+// never sees a resumed connection. It used to hand each one over at the
+// dial: a turn of the server's accept loop per resumed Connect, and an
+// admission that waited for the client to close a pipe it never used.
+func TestResumedConnectLeavesBaseListenerAlone(t *testing.T) {
+	r := newResumeRig(t)
+	r.lifecycle(t) // negotiated on the network leg
+	if n := r.baseAccepts.Load(); n != 1 {
+		t.Fatalf("the base listener accepted %d connections for one negotiated lifecycle, want 1", n)
+	}
+	for i := 0; i < 20; i++ {
+		if !r.lifecycle(t) {
+			t.Fatalf("lifecycle %d was not resumed: %q", i, lastResumeEvent(r.telC))
+		}
+	}
+	if n := r.baseAccepts.Load() - 1; n != 0 {
+		t.Errorf("the base listener accepted %d connections for 20 resumed lifecycles, want 0", n)
+	}
 }
 
 // answerDiscovery answers every query with offers, which a test changes.

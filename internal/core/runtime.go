@@ -258,7 +258,7 @@ func (e *Endpoint) Connect(ctx context.Context, raw Conn) (Conn, error) {
 	if len(sh.Ticket) > 0 {
 		raw.Close() // the connection goes on at the rendezvous
 		conn, err = e.rendezvous(ctx, raw.RemoteAddr().Addr, snap, sh, discovered)
-	} else if conn, err = e.assemble(ctx, snap, sh.Stack, SideClient, false, tc.dataConn()); err != nil {
+	} else if conn, err = e.assemble(ctx, snap, sh.Stack, SideClient, nil, tc.dataConn()); err != nil {
 		raw.Close()
 	}
 	if err != nil {
@@ -648,7 +648,7 @@ func (e *Endpoint) accept(ctx context.Context, tc *taggedConn, msg []byte, l *ne
 	// answered with the cached reply by the tagged conn's control loop.
 	tc.setCtrlResponder(ch.Nonce, reply)
 
-	conn, err := e.assemble(ctx, neg.snap, resolved, SideServer, false, tc.dataConn())
+	conn, err := e.assemble(ctx, neg.snap, resolved, SideServer, nil, tc.dataConn())
 	if err != nil {
 		e.trace(SideServer, telemetry.TraceFailed, telemetry.TraceEvent{Detail: err.Error()})
 		return nil, err
@@ -695,11 +695,11 @@ func describeStack(stack []ResolvedNode) string {
 // enter the stack at the top. Implementations come from snap, the
 // snapshot the connection negotiated from. A base is the mux's data
 // channel on a negotiated connection, and the Resumer's connection on a
-// spliced or resumed one, whose innermost node is not wrapped: base
-// already is what its Wrap would return. Over a group, a node wraps
-// every base, or, when it is a MultiWrapper, collapses them into one;
-// a group that nothing collapsed receives through a FanIn.
-func (e *Endpoint) assemble(ctx context.Context, snap *regSnapshot, stack []ResolvedNode, side Side, resumed bool, bases ...Conn) (Conn, error) {
+// spliced or resumed one (resumed is set), whose innermost node is not
+// wrapped: base already is what its Wrap would return. Over a group, a
+// node wraps every base, or, when it is a MultiWrapper, collapses them
+// into one; a group that nothing collapsed receives through a FanIn.
+func (e *Endpoint) assemble(ctx context.Context, snap *regSnapshot, stack []ResolvedNode, side Side, resumed *resumption, bases ...Conn) (Conn, error) {
 	// When negotiation put the trace chunnel into the stack, enable the
 	// per-registry span ring. Handles minted from a nil ring are inert,
 	// so the untraced path needs no branches below.
@@ -712,26 +712,46 @@ func (e *Endpoint) assemble(ctx context.Context, snap *regSnapshot, stack []Reso
 		spanRing = e.tel.EnableSpans(ringSize)
 	}
 
-	// The base of the instrumented stack: the mux data channel, recorded
-	// under the pseudo-chunnel type "transport" so readouts attribute
-	// wire time separately from every chunnel above it.
+	m := new(managedConn)
 	conns := bases
-	baseNet := conns[0].LocalAddr().Net
-	baseMetrics := e.tel.Conn("transport", baseNet)
+	if resumed != nil && resumed.issued {
+		m.view = lease{Datapath: Resolve(conns[0]), base: conns[0], ep: e, side: side, next: resumed.next, addr: resumed.addr}
+		conns[0] = &m.view
+	}
 	// Batch-awareness bookkeeping: a SendBufs burst entering the top of
 	// the stack stays vectored only while every layer on the way down
 	// implements BatchConn natively; the first per-message layer breaks
 	// it into a SendBuf loop. The instrumented wrappers forward the
 	// vectored path transparently, so awareness is judged on the chunnel
-	// connections themselves (before instrumentation), innermost first.
-	_, baseAware := conns[0].(BatchConn)
-	aware := append(make([]bool, 0, len(stack)+1), baseAware)
-	instrument(conns, baseMetrics, spanRing.Handle("transport", baseNet))
-	// layerMetrics collects each instrumented layer innermost-first; the
+	// connections themselves (before instrumentation), innermost first:
+	// vectored counts the aware layers above the last one that is not.
+	depth, vectored := 0, 0
+	judge := func(c Conn) {
+		depth++
+		if _, aware := c.(BatchConn); aware {
+			vectored++
+		} else {
+			vectored = 0
+		}
+	}
+	judge(conns[0])
+	// The base of the instrumented stack: the mux data channel, recorded
+	// under the pseudo-chunnel type "transport" so readouts attribute
+	// wire time separately from every chunnel above it.
+	baseNet := conns[0].LocalAddr().Net
+	baseMetrics := e.tel.Conn("transport", baseNet)
+	baseSpan := spanRing.Handle("transport", baseNet)
+	if len(conns) == 1 {
+		m.base = instrumentedConn{Datapath: Resolve(conns[0]), m: baseMetrics, span: baseSpan}
+		conns[0] = &m.base
+	} else {
+		instrument(conns, baseMetrics, baseSpan)
+	}
+	// layers collects each instrumented layer innermost-first; the
 	// managedConn derives per-hop exclusive latency (HopStats) from
 	// adjacent layers' inclusive histograms.
-	layerMetrics := []*telemetry.ConnMetrics{baseMetrics}
-	var active []activeImpl
+	layers := append(m.layersIn[:0], baseMetrics)
+	active := m.activeIn[:0]
 	// A failure closes what the stack has wrapped, as the connection's
 	// Close would; the bases alone are the caller's to close.
 	wrapped := false
@@ -757,7 +777,7 @@ func (e *Endpoint) assemble(ctx context.Context, snap *regSnapshot, stack []Reso
 		if err := impl.Init(ctx, e.env, rn.Args); err != nil {
 			return fail(fmt.Errorf("bertha: init %q: %w", rn.ImplName, err))
 		}
-		if resumed && i == len(stack)-1 {
+		if resumed != nil && i == len(stack)-1 {
 			active = append(active, activeImpl{impl: impl, claim: rn.ClaimID})
 			continue
 		}
@@ -779,31 +799,26 @@ func (e *Endpoint) assemble(ctx context.Context, snap *regSnapshot, stack []Reso
 			return fail(fmt.Errorf("bertha: wrap %q: %w", rn.ImplName, err))
 		}
 		wrapped = true
-		_, isAware := conns[0].(BatchConn)
-		aware = append(aware, isAware)
+		judge(conns[0])
 		// Each resolved node gets an instrumented wrapper above it,
 		// preallocated per (type, impl) pair: sends/recvs/bytes/errors
 		// and inclusive latency, at zero allocations per message.
 		layerM := e.tel.Conn(rn.Type, rn.ImplName)
 		instrument(conns, layerM, spanRing.Handle(rn.Type, rn.ImplName))
-		layerMetrics = append(layerMetrics, layerM)
+		layers = append(layers, layerM)
 		active = append(active, activeImpl{impl: impl, claim: rn.ClaimID})
 	}
 	conn := conns[0]
 	if len(conns) > 1 {
 		// The fan layer sends every message to each peer in turn.
 		conn = fanConn{NewFanIn(slices.Clone(conns))}
-		aware = append(aware, false)
+		depth, vectored = depth+1, 0
 	}
 	// The vectored segment is the contiguous batch-aware run from the
 	// top of the stack down: that is how deep an application burst
 	// travels before degrading to per-message sends.
-	vectored := 0
-	for i := len(aware) - 1; i >= 0 && aware[i]; i-- {
-		vectored++
-	}
 	e.trace(side, telemetry.TraceBatchPath, telemetry.TraceEvent{
-		Deferred: telemetry.Detailf("vectored %d/%d layers from the top").Int(vectored).Int(len(aware)),
+		Deferred: telemetry.Detailf("vectored %d/%d layers from the top").Int(vectored).Int(depth),
 	})
 	if e.coalesce != nil {
 		conn = NewCoalescer(conn, *e.coalesce, e.tel)
@@ -816,10 +831,8 @@ func (e *Endpoint) assemble(ctx context.Context, snap *regSnapshot, stack []Reso
 	}
 	openConns := e.tel.Gauge("core/open_conns")
 	openConns.Add(1)
-	return &managedConn{
-		Datapath: Resolve(conn), ep: e, side: side, active: active,
-		layers: layerMetrics, openConns: openConns,
-	}, nil
+	m.Datapath, m.ep, m.side, m.active, m.layers, m.openConns = Resolve(conn), e, side, active, layers, openConns
+	return m, nil
 }
 
 // instrument puts an instrumented wrapper over every connection of
@@ -869,6 +882,13 @@ func (e *Endpoint) releasesClaims(active []activeImpl) bool {
 // the application's Send(p) and Recv() become the Buf path (every other
 // entry point it inherits from the stack below), and where closing runs
 // implementation teardown and resource release.
+//
+// Over one base, it holds what assemble adds besides the chunnels' own
+// connections and their instrumented wrappers: the lease a resumed
+// connection runs on, the base's instrumented wrapper, and the backing
+// arrays of active and layers for a stack of up to inlineLayers nodes.
+// A resumed stack's one node is the Resumer's, which wraps nothing, so
+// a resumed connection is this one allocation.
 type managedConn struct {
 	Datapath
 	ep     *Endpoint
@@ -879,7 +899,16 @@ type managedConn struct {
 	layers    []*telemetry.ConnMetrics
 	openConns *telemetry.Gauge
 	once      sync.Once
+
+	view     lease            // the base, when a resumed connection runs on a lease
+	base     instrumentedConn // the base's instrumented wrapper
+	activeIn [inlineLayers]activeImpl
+	layersIn [inlineLayers + 1]*telemetry.ConnMetrics
 }
+
+// inlineLayers is how many nodes' bookkeeping a managedConn holds in
+// place; a longer stack's spills to the heap.
+const inlineLayers = 4
 
 func (m *managedConn) Send(ctx context.Context, p []byte) error {
 	return m.SendBuf(ctx, wire.NewBufFrom(m.Headroom(), p))

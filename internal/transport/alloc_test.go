@@ -282,3 +282,67 @@ func TestUDPParkedRecvAllocs(t *testing.T) {
 		})
 	}
 }
+
+// TestParkedRecvKeepsSlice: in a ping-pong every receive parks, and each
+// used to arm a new park-slice read deadline, a runtime timer change
+// under its lock (2 % of connect_churn's CPU). A receive that finds the
+// deadline an earlier receive's slice left, ending within its own slice
+// and at least three quarters of one away, keeps it: a deadline is armed
+// at most once per quarter slice of the loop's time, so 100 round trips
+// of 50 µs arm a few, not one each (58 before). On a box slow enough
+// that the round trips take longer than that, the bound follows the
+// time they took. A receive cancelled while parked still returns.
+func TestParkedRecvKeepsSlice(t *testing.T) {
+	cli, srv, err := UDPPair("a", "b")
+	if err != nil {
+		t.Fatalf("pair: %v", err)
+	}
+	defer cli.Close()
+	defer srv.Close()
+	go func() { // echo until the pair closes
+		echo := srv.(core.BufConn)
+		for {
+			b, err := echo.RecvBuf(context.Background())
+			if err != nil || echo.SendBuf(context.Background(), b) != nil {
+				return
+			}
+		}
+	}()
+	ctx := ctxT(t)
+	bc := cli.(core.BufConn)
+	payload := make([]byte, 64)
+	roundTrip := func() {
+		if err := cli.Send(ctx, payload); err != nil {
+			t.Fatalf("send: %v", err)
+		}
+		b, err := bc.RecvBuf(ctx)
+		if err != nil {
+			t.Fatalf("recv: %v", err)
+		}
+		b.Release()
+	}
+	roundTrip() // warm the socket state and the pools
+	const rounds = 100
+	stop := countDeadlines(cli)
+	start := time.Now()
+	for i := 0; i < rounds; i++ {
+		roundTrip()
+	}
+	took := time.Since(start)
+	armed := stop()
+	t.Logf("%d parked round trips in %v armed %d read deadlines", rounds, took, armed)
+	limit := max(rounds/4, 2+int64(took/(parkSlice/4)))
+	if armed > limit {
+		t.Errorf("%d parked round trips in %v armed %d read deadlines, want at most %d", rounds, took, armed, limit)
+	}
+
+	cctx, cancel := context.WithCancel(ctx)
+	time.AfterFunc(5*time.Millisecond, cancel)
+	start = time.Now()
+	if _, err := bc.RecvBuf(cctx); err != context.Canceled {
+		t.Fatalf("a receive cancelled while parked returned %v, want context.Canceled", err)
+	}
+	if d := time.Since(start); d > 100*time.Millisecond {
+		t.Errorf("a receive cancelled after 5ms returned after %v", d)
+	}
+}

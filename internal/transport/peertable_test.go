@@ -37,7 +37,8 @@ func TestPeerTableGrowthUnderLookups(t *testing.T) {
 	var tbl peerTable
 	conns := make([]*reactorConn, first+second)
 	for i := range conns {
-		conns[i] = &reactorConn{key: tablePeerKey(i), ring: newConnRing(4)}
+		conns[i] = &reactorConn{key: tablePeerKey(i)}
+		conns[i].ring.init(4)
 	}
 	insert := func(i int) {
 		tbl.mu.Lock()

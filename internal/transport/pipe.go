@@ -11,6 +11,7 @@ import (
 	"context"
 	"fmt"
 	"sync"
+	"sync/atomic"
 
 	"github.com/bertha-net/bertha/internal/core"
 	"github.com/bertha-net/bertha/internal/wire"
@@ -32,6 +33,44 @@ type pipeHalf struct {
 	closeOnce  sync.Once
 	closed     chan struct{} // closed when *this* half is closed
 	peerClosed chan struct{} // closed when the peer half is closed
+
+	// A dialed client end hands its server end, peer, to the listener
+	// to at its first send or receive (ready), as a UDP dial opens its
+	// socket at first use: an end closed unused never reaches Accept.
+	// to is nil on every other end.
+	to   *pipeListener
+	peer *pipeHalf
+	hand atomic.Int32 // handPending, handBusy or handDone
+}
+
+const (
+	handPending = iota
+	handBusy
+	handDone
+)
+
+// ready hands the server end of a dialed client end to its listener,
+// unless that is done or under way. A listener that closed first gets
+// nothing: the server end is closed instead, and the call fails with
+// ErrClosed. A call that finds the handover under way goes on: what it
+// sends waits in the pipe for the server end.
+func (p *pipeHalf) ready(ctx context.Context) error {
+	if p.to == nil || p.hand.Load() == handDone || !p.hand.CompareAndSwap(handPending, handBusy) {
+		return nil
+	}
+	select {
+	case p.to.accept <- p.peer:
+		p.hand.Store(handDone)
+		return nil
+	case <-p.to.closed:
+	case <-p.closed:
+	case <-ctx.Done():
+		p.hand.Store(handPending)
+		return ctx.Err()
+	}
+	p.peer.Close()
+	p.hand.Store(handDone)
+	return core.ErrClosed
 }
 
 // Pipe returns a connected in-process pair: what one side sends, the other
@@ -58,6 +97,10 @@ func (p *pipeHalf) Send(ctx context.Context, b []byte) error {
 
 // SendBuf hands the buffer to the peer without copying.
 func (p *pipeHalf) SendBuf(ctx context.Context, b *wire.Buf) error {
+	if err := p.ready(ctx); err != nil {
+		b.Release()
+		return err
+	}
 	// Fail fast on a known-closed pipe so Send after Close is
 	// deterministic even when buffer space remains.
 	select {
@@ -126,6 +169,10 @@ func (p *pipeHalf) reap() {
 // backpressure applies per message). The first failure aborts the burst
 // and releases the unsent tail.
 func (p *pipeHalf) SendBufs(ctx context.Context, bs []*wire.Buf) error {
+	if err := p.ready(ctx); err != nil {
+		core.ReleaseAll(bs)
+		return &core.BatchError{Sent: 0, Err: err}
+	}
 	select {
 	case <-p.closed:
 		core.ReleaseAll(bs)
@@ -197,6 +244,9 @@ func (p *pipeHalf) Recv(ctx context.Context) ([]byte, error) {
 
 // RecvBuf implements core.BufConn.
 func (p *pipeHalf) RecvBuf(ctx context.Context) (*wire.Buf, error) {
+	if err := p.ready(ctx); err != nil {
+		return nil, err
+	}
 	// Drain buffered messages even after close so no data is lost, but
 	// fail once both the buffer is empty and a side is closed.
 	select {
@@ -283,6 +333,8 @@ func (n *PipeNetwork) Dial(ctx context.Context, addr core.Addr) (core.Conn, erro
 
 // DialFrom connects to a listener, labeling the client side with the given
 // host identity (so host-locality checks reflect the virtual topology).
+// The listener must exist now; it is handed the server end at the client
+// end's first send or receive.
 func (n *PipeNetwork) DialFrom(ctx context.Context, fromHost string, addr core.Addr) (core.Conn, error) {
 	n.mu.Lock()
 	l, ok := n.listeners[addr.Addr]
@@ -296,17 +348,10 @@ func (n *PipeNetwork) DialFrom(ctx context.Context, fromHost string, addr core.A
 	n.mu.Unlock()
 
 	clientAddr := core.Addr{Net: "pipe", Host: fromHost, Addr: fmt.Sprintf("%s#%d", addr.Addr, port)}
-	cliConn, srvConn := Pipe(clientAddr, l.addr, capacity)
-	select {
-	case l.accept <- srvConn:
-		return cliConn, nil
-	case <-l.closed:
-		cliConn.Close()
-		return nil, core.ErrClosed
-	case <-ctx.Done():
-		cliConn.Close()
-		return nil, ctx.Err()
-	}
+	cli, srv := Pipe(clientAddr, l.addr, capacity)
+	c := cli.(*pipeHalf)
+	c.to, c.peer = l, srv.(*pipeHalf)
+	return c, nil
 }
 
 // Dialer returns a core.Dialer dialing into this network from the given

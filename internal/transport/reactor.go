@@ -359,22 +359,16 @@ func (l *reactorListener) deliver(key peerKey, from net.Addr, bs []*wire.Buf, po
 // materialize creates (or, racing another reactor, finds) the
 // connection for a new peer and offers it to the accept queue. A full
 // backlog retracts the connection and reports nil; so does a listener
-// that is shutting down. A string key that comes without a net.Addr is
-// the linux unix receive loop's: it aliases that loop's sockaddr
-// storage, and the connection keeps a copy — the one allocation a unix
-// peer's addressing costs.
+// that is shutting down.
 func (l *reactorListener) materialize(sh *reactorShard, key peerKey, from net.Addr) *reactorConn {
 	sh.table.mu.Lock()
 	if c := sh.table.lookupLocked(key); c != nil {
 		sh.table.mu.Unlock()
 		return c
 	}
-	if key.s != "" && from == nil {
-		key.s = strings.Clone(key.s)
-	}
 	c := l.newPeerLocked(sh, key, from)
 	if c != nil {
-		sh.table.insertLocked(key, c)
+		sh.table.insertLocked(c.key, c)
 	}
 	sh.table.mu.Unlock()
 	if c == nil || !l.offer(c) {
@@ -388,6 +382,12 @@ func (l *reactorListener) materialize(sh *reactorShard, key peerKey, from net.Ad
 // which the caller holds, after closing l.closed, so a connection
 // inserted now would never be closed, and the datagrams of a burst still
 // being delivered would sit in its ring for good.
+//
+// A peer is three allocations: the connection, which holds its ring and
+// a unix peer's name, the ring's slots, and the notify channel. A string
+// key is copied into the connection: the linux unix receive loop's
+// aliases that loop's sockaddr storage, and the one reofferUnread passes
+// is the closing connection's, which the new one must not keep alive.
 func (l *reactorListener) newPeerLocked(sh *reactorShard, key peerKey, from net.Addr) *reactorConn {
 	select {
 	case <-l.closed:
@@ -396,17 +396,17 @@ func (l *reactorListener) newPeerLocked(sh *reactorShard, key peerKey, from net.
 	}
 	sh.conns.Add(1)
 	l.tel.peersOpened.Inc()
-	return &reactorConn{
+	c := &reactorConn{
 		l:      l,
 		shard:  sh,
-		key:    key,
 		peer:   from,
 		local:  l.addr,
-		remote: core.Addr{Net: l.addr.Net, Addr: key.String()},
-		ring:   newConnRing(l.cfg.RingSize),
 		notify: make(chan struct{}, 1),
-		closed: make(chan struct{}),
 	}
+	c.key = c.own(key)
+	c.remote = core.Addr{Net: l.addr.Net, Addr: c.key.String()}
+	c.ring.init(l.cfg.RingSize)
+	return c
 }
 
 // offer puts a connection the table already holds on the accept queue.
@@ -585,9 +585,9 @@ func (l *reactorListener) Rearm(conn core.Conn) {
 }
 
 // reactorConnOverhead approximates a connection's fixed footprint
-// beyond its ring slots: the conn struct, the ring header, the notify
-// and closed channels, and its table slot.
-var reactorConnOverhead = int64(unsafe.Sizeof(reactorConn{})) + 192
+// beyond its ring slots: the conn struct, which holds the ring header,
+// the notify channel, and its table slot.
+var reactorConnOverhead = int64(unsafe.Sizeof(reactorConn{})) + 104
 
 // ReactorStats implements core.ReactorAccountant.
 func (l *reactorListener) ReactorStats() core.ReactorStats {
@@ -845,24 +845,43 @@ type reactorConn struct {
 	key           peerKey
 	peer          net.Addr // set only by the portable unix receive loop
 	local, remote core.Addr
+	// name holds a string key's bytes (own).
+	name [maxPeerName]byte
 
-	ring   *connRing
-	popMu  sync.Mutex    // serializes consumers over ring.pop
-	notify chan struct{} // cap 1: wake for blocked RecvBuf callers
+	ring  connRing
+	popMu sync.Mutex // serializes consumers over ring.pop
+	// notify (cap 1) wakes a blocked RecvBuf caller: for a delivery,
+	// and once closedFlag is set for the close, a token each receiver
+	// that finds the connection closed passes on to the next.
+	notify chan struct{}
 
 	queued     atomic.Bool // readiness edge pending in the shard queue
 	closedFlag atomic.Bool
-	closed     chan struct{}
 	once       sync.Once
+}
+
+// maxPeerName is the longest peer name a connection holds in place: a
+// unix socket's sun_path.
+const maxPeerName = 108
+
+// own returns key with its string, if it has one, copied into c.name. A
+// longer name than that is cloned.
+func (c *reactorConn) own(key peerKey) peerKey {
+	switch {
+	case key.s == "":
+	case len(key.s) <= len(c.name):
+		n := copy(c.name[:], key.s)
+		key.s = unsafe.String(&c.name[0], n)
+	default:
+		key.s = strings.Clone(key.s)
+	}
+	return key
 }
 
 // wake publishes a delivery: a token for blocked receivers and, once the
 // listener is served through Ready, a readiness edge for its workers.
 func (c *reactorConn) wake(sh *reactorShard) {
-	select {
-	case c.notify <- struct{}{}:
-	default:
-	}
+	c.poke()
 	if c.l.readiness.Load() && c.queued.CompareAndSwap(false, true) {
 		sh.ready.push(c)
 	}
@@ -947,7 +966,7 @@ func (c *reactorConn) SendBufs(ctx context.Context, bs []*wire.Buf) error {
 }
 
 // RecvBuf hands the next ring buffer to the caller, blocking until the
-// reactor delivers one.
+// reactor delivers one or the connection closes.
 func (c *reactorConn) RecvBuf(ctx context.Context) (*wire.Buf, error) {
 	for {
 		c.popMu.Lock()
@@ -956,13 +975,23 @@ func (c *reactorConn) RecvBuf(ctx context.Context) (*wire.Buf, error) {
 		if b != nil {
 			return b, nil
 		}
+		if c.closedFlag.Load() {
+			c.poke() // for the next receiver blocked here
+			return nil, core.ErrClosed
+		}
 		select {
 		case <-c.notify:
-		case <-c.closed:
-			return nil, core.ErrClosed
 		case <-ctx.Done():
 			return nil, ctx.Err()
 		}
+	}
+}
+
+// poke leaves a wake-up token for a blocked receiver.
+func (c *reactorConn) poke() {
+	select {
+	case c.notify <- struct{}{}:
+	default:
 	}
 }
 
@@ -1026,7 +1055,7 @@ func (c *reactorConn) discard() { c.close(false) }
 func (c *reactorConn) close(reoffer bool) {
 	c.once.Do(func() {
 		c.closedFlag.Store(true)
-		close(c.closed)
+		c.poke()
 		c.shard.conns.Add(-1)
 		if reoffer {
 			c.l.reofferUnread(c)
@@ -1042,7 +1071,7 @@ func (c *reactorConn) close(reoffer bool) {
 func (c *reactorConn) closePeer() {
 	c.once.Do(func() {
 		c.closedFlag.Store(true)
-		close(c.closed)
+		c.poke()
 		c.drain()
 	})
 }

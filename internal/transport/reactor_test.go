@@ -36,7 +36,8 @@ func waitFor(t *testing.T, d time.Duration, what string, cond func() bool) {
 // full-ring drop (which consumes the buffer), and re-use after drain.
 func TestConnRing(t *testing.T) {
 	start := wire.BufsOutstanding()
-	r := newConnRing(4)
+	var r connRing
+	r.init(4)
 	mk := func(tag byte) *wire.Buf {
 		b := wire.NewBuf(0, 8)
 		b.Bytes()[0] = tag
@@ -80,7 +81,8 @@ func TestConnRing(t *testing.T) {
 // nothing leaks (run under -race to check the publication protocol).
 func TestConnRingConcurrentProducers(t *testing.T) {
 	start := wire.BufsOutstanding()
-	r := newConnRing(64)
+	var r connRing
+	r.init(64)
 	const producers = 4
 	const perProducer = 2000
 	var pushed atomic.Int64

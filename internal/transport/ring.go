@@ -41,16 +41,15 @@ type ringSlot struct {
 	b   *wire.Buf
 }
 
-// newConnRing returns a ring of the given power-of-two capacity.
-func newConnRing(size int) *connRing {
-	r := &connRing{
-		mask:  uint64(size - 1),
-		slots: make([]ringSlot, size),
-	}
+// init makes r an empty ring of the given power-of-two capacity. A ring
+// lives in its connection, and only its slots are an allocation of their
+// own.
+func (r *connRing) init(size int) {
+	r.mask = uint64(size - 1)
+	r.slots = make([]ringSlot, size)
 	for i := range r.slots {
 		r.slots[i].seq.Store(uint64(i))
 	}
-	return r
 }
 
 // push enqueues b, transferring ownership to the drain path. On a full

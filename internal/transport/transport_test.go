@@ -250,6 +250,8 @@ func TestPipeNetworkDialListen(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
+	// The listener gets the server end at the client end's first send.
+	cli.Send(ctx, []byte("ping"))
 	srv, err := l.Accept(ctx)
 	if err != nil {
 		t.Fatal(err)
@@ -260,7 +262,6 @@ func TestPipeNetworkDialListen(t *testing.T) {
 	if cli.RemoteAddr().SameHost(cli.LocalAddr()) {
 		t.Error("different hosts must not be SameHost")
 	}
-	cli.Send(ctx, []byte("ping"))
 	if m, err := srv.Recv(ctx); err != nil || string(m) != "ping" {
 		t.Fatalf("recv: %q %v", m, err)
 	}
