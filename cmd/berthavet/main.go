@@ -1,13 +1,12 @@
 // Command berthavet runs the bertha static-analysis suite: bufown
 // (linear wire.Buf ownership with inferred borrow/transfer summaries),
-// overhead (Prepend totals vs declared SendOverhead), lockdisc (mutexes
-// across blocking conn calls, lock ordering, and lock-order cycles
-// across the whole program), ctxflow (context propagation and timer
-// lifetimes), golife (goroutine shutdown edges, WaitGroup pairing, and
-// spawns through helper wrappers), speccheck (spec stacks evaluated
-// against the chunnel registry), atomdisc (sync/atomic access
-// discipline), and batchcontract (the SendBufs/RecvBufs batch
-// contract).
+// lockdisc (mutexes across blocking conn calls, lock ordering, and
+// lock-order cycles across the whole program), ctxflow (context
+// propagation and timer lifetimes), golife (goroutine shutdown edges,
+// WaitGroup pairing, and spawns through helper wrappers), speccheck
+// (spec stacks evaluated against the chunnel registry), atomdisc
+// (sync/atomic access discipline), and batchcontract (the
+// SendBufs/RecvBufs batch contract).
 //
 // The packages are loaded and type-checked once, as one program, and
 // each analyzer runs over all of them in one pass, so what it learns

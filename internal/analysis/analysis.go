@@ -13,10 +13,11 @@
 //
 // The suite exists because the zero-copy data plane (internal/wire,
 // core.BufConn) is governed by conventions the compiler cannot see:
-// linear Buf ownership, declared SendOverhead bounds, and no blocking
+// linear Buf ownership, the batch send/receive contract, and no blocking
 // conn calls under a mutex. The analyzers in the sub-packages (bufown,
-// overhead, lockdisc) prove those conventions at build time; cmd/berthavet
-// is the multichecker that runs them over the module in one process.
+// batchcontract, lockdisc, ...) prove those conventions at build time;
+// cmd/berthavet is the multichecker that runs them over the module in
+// one process.
 package analysis
 
 import (
@@ -34,7 +35,7 @@ import (
 // SuiteRevision identifies the vet-suite rule set. Bump it whenever an
 // analyzer's diagnostics change so `berthavet -version` reflects the
 // rules in force.
-const SuiteRevision = "berthavet-2026.10.2"
+const SuiteRevision = "berthavet-2026.10.3"
 
 // An Analyzer describes one static check.
 type Analyzer struct {
@@ -290,9 +291,6 @@ func ConnCallName(info *types.Info, call *ast.CallExpr) (string, bool) {
 //	                                 not release it and callers keep ownership
 //	//bertha:transfers   (stmt line) ownership intentionally leaves this
 //	                                 function at this statement
-//	//bertha:overhead N  (stmt line or func doc) bound, in bytes, for a
-//	                                 prepend the analyzer cannot fold to a
-//	                                 constant
 //	//bertha:daemon why  (stmt line) the goroutine launched here is an
 //	                                 intentional process-lifetime daemon
 //	                                 with no shutdown edge
@@ -309,10 +307,8 @@ func ConnCallName(info *types.Info, call *ast.CallExpr) (string, bool) {
 //	                                 tolerates tearing
 type Annotations struct {
 	fset *token.FileSet
-	// transfers, overheads, daemons, queues, and racys are keyed by
-	// "file:line".
+	// transfers, daemons, queues, and racys are keyed by "file:line".
 	transfers map[string]bool
-	overheads map[string]int
 	daemons   map[string]bool
 	queues    map[string]bool
 	racys     map[string]bool
@@ -320,7 +316,8 @@ type Annotations struct {
 
 // CollectAnnotations indexes every //bertha: comment in the files.
 func CollectAnnotations(fset *token.FileSet, files []*ast.File) *Annotations {
-	a := &Annotations{fset: fset, transfers: map[string]bool{}, overheads: map[string]int{}, daemons: map[string]bool{}, queues: map[string]bool{}, racys: map[string]bool{}}
+	a := &Annotations{fset: fset, transfers: map[string]bool{}, daemons: map[string]bool{}, queues: map[string]bool{}, racys: map[string]bool{}}
+	verbs := map[string]map[string]bool{"transfers": a.transfers, "daemon": a.daemons, "queue": a.queues, "racy": a.racys}
 	for _, f := range files {
 		for _, cg := range f.Comments {
 			for _, c := range cg.List {
@@ -328,43 +325,15 @@ func CollectAnnotations(fset *token.FileSet, files []*ast.File) *Annotations {
 				if !ok {
 					continue
 				}
-				pos := fset.Position(c.Pos())
-				// Register under the comment's own line (trailing form)
-				// and the next line (directive-above-statement form).
-				keys := []string{
-					pos.Filename + ":" + strconv.Itoa(pos.Line),
-					pos.Filename + ":" + strconv.Itoa(pos.Line+1),
-				}
 				fields := strings.Fields(rest)
-				if len(fields) == 0 {
+				if len(fields) == 0 || verbs[fields[0]] == nil {
 					continue
 				}
-				switch fields[0] {
-				case "transfers":
-					for _, key := range keys {
-						a.transfers[key] = true
-					}
-				case "daemon":
-					for _, key := range keys {
-						a.daemons[key] = true
-					}
-				case "queue":
-					for _, key := range keys {
-						a.queues[key] = true
-					}
-				case "racy":
-					for _, key := range keys {
-						a.racys[key] = true
-					}
-				case "overhead":
-					if len(fields) > 1 {
-						if n, err := strconv.Atoi(fields[1]); err == nil {
-							for _, key := range keys {
-								a.overheads[key] = n
-							}
-						}
-					}
-				}
+				// Register under the comment's own line (trailing form)
+				// and the next line (directive-above-statement form).
+				pos := fset.Position(c.Pos())
+				verbs[fields[0]][pos.Filename+":"+strconv.Itoa(pos.Line)] = true
+				verbs[fields[0]][pos.Filename+":"+strconv.Itoa(pos.Line+1)] = true
 			}
 		}
 	}
@@ -379,12 +348,6 @@ func (a *Annotations) key(pos token.Pos) string {
 // TransfersAt reports whether a //bertha:transfers directive covers the
 // line containing pos.
 func (a *Annotations) TransfersAt(pos token.Pos) bool { return a.transfers[a.key(pos)] }
-
-// OverheadAt returns the declared byte bound on the line containing pos.
-func (a *Annotations) OverheadAt(pos token.Pos) (int, bool) {
-	n, ok := a.overheads[a.key(pos)]
-	return n, ok
-}
 
 // DaemonAt reports whether a //bertha:daemon directive covers the line
 // containing pos.
@@ -416,24 +379,4 @@ func FuncDirective(doc *ast.CommentGroup, verb, ident string) bool {
 		}
 	}
 	return false
-}
-
-// FuncOverhead scans a function's doc comment for //bertha:overhead N.
-func FuncOverhead(doc *ast.CommentGroup) (int, bool) {
-	if doc == nil {
-		return 0, false
-	}
-	for _, c := range doc.List {
-		rest, ok := strings.CutPrefix(c.Text, "//bertha:overhead")
-		if !ok {
-			continue
-		}
-		fields := strings.Fields(rest)
-		if len(fields) > 0 {
-			if n, err := strconv.Atoi(fields[0]); err == nil {
-				return n, true
-			}
-		}
-	}
-	return 0, false
 }

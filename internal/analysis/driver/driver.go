@@ -1,7 +1,7 @@
 // Package driver is the berthavet multichecker: it loads the packages
 // as one program (internal/analysis/load) and runs each of the bufown,
-// overhead, lockdisc, ctxflow, golife, speccheck, atomdisc, and
-// batchcontract analyzers over it once, in one process
+// lockdisc, ctxflow, golife, speccheck, atomdisc, and batchcontract
+// analyzers over it once, in one process
 // (`berthavet ./...`).
 package driver
 
@@ -19,14 +19,12 @@ import (
 	"github.com/bertha-net/bertha/internal/analysis/golife"
 	"github.com/bertha-net/bertha/internal/analysis/load"
 	"github.com/bertha-net/bertha/internal/analysis/lockdisc"
-	"github.com/bertha-net/bertha/internal/analysis/overhead"
 	"github.com/bertha-net/bertha/internal/analysis/speccheck"
 )
 
 // Analyzers is the berthavet suite, in execution order.
 var Analyzers = []*analysis.Analyzer{
 	bufown.Analyzer,
-	overhead.Analyzer,
 	lockdisc.Analyzer,
 	ctxflow.Analyzer,
 	golife.Analyzer,
@@ -36,7 +34,7 @@ var Analyzers = []*analysis.Analyzer{
 }
 
 // Version renders the tool version, "<module version> <suite revision>",
-// e.g. "v0.3.0 berthavet-2026.10.2". The module version is "(devel)"
+// e.g. "v0.3.0 berthavet-2026.10.3". The module version is "(devel)"
 // for plain `go build` working-tree binaries.
 func Version() string {
 	mod := "(devel)"

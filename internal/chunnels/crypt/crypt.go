@@ -55,11 +55,10 @@ func RegisterNIC(reg *core.Registry) {
 func fallback() *base.Impl {
 	return &base.Impl{
 		ImplInfo: core.ImplInfo{
-			Name:         Type + "/aesgcm",
-			Type:         Type,
-			Endpoint:     spec.EndpointBoth,
-			Location:     core.LocUserspace,
-			SendOverhead: nonceLen,
+			Name:     Type + "/aesgcm",
+			Type:     Type,
+			Endpoint: spec.EndpointBoth,
+			Location: core.LocUserspace,
 		},
 		WrapFn: func(ctx context.Context, conn core.Conn, args, params []wire.Value, side core.Side, env *core.Env) (core.Conn, error) {
 			key, err := base.Bytes(Type, args, 0)

@@ -80,11 +80,10 @@ func Node(maxFrame int) spec.Node {
 func Register(reg *core.Registry) {
 	reg.MustRegister(&base.Impl{
 		ImplInfo: core.ImplInfo{
-			Name:         Type + "/sw",
-			Type:         Type,
-			Endpoint:     spec.EndpointBoth,
-			Location:     core.LocUserspace,
-			SendOverhead: headerLen,
+			Name:     Type + "/sw",
+			Type:     Type,
+			Endpoint: spec.EndpointBoth,
+			Location: core.LocUserspace,
 		},
 		WrapFn: func(ctx context.Context, conn core.Conn, args, params []wire.Value, side core.Side, env *core.Env) (core.Conn, error) {
 			maxFrame := int(base.IntOr(args, 0, DefaultMaxFrame))

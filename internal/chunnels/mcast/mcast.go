@@ -148,13 +148,12 @@ func RegisterSwitch(reg *core.Registry) *Impl {
 func newImpl(name string, prio int, loc core.Location) *Impl {
 	im := &Impl{variant: name, groups: map[string]*replicaGroup{}}
 	im.ImplInfo = core.ImplInfo{
-		Name:         name,
-		Type:         Type,
-		Endpoint:     spec.EndpointBoth,
-		Priority:     prio,
-		Location:     loc,
-		SendOverhead: frameHeader,
-		Resources:    core.Resources{TableEntries: 2},
+		Name:      name,
+		Type:      Type,
+		Endpoint:  spec.EndpointBoth,
+		Priority:  prio,
+		Location:  loc,
+		Resources: core.Resources{TableEntries: 2},
 	}
 	im.InitFn = im.init
 	im.ParamsFn = im.params

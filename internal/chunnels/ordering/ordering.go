@@ -42,11 +42,10 @@ func Node() spec.Node {
 func Register(reg *core.Registry) {
 	reg.MustRegister(&base.Impl{
 		ImplInfo: core.ImplInfo{
-			Name:         Type + "/buffer",
-			Type:         Type,
-			Endpoint:     spec.EndpointBoth,
-			Location:     core.LocUserspace,
-			SendOverhead: seqLen,
+			Name:     Type + "/buffer",
+			Type:     Type,
+			Endpoint: spec.EndpointBoth,
+			Location: core.LocUserspace,
 		},
 		WrapFn: func(ctx context.Context, conn core.Conn, args, params []wire.Value, side core.Side, env *core.Env) (core.Conn, error) {
 			buf := int(base.IntOr(args, 0, DefaultBuffer))

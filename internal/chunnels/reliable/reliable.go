@@ -66,11 +66,10 @@ func NodeWith(window int, rto time.Duration) spec.Node {
 func Register(reg *core.Registry) {
 	reg.MustRegister(&base.Impl{
 		ImplInfo: core.ImplInfo{
-			Name:         Type + "/arq",
-			Type:         Type,
-			Endpoint:     spec.EndpointBoth,
-			Location:     core.LocUserspace,
-			SendOverhead: 9, // kind byte + sequence number
+			Name:     Type + "/arq",
+			Type:     Type,
+			Endpoint: spec.EndpointBoth,
+			Location: core.LocUserspace,
 		},
 		WrapFn: func(ctx context.Context, conn core.Conn, args, params []wire.Value, side core.Side, env *core.Env) (core.Conn, error) {
 			window := int(base.IntOr(args, 0, DefaultWindow))

@@ -38,11 +38,10 @@ var formatTag = map[string]byte{
 func Register(reg *core.Registry) {
 	reg.MustRegister(&base.Impl{
 		ImplInfo: core.ImplInfo{
-			Name:         Type + "/" + FormatBincode,
-			Type:         Type,
-			Endpoint:     spec.EndpointBoth,
-			Location:     core.LocUserspace,
-			SendOverhead: 1, // format tag
+			Name:     Type + "/" + FormatBincode,
+			Type:     Type,
+			Endpoint: spec.EndpointBoth,
+			Location: core.LocUserspace,
 		},
 		WrapFn: func(ctx context.Context, conn core.Conn, args, params []wire.Value, side core.Side, env *core.Env) (core.Conn, error) {
 			format, err := base.Str(Type, args, 0)

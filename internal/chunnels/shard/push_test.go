@@ -2,6 +2,7 @@ package shard
 
 import (
 	"context"
+	"errors"
 	"runtime"
 	"testing"
 	"time"
@@ -71,5 +72,64 @@ func TestPushCloseJoinsAndReleases(t *testing.T) {
 			t.Fatalf("%d goroutines after Close, want the baseline %d", runtime.NumGoroutine(), baseG)
 		}
 		time.Sleep(time.Millisecond)
+	}
+}
+
+// TestPushBatchPartialSendCounted steers one burst over two shards
+// whose second shard's pipe fills partway through its run: the burst
+// aborts there, and BatchError.Sent counts every message that left,
+// the first shard's run and the second's transmitted prefix.
+func TestPushBatchPartialSendCounted(t *testing.T) {
+	baseBufs := wire.BufsOutstanding()
+	fh := xdp.FieldHash{Shards: 2}
+	var keys [2][]byte // a one-byte message for each shard
+	for c := 0; keys[0] == nil || keys[1] == nil; c++ {
+		if k := []byte{byte(c)}; keys[fh.Apply(k)] == nil {
+			keys[fh.Apply(k)] = k
+		}
+	}
+	var local, remote []core.Conn
+	for _, capacity := range []int{8, 2, 1} { // shard 0, shard 1, canonical
+		l, r := transport.Pipe(core.Addr{Net: "pipe", Addr: "cli"}, core.Addr{Net: "pipe", Addr: "srv"}, capacity)
+		local, remote = append(local, l), append(remote, r)
+	}
+	p := newPushConn(local[2], local[:2], fh)
+
+	var bs []*wire.Buf
+	for _, shard := range []int{0, 0, 1, 1, 1, 0} {
+		bs = append(bs, wire.NewBufFrom(0, keys[shard]))
+	}
+	ctx, cancel := context.WithTimeout(context.Background(), 20*time.Millisecond)
+	defer cancel()
+	err := p.SendBufs(ctx, bs)
+	if !errors.Is(err, context.DeadlineExceeded) {
+		t.Fatalf("SendBufs with shard 1's pipe full = %v, want DeadlineExceeded", err)
+	}
+
+	transmitted := 0
+	for _, r := range remote[:2] {
+		for {
+			rctx, cancel := context.WithTimeout(context.Background(), 10*time.Millisecond)
+			b, err := core.RecvBuf(rctx, r)
+			cancel()
+			if err != nil {
+				break
+			}
+			b.Release()
+			transmitted++
+		}
+	}
+	if transmitted != 4 {
+		t.Fatalf("%d messages reached the shards, want 4: shard 0's run of 2 and shard 1's pipe capacity", transmitted)
+	}
+	if n := core.BatchSent(err); n != transmitted {
+		t.Errorf("BatchError.Sent = %d, want the %d messages that were transmitted", n, transmitted)
+	}
+	p.Close()
+	for _, r := range remote {
+		r.Close()
+	}
+	if got := wire.BufsOutstanding(); got != baseBufs {
+		t.Errorf("%d pooled buffers outstanding, want the baseline %d", got, baseBufs)
 	}
 }

@@ -34,11 +34,10 @@ func Node() spec.Node { return spec.New(Type) }
 func Register(reg *core.Registry) {
 	reg.MustRegister(&base.Impl{
 		ImplInfo: core.ImplInfo{
-			Name:         core.TraceImplName,
-			Type:         Type,
-			Endpoint:     spec.EndpointBoth,
-			Location:     core.LocUserspace,
-			SendOverhead: tracing.ContextSize, // sampled sends; unsampled pay 1 marker byte
+			Name:     core.TraceImplName,
+			Type:     Type,
+			Endpoint: spec.EndpointBoth,
+			Location: core.LocUserspace,
 		},
 		WrapFn: func(ctx context.Context, conn core.Conn, args, params []wire.Value, side core.Side, env *core.Env) (core.Conn, error) {
 			return New(conn), nil

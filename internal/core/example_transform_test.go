@@ -42,7 +42,7 @@ func (checksum) Decode(b *wire.Buf) (bool, error) {
 func registerChecksum(reg *core.Registry) {
 	reg.MustRegister(&base.Impl{
 		ImplInfo: core.ImplInfo{
-			Name: "checksum/crc32", Type: "checksum", SendOverhead: 4,
+			Name: "checksum/crc32", Type: "checksum",
 			Endpoint: spec.EndpointBoth, Location: core.LocUserspace,
 		},
 		WrapFn: func(ctx context.Context, conn core.Conn, args, params []wire.Value, side core.Side, env *core.Env) (core.Conn, error) {

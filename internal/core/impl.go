@@ -123,12 +123,6 @@ type ImplInfo struct {
 	// connection may use them is the operator's decision, made by
 	// registering (or withdrawing) the advertisement.
 	DiscoveryOnly bool
-	// SendOverhead is the number of header bytes this implementation
-	// prepends to each message on Send: the figure its connection's
-	// Headroom adds to the layer below's, which berthavet's overhead
-	// analyzer checks the send path against. It is a local property of
-	// the implementation and is not exchanged during negotiation.
-	SendOverhead int
 }
 
 // Validate checks the descriptor for structural problems.

@@ -14,8 +14,7 @@ import (
 // neither release nor keep it.
 type Transform interface {
 	// Overhead is the most bytes Encode prepends to a message: the
-	// layer's share of the stack's send headroom, and the SendOverhead
-	// its ImplInfo registers.
+	// layer's share of the stack's send headroom.
 	Overhead() int
 	// Encode turns a message into its wire form. An error sends nothing.
 	Encode(b *wire.Buf) error
