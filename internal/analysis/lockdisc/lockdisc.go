@@ -17,7 +17,9 @@
 //	             across functions and packages (see interproc.go)
 //
 // The per-function analysis is path-insensitive at joins (a mutex
-// counts as held after a branch only if every arm holds it). `defer
+// counts as held after a branch only if every arm that reaches it holds
+// it: an if arm that returns does not reach the statement after the
+// if). `defer
 // mu.Unlock()` keeps the mutex held for the rest of the function, which
 // is the point: the data-plane calls it covers execute under the lock.
 // On top of it, interproc.go chains held-lock sets through calls over
@@ -206,6 +208,14 @@ func (w *walker) stmt(s ast.Stmt, h held) held {
 		if s.Else != nil {
 			hElse = w.stmt(s.Else, hElse)
 		}
+		// An arm that returns never reaches the statement after the if,
+		// so its lock set does not join the path there.
+		switch thenReturns, elseReturns := returns(s.Body), s.Else != nil && returns(s.Else); {
+		case thenReturns && !elseReturns:
+			return hElse
+		case elseReturns && !thenReturns:
+			return hThen
+		}
 		return hThen.intersect(hElse)
 	case *ast.ForStmt:
 		if s.Init != nil {
@@ -272,6 +282,21 @@ func (w *walker) stmt(s ast.Stmt, h held) held {
 		return w.expr(s.X, h)
 	}
 	return h
+}
+
+// returns reports whether every path through s ends in a return
+// statement: s is one, or a block whose last statement does, or an if
+// both of whose arms do.
+func returns(s ast.Stmt) bool {
+	switch s := s.(type) {
+	case *ast.ReturnStmt:
+		return true
+	case *ast.BlockStmt:
+		return len(s.List) > 0 && returns(s.List[len(s.List)-1])
+	case *ast.IfStmt:
+		return s.Else != nil && returns(s.Body) && returns(s.Else)
+	}
+	return false
 }
 
 // clauses analyzes switch/select bodies; the result is the intersection

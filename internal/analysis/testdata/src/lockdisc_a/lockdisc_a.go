@@ -97,3 +97,43 @@ func (p *peer) lockBackward() {
 	p.mu.Unlock()
 	p.wmu.Unlock()
 }
+
+// unlockReturnThenSend unlocks only on the branch that returns: the
+// path after the if still holds mu when it sends.
+func (p *peer) unlockReturnThenSend(ctx context.Context, msg []byte) error {
+	p.mu.Lock()
+	if len(msg) == 0 {
+		p.mu.Unlock()
+		return nil
+	}
+	err := p.conn.Send(ctx, msg) // want `across-send`
+	p.mu.Unlock()
+	return err
+}
+
+// unlockElseReturn is the mirror: the else arm unlocks and returns, the
+// then arm keeps mu, and the send after the if is under it.
+func (p *peer) unlockElseReturn(ctx context.Context, msg []byte) error {
+	p.mu.Lock()
+	if len(msg) > 0 {
+		msg = msg[1:]
+	} else {
+		p.mu.Unlock()
+		return nil
+	}
+	err := p.conn.Send(ctx, msg) // want `across-send`
+	p.mu.Unlock()
+	return err
+}
+
+// unlockOnEveryArm releases mu on both arms, one of which returns: the
+// send after the if is clean.
+func (p *peer) unlockOnEveryArm(ctx context.Context, msg []byte) error {
+	p.mu.Lock()
+	if len(msg) == 0 {
+		p.mu.Unlock()
+		return nil
+	}
+	p.mu.Unlock()
+	return p.conn.Send(ctx, msg)
+}

@@ -476,11 +476,15 @@ func TestSplicedStalledClientsDelayNoConnect(t *testing.T) {
 // file, 118 before connections were resumed, and 126 while the server
 // waited for a splice token and drained the network leg (114–115 since,
 // and 118 since both sides run the connection on a lease and the answer
-// names its ticket). It reads 100 since a connection's lease, base
-// wrapper and bookkeeping live in its one managedConn, the resume
-// messages go in pooled Bufs, and a reactor peer is three objects.
-// Each lifecycle is a new client's, made before the count, so none is
-// resumed.
+// names its ticket). It read 100 once a connection's lease, base
+// wrapper and bookkeeping lived in its one managedConn, the resume
+// messages went in pooled Bufs, and a reactor peer was three objects,
+// 97 once the wait for the rendezvous answer armed no timer context,
+// and reads 98 since the hello's wait is bounded the same way (over a
+// pipe its receive asks for Done at once, and the bound then makes a
+// context.WithDeadline: one object more than the context.WithTimeout it
+// replaced). Each lifecycle is a new client's, made before the count, so
+// none is resumed.
 func TestSpliceLifecycleAllocBudget(t *testing.T) {
 	if testutil.RaceEnabled {
 		t.Skip("allocation counts are inflated under -race")
@@ -495,7 +499,7 @@ func TestSpliceLifecycleAllocBudget(t *testing.T) {
 		clients[i] = u.newClient()
 	}
 	next := 0
-	budget := lifecycleBudget(105, 113)
+	budget := lifecycleBudget(103, 111)
 	avg := testing.AllocsPerRun(runs, func() {
 		u.lifecycle(t, clients[next])
 		next++
@@ -512,9 +516,12 @@ func TestSpliceLifecycleAllocBudget(t *testing.T) {
 // endpoints together. One client makes every connection, so each after
 // its first is resumed. It measured 81 objects while each resume dialed
 // the unix socket it ran on, 66 since the client keeps it (63 later),
-// and 38 since each side's connection is one allocation, the resume
-// messages and tickets allocate nothing, a reactor peer is three objects
-// and a pipe dial closed unused never reaches the base listener.
+// 38 once each side's connection was one allocation, the resume
+// messages and tickets allocated nothing and a pipe dial closed unused
+// never reached the base listener, and 29 since the server parks its
+// reactor peer with the next ticket (three objects it made anew each
+// lifecycle) and the client's wait for the answer arms no timer
+// context (six).
 func TestResumeLifecycleAllocBudget(t *testing.T) {
 	if testutil.RaceEnabled {
 		t.Skip("allocation counts are inflated under -race")
@@ -523,7 +530,7 @@ func TestResumeLifecycleAllocBudget(t *testing.T) {
 	for i := 0; i < 8; i++ { // the first is negotiated; pools and reactor state
 		u.lifecycle(t, u.cliEp)
 	}
-	budget := lifecycleBudget(43, 53)
+	budget := lifecycleBudget(34, 44)
 	avg := testing.AllocsPerRun(100, func() { u.lifecycle(t, u.cliEp) })
 	if avg > float64(budget) {
 		t.Fatalf("a resumed lifecycle allocates %.0f objects, budget is %d", avg, budget)
@@ -535,8 +542,9 @@ func TestResumeLifecycleAllocBudget(t *testing.T) {
 // listener's receive loop: fast for linux amd64 and arm64's, which reads
 // a peer's address in place, portable for the net package's ReadFrom
 // elsewhere, which makes a net.Addr and a name for every datagram (it
-// reads 108 spliced and 48 resumed there, 125 and 71 before a resumed
-// connection was one allocation per side).
+// reads 106 spliced and 39 resumed there; 108 and 48 before the server
+// parked its peer, 125 and 71 before a resumed connection was one
+// allocation per side).
 func lifecycleBudget(fast, portable int) int {
 	if runtime.GOOS == "linux" && (runtime.GOARCH == "amd64" || runtime.GOARCH == "arm64") {
 		return fast
@@ -560,6 +568,13 @@ func lifecycleBudget(fast, portable int) int {
 // overwrites, so the spliced case, a new client per lifecycle, fills
 // the store before it counts: each lifecycle it counts then replaces as
 // much as it keeps.
+//
+// The count lets finalizers run between its collections
+// (liveHeapObjects), so what only a finalizer frees, such as the unclosed
+// socket of an endpoint the test dropped, is not counted: a lifecycle
+// that left sockets for finalizers to close would pass here.
+// TestResumedLifecyclesOpenNoSocket counts sockets, and this test
+// counts timers.
 func TestSpliceRetainsNoTimer(t *testing.T) {
 	for _, tc := range []struct {
 		name   string
@@ -673,7 +688,8 @@ func TestResumedConnectOpensNoSocket(t *testing.T) {
 
 // TestResumedLifecyclesOpenNoSocket: the socket counters agree with the
 // file count above, off /proc: 50 resumed lifecycles open and close no
-// unix socket, and the server makes at most one reactor peer for each.
+// unix socket, and the server makes no reactor peer for them: each
+// request comes back on the peer the server parked with its ticket.
 func TestResumedLifecyclesOpenNoSocket(t *testing.T) {
 	u := newUnixSplice(t)
 	u.lifecycle(t, u.cliEp) // spliced; leaves a ticket and the socket
@@ -694,8 +710,8 @@ func TestResumedLifecyclesOpenNoSocket(t *testing.T) {
 	if got := counter("sockets_closed") - closed; got != 0 {
 		t.Errorf("%d resumed lifecycles closed %d unix sockets, want 0", n, got)
 	}
-	if got := counter("peers_opened") - peers; got > n {
-		t.Errorf("%d resumed lifecycles made %d server peers, want at most one each", n, got)
+	if got := counter("peers_opened") - peers; got != 0 {
+		t.Errorf("%d resumed lifecycles made %d server peers, want 0", n, got)
 	}
 }
 
@@ -729,11 +745,20 @@ func newFiles(before, after map[string]bool) int {
 	return n
 }
 
-// liveHeapObjects counts the heap's objects after two full collections,
-// the second emptying the sync.Pool victim caches the first filled.
+// liveHeapObjects counts the heap's objects after full collections: the
+// second empties the sync.Pool victim caches the first filled, and a
+// pause after each lets the finalizer goroutine close the sockets of the
+// client endpoints a test dropped. What a pending finalizer reaches
+// survives the collection that found it garbage, so with two bare
+// collections the count read those sockets too, as many as had piled up
+// since the last collection of the run: ±0.8 objects per spliced
+// lifecycle once the server's parked peers made the heap (and the
+// spacing of collections) larger, ±0.03 with the pauses.
 func liveHeapObjects() uint64 {
-	runtime.GC()
-	runtime.GC()
+	for i := 0; i < 4; i++ {
+		runtime.GC()
+		time.Sleep(5 * time.Millisecond)
+	}
 	s := []metrics.Sample{{Name: "/gc/heap/objects:objects"}}
 	metrics.Read(s)
 	return s[0].Value.Uint64()

@@ -605,7 +605,7 @@ func TestLateCtx(t *testing.T) {
 		t.Fatalf("Err after Done = %v, want DeadlineExceeded", err)
 	}
 
-	expired := &lateCtx{deadline: time.Now().Add(-time.Millisecond)}
+	expired := newLateCtx(-time.Millisecond)
 	if err := expired.Err(); err != context.DeadlineExceeded {
 		t.Fatalf("Err past the deadline = %v, want DeadlineExceeded", err)
 	}
@@ -614,4 +614,61 @@ func TestLateCtx(t *testing.T) {
 	default:
 		t.Fatal("Done asked for past the deadline is not closed")
 	}
+}
+
+// TestAttemptCtx checks the bound of one wait inside a caller's
+// context: a context that ends within one attempt is its own bound;
+// otherwise the bound ends helloTimeout from now, and also when the
+// parent is cancelled, whether or not its Done channel was asked for
+// first, and it carries the parent's values.
+func TestAttemptCtx(t *testing.T) {
+	type key struct{}
+	soon, cancelSoon := context.WithTimeout(context.Background(), helloTimeout/2)
+	defer cancelSoon()
+	if wait, lc := attemptCtx(soon); wait != soon || lc != nil {
+		t.Error("a context that ends within one attempt is not its own bound")
+	}
+	for _, doneFirst := range []bool{false, true} {
+		parent, cancel := context.WithCancel(context.WithValue(context.Background(), key{}, "v"))
+		_, c := attemptCtx(parent)
+		if d, _ := c.Deadline(); time.Until(d) > helloTimeout {
+			t.Errorf("the bound ends in %v, after one attempt", time.Until(d))
+		}
+		if v := c.Value(key{}); v != "v" {
+			t.Errorf("Value = %v, want the parent's", v)
+		}
+		var done <-chan struct{}
+		if doneFirst {
+			done = c.Done()
+		}
+		if err := c.Err(); err != nil {
+			t.Fatalf("Err before the parent's end = %v", err)
+		}
+		cancel()
+		if err := c.Err(); err != context.Canceled {
+			t.Errorf("Err after the parent's cancel = %v, want Canceled", err)
+		}
+		if done == nil {
+			done = c.Done()
+		}
+		select {
+		case <-done:
+		case <-time.After(time.Second):
+			t.Fatalf("Done (asked for first: %t) not closed at the parent's cancel", doneFirst)
+		}
+		c.release()
+	}
+	// release disarms at once what Done armed, closing its channel, and
+	// a nil bound (a context that was its own) has nothing to release.
+	parent, cancel := context.WithCancel(context.Background())
+	defer cancel()
+	_, c := attemptCtx(parent)
+	done := c.Done()
+	c.release()
+	select {
+	case <-done:
+	default:
+		t.Fatal("Done still open after release")
+	}
+	(*lateCtx)(nil).release()
 }

@@ -26,6 +26,18 @@ func ExpireIssuedTickets(e *Endpoint) {
 	}
 }
 
+// EvictIssuedTickets issues maxTickets tickets through no listener,
+// which lets go of every ticket e issued before.
+func EvictIssuedTickets(e *Endpoint) {
+	for i := 0; i < maxTickets; i++ {
+		IssueTicket(e)
+	}
+}
+
+// IssueTicket issues one ticket through no listener, which lets go of
+// the expired tickets e issued before.
+func IssueTicket(e *Endpoint) { e.storeTicket(serverTicket{}) }
+
 // TicketCounts returns how many tickets e holds as a client and has
 // issued as a server.
 func TicketCounts(e *Endpoint) (held, issued int) {

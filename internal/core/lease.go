@@ -15,7 +15,9 @@ import (
 // the connection closes, bound to the next ticket the server gave it, and
 // presents the ticket on it next time. A server's view ends when the
 // socket carries that ticket, and the socket goes on as the base of the
-// connection it resumes.
+// connection it resumes; a server that closes its view first parks its
+// end of the socket with the ticket, so that the request comes back on
+// the same connection.
 //
 // A view ends once: at its Close or, on a server, at the next ticket's
 // request. From then on every call answers ErrClosed, though the socket
@@ -84,20 +86,30 @@ func (l *lease) end() (ended bool, recvs int64) {
 	return true, (l.state.Load() &^ leaseEnded) / leaseRecv
 }
 
-// Close ends the view. A client keeps base for its next ticket when no
-// receive was in flight (one would take the next connection's messages)
-// and the endpoint still holds that ticket for addr; otherwise, and
-// always on a server, base is closed. A view that ended at the next
+// Close ends the view. When no receive was in flight (one would take the
+// next connection's messages) and the endpoint still holds the next
+// ticket, base outlives the view: a client keeps it for that ticket, to
+// present it on, and a server parks it with that ticket, for the request
+// that presents it (a base that cannot be parked, such as a pipe, is
+// closed). Otherwise base is closed. A view that ended at the next
 // ticket's request leaves base to the connection that request resumed.
 func (l *lease) Close() error {
 	ended, recvs := l.end()
 	if !ended {
 		return nil
 	}
-	if l.side == SideClient && recvs == 0 && l.ep.keepSocket(l.addr, l.next, l.base) {
+	if recvs == 0 && l.keep() {
 		return nil
 	}
 	return l.base.Close()
+}
+
+// keep hands base on with the next ticket, and reports whether it did.
+func (l *lease) keep() bool {
+	if l.side == SideClient {
+		return l.ep.keepSocket(l.addr, l.next, l.base)
+	}
+	return l.ep.parkSocket(l.next, l.base)
 }
 
 func (l *lease) Send(ctx context.Context, p []byte) error {

@@ -104,6 +104,18 @@ func isDirect(conn Conn) bool {
 	return ok && d.Direct()
 }
 
+// Parker is implemented by a connection a listener's Accept returned
+// that can go back to that listener while its peer keeps the other end:
+// the server's half of the standing association (lease.go). A parked
+// connection has no owner until the peer sends again, when Accept
+// returns the same connection once more.
+type Parker interface {
+	Conn
+	// Park hands the connection back to its listener, or reports false
+	// when it cannot; the caller still owns the connection then.
+	Park() bool
+}
+
 // EnvResume is the Env key under which a listening endpoint provides its
 // ResumeSink. A Resumer's server side hands it every connection it
 // accepts, with that connection's first message.
@@ -198,18 +210,23 @@ func decodeResumeAnswer(msg []byte) (resumeAnswer, error) {
 // put, and at most maxTickets of them. A ring beside the map keeps the
 // keys of the last maxTickets puts, and a put overwrites the oldest.
 // The TTL is constant, so the oldest put is also the nearest expiry: a
-// put never fails, and nothing scans the store or runs on a timer.
-// onDrop, when set, is given every value the store itself lets go of: one
-// a put overwrote or evicted, or one dropIf removed. A value take
-// returns is the caller's. None of put, take and update allocates once
-// the map has room, as long as an entry fits the 128 bytes a Go map
-// holds in place (a client ticket's is 120).
+// put never fails, and every put and take first lets go of the expired
+// values at the ring's head, stopping at the first live one, so nothing
+// scans the store or runs on a timer. A store nobody puts to or takes
+// from keeps what it holds. onDrop, when set, is given every value the
+// store itself lets go of: one that expired, one a put overwrote or
+// evicted, or one dropIf removed. A value take returns is the caller's.
+// None of put, take and update allocates once the map has room, as long
+// as an entry fits the 128 bytes a Go map holds in place (a client
+// ticket's is 120).
 type ticketStore[K comparable, V any] struct {
 	mu sync.Mutex
 	m  map[K]ticketEntry[V]
-	// ring[n%maxTickets] is the key of put number n; puts counts them.
+	// ring[n%maxTickets] is the key of put number n; puts counts them,
+	// and head is the number of the oldest put expire has not passed.
 	ring   []K
 	puts   uint64
+	head   uint64
 	onDrop func(V)
 }
 
@@ -230,6 +247,7 @@ func sinceEpoch(t time.Time) int64 { return int64(t.Sub(epoch)) }
 // full. That one is gone already if it was taken, or if its key was put
 // again since.
 func (s *ticketStore[K, V]) put(k K, v V, now time.Time) {
+	s.expire(now)
 	var gone [2]V
 	n := 0
 	s.mu.Lock()
@@ -245,6 +263,7 @@ func (s *ticketStore[K, V]) put(k K, v V, now time.Time) {
 			gone[n], n = e.v, n+1
 		}
 		*slot = k
+		s.head = max(s.head, s.puts-maxTickets+1)
 	}
 	if e, ok := s.m[k]; ok {
 		gone[n], n = e.v, n+1
@@ -253,6 +272,33 @@ func (s *ticketStore[K, V]) put(k K, v V, now time.Time) {
 	s.puts++
 	s.mu.Unlock()
 	s.dropped(gone[:n])
+}
+
+// expire lets go of the values whose TTL has passed at now, oldest
+// first, and gives them to onDrop outside the lock, a few at a time.
+func (s *ticketStore[K, V]) expire(now time.Time) {
+	at := sinceEpoch(now)
+	for {
+		var gone [4]V
+		n := 0
+		s.mu.Lock()
+		for n < len(gone) && s.head < s.puts {
+			k := s.ring[s.head%maxTickets]
+			if e, ok := s.m[k]; ok && e.put == s.head {
+				if at < e.expires {
+					break
+				}
+				delete(s.m, k)
+				gone[n], n = e.v, n+1
+			}
+			s.head++
+		}
+		s.mu.Unlock()
+		s.dropped(gone[:n])
+		if n < len(gone) {
+			return
+		}
+	}
 }
 
 // dropped gives vs to onDrop, outside the lock.
@@ -266,16 +312,19 @@ func (s *ticketStore[K, V]) dropped(vs []V) {
 }
 
 // take removes and returns the value under k. found reports whether
-// there was one; live whether it had not expired.
+// there was one; live whether it had not expired. It looks k up before it
+// lets go of the other expired values, so that an expired one reads as
+// such.
 func (s *ticketStore[K, V]) take(k K, now time.Time) (v V, found, live bool) {
 	s.mu.Lock()
-	defer s.mu.Unlock()
 	e, found := s.m[k]
-	if !found {
-		return v, false, false
+	if found {
+		delete(s.m, k)
+		v, live = e.v, sinceEpoch(now) < e.expires
 	}
-	delete(s.m, k)
-	return e.v, true, sinceEpoch(now) < e.expires
+	s.mu.Unlock()
+	s.expire(now)
+	return v, found, live
 }
 
 // update replaces the value under k, if there is one, with what f makes
@@ -322,6 +371,20 @@ type serverTicket struct {
 	// rendezvous marks the ticket a ServerHello carried: the decision
 	// was made just now, so nothing of it is checked again.
 	rendezvous bool
+	// sock is the Resumer's connection the ticket's connection ran on,
+	// parked with the ticket it was issued with (parkSocket); nil while
+	// that connection is open, or when it was not parked. Whatever takes
+	// the ticket from the store owns it, and the store closes it when it
+	// lets the ticket go. With it an entry is 128 bytes, the most a Go
+	// map holds in place.
+	sock Conn
+}
+
+// drop closes the socket st keeps, if any.
+func (st serverTicket) drop() {
+	if st.sock != nil {
+		st.sock.Close()
+	}
 }
 
 // clientTicket is what a client keeps to resume a connection.
@@ -358,6 +421,36 @@ func (e *Endpoint) keepSocket(addr string, t ticket, sock Conn) bool {
 		ct.sock = sock
 		return ct, true
 	})
+}
+
+// parkSocket parks sock, the connection the ticket t was issued on, with
+// that ticket when the store still holds it and sock can be parked, and
+// reports whether it did. The ticket holds sock before it is parked: a
+// parked connection can be offered at once, and the resume it carries
+// must find itself on its ticket. When sock refuses the park, the ticket
+// is left as it was.
+func (e *Endpoint) parkSocket(t ticket, sock Conn) bool {
+	p, ok := sock.(Parker)
+	if !ok || !e.issued.update(t, func(st serverTicket) (serverTicket, bool) {
+		if st.sock != nil {
+			return st, false
+		}
+		st.sock = sock
+		return st, true
+	}) {
+		return false
+	}
+	if p.Park() {
+		return true
+	}
+	e.issued.update(t, func(st serverTicket) (serverTicket, bool) {
+		if st.sock != sock {
+			return st, false
+		}
+		st.sock = nil
+		return st, true
+	})
+	return false
 }
 
 // resumerOf returns the Resumer of a resolved stack's innermost node: its
@@ -489,8 +582,8 @@ func (e *Endpoint) presentOn(ctx context.Context, addr string, ct clientTicket, 
 		base.Close()
 		return nil, "resume request not sent", kept
 	}
-	wait, cancel := attemptCtx(ctx)
-	defer cancel()
+	wait, lc := attemptCtx(ctx)
+	defer lc.release()
 	var a resumeAnswer
 	for {
 		b, err := dp.RecvBuf(wait)
@@ -545,6 +638,10 @@ func (e *Endpoint) takeResume(conn Conn, req []byte) {
 		return
 	}
 	st, found, live := e.issued.take(t, time.Now())
+	if st.sock != nil && st.sock != conn {
+		st.sock.Close() // the client came back on another socket
+	}
+	st.sock = nil // conn is the sink's, and the next ticket starts with none
 	why := ""
 	switch {
 	case !found:
@@ -585,18 +682,19 @@ func (e *Endpoint) takeResume(conn Conn, req []byte) {
 		return
 	}
 	// The answer goes first, so that it reaches the client before
-	// anything the application sends on c.
+	// anything the application sends on c. What the admission records
+	// is recorded before Accept can return c.
 	sent := dp.SendBuf(ctx, a.buf()) == nil
-	l.queueOrClose(c, sent)
 	if spliced {
 		stack := stackDesc(st.stack)
 		e.trace(SideServer, telemetry.TraceConnected, telemetry.TraceEvent{
 			Deferred: telemetry.Detailf("%v").Value(&stack),
 		})
 		e.traceCold(SideServer, "")
-		return
+	} else {
+		e.trace(SideServer, telemetry.TraceResume, telemetry.TraceEvent{Detail: "resumed"})
 	}
-	e.trace(SideServer, telemetry.TraceResume, telemetry.TraceEvent{Detail: "resumed"})
+	l.queueOrClose(c, sent)
 }
 
 // resumption is how a ticket established a connection: over the
@@ -631,11 +729,14 @@ func (e *Endpoint) discoveredOffers(ctx context.Context, host string) []ImplOffe
 }
 
 // attemptCtx bounds one wait for the peer's answer by helloTimeout. A
-// ctx that ends sooner bounds the attempt by itself, and the wait needs
-// no timer of its own.
-func attemptCtx(ctx context.Context) (context.Context, context.CancelFunc) {
+// ctx that ends sooner bounds the attempt by itself: the wait is ctx, and
+// lc is nil. Otherwise the wait is lc, a lateCtx under ctx, which arms
+// nothing unless the answer is slow. The caller releases lc, nil or not,
+// once the wait is over.
+func attemptCtx(ctx context.Context) (wait context.Context, lc *lateCtx) {
 	if d, ok := ctx.Deadline(); ok && time.Until(d) <= helloTimeout {
-		return ctx, func() {}
+		return ctx, nil
 	}
-	return context.WithTimeout(ctx, helloTimeout)
+	lc = &lateCtx{parent: ctx, deadline: time.Now().Add(helloTimeout)}
+	return lc, lc
 }

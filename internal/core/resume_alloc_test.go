@@ -65,9 +65,11 @@ func TestResumedServerAllocBudget(t *testing.T) {
 
 // TestTicketStoreAllocs: a client ticket's put, the keep-socket update
 // that gives it its socket, and its take allocate nothing in a warm
-// store. Its entry is 120 bytes, which a Go map holds in place; while
-// the expiry was a time.Time it was 136, and every insert allocated it,
-// and so did the update, whose callback took a pointer into it.
+// store, and neither do a server ticket's put, the park that gives it
+// its socket, and its take. A client entry is 120 bytes and a server
+// entry 128, which a Go map holds in place; while the expiry was a
+// time.Time a client entry was 136, and every insert allocated it, and
+// so did the update, whose callback took a pointer into it.
 func TestTicketStoreAllocs(t *testing.T) {
 	if testutil.RaceEnabled {
 		t.Skip("allocation counts are inflated under -race")
@@ -94,6 +96,53 @@ func TestTicketStoreAllocs(t *testing.T) {
 	})
 	if avg != 0 {
 		t.Fatalf("a client ticket's put, keep-socket update and take allocate %.1f objects, want 0", avg)
+	}
+
+	for i := 0; i < maxTickets; i++ {
+		e.storeTicket(serverTicket{})
+	}
+	tk := newTicket()
+	parked := &parkedConn{}
+	avg = testing.AllocsPerRun(100, func() {
+		e.issued.put(tk, serverTicket{}, now)
+		if !e.parkSocket(tk, parked) {
+			t.Fatal("the ticket parked no socket")
+		}
+		if got, found, live := e.issued.take(tk, now); !found || !live || got.sock != parked {
+			t.Fatalf("take: found %t live %t, socket parked %t", found, live, got.sock == parked)
+		}
+	})
+	if avg != 0 {
+		t.Fatalf("a server ticket's put, park and take allocate %.1f objects, want 0", avg)
+	}
+}
+
+// parkedConn is a Parker that parks every time.
+type parkedConn struct{ sinkConn }
+
+func (*parkedConn) Park() bool { return true }
+
+// refusingConn is a Parker that never parks.
+type refusingConn struct{ sinkConn }
+
+func (*refusingConn) Park() bool { return false }
+
+// TestRefusedParkLeavesTicket: a socket that refuses to park (its
+// listener is closing, or it is not a unix peer) is not left in the
+// ticket it was to be parked with: the caller closes it, and the ticket
+// reads as one nothing was parked with.
+func TestRefusedParkLeavesTicket(t *testing.T) {
+	e, err := NewEndpoint("srv", spec.Seq())
+	if err != nil {
+		t.Fatal(err)
+	}
+	tk := newTicket()
+	e.issued.put(tk, serverTicket{}, time.Now())
+	if e.parkSocket(tk, &refusingConn{}) {
+		t.Fatal("parkSocket reports a refused park as parked")
+	}
+	if got, found, _ := e.issued.take(tk, time.Now()); !found || got.sock != nil {
+		t.Fatalf("after a refused park the ticket is found %t and holds %v, want found and no socket", found, got.sock)
 	}
 }
 

@@ -135,6 +135,7 @@ func NewEndpoint(name string, stack *spec.Stack, opts ...Option) (*Endpoint, err
 		policy:     DefaultPolicy,
 	}
 	e.held.onDrop = clientTicket.drop
+	e.issued.onDrop = serverTicket.drop
 	for _, o := range opts {
 		o(e)
 	}
@@ -336,9 +337,9 @@ func awaitServerHello(ctx context.Context, tc *taggedConn, helloBytes []byte, no
 		if err := tc.sendTagged(ctx, tagCtrl, helloBytes); err != nil {
 			return nil, fmt.Errorf("%w: send hello: %v", ErrNegotiation, err)
 		}
-		wait, cancel := attemptCtx(ctx)
+		wait, lc := attemptCtx(ctx)
 		msg, err := tc.recvCtrl(wait)
-		cancel()
+		lc.release()
 		if err != nil {
 			if errors.Is(err, context.DeadlineExceeded) && ctx.Err() == nil {
 				continue // retransmit

@@ -337,6 +337,44 @@ func TestDroppedTicketClosesSocket(t *testing.T) {
 	}
 }
 
+// TestDroppedTicketParksNoPeer: a server that closes its connection
+// first parks its reactor peer with the next ticket, and every way that
+// ticket leaves the issued store other than by being presented closes
+// the peer: expired and let go by the next ticket issued, evicted by
+// later tickets, or dropped by the listener's Close. A peer left parked
+// would hold its ring until the IPC listener closed.
+func TestDroppedTicketParksNoPeer(t *testing.T) {
+	for _, tc := range []struct {
+		name string
+		drop func(r *resumeRig)
+	}{
+		{"expired", func(r *resumeRig) { core.ExpireIssuedTickets(r.srv); core.IssueTicket(r.srv) }},
+		{"evicted", func(r *resumeRig) { core.EvictIssuedTickets(r.srv) }},
+		{"listener closed", func(r *resumeRig) { r.nl.Close() }},
+	} {
+		t.Run(tc.name, func(t *testing.T) {
+			r := newResumeRig(t)
+			peers := func() int64 { return r.ipcL.(core.ReactorAccountant).ReactorStats().Conns }
+			accepted := r.acceptOne(t)
+			cconn := r.connect(t)
+			sconn := <-accepted
+			if sconn == nil {
+				t.Fatal("the server accepted no connection")
+			}
+			echoOnce(t, cconn, sconn, "ping")
+			sconn.Close() // first: the server's view parks the peer
+			cconn.Close()
+			if got := peers(); got != 1 {
+				t.Fatalf("%d IPC peers after the server closed first, want the parked one", got)
+			}
+			tc.drop(r)
+			if got := peers(); got != 0 {
+				t.Errorf("%d IPC peers after the ticket was %s, want 0", got, tc.name)
+			}
+		})
+	}
+}
+
 // openFiles lists what the process's file descriptors refer to (a
 // socket reads "socket:[inode]").
 func openFiles(t *testing.T) map[string]bool {

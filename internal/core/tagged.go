@@ -213,53 +213,68 @@ const lateCtrlTimeout = 50 * time.Millisecond
 // buffer that is not full does not block, so a notice costs the one
 // small object lateCtx is, where context.WithTimeout costs four, a
 // timer among them.
+//
+// With a parent (attemptCtx) it also ends when the parent does: the
+// bound of one wait for a peer's answer inside a caller's context. A
+// socket receive asks for Done only once it has parked past its slice,
+// so a wait answered within the slice arms nothing, and release disarms
+// what Done armed.
 type lateCtx struct {
+	parent   context.Context // Background when there is none
 	deadline time.Time
 	mu       sync.Mutex
-	done     chan struct{} // made by Done
+	// armed and disarm are made by Done: the parent bounded by the
+	// deadline, with its timer.
+	armed  context.Context
+	disarm context.CancelFunc
 }
 
 func newLateCtx(d time.Duration) *lateCtx {
-	return &lateCtx{deadline: time.Now().Add(d)}
+	return &lateCtx{parent: context.Background(), deadline: time.Now().Add(d)}
 }
 
 func (c *lateCtx) Deadline() (time.Time, bool) { return c.deadline, true }
-func (c *lateCtx) Value(any) any               { return nil }
+func (c *lateCtx) Value(key any) any           { return c.parent.Value(key) }
 
-// Done returns a channel closed at the deadline: already closed once it
-// has passed, else closed by a timer armed now.
+// Done returns a channel closed at the deadline or the parent's end,
+// armed now if it was not before.
 func (c *lateCtx) Done() <-chan struct{} {
 	c.mu.Lock()
 	defer c.mu.Unlock()
-	if c.done == nil {
-		done := make(chan struct{})
-		if d := time.Until(c.deadline); d > 0 {
-			time.AfterFunc(d, func() { close(done) })
-		} else {
-			close(done)
-		}
-		c.done = done
+	if c.armed == nil {
+		c.armed, c.disarm = context.WithDeadline(c.parent, c.deadline)
 	}
-	return c.done
+	return c.armed.Done()
 }
 
-// Err agrees with Done: without a channel it reads the clock, and a
-// channel made after the deadline is made closed.
+// Err agrees with Done: unarmed, it reads the parent and the clock.
 func (c *lateCtx) Err() error {
 	c.mu.Lock()
-	done := c.done
+	armed := c.armed
 	c.mu.Unlock()
-	if done == nil {
-		if time.Now().Before(c.deadline) {
-			return nil
-		}
-		return context.DeadlineExceeded
+	if armed != nil {
+		return armed.Err()
 	}
-	select {
-	case <-done:
-		return context.DeadlineExceeded
-	default:
+	if err := c.parent.Err(); err != nil {
+		return err
+	}
+	if time.Now().Before(c.deadline) {
 		return nil
+	}
+	return context.DeadlineExceeded
+}
+
+// release disarms what Done armed, if anything: a timer, and a
+// registration with the parent that would otherwise live as long as the
+// parent does. A nil c has nothing to release.
+func (c *lateCtx) release() {
+	if c == nil {
+		return
+	}
+	c.mu.Lock()
+	defer c.mu.Unlock()
+	if c.disarm != nil {
+		c.disarm()
 	}
 }
 

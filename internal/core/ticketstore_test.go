@@ -1,6 +1,7 @@
 package core
 
 import (
+	"slices"
 	"testing"
 	"time"
 )
@@ -51,5 +52,47 @@ func TestTicketStoreRing(t *testing.T) {
 	}
 	if _, found, live := r.take(8, t0.Add(ticketTTL)); !found || live {
 		t.Errorf("a value read at its expiry: found %t live %t, want found and expired", found, live)
+	}
+}
+
+// TestTicketStoreExpiry: a put or a take lets go of the values whose TTL
+// has passed, oldest first, through onDrop, and stops at the first live
+// one; a value taken or put again since its put is skipped, and a take
+// still reads its own expired value as found and expired.
+func TestTicketStoreExpiry(t *testing.T) {
+	var s ticketStore[int, int]
+	var dropped []int
+	s.onDrop = func(v int) { dropped = append(dropped, v) }
+	t0 := time.Unix(1000, 0)
+	for i := 0; i < 10; i++ {
+		s.put(i, i, t0)
+	}
+	s.take(3, t0)
+	s.put(5, -5, t0.Add(time.Second)) // again, after the others
+	for i := 10; i < 13; i++ {
+		s.put(i, i, t0.Add(2*time.Second))
+	}
+	if len(dropped) != 1 || dropped[0] != 5 {
+		t.Fatalf("live puts dropped %v, want only the value key 5 was put again over", dropped)
+	}
+	dropped = nil
+	if v, found, live := s.take(0, t0.Add(ticketTTL)); !found || live || v != 0 {
+		t.Fatalf("an expired value reads %d found %t live %t, want found and expired", v, found, live)
+	}
+	if want := []int{1, 2, 4, 6, 7, 8, 9}; !slices.Equal(dropped, want) {
+		t.Fatalf("a take at the first puts' expiry dropped %v, want %v", dropped, want)
+	}
+	dropped = nil
+	s.put(20, 20, t0.Add(ticketTTL+time.Second))
+	if want := []int{-5}; !slices.Equal(dropped, want) {
+		t.Fatalf("a put a second later dropped %v, want %v", dropped, want)
+	}
+	if len(s.m) != 4 {
+		t.Errorf("the store holds %d values, want the 4 live ones", len(s.m))
+	}
+	dropped = nil
+	s.put(21, 21, t0.Add(time.Hour))
+	if want := []int{10, 11, 12, 20}; !slices.Equal(dropped, want) {
+		t.Fatalf("a put an hour later dropped %v, want %v", dropped, want)
 	}
 }

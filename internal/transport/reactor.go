@@ -185,7 +185,7 @@ type reactorListener struct {
 
 	// reoffer is set on a unix listener: a closing peer's unread
 	// datagrams become a new peer instead of being released
-	// (reofferUnread).
+	// (reofferUnread), and a peer can be parked (reactorConn.Park).
 	reoffer bool
 
 	goroutines atomic.Int64
@@ -352,6 +352,9 @@ func (l *reactorListener) deliver(key peerKey, from net.Addr, bs []*wire.Buf, po
 			c.drain()
 		}
 		return
+	}
+	if l.reoffer && c.parked.CompareAndSwap(true, false) && !l.offer(c) {
+		return // a parked peer's datagram found no room on the accept queue
 	}
 	c.wake(sh)
 }
@@ -857,7 +860,10 @@ type reactorConn struct {
 
 	queued     atomic.Bool // readiness edge pending in the shard queue
 	closedFlag atomic.Bool
-	once       sync.Once
+	// parked is set by Park, and cleared by whichever of Park and
+	// deliver offers the connection on Accept again.
+	parked atomic.Bool
+	once   sync.Once
 }
 
 // maxPeerName is the longest peer name a connection holds in place: a
@@ -1046,6 +1052,29 @@ func (c *reactorConn) Direct() bool { return true }
 func (c *reactorConn) Close() error {
 	c.close(c.l.reoffer)
 	return nil
+}
+
+// Park implements core.Parker. The connection's owner is done with it
+// while the peer keeps its socket (a local-fast-path client keeps it for
+// its next connection): it stays in its shard's table with no owner, and
+// the peer's next datagram, or one already in its ring, offers this same
+// connection on Accept again, where a closed one would make a new peer
+// of it. That costs deliver one flag check on a unix listener, and
+// nothing elsewhere. It reports false, and does nothing, when the
+// connection is closed or its listener is not a unix one; the caller
+// closes it then. A parked connection is closed as any other: by Close,
+// which releases what its ring holds, or by the listener's.
+func (c *reactorConn) Park() bool {
+	if !c.l.reoffer || c.closedFlag.Load() {
+		return false
+	}
+	c.parked.Store(true)
+	// A push before the store above is seen here; one after it, by
+	// deliver's check of the flag.
+	if c.ring.occupied() > 0 && c.parked.CompareAndSwap(true, false) && c.l.offer(c) {
+		c.wake(c.shard)
+	}
+	return true
 }
 
 // discard closes the connection and releases what it holds, on every
