@@ -35,7 +35,7 @@ import (
 // SuiteRevision identifies the vet-suite rule set. Bump it whenever an
 // analyzer's diagnostics change so `berthavet -version` reflects the
 // rules in force.
-const SuiteRevision = "berthavet-2026.10.3"
+const SuiteRevision = "berthavet-2026.10.4"
 
 // An Analyzer describes one static check.
 type Analyzer struct {
@@ -177,11 +177,11 @@ func IsWirePackage(pkg *types.Package) bool { return wirePkg(pkg) }
 
 // IsBufPtr reports whether t is *wire.Buf.
 func IsBufPtr(t types.Type) bool {
-	ptr, ok := t.(*types.Pointer)
+	ptr, ok := types.Unalias(t).(*types.Pointer)
 	if !ok {
 		return false
 	}
-	named, ok := ptr.Elem().(*types.Named)
+	named, ok := types.Unalias(ptr.Elem()).(*types.Named)
 	if !ok {
 		return false
 	}
@@ -221,7 +221,7 @@ func IsBufSlotSlice(t types.Type) bool {
 
 // IsImplInfo reports whether t is core.ImplInfo.
 func IsImplInfo(t types.Type) bool {
-	named, ok := t.(*types.Named)
+	named, ok := types.Unalias(t).(*types.Named)
 	if !ok {
 		return false
 	}
@@ -231,7 +231,7 @@ func IsImplInfo(t types.Type) bool {
 
 // IsContext reports whether t is context.Context.
 func IsContext(t types.Type) bool {
-	named, ok := t.(*types.Named)
+	named, ok := types.Unalias(t).(*types.Named)
 	if !ok {
 		return false
 	}

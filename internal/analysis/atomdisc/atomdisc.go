@@ -352,7 +352,7 @@ func (c *checker) copySite(x ast.Expr) {
 // a field whose address feeds sync/atomic functions, or a value-
 // embedded struct that does.
 func (c *checker) bearsAtomic(t types.Type, seen map[types.Type]bool) bool {
-	if named, ok := t.(*types.Named); ok {
+	if named, ok := types.Unalias(t).(*types.Named); ok {
 		if pkg := named.Obj().Pkg(); pkg != nil && pkg.Path() == "sync/atomic" {
 			return true
 		}
@@ -411,7 +411,7 @@ func fieldLabel(fld *types.Var) string {
 
 // typeLabel names a type compactly for diagnostics.
 func typeLabel(t types.Type) string {
-	if named, ok := t.(*types.Named); ok {
+	if named, ok := types.Unalias(t).(*types.Named); ok {
 		return named.Obj().Name()
 	}
 	return fmt.Sprintf("%s", t)

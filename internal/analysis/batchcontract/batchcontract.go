@@ -474,7 +474,7 @@ func (a *sendCheck) auditSent(x ast.Expr, s *cstate) {
 
 func isBatchError(info *types.Info, cl *ast.CompositeLit) bool {
 	t := info.TypeOf(cl)
-	named, ok := t.(*types.Named)
+	named, ok := types.Unalias(t).(*types.Named)
 	return ok && named.Obj().Name() == "BatchError"
 }
 

@@ -12,14 +12,6 @@
 //	             argument in non-main code, detaching the call from the
 //	             caller's cancellation (wrapping it in context.With* to
 //	             mint a lifecycle root is fine)
-//	timer-leak   a time.NewTimer/NewTicker whose Stop is never called
-//	             and which never escapes the function; and, outside
-//	             main packages (and tests, which are not loaded), any
-//	             time.After or time.Tick: they return only a channel,
-//	             so nothing can stop their timer, and under the
-//	             module's go 1.22 line (pre-1.23 timer semantics) it
-//	             stays in the runtime's timer heap until it fires — or,
-//	             for Tick, forever
 //
 // Blocking operations are unguarded channel sends/receives (a select
 // with a default or a ctx.Done() case is not blocking-without-ctx),
@@ -28,9 +20,9 @@
 // calls, so the check crosses package boundaries transitively.
 //
 // Detection is reachability-aware: each function body is lowered to a
-// control-flow graph (internal/analysis/cfg) and blocking operations or
-// timer creations in unreachable blocks — code after a return or panic,
-// after an exit-less `for {}`, or after a `select {}` — are ignored.
+// control-flow graph (internal/analysis/cfg) and blocking operations in
+// unreachable blocks — code after a return or panic, after an exit-less
+// `for {}`, or after a `select {}` — are ignored.
 // The pre-CFG walker counted those dead sites and flagged functions
 // that can never actually block.
 package ctxflow
@@ -47,7 +39,7 @@ import (
 // Analyzer is the ctxflow pass.
 var Analyzer = &analysis.Analyzer{
 	Name: "ctxflow",
-	Doc:  "check that context cancellation flows through blocking calls (dropped ctx, detached Background, leaked timers)",
+	Doc:  "check that context cancellation flows through blocking calls (dropped ctx, detached Background)",
 	Run:  run,
 }
 
@@ -83,9 +75,6 @@ func run(pass *analysis.Pass) error {
 	infos := map[*types.Func]*funcInfo{}
 	var order []*types.Func
 	for _, pkg := range pass.Pkgs {
-		// A command may wait on an unstoppable timer: it runs once and
-		// exits. (Tests are exempt too: the loader reads no _test.go file.)
-		library := pkg.Types.Name() != "main"
 		for _, f := range pkg.Files {
 			for _, d := range f.Decls {
 				fd, ok := d.(*ast.FuncDecl)
@@ -96,7 +85,7 @@ func run(pass *analysis.Pass) error {
 				if !ok {
 					continue
 				}
-				infos[fn] = analyzeFunc(pass, fd, library)
+				infos[fn] = analyzeFunc(pass, fd)
 				order = append(order, fn)
 			}
 		}
@@ -170,9 +159,8 @@ func blockingCall(fn *types.Func, fi *funcInfo, blocks map[*types.Func]string) s
 }
 
 // analyzeFunc computes one function's ctx parameter, ctx consumption,
-// first blocking operation, and callees. Timer leaks are reported as a
-// side effect; library marks code held to the time.After/Tick rule.
-func analyzeFunc(pass *analysis.Pass, fd *ast.FuncDecl, library bool) *funcInfo {
+// first blocking operation, and callees.
+func analyzeFunc(pass *analysis.Pass, fd *ast.FuncDecl) *funcInfo {
 	fi := &funcInfo{decl: fd, dead: cfg.New(fd.Body).UnreachableSpans()}
 	if fd.Type.Params != nil {
 		for _, field := range fd.Type.Params.List {
@@ -183,10 +171,6 @@ func analyzeFunc(pass *analysis.Pass, fd *ast.FuncDecl, library bool) *funcInfo 
 				}
 			}
 		}
-	}
-	checkTimerLeaks(pass, fd.Body, fi)
-	if library {
-		checkUnstoppableTimers(pass, fd.Body, fi)
 	}
 	walkBody(pass, fd.Body, fi, false)
 	return fi
@@ -348,143 +332,6 @@ func checkBackground(pass *analysis.Pass, f *ast.File) {
 	})
 }
 
-// checkTimerLeaks reports time.NewTimer/NewTicker results that are
-// neither stopped nor escape the function. Creations in unreachable
-// code never run, so they cannot leak.
-func checkTimerLeaks(pass *analysis.Pass, body *ast.BlockStmt, fi *funcInfo) {
-	created := map[*types.Var]*timerSite{}
-	ast.Inspect(body, func(n ast.Node) bool {
-		as, ok := n.(*ast.AssignStmt)
-		if !ok || len(as.Lhs) != 1 || len(as.Rhs) != 1 {
-			return true
-		}
-		if !fi.reachable(as.Pos()) {
-			return true
-		}
-		id, ok := as.Lhs[0].(*ast.Ident)
-		if !ok {
-			return true
-		}
-		v, ok := pass.TypesInfo.Defs[id].(*types.Var)
-		if !ok {
-			return true
-		}
-		call, ok := ast.Unparen(as.Rhs[0]).(*ast.CallExpr)
-		if !ok {
-			return true
-		}
-		fn := calleeFunc(pass.TypesInfo, call)
-		if fn == nil {
-			return true
-		}
-		switch {
-		case isPkgFunc(fn, "time", "NewTimer"):
-			created[v] = &timerSite{pos: as.Pos(), kind: "time.NewTimer"}
-		case isPkgFunc(fn, "time", "NewTicker"):
-			created[v] = &timerSite{pos: as.Pos(), kind: "time.NewTicker"}
-		}
-		return true
-	})
-	if len(created) == 0 {
-		return
-	}
-	// A timer is fine if any use is a .Stop() call, or it escapes: is
-	// returned, stored, or passed onward.
-	stopped := map[*types.Var]bool{}
-	escaped := map[*types.Var]bool{}
-	ast.Inspect(body, func(n ast.Node) bool {
-		switch n := n.(type) {
-		case *ast.CallExpr:
-			if sel, ok := n.Fun.(*ast.SelectorExpr); ok && sel.Sel.Name == "Stop" {
-				if id, ok := ast.Unparen(sel.X).(*ast.Ident); ok {
-					if v, ok := pass.TypesInfo.Uses[id].(*types.Var); ok && created[v] != nil {
-						stopped[v] = true
-					}
-				}
-			}
-			for _, arg := range n.Args {
-				markVar(pass.TypesInfo, arg, created, escaped)
-			}
-		case *ast.ReturnStmt:
-			for _, r := range n.Results {
-				markVar(pass.TypesInfo, r, created, escaped)
-			}
-		case *ast.AssignStmt:
-			// Re-assignment of the timer into anything (field, map,
-			// another variable) counts as an escape.
-			for i, rhs := range n.Rhs {
-				if i < len(n.Lhs) {
-					if _, isIdent := n.Lhs[i].(*ast.Ident); isIdent {
-						if _, fromCall := ast.Unparen(rhs).(*ast.CallExpr); fromCall {
-							continue // the creation itself
-						}
-					}
-				}
-				markVar(pass.TypesInfo, rhs, created, escaped)
-			}
-		case *ast.CompositeLit:
-			for _, el := range n.Elts {
-				val := el
-				if kv, ok := el.(*ast.KeyValueExpr); ok {
-					val = kv.Value
-				}
-				markVar(pass.TypesInfo, val, created, escaped)
-			}
-		}
-		return true
-	})
-	for v, tm := range created {
-		if !stopped[v] && !escaped[v] {
-			pass.Reportf(tm.pos, "timer-leak",
-				"%s %q is never stopped; its goroutine (and channel) outlive this function — defer %s.Stop()",
-				tm.kind, v.Name(), v.Name())
-		}
-	}
-}
-
-// checkUnstoppableTimers reports reachable time.After and time.Tick
-// calls: the caller gets only the channel, so the timer cannot be
-// stopped. Under the module's go 1.22 line a time.After timer stays in
-// the runtime's timer heap until it fires, however early its select
-// returned, and a time.Tick ticker is never collected; on a per-request
-// path each call adds one more entry every heap pass must walk.
-func checkUnstoppableTimers(pass *analysis.Pass, body *ast.BlockStmt, fi *funcInfo) {
-	ast.Inspect(body, func(n ast.Node) bool {
-		call, ok := n.(*ast.CallExpr)
-		if !ok || !fi.reachable(call.Pos()) {
-			return true
-		}
-		fn := calleeFunc(pass.TypesInfo, call)
-		switch {
-		case fn == nil:
-		case isPkgFunc(fn, "time", "After"):
-			pass.Reportf(call.Pos(), "timer-leak",
-				"time.After's timer cannot be stopped: under the module's go 1.22 line it stays in the runtime timer heap until it fires, after its select has returned; use time.NewTimer and defer its Stop")
-		case isPkgFunc(fn, "time", "Tick"):
-			pass.Reportf(call.Pos(), "timer-leak",
-				"time.Tick's ticker cannot be stopped: under the module's go 1.22 line it stays in the runtime timer heap for good; use time.NewTicker and defer its Stop")
-		}
-		return true
-	})
-}
-
-// timerSite is one time.NewTimer/NewTicker creation.
-type timerSite struct {
-	pos  token.Pos
-	kind string
-}
-
-// markVar marks a created timer variable referenced by x as escaped.
-func markVar(info *types.Info, x ast.Expr, created map[*types.Var]*timerSite, escaped map[*types.Var]bool) {
-	if id, ok := ast.Unparen(x).(*ast.Ident); ok {
-		if v, ok := info.Uses[id].(*types.Var); ok {
-			if _, tracked := created[v]; tracked {
-				escaped[v] = true
-			}
-		}
-	}
-}
-
 // calleeFunc resolves the called function when statically known.
 func calleeFunc(info *types.Info, call *ast.CallExpr) *types.Func {
 	switch fun := ast.Unparen(call.Fun).(type) {
@@ -501,7 +348,7 @@ func calleeFunc(info *types.Info, call *ast.CallExpr) *types.Func {
 }
 
 // isPkgFunc reports whether fn is <pkg>.<name> at package level, not a
-// method of that name (time.After, not time.Time.After).
+// method of that name.
 func isPkgFunc(fn *types.Func, pkg, name string) bool {
 	return fn.Name() == name && fn.Pkg() != nil && fn.Pkg().Path() == pkg &&
 		fn.Type().(*types.Signature).Recv() == nil

@@ -17,9 +17,3 @@ func TestCtxflow(t *testing.T) {
 func TestCtxflowCFGPrecision(t *testing.T) {
 	analysistest.Run(t, "ctxflow_cfg", ctxflow.Analyzer)
 }
-
-// TestCtxflowMainMayWaitOnAfter: a command's time.After and time.Tick
-// are left alone; the library corpus flags the same code.
-func TestCtxflowMainMayWaitOnAfter(t *testing.T) {
-	analysistest.Run(t, "ctxflow_main", ctxflow.Analyzer)
-}

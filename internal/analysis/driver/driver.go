@@ -34,7 +34,7 @@ var Analyzers = []*analysis.Analyzer{
 }
 
 // Version renders the tool version, "<module version> <suite revision>",
-// e.g. "v0.3.0 berthavet-2026.10.3". The module version is "(devel)"
+// e.g. "v0.3.0 berthavet-2026.10.4". The module version is "(devel)"
 // for plain `go build` working-tree binaries.
 func Version() string {
 	mod := "(devel)"

@@ -71,9 +71,12 @@ func TestSeeded(t *testing.T) {
 		// only the inferred borrow summary keeps ownership with the
 		// caller, so only with inference does bufown see the leak.
 		{name: "HelperLeak", corpora: []string{"seeded_helperleak"}, want: []string{"bufown/leak"}},
-		// A wait on a time.After arm outside main: its timer outlives
-		// the select that returned early.
-		{name: "TimerLeak", corpora: []string{"seeded_timerleak"}, want: []string{"ctxflow/timer-leak"}},
+		// A wait for a client's dial that takes a ctx and never
+		// consults it.
+		{name: "DroppedCtx", corpora: []string{"seeded_droppedctx"}, want: []string{"ctxflow/dropped-ctx"}},
+		// A double release through the public API's alias bertha.Buf,
+		// which go/types reports as a *types.Alias of wire.Buf.
+		{name: "AliasDoubleRelease", corpora: []string{"seeded_aliasrelease"}, want: []string{"bufown/double-release"}},
 		// A negotiated stack naming a chunnel type nothing registers.
 		{name: "UnknownType", corpora: []string{"seeded_unknowntype"}, want: []string{"speccheck/unknown-type"}},
 		// A lock-order cycle that exists only across two packages: the

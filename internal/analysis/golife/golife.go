@@ -247,10 +247,10 @@ func (w *walker) wgMethodRecv(call *ast.CallExpr, name string) *types.Var {
 
 // isWaitGroup reports whether t is sync.WaitGroup (or a pointer to it).
 func isWaitGroup(t types.Type) bool {
-	if ptr, ok := t.(*types.Pointer); ok {
+	if ptr, ok := types.Unalias(t).(*types.Pointer); ok {
 		t = ptr.Elem()
 	}
-	named, ok := t.(*types.Named)
+	named, ok := types.Unalias(t).(*types.Named)
 	if !ok {
 		return false
 	}

@@ -488,10 +488,10 @@ func (w *walker) lockOp(call *ast.CallExpr) (lockKey, string, bool) {
 	if owner, ok := sel.X.(*ast.SelectorExpr); ok {
 		if tv, ok := w.pass.TypesInfo.Types[owner.X]; ok {
 			t := tv.Type
-			if ptr, ok := t.(*types.Pointer); ok {
+			if ptr, ok := types.Unalias(t).(*types.Pointer); ok {
 				t = ptr.Elem()
 			}
-			if named, ok := t.(*types.Named); ok {
+			if named, ok := types.Unalias(t).(*types.Named); ok {
 				lk.global = named.Obj().Name() + "." + owner.Sel.Name
 				if named.Obj().Pkg() != nil {
 					lk.module = named.Obj().Pkg().Path() + "." + lk.global

@@ -611,16 +611,16 @@ func berthaPkg(pkg *types.Package) bool {
 }
 
 func isSpecNodeType(t types.Type) bool {
-	named, ok := t.(*types.Named)
+	named, ok := types.Unalias(t).(*types.Named)
 	return ok && named.Obj().Name() == "Node" && specPkg(named.Obj().Pkg())
 }
 
 func isSpecStackPtr(t types.Type) bool {
-	ptr, ok := t.(*types.Pointer)
+	ptr, ok := types.Unalias(t).(*types.Pointer)
 	if !ok {
 		return false
 	}
-	named, ok := ptr.Elem().(*types.Named)
+	named, ok := types.Unalias(ptr.Elem()).(*types.Named)
 	return ok && named.Obj().Name() == "Stack" && specPkg(named.Obj().Pkg())
 }
 

@@ -126,6 +126,18 @@ func (s *stats) goodLoad() int64 {
 	return s.ops.Load()
 }
 
+// config names atomic.Value by an alias.
+type config = atomic.Value
+
+// aliasStats carries a typed atomic behind the alias.
+type aliasStats struct {
+	cfg config
+}
+
+func (s aliasStats) badAliasLoad() any { // want `atomic-copy`
+	return s.cfg.Load()
+}
+
 func consume(s stats) {}
 
 func callCopies(s *stats) {

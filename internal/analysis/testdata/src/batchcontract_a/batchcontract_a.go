@@ -168,6 +168,22 @@ func (c *overcount) SendBufs(ctx context.Context, bs []*wire.Buf) error {
 	return nil
 }
 
+// batchError names core.BatchError by an alias.
+type batchError = core.BatchError
+
+// aliasOvercount is overcount, reporting through the alias.
+type aliasOvercount struct{ inner core.Conn }
+
+func (c *aliasOvercount) SendBufs(ctx context.Context, bs []*wire.Buf) error {
+	for i := range bs {
+		if err := core.SendBuf(ctx, c.inner, bs[i]); err != nil {
+			core.ReleaseAll(bs[i:])
+			return &batchError{Sent: i + 1, Err: err} // want `sent-miscount`
+		}
+	}
+	return nil
+}
+
 // undercount releases the strict tail but reports two fewer than were
 // transmitted.
 type undercount struct{ inner core.Conn }

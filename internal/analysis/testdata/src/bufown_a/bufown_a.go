@@ -7,6 +7,7 @@ import (
 	"context"
 	"errors"
 
+	"github.com/bertha-net/bertha/bertha"
 	"github.com/bertha-net/bertha/internal/core"
 	"github.com/bertha-net/bertha/internal/wire"
 )
@@ -21,6 +22,16 @@ func useAfterRelease(b *wire.Buf) int {
 
 // doubleRelease releases the same Buf twice on one path.
 func doubleRelease(b *wire.Buf) {
+	b.Release()
+	b.Release() // want `double-release`
+}
+
+// bufRef names a pointer to the public alias bertha.Buf, itself a
+// *types.Alias of wire.Buf.
+type bufRef = *bertha.Buf
+
+// aliasDoubleRelease is doubleRelease through both aliases.
+func aliasDoubleRelease(b bufRef) {
 	b.Release()
 	b.Release() // want `double-release`
 }

@@ -1,6 +1,6 @@
 // Package ctxflow_a is the golden corpus for the ctxflow analyzer:
-// dropped contexts, detached Background calls, and leaked timers, plus
-// the negative space around each rule.
+// dropped contexts and detached Background calls, plus the negative
+// space around each rule.
 package ctxflow_a
 
 import (
@@ -37,6 +37,14 @@ func DropViaCallee(ctx context.Context, ch chan int) int { // want `dropped-ctx`
 // was exported when the dependency corpus was analyzed.
 func DropViaFact(ctx context.Context, ch chan int) int { // want `dropped-ctx`
 	return dep.BlockingWait(ch)
+}
+
+// Ctx names context.Context by an alias.
+type Ctx = context.Context
+
+// DropAlias is DropDirect with its ctx typed by the alias.
+func DropAlias(ctx Ctx, ch chan int) int { // want `dropped-ctx`
+	return <-ch
 }
 
 // OkSelectDone consumes the ctx in a select arm.
@@ -108,81 +116,4 @@ func OkBoundedRoot(s sender) error {
 	ctx, cancel := context.WithTimeout(context.Background(), time.Second)
 	defer cancel()
 	return s.Send(ctx, nil)
-}
-
-// ---- timer-leak ----
-
-// LeakTimer never stops the timer.
-func LeakTimer(ch chan int) int {
-	t := time.NewTimer(time.Second) // want `timer-leak`
-	select {
-	case v := <-ch:
-		return v
-	case <-t.C:
-		return 0
-	}
-}
-
-// LeakTicker never stops the ticker.
-func LeakTicker(done chan struct{}) {
-	tick := time.NewTicker(time.Millisecond) // want `timer-leak`
-	for {
-		select {
-		case <-tick.C:
-		case <-done:
-			return
-		}
-	}
-}
-
-// OkStopped defers Stop.
-func OkStopped(ch chan int) int {
-	t := time.NewTimer(time.Second)
-	defer t.Stop()
-	select {
-	case v := <-ch:
-		return v
-	case <-t.C:
-		return 0
-	}
-}
-
-// OkEscapes hands the timer to its caller, which owns stopping it.
-func OkEscapes() *time.Timer {
-	t := time.NewTimer(time.Second)
-	return t
-}
-
-// LeakAfter waits on time.After in library code: the timer stays heaped
-// until it fires, long after the select took ch. OkStopped is the fix.
-func LeakAfter(ch chan int) int {
-	select {
-	case v := <-ch:
-		return v
-	case <-time.After(time.Second): // want `timer-leak.*time.After.*go 1.22`
-		return 0
-	}
-}
-
-// LeakTick polls on a ticker nobody can stop.
-func LeakTick(done chan struct{}) {
-	tick := time.Tick(time.Millisecond) // want `timer-leak.*time.Tick`
-	for {
-		select {
-		case <-tick:
-		case <-done:
-			return
-		}
-	}
-}
-
-// OkTimeAfterMethod compares instants: time.Time.After arms no timer.
-func OkTimeAfterMethod(deadline time.Time) bool {
-	return time.Now().After(deadline)
-}
-
-// OkDeadAfter's time.After sits after a return and never runs.
-func OkDeadAfter() <-chan time.Time {
-	return nil
-	return time.After(time.Second)
 }

@@ -1,14 +1,11 @@
 // Package ctxflow_cfg pins the reachability filtering the CFG engine
-// added to ctxflow: blocking operations and timer creations in dead
-// code never execute, so they must not count against a function. Each
-// "clean" function here was a false positive under the pre-CFG walker;
-// the `want` cases prove the live-code rules still fire.
+// added to ctxflow: blocking operations in dead code never execute, so
+// they must not count against a function. Each "clean" function here
+// was a false positive under the pre-CFG walker; the `want` cases prove
+// the live-code rules still fire.
 package ctxflow_cfg
 
-import (
-	"context"
-	"time"
-)
+import "context"
 
 // deadReceive blocks only in code behind an unconditional return: the
 // pre-CFG walker counted the dead `<-ch` and flagged dropped-ctx.
@@ -26,25 +23,7 @@ func deadAfterPanic(ctx context.Context, ch chan int) {
 	<-ch
 }
 
-// deadTimer creates a ticker in unreachable code: nothing ever runs, so
-// nothing leaks.
-func deadTimer(done chan struct{}) {
-	close(done)
-	return
-	t := time.NewTicker(time.Second)
-	_ = t
-}
-
 // liveReceive is the positive control: the same receive, reachable.
 func liveReceive(ctx context.Context, ch chan int) { // want `dropped-ctx`
 	<-ch
-}
-
-// liveTimer is the positive control for the timer rule.
-func liveTimer(ch chan int) {
-	t := time.NewTicker(time.Second) // want `timer-leak`
-	select {
-	case <-t.C:
-	case <-ch:
-	}
 }

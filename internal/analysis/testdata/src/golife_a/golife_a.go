@@ -132,6 +132,21 @@ func WgNoAdd() {
 	wg.Wait()
 }
 
+// wgRef names a pointer to waitGroup, an alias of sync.WaitGroup.
+type (
+	waitGroup = sync.WaitGroup
+	wgRef     = *waitGroup
+)
+
+// WgAliasNoAdd is WgNoAdd with the WaitGroup typed by the aliases.
+func WgAliasNoAdd() {
+	wg := wgRef(new(waitGroup))
+	go func() {
+		defer wg.Done() // want `waitgroup`
+	}()
+	wg.Wait()
+}
+
 // OkWg is the canonical pairing: Add before the launch, Done inside.
 func OkWg(n int) {
 	var wg sync.WaitGroup

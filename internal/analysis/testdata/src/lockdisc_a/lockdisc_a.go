@@ -98,6 +98,29 @@ func (p *peer) lockBackward() {
 	p.wmu.Unlock()
 }
 
+// peerRef names a pointer to peerAlias, an alias of peer; its mutexes
+// are peer's.
+type (
+	peerAlias = peer
+	peerRef   = *peerAlias
+)
+
+// lockAliasForward acquires wmu before smu through the aliases; with
+// lockAliasBackward on peer itself it is one inversion.
+func lockAliasForward(q peerRef) {
+	q.wmu.Lock()
+	q.smu.Lock()
+	q.smu.Unlock()
+	q.wmu.Unlock()
+}
+
+func (p *peer) lockAliasBackward() {
+	p.smu.Lock()
+	p.wmu.Lock() // want `order`
+	p.wmu.Unlock()
+	p.smu.Unlock()
+}
+
 // unlockReturnThenSend unlocks only on the branch that returns: the
 // path after the if still holds mu when it sends.
 func (p *peer) unlockReturnThenSend(ctx context.Context, msg []byte) error {

@@ -23,6 +23,25 @@ func Unknown() {
 	_, _ = bertha.New("u", stack) // want `unknown-type`
 }
 
+// stackRef names a pointer to the public alias bertha.Stack.
+type stackRef = *bertha.Stack
+
+// mysteryNode and mysteryStack name their results by the aliases.
+func mysteryNode() bertha.Node { return spec.New("mystery") }
+
+func mysteryStack() stackRef { return spec.Seq(mysteryNode()) }
+
+// UnknownAlias is Unknown, built behind the aliases.
+func UnknownAlias() {
+	_, _ = bertha.New("ua", mysteryStack()) // want `unknown-type`
+}
+
+// OkAliasRegistered uses a type registered only by AliasInfos.
+func OkAliasRegistered() {
+	stack := spec.Seq(spec.New("aliased"))
+	_, _ = bertha.New("oa", stack)
+}
+
 // UnknownSelect uses a select type with no registered resolver.
 func UnknownSelect() {
 	stack := spec.Seq(spec.Select("chooser", nil,

@@ -5,6 +5,7 @@
 package speccheck_dep
 
 import (
+	"github.com/bertha-net/bertha/bertha"
 	"github.com/bertha-net/bertha/internal/core"
 	"github.com/bertha-net/bertha/internal/spec"
 )
@@ -14,6 +15,12 @@ import (
 var Infos = []core.ImplInfo{
 	{Name: "good/sw", Type: "good", Location: core.LocUserspace},
 	{Name: "switchy/tor", Type: "switchy", Location: core.LocSwitch},
+}
+
+// AliasInfos declares "aliased" through the public alias
+// bertha.ImplInfo.
+var AliasInfos = []bertha.ImplInfo{
+	{Name: "aliased/sw", Type: "aliased", Location: core.LocUserspace},
 }
 
 // Register installs the fixture's select resolver.

@@ -586,7 +586,6 @@ func TestQuickTransformsLossless(t *testing.T) {
 		"serialize": func(c core.Conn) (core.Conn, error) { return serialize.New(c, serialize.FormatBincode) },
 	}
 	for name, mkFn := range cases {
-		mkFn := mkFn
 		t.Run(name, func(t *testing.T) {
 			ra, rb := transport.Pipe(core.Addr{}, core.Addr{}, 4096)
 			a, err := mkFn(ra)

@@ -26,7 +26,6 @@ func backends(t *testing.T, pn *transport.PipeNetwork, n int) []core.Addr {
 	ctx := ctxT(t)
 	var addrs []core.Addr
 	for i := 0; i < n; i++ {
-		i := i
 		l, err := pn.Listen("srvhost", fmt.Sprintf("backend%d", i))
 		if err != nil {
 			t.Fatal(err)

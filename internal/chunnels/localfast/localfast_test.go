@@ -552,15 +552,12 @@ func lifecycleBudget(fast, portable int) int {
 	return portable
 }
 
-// TestSpliceRetainsNoTimer: once both sides of a spliced connection have
-// closed, the lifecycle leaves nothing live. A timer on the set-up path
-// left to fire (a time.After: under the module's go 1.22 line,
-// returning from the select does not free it) stays in the runtime's
-// timer heap with its channel until it fires. The server's wait for a
-// splice token was such a timer, 5 s long: about 3 objects per
-// lifecycle, and a heap of thousands that every timer-heap pass walked
-// under connect_churn. Both the spliced and the resumed lifecycle bound
-// a wait for the server's answer, and are held to the same.
+// TestSpliceRetainsNoTimer: once both sides of a spliced or resumed
+// connection have closed, nothing still references the lifecycle's
+// set-up state (a parked goroutine, a map entry, a registered callback):
+// it leaves nothing live on the heap. The name is from the server's old
+// wait for a splice token, a 5 s time.After that pre-1.23 timers kept
+// heaped with its channel until it fired, about 3 objects per lifecycle.
 //
 // A lifecycle keeps one thing on purpose: the next ticket the server
 // issues with its answer, held for 30 s. The server's store keeps the
@@ -574,7 +571,7 @@ func lifecycleBudget(fast, portable int) int {
 // socket of an endpoint the test dropped, is not counted: a lifecycle
 // that left sockets for finalizers to close would pass here.
 // TestResumedLifecyclesOpenNoSocket counts sockets, and this test
-// counts timers.
+// counts heap objects.
 func TestSpliceRetainsNoTimer(t *testing.T) {
 	for _, tc := range []struct {
 		name   string
@@ -600,11 +597,11 @@ func TestSpliceRetainsNoTimer(t *testing.T) {
 				lifecycle()
 			}
 			retained := float64(int64(liveHeapObjects())-int64(before)) / n
-			// The time.After wait retained 3.1–3.2 objects per lifecycle,
-			// the stopped timer −0.1 to +0.2.
+			// A lifecycle reads about 0.1; the pre-1.23 time.After wait
+			// read 3.1–3.2.
 			const bound = 1.5
 			if retained > bound {
-				t.Fatalf("a closed %s lifecycle leaves %.2f heap objects live, want at most %.1f: is a timer on the set-up path left to fire?", tc.name, retained, bound)
+				t.Fatalf("a closed %s lifecycle leaves %.2f heap objects live, want at most %.1f: does something still reference its set-up state?", tc.name, retained, bound)
 			}
 			t.Logf("%.2f heap objects retained per lifecycle", retained)
 		})

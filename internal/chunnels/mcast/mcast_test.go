@@ -70,7 +70,6 @@ func deploy(t *testing.T, withSwitch bool, lossy string) *deployment {
 
 	// Start replicas.
 	for _, h := range replicaHosts {
-		h := h
 		reg := core.NewRegistry()
 		swImpl, hostImpl := mcast.Register(reg)
 		impl := hostImpl
@@ -204,7 +203,6 @@ func sameOrder(t *testing.T, d *deployment, minOps int) {
 
 func TestOrderedMulticastAllReplicasSameOrder(t *testing.T) {
 	for name, withSwitch := range map[string]bool{"switch": true, "host": false} {
-		withSwitch := withSwitch
 		t.Run(name, func(t *testing.T) {
 			ctx := ctxT(t)
 			d := deploy(t, withSwitch, "")

@@ -41,7 +41,6 @@ func startCluster(t *testing.T) *cluster {
 	ctx := ctxT(t)
 	c := &cluster{net: transport.NewPipeNetwork()}
 	for i := 0; i < nshards; i++ {
-		i := i
 		l, err := c.net.Listen("srvhost", fmt.Sprintf("shard%d", i))
 		if err != nil {
 			t.Fatal(err)

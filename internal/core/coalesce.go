@@ -175,9 +175,7 @@ func NewCoalescer(inner Conn, cfg CoalesceConfig, tel *telemetry.Registry) *Coal
 	c.reasons[flushReasonExplicit] = tel.Counter("coalesce/flush_explicit")
 	c.bg, c.cancel = context.WithCancel(context.Background())
 	c.timer = time.NewTimer(time.Hour)
-	if !c.timer.Stop() {
-		<-c.timer.C
-	}
+	c.timer.Stop()
 	go c.flushLoop()
 	return c
 }
@@ -334,7 +332,9 @@ func (c *Coalescer) flushPending(ctx context.Context, reason int) error {
 	c.pending, c.flight = c.flight, c.pending
 	c.n = 0
 	first := c.firstAt
-	c.timer.Stop() // a residual fire just flushes an empty queue
+	// No tick is received after Stop; a flush loop that took one just
+	// before finds an empty queue.
+	c.timer.Stop()
 	c.mu.Unlock()
 
 	c.delayHist.Observe(time.Duration(time.Now().UnixNano() - first))

@@ -127,7 +127,6 @@ func seqHandler(_ context.Context, req, reply *wire.Buf) bool {
 // what the handler had appended for it does not leak into the next reply.
 func TestServeOrderAndDrop(t *testing.T) {
 	for _, sn := range serveNets() {
-		sn := sn
 		t.Run(sn.name, func(t *testing.T) {
 			ctx := ctxT(t)
 			base := wire.BufsOutstanding()
@@ -231,7 +230,6 @@ func pipeliner(ctx context.Context, c core.Conn, id, total, window int) error {
 func TestServeConcurrentConnections(t *testing.T) {
 	const conns, perConn, window = 64, 60, 6
 	for _, sn := range serveNets() {
-		sn := sn
 		t.Run(sn.name, func(t *testing.T) {
 			ctx := ctxT(t)
 			base := wire.BufsOutstanding()

@@ -240,7 +240,6 @@ func scenarios() map[string]struct {
 
 func TestKVEndToEndAllScenarios(t *testing.T) {
 	for name, sc := range scenarios() {
-		sc := sc
 		t.Run(name, func(t *testing.T) {
 			ctx := ctxT(t)
 			pn := transport.NewPipeNetwork()

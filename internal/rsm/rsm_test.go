@@ -66,7 +66,6 @@ func startCluster(t *testing.T, withSwitch bool) *cluster {
 		c.hostMap[h] = host
 	}
 	for _, h := range hosts {
-		h := h
 		reg := core.NewRegistry()
 		swImpl, hostImpl := mcast.Register(reg)
 		impl := hostImpl
@@ -131,7 +130,6 @@ func (c *cluster) client(t *testing.T) *rsm.Client {
 
 func TestRSMLinearCounter(t *testing.T) {
 	for name, withSwitch := range map[string]bool{"switch": true, "host": false} {
-		withSwitch := withSwitch
 		t.Run(name, func(t *testing.T) {
 			ctx := ctxT(t)
 			c := startCluster(t, withSwitch)

@@ -201,23 +201,14 @@ func newWire(cfg LinkConfig, deliver func(Packet)) *wire {
 const spinThreshold = 500 * time.Microsecond
 
 // run delivers the wire's packets in order, each at its time. One timer
-// serves every delayed packet: under the module's go 1.22 timer
-// semantics a stopped timer's channel may still hold a stale tick, so
-// each reuse stops it, drains the channel without blocking, and resets.
+// serves every delayed packet.
 func (w *wire) run() {
 	sleep := time.NewTimer(time.Hour)
-	defer sleep.Stop()
 	for {
 		select {
 		case tp := <-w.ch:
 			if d := time.Until(tp.at); d > 0 {
 				if d > spinThreshold {
-					if !sleep.Stop() {
-						select {
-						case <-sleep.C:
-						default:
-						}
-					}
 					sleep.Reset(d - spinThreshold)
 					select {
 					case <-sleep.C:

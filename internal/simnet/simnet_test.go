@@ -351,7 +351,6 @@ func TestSequencerStamping(t *testing.T) {
 		}
 		msgs := make(chan []byte, 4*per)
 		for _, c := range []core.Conn{conn, conn2} {
-			c := c
 			go func() {
 				for {
 					m, err := c.Recv(ctx)

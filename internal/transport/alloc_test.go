@@ -44,7 +44,6 @@ func TestUDPConcurrentSendDeadline(t *testing.T) {
 	var wg sync.WaitGroup
 	errs := make(chan error, senders)
 	for i := 0; i < senders; i++ {
-		i := i
 		wg.Add(1)
 		go func() {
 			defer wg.Done()

@@ -98,7 +98,6 @@ func pairs() []connPair {
 
 func TestConnConformance(t *testing.T) {
 	for _, p := range pairs() {
-		p := p
 		t.Run(p.name+"/roundtrip", func(t *testing.T) {
 			a, b := p.make(t)
 			ctx := ctxT(t)
